@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criterion import DensityFamily, Penalty, RhoFit, rho_estimate
+from .criterion import DensityFamily, Penalty, RhoFit, _criterion_rows, rho_estimate
 from .densities import ProductDensity, Sample
 from .errors import ContractViolationError, DegenerateCandidatesError
-from .psi import PsiKernel, kernel_constants, psi_pair
+from .psi import PsiKernel, kernel_constants
 
 __all__ = ["SimplexPoint", "CandidateSet", "InnerSolverConfig",
            "select_candidate", "t_mix", "inner_argmax", "saddle_point",
@@ -109,7 +109,8 @@ def t_mix(X: Sample, cs: CandidateSet, alpha: SimplexPoint, beta: SimplexPoint,
     den = alpha.as_array() @ cs.values
     if np.any(den <= 0.0) or np.any(num < 0.0):
         raise ContractViolationError("mixture density vanished at a sample point")
-    return float(np.sum(psi_pair(kernel, np.sqrt(num), np.sqrt(den))))
+    return float(_criterion_rows(np.sqrt(den)[np.newaxis, :],
+                                 np.sqrt(num)[np.newaxis, :], 0.0, kernel)[0])
 
 
 @dataclass(frozen=True)
@@ -118,19 +119,10 @@ class InnerSolverConfig:
     max_iter: int = 5000
 
 
-def _mix_objective_terms(kernel, m, d_sqrt):
-    return psi_pair(kernel, np.sqrt(m), d_sqrt)
-
-
 def _mix_gradient_wrt_m(kernel, m, d_sqrt):
     # d/dm of psi(sqrt(m)/v) with v = d_sqrt, expressed through u = sqrt(m).
     u = np.sqrt(m)
-    v = d_sqrt
-    if kernel.id == "psi1":
-        dfdu = v * (u + v) / np.power(u * u + v * v, 1.5)
-    else:
-        dfdu = 2.0 * v / (u + v) ** 2
-    return dfdu / (2.0 * u)
+    return kernel.ratio_du(u, d_sqrt) / (2.0 * u)
 
 
 def _line_search(kernel, m, m_dir, d_sqrt, gamma_max):
@@ -248,17 +240,12 @@ def saddle_point(X: Sample, cs: CandidateSet, kernel: PsiKernel | None = None,
 
 def simplex_grid(size: int, steps: int):
     """All simplex lattice points with coordinates multiples of 1/steps."""
-    for cut in itertools.combinations(range(steps + size - 1), size - 1):
-        prev = -1
-        counts = []
-        for c in (*cut, steps + size - 1):
-            counts.append(c - prev - 1)
-            prev = c
-        yield SimplexPoint(tuple(c / steps for c in counts))
+    for row in simplex_grid_array(size, steps):
+        yield SimplexPoint(tuple(row))
 
 
 def simplex_grid_array(size: int, steps: int) -> np.ndarray:
-    """The same lattice as :func:`simplex_grid`, stacked into an array."""
+    """The lattice of :func:`simplex_grid` as rows, in lexicographic cut order."""
     if size == 1:
         return np.ones((1, 1))
     cuts = np.fromiter(
@@ -276,6 +263,4 @@ def mixture_upsilon(X: Sample, cs: CandidateSet, alpha: SimplexPoint,
     kernel = kernel or kernel_constants()
     G = simplex_grid_array(cs.size, grid_steps)
     den_sqrt = np.sqrt(alpha.as_array() @ cs.values)[np.newaxis, :]
-    num_sqrt = np.sqrt(G @ cs.values)
-    t_vals = psi_pair(kernel, num_sqrt, den_sqrt).sum(axis=1)
-    return float(np.max(t_vals))
+    return float(_criterion_rows(den_sqrt, np.sqrt(G @ cs.values), 0.0, kernel)[0])

@@ -33,12 +33,16 @@ from .selection import ModelCollection, select, uniform_weights
 __all__ = ["main"]
 
 
+def _reject_constant(token):
+    raise ConfigError(f"non-finite number {token} in config")
+
+
 def _load_config(path):
     if path is None:
         raise ConfigError("this subcommand requires --config")
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_reject_constant)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 

@@ -1,9 +1,12 @@
 """Pairwise statistic, selection criterion and the rho-estimator.
 
 Only finite, explicitly represented families are handled here; continuous
-models must be discretized by the builders in :mod:`rhoest.models`.  The
-criterion scan is vectorized over the whole family and reduced in index
-order, so outputs are replicate-stable.
+models must be discretized by the builders in :mod:`rhoest.models`.  Every
+criterion value comes from one reduction, :func:`_criterion_rows`: for each
+candidate row it sums psi over the sample in index order and takes the
+largest penalized sum over the challengers.  Candidate rows are processed a
+block at a time, so memory stays bounded whatever the family size and the
+values do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -94,44 +97,51 @@ class RhoFit:
         }
 
 
+# Elements of the (rows, challengers, n) psi block built per step.
+_BLOCK_ELEMENTS = 2**20
+
+
+def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
+                    kernel: PsiKernel) -> np.ndarray:
+    """max_k [sum_i psi_pair(num_sqrt[k, i], den_sqrt[j, i]) - num_pen[k]] per row j.
+
+    ``den_sqrt`` is (J, n) and ``num_sqrt`` is (K, n); ``num_pen`` is a (K,)
+    vector or a scalar.  Each row's sum runs over the last, contiguous axis,
+    exactly as for a single pair.
+    """
+    step = max(1, _BLOCK_ELEMENTS // num_sqrt.size)
+    out = np.empty(len(den_sqrt))
+    for lo in range(0, len(den_sqrt), step):
+        t = psi_pair(kernel, num_sqrt[np.newaxis, :, :],
+                     den_sqrt[lo:lo + step, np.newaxis, :]).sum(axis=2)
+        out[lo:lo + step] = np.max(t - num_pen, axis=1)
+    return out
+
+
 def t_statistic(X: Sample, q: ProductDensity, qp: ProductDensity,
                 kernel: PsiKernel) -> float:
     """sum_i psi(sqrt(q'_i(x_i) / q_i(x_i))), with the zero-density conventions."""
-    u = np.sqrt(qp.coord_values(X))
-    v = np.sqrt(q.coord_values(X))
-    return float(np.sum(psi_pair(kernel, u, v)))
-
-
-def _t_matrix(S: np.ndarray, kernel: PsiKernel) -> np.ndarray:
-    """T[j, k] = t_statistic(X, entry_j, entry_k) from the sqrt-value matrix."""
-    u = S[np.newaxis, :, :]    # challenger k
-    v = S[:, np.newaxis, :]    # candidate j
-    return psi_pair(kernel, u, v).sum(axis=2)
+    u = np.sqrt(qp.coord_values(X))[np.newaxis, :]
+    v = np.sqrt(q.coord_values(X))[np.newaxis, :]
+    return float(_criterion_rows(v, u, 0.0, kernel)[0])
 
 
 def upsilon(X: Sample, q: ProductDensity, fam: DensityFamily,
             pen: Penalty | None, kernel: PsiKernel) -> float:
     """max over challengers of [T - pen(challenger)] + pen(candidate)."""
-    pen = pen or Penalty()
-    pvec = pen.vector(len(fam))
-    u_sqrt = np.sqrt(np.stack([e.coord_values(X) for e in fam.entries]))
-    v_sqrt = np.sqrt(q.coord_values(X))[np.newaxis, :]
-    t_vals = psi_pair(kernel, u_sqrt, v_sqrt).sum(axis=1)
-    own = 0.0
-    for idx, entry in enumerate(fam.entries):
-        if entry.key() == q.key():
-            own = pvec[idx]
-            break
-    return float(np.max(t_vals - pvec) + own)
+    pvec = (pen or Penalty()).vector(len(fam))
+    own = next((pvec[idx] for idx, entry in enumerate(fam.entries)
+                if entry.key() == q.key()), 0.0)
+    v = np.sqrt(q.coord_values(X))[np.newaxis, :]
+    return float(_criterion_rows(v, fam.sqrt_value_matrix(X), pvec, kernel)[0] + own)
 
 
 def upsilon_all(X: Sample, fam: DensityFamily, pen: Penalty | None,
                 kernel: PsiKernel) -> np.ndarray:
     """Criterion value for every entry of the family at once."""
-    pen = pen or Penalty()
-    pvec = pen.vector(len(fam))
-    T = _t_matrix(fam.sqrt_value_matrix(X), kernel)
-    return np.max(T - pvec[np.newaxis, :], axis=1) + pvec
+    pvec = (pen or Penalty()).vector(len(fam))
+    S = fam.sqrt_value_matrix(X)
+    return _criterion_rows(S, S, pvec, kernel) + pvec
 
 
 def rho_estimate(X: Sample, fam: DensityFamily, pen: Penalty | None = None,

@@ -63,6 +63,8 @@ class Sample:
             raise ContractViolationError(f"unknown sample kind {self.kind!r}")
         if pts.shape[0] < 1:
             raise ContractViolationError("sample must contain at least one point")
+        if not np.all(np.isfinite(pts)):
+            raise ContractViolationError("sample points must be finite")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 

@@ -22,7 +22,7 @@ import numpy as np
 from .criterion import DensityFamily, rho_estimate
 from .densities import (Density1D, PathologicalGaussian, ProductDensity,
                         Sample, hellinger_sq)
-from .errors import ContractViolationError
+from .errors import ContractViolationError, RhoestError
 from .psi import PsiKernel, kernel_constants
 from .quadrature import QuadratureSpec, integrate_1d
 
@@ -146,8 +146,8 @@ def mc_risk(scenario: Scenario, estimator, truth_for_loss: Density1D,
     """Replicate loop: simulate, fit, score h^2 against the loss reference.
 
     ``estimator`` maps a Sample to an estimated 1-D density.  Replicates
-    whose fit raises are dropped from the statistics and counted in
-    ``failures``.
+    whose fit raises a package or arithmetic error are dropped from the
+    statistics and counted in ``failures``; any other exception propagates.
     """
     losses = []
     failures = 0
@@ -156,7 +156,7 @@ def mc_risk(scenario: Scenario, estimator, truth_for_loss: Density1D,
         try:
             estimate = estimator(sample)
             losses.append(float(hellinger_sq(truth_for_loss, estimate, quad)))
-        except Exception:
+        except (RhoestError, ArithmeticError):
             failures += 1
     return _summarize(losses, failures, bound_reference)
 
@@ -197,7 +197,9 @@ def mle_counterexample(theta: float, n: int, reps: int, seed: int,
     augmented with the sample points and the sample mean; and fit the
     bounded-criterion estimator over the same singular family.  The
     likelihood maximizer lands on X_(n) whenever the event holds, while the
-    bounded criterion ignores the Lebesgue-null spikes.
+    bounded criterion ignores the Lebesgue-null spikes.  ``p_event`` is
+    1 - Phi(sqrt(log 4n))^n, the probability that the maximum clears the
+    threshold; it neglects the chance that |mean| reaches it.
     """
     if n < 3 or reps < 1:
         raise ContractViolationError("need n >= 3 and reps >= 1")
@@ -239,8 +241,10 @@ def mle_counterexample(theta: float, n: int, reps: int, seed: int,
         fit = rho_estimate(Sample(x), fam, kernel=kernel)
         rho_errors.append(abs(float(fam_thetas[fit.chosen_index]) - theta))
 
+    phi = 0.5 * (1.0 + math.erf(threshold / math.sqrt(2.0)))
     return {
         "freq_event": events / reps,
+        "p_event": 1.0 - phi**n,
         "freq_mle_at_max": (mle_at_max / events) if events else float("nan"),
         "rho_errors": rho_errors,
         "rho_median_error": statistics.median(rho_errors),

@@ -9,17 +9,17 @@ live in [1, n/6].
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from .aggregation import simplex_grid_array
 from .criterion import DensityFamily
 from .densities import (ExpFamily, Gaussian, Histogram, ProductDensity,
                         _compile_basis, product_hellinger_sq)
-from .errors import ContractViolationError
+from .errors import ContractViolationError, QuadratureError
 from .quadrature import QuadratureSpec, integrate_1d
 
 __all__ = [
@@ -162,15 +162,6 @@ def build_gaussian_location_grid(theta_min: float, theta_max: float, step: float
     )
 
 
-def _simplex_grid(k: int, steps: int):
-    """All mass vectors on the lattice {j/steps} summing to 1 over k cells."""
-    for comp in itertools.combinations_with_replacement(range(k), steps):
-        counts = [0] * k
-        for c in comp:
-            counts[c] += 1
-        yield tuple(c / steps for c in counts)
-
-
 def build_histogram_family(breakpoint_grids, k: int, n: int,
                            mass_steps: int = 4,
                            c1: float = DEFAULT_C1) -> ModelDescriptor:
@@ -181,18 +172,19 @@ def build_histogram_family(breakpoint_grids, k: int, n: int,
     ``mass_steps`` subdivisions.  Piecewise-constant densities with at most k
     pieces have VC-subgraph dimension 2k, hence index 2k + 1.
     """
-    if k < 1:
-        raise ContractViolationError("k must be >= 1")
+    if k < 1 or mass_steps < 1:
+        raise ContractViolationError("k and mass_steps must be >= 1")
     entries, labels = [], []
     seen = set()
     for breaks in breakpoint_grids:
         breaks = tuple(float(b) for b in breaks)
         pieces = len(breaks) - 1
-        if pieces > k:
+        if not 1 <= pieces <= k:
             raise ContractViolationError(
-                f"breakpoints {breaks} define {pieces} > k = {k} pieces")
+                f"breakpoints {breaks} define {pieces} pieces, not 1 to k = {k}")
         widths = np.diff(breaks)
-        for masses in _simplex_grid(pieces, mass_steps):
+        for row in simplex_grid_array(pieces, mass_steps)[::-1]:
+            masses = tuple(row.tolist())
             heights = tuple(m / w for m, w in zip(masses, widths))
             hist = Histogram(breaks, heights)
             if hist.key() in seen:
@@ -240,7 +232,7 @@ def build_exp_family_grid(basis, coefficient_grid, lo: float, hi: float, n: int,
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 z = integrate_1d(unnorm, lo, hi, quad)
-        except Exception:
+        except (QuadratureError, ArithmeticError):
             z = float("inf")
         if not (math.isfinite(z) and 0 < z < 1e300):
             rejected.append(coeffs)

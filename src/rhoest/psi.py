@@ -54,6 +54,18 @@ class PsiKernel:
     def gamma(self) -> float:
         return 4.0 * (self.a0 + 16.0) / self.a1 + 2.0 + 168.0 / self.a2_sq
 
+    def ratio(self, u, v):
+        """psi(u / v) on the pair (u, v), without :func:`psi_pair`'s 0 and inf cases."""
+        if self.id == "psi1":
+            return (u - v) / np.sqrt(u * u + v * v)
+        return (u - v) / (u + v)
+
+    def ratio_du(self, u, v):
+        """d/du of :meth:`ratio` for u, v > 0."""
+        if self.id == "psi1":
+            return v * (u + v) / np.power(u * u + v * v, 1.5)
+        return 2.0 * v / (u + v) ** 2
+
 
 _KERNELS = {
     "psi1": PsiKernel("psi1", a0=4.97, a1=0.083, a2_sq=3.0 + 2.0 * math.sqrt(2.0)),
@@ -76,14 +88,7 @@ def eval_psi(kernel: PsiKernel, x):
     x = np.asarray(x, dtype=float)
     if np.any(np.isnan(x)) or np.any(x < 0):
         raise ContractViolationError("psi expects x >= 0 (or +inf)")
-    inf_mask = np.isinf(x)
-    safe = np.where(inf_mask, 1.0, x)
-    if kernel.id == "psi1":
-        vals = (safe - 1.0) / np.sqrt(safe * safe + 1.0)
-    else:
-        vals = (safe - 1.0) / (safe + 1.0)
-    out = np.where(inf_mask, 1.0, vals)
-    return float(out) if out.ndim == 0 else out
+    return psi_pair(kernel, x, 1.0)
 
 
 def psi_pair(kernel: PsiKernel, num_sqrt, den_sqrt):
@@ -100,10 +105,7 @@ def psi_pair(kernel: PsiKernel, num_sqrt, den_sqrt):
     if np.any(u < 0) or np.any(v < 0):
         raise ContractViolationError("density square roots must be nonnegative")
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        if kernel.id == "psi1":
-            vals = (u - v) / np.sqrt(u * u + v * v)
-        else:
-            vals = (u - v) / (u + v)
+        vals = kernel.ratio(u, v)
     # equal (incl. 0/0 and inf/inf) -> 0; one-sided zero or infinity -> +/-1
     vals = np.where(u == v, 0.0, vals)
     vals = np.where((u > v) & ((v == 0.0) | np.isinf(u)), 1.0, vals)

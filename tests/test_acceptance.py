@@ -230,7 +230,7 @@ def test_08_mle_counterexample():
           and out["rho_median_error"] <= 0.3)
     report(8, "likelihood blow-up vs bounded criterion", ok,
            time.time() - t0, 180.0,
-           f"event freq {out['freq_event']:.2f}, "
+           f"event freq {out['freq_event']:.2f} (P(event) = {out['p_event']:.3f}), "
            f"mle at max {out['freq_mle_at_max']:.2f}, "
            f"rho median error {out['rho_median_error']:.3f}")
 

@@ -170,6 +170,28 @@ class TestExitCodes:
         path.write_text("{not json")
         assert main(["fit", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_json_constant(self, tmp_path, capsys, token):
+        path = tmp_path / "c.json"
+        path.write_text('{"sample": [0.0, 1.0], "family": {"type": '
+                        '"gaussian_location_grid", "theta_min": -1, '
+                        f'"theta_max": 1, "step": {token}}}}}')
+        assert main(["fit", "--config", str(path)]) == 2
+        assert f"non-finite number {token}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("point", ["1e999", "-1e999"])
+    @pytest.mark.parametrize("shape", ["scalar", "pair"])
+    def test_fit_rejects_infinite_sample_point(self, tmp_path, capsys,
+                                               point, shape):
+        pts = (f"[0.1, {point}, -0.3]" if shape == "scalar"
+               else f"[[0.1, 0.2], [{point}, 0.5]]")
+        path = tmp_path / "c.json"
+        path.write_text(f'{{"sample": {pts}, "family": {{"type": '
+                        '"gaussian_location_grid", "theta_min": -1, '
+                        '"theta_max": 1, "step": 0.5}}')
+        assert main(["fit", "--config", str(path)]) == 2
+        assert "sample points must be finite" in capsys.readouterr().err
+
     def test_unknown_family_type(self, tmp_path, capsys, gaussian_sample):
         cfg = write_config(tmp_path, "c.json", {
             "sample": gaussian_sample, "family": {"type": "mystery"}})

@@ -46,6 +46,13 @@ class TestSample:
         with pytest.raises(ContractViolationError):
             Sample(np.array([]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ContractViolationError, match="finite"):
+            Sample(np.array([0.0, bad, 1.0]))
+        with pytest.raises(ContractViolationError, match="finite"):
+            Sample(np.array([[0.0, 1.0], [1.0, bad]]), kind="pair")
+
 
 class TestDensityBasics:
     @pytest.mark.parametrize("d", ALL_CLOSED_FORM, ids=lambda d: d.kind)

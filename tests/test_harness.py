@@ -113,12 +113,19 @@ class TestMcRisk:
         def flaky(sample):
             calls["k"] += 1
             if calls["k"] % 2 == 0:
-                raise RuntimeError("boom")
+                raise ContractViolationError("boom")
             return Gaussian(0, 1)
 
         report = mc_risk(iid_scenario(reps=4), flaky, Gaussian(0, 1))
         assert report.failures == 2
         assert len(report.per_replicate) == 2
+
+    def test_programming_errors_propagate(self):
+        def broken(sample):
+            raise TypeError("not a fit failure")
+
+        with pytest.raises(TypeError, match="not a fit failure"):
+            mc_risk(iid_scenario(reps=2), broken, Gaussian(0, 1))
 
     def test_statistics_consistent(self):
         rng = np.random.default_rng(0)
@@ -135,6 +142,13 @@ class TestMcRisk:
 
 
 class TestMleCounterexample:
+    def test_event_probability(self):
+        from scipy.stats import norm
+        rep = mle_counterexample(0.0, 100, 1, seed=0)
+        expected = 1.0 - norm.cdf(math.sqrt(math.log(400.0))) ** 100
+        assert rep["p_event"] == pytest.approx(expected, rel=1e-12)
+        assert rep["p_event"] == pytest.approx(0.514, abs=1e-3)
+
     def test_small_run(self):
         rep = mle_counterexample(0.0, 50, 8, seed=3)
         assert 0.0 <= rep["freq_event"] <= 1.0

@@ -124,6 +124,19 @@ class TestHistogramFamily:
         with pytest.raises(ContractViolationError):
             build_histogram_family([(0.0, 0.5, 1.0)], k=1, n=5)
 
+    def test_enumeration_order_and_labels(self):
+        desc = build_histogram_family([(0.0, 1.0, 2.0)], k=2, n=5, mass_steps=2)
+        assert desc.family.labels == [
+            "breaks=(0.0, 1.0, 2.0) masses=(1.0, 0.0)",
+            "breaks=(0.0, 1.0, 2.0) masses=(0.5, 0.5)",
+            "breaks=(0.0, 1.0, 2.0) masses=(0.0, 1.0)",
+        ]
+
+    @pytest.mark.parametrize("grids, steps", [([(0.0,)], 4), ([(0.0, 1.0)], 0)])
+    def test_degenerate_lattice_rejected(self, grids, steps):
+        with pytest.raises(ContractViolationError):
+            build_histogram_family(grids, k=2, n=5, mass_steps=steps)
+
 
 class TestExpFamilyGrid:
     def test_flat_coefficient_is_uniform(self):

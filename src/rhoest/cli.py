@@ -215,21 +215,20 @@ def _scenario_from_config(cfg: dict, seed: int) -> Scenario:
         raise ConfigError(str(exc)) from exc
 
 
-def _estimator_from_config(cfg: dict, kernel, c1: float, slack_multiplier: float):
+def _estimator_from_config(cfg: dict, n: int, kernel, c1: float,
+                           slack_multiplier: float):
+    """The estimator for samples of size ``n``; a grid is built once, here."""
     spec = _require(cfg, "estimator")
     kind = _require(spec, "type")
     if kind == "rho_gaussian_grid":
-        theta_min = float(_require(spec, "theta_min"))
-        theta_max = float(_require(spec, "theta_max"))
-        step = float(_require(spec, "step"))
-        sd = float(spec.get("sd", 1.0))
+        family = build_gaussian_location_grid(
+            float(_require(spec, "theta_min")), float(_require(spec, "theta_max")),
+            float(_require(spec, "step")), float(spec.get("sd", 1.0)), n, c1).family
+        slack = slack_multiplier * kernel.kappa / 25.0
 
         def estimate(sample: Sample) -> Density1D:
-            desc = build_gaussian_location_grid(theta_min, theta_max, step,
-                                                sd, sample.n, c1)
-            fit = rho_estimate(sample, desc.family, kernel=kernel,
-                               slack=slack_multiplier * kernel.kappa / 25.0)
-            return desc.family[fit.chosen_index].marginal
+            fit = rho_estimate(sample, family, kernel=kernel, slack=slack)
+            return family[fit.chosen_index].marginal
 
         return estimate
     if kind == "gaussian_mle_plugin":
@@ -246,7 +245,7 @@ def _cmd_bench(args) -> int:
     cfg = _load_config(args.config)
     kernel = kernel_constants(args.psi)
     scenario = _scenario_from_config(cfg, args.seed)
-    estimator = _estimator_from_config(cfg, kernel, args.c1,
+    estimator = _estimator_from_config(cfg, scenario.n, kernel, args.c1,
                                        args.kappa_multiplier)
     truth_for_loss = (_density(cfg["truth_for_loss"])
                       if "truth_for_loss" in cfg else scenario.truth)

@@ -4,9 +4,11 @@ Only finite, explicitly represented families are handled here; continuous
 models must be discretized by the builders in :mod:`rhoest.models`.  Every
 criterion value comes from one reduction, :func:`_criterion_rows`: for each
 candidate row it sums psi over the sample in index order and takes the
-largest penalized sum over the challengers.  Candidate rows are processed a
-block at a time, so memory stays bounded whatever the family size and the
-values do not depend on the block size.
+largest penalized sum over the challengers.  The pairwise sums are computed a
+cache-sized block at a time, so memory stays bounded whatever the family size
+and no value depends on the block shape.  Across the whole family
+(:func:`upsilon_all`) the statistic is antisymmetric, T(q, q') = -T(q', q),
+so only its upper triangle is computed and the lower one is mirrored.
 """
 
 from __future__ import annotations
@@ -97,25 +99,45 @@ class RhoFit:
         }
 
 
-# Elements of the (rows, challengers, n) psi block built per step.
-_BLOCK_ELEMENTS = 2**20
+# psi values per block: small enough that a block's temporaries stay in cache.
+_BLOCK_ELEMENTS = 2**15
 
 
 def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
                     kernel: PsiKernel) -> np.ndarray:
-    """max_k [sum_i psi_pair(num_sqrt[k, i], den_sqrt[j, i]) - num_pen[k]] per row j.
+    """max_k [T[j, k] - num_pen[k]] for every row j.
 
-    ``den_sqrt`` is (J, n) and ``num_sqrt`` is (K, n); ``num_pen`` is a (K,)
-    vector or a scalar.  Each row's sum runs over the last, contiguous axis,
-    exactly as for a single pair.
+    T[j, k] = sum_i psi_pair(num_sqrt[k, i], den_sqrt[j, i]); ``den_sqrt`` is
+    (J, n), ``num_sqrt`` is (K, n) and ``num_pen`` is a (K,) vector or a
+    scalar.  T is filled a block of (rows, challengers) at a time, each block
+    holding about ``_BLOCK_ELEMENTS`` psi values.  Every entry sums over the
+    last, contiguous axis, exactly as for a single pair, so no value depends
+    on the block shape.
+
+    When both arguments are the same matrix (the all-candidates criterion), T
+    is antisymmetric: the blocks of a row band start at the band's first
+    row, and the strict lower triangle is mirrored from the upper one.  psi
+    is exactly antisymmetric and negating a sum is exact, so a mirrored entry
+    is bitwise the direct sum.  Mirroring computes 0.0 - t, not -t, because
+    psi of equal roots is +0.0 both ways, so a zero sum is too.  Only a zero
+    sum of -0.0 terms, which needs roots near the float64 overflow limit,
+    mirrors to a zero of the other sign.
     """
-    step = max(1, _BLOCK_ELEMENTS // num_sqrt.size)
-    out = np.empty(len(den_sqrt))
-    for lo in range(0, len(den_sqrt), step):
-        t = psi_pair(kernel, num_sqrt[np.newaxis, :, :],
-                     den_sqrt[lo:lo + step, np.newaxis, :]).sum(axis=2)
-        out[lo:lo + step] = np.max(t - num_pen, axis=1)
-    return out
+    square = den_sqrt is num_sqrt
+    J, K = len(den_sqrt), len(num_sqrt)
+    pairs = max(1, _BLOCK_ELEMENTS // num_sqrt.shape[1])
+    cols = min(K, pairs)
+    rows = max(1, pairs // cols)
+    T = np.empty((J, K))
+    for lo in range(0, J, rows):
+        for c in range(lo if square else 0, K, cols):
+            T[lo:lo + rows, c:c + cols] = psi_pair(
+                kernel, num_sqrt[np.newaxis, c:c + cols, :],
+                den_sqrt[lo:lo + rows, np.newaxis, :]).sum(axis=2)
+    if square:
+        lower = np.tril_indices(J, -1)
+        T[lower] = 0.0 - T.T[lower]
+    return np.max(T - num_pen, axis=1)
 
 
 def t_statistic(X: Sample, q: ProductDensity, qp: ProductDensity,

@@ -60,6 +60,15 @@ class PsiKernel:
             return (u - v) / np.sqrt(u * u + v * v)
         return (u - v) / (u + v)
 
+    @property
+    def ratio_exact_at_zero(self) -> bool:
+        """Whether ratio(a, 0) == 1 and ratio(0, a) == -1 for every finite a > 0.
+
+        psi2 divides a by a.  psi1 divides a by sqrt(a * a), which differs
+        from a once a * a underflows or overflows.
+        """
+        return self.id != "psi1"
+
     def ratio_du(self, u, v):
         """d/du of :meth:`ratio` for u, v > 0."""
         if self.id == "psi1":
@@ -95,22 +104,42 @@ def psi_pair(kernel: PsiKernel, num_sqrt, den_sqrt):
     """psi(sqrt(q'/q)) from the square roots u = sqrt(q'), v = sqrt(q).
 
     Evaluating on the (u, v) pair keeps swap-antisymmetry exact in floating
-    point and realizes the conventions 0/0 -> psi(1) = 0, a/0 -> psi(+inf)=1
-    and 0/a -> psi(0) = -1 without special-casing the ratio.  Also absorbs
-    infinite density values (singular representations): only the comparison
-    of u and v matters there.
+    point.  The conventions are 0/0 -> psi(1) = 0, inf/inf -> 0,
+    a/0 and inf/a -> psi(+inf) = 1, and 0/a and a/inf -> psi(0) = -1; infinite
+    roots come from singular density representations, where only the
+    comparison of u and v matters.
+
+    One pass of :meth:`PsiKernel.ratio` gives every value except on the
+    entries where it returns NaN (0/0 and any infinite root); only those are
+    then set, from the sign of u - v.  For a kernel whose ratio is not exact
+    at a one-sided zero (:attr:`PsiKernel.ratio_exact_at_zero`), the entries
+    with a zero root are set the same way.  NaN roots raise
+    :class:`ContractViolationError`.
     """
     u = np.asarray(num_sqrt, dtype=float)
     v = np.asarray(den_sqrt, dtype=float)
-    if np.any(u < 0) or np.any(v < 0):
-        raise ContractViolationError("density square roots must be nonnegative")
+    # min propagates NaN, which fails the comparison: NaN roots are rejected too.
+    if not (u.min(initial=0.0) >= 0.0 and v.min(initial=0.0) >= 0.0):
+        raise ContractViolationError("density square roots must be nonnegative numbers")
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         vals = kernel.ratio(u, v)
-    # equal (incl. 0/0 and inf/inf) -> 0; one-sided zero or infinity -> +/-1
-    vals = np.where(u == v, 0.0, vals)
-    vals = np.where((u > v) & ((v == 0.0) | np.isinf(u)), 1.0, vals)
-    vals = np.where((v > u) & ((u == 0.0) | np.isinf(v)), -1.0, vals)
-    return float(vals) if vals.ndim == 0 else vals
+    fix = np.isnan(vals)
+    if not kernel.ratio_exact_at_zero:
+        fix = fix | (u == 0.0) | (v == 0.0)
+    if vals.ndim == 0:
+        return float(_sign(u, v) if fix else vals)
+    if fix.any():
+        at = np.nonzero(fix)
+        # np.broadcast_to costs more than the rest of a small call.
+        if u.shape != vals.shape or v.shape != vals.shape:
+            u, v = np.broadcast_to(u, vals.shape), np.broadcast_to(v, vals.shape)
+        vals[at] = _sign(u[at], v[at])
+    return vals
+
+
+def _sign(u, v):
+    """+1, -1 or +0.0 as u > v, u < v or u == v (also for zero and infinite roots)."""
+    return (u > v) * 1.0 - (u < v)
 
 
 def check_assumption(kernel: PsiKernel, q: Density1D, qp: Density1D,

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from rhoest import cli
 from rhoest.cli import main
 
 
@@ -121,6 +122,48 @@ class TestBench:
         assert code == 0
         assert len(out["per_replicate"]) == 3
         assert out["failures"] == 0
+
+    @pytest.mark.parametrize("psi, expected", [
+        ("psi1", [0.0012492190754190835, 0.019801326693244636,
+                  0.011186955388766906, 0.0012492190754190835,
+                  0.011186955388766906]),
+        ("psi2", [0.0012492190754190835, 0.019801326693244636,
+                  0.011186955388766906, 0.0, 0.011186955388766906]),
+    ])
+    def test_grid_built_once_with_unchanged_losses(self, tmp_path, capsys,
+                                                    monkeypatch, psi, expected):
+        # expected: the losses when the grid was rebuilt for every replicate
+        builds = []
+        real_build = cli.build_gaussian_location_grid
+        monkeypatch.setattr(cli, "build_gaussian_location_grid",
+                            lambda *a, **k: builds.append(a) or real_build(*a, **k))
+        gaussian = {"kind": "gaussian", "params": {"mean": 0.1, "sd": 1.0}}
+        cfg = write_config(tmp_path, "c.json", {
+            "scenario": {"kind": "contaminated", "truth": gaussian,
+                         "contaminant": {"kind": "cauchy",
+                                         "params": {"loc": 0.0, "scale": 10.0}},
+                         "eps": 0.1, "n": 60, "replications": 5},
+            "estimator": {"type": "rho_gaussian_grid", "theta_min": -1,
+                          "theta_max": 1, "step": 0.1},
+            "truth_for_loss": gaussian,
+        })
+        code, out = run(capsys, ["bench", "--config", cfg, "--seed", "11",
+                                 "--psi", psi])
+        assert code == 0
+        assert out["per_replicate"] == expected
+        assert len(builds) == 1 and builds[0][4] == 60
+
+    def test_bad_grid_rejected_before_replicates(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {
+            "scenario": {"kind": "iid",
+                         "truth": {"kind": "gaussian",
+                                   "params": {"mean": 0.0, "sd": 1.0}},
+                         "n": 40, "replications": 3},
+            "estimator": {"type": "rho_gaussian_grid", "theta_min": 1,
+                          "theta_max": -1, "step": 0.5},
+        })
+        assert main(["bench", "--config", cfg]) == 2
+        assert "theta_min < theta_max" in capsys.readouterr().err
 
     def test_csv_out_deterministic(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {

@@ -100,6 +100,20 @@ class TestUpsilon:
         assert np.allclose(got, oracle_ups, atol=1e-12)
 
 
+    def test_nan_density_values_rejected(self):
+        class NaNRightHalf(Gaussian):
+            def pdf(self, x):
+                return np.where(np.asarray(x) > 0.0, np.nan, super().pdf(x))
+
+        fam = DensityFamily([ProductDensity(iid=Gaussian(0.0, 1.0), n=3),
+                             ProductDensity(iid=NaNRightHalf(0.5, 1.0), n=3)])
+        X = Sample(np.array([-1.0, 0.5, 1.0]))
+        with pytest.raises(ContractViolationError, match="square roots"):
+            upsilon_all(X, fam, None, K2)
+        with pytest.raises(ContractViolationError, match="square roots"):
+            rho_estimate(X, fam)
+
+
 class TestRhoEstimate:
     def test_singleton(self):
         q = ProductDensity(iid=Gaussian(0, 1), n=3)

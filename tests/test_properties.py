@@ -1,15 +1,17 @@
 """Exact invariants of psi and the criterion, checked against a dense T.
 
 The dense T built here is the (N, N, n) broadcast the criterion engine
-avoids: T[j, k] = sum_i psi_pair(sqrt q_k(x_i), sqrt q_j(x_i)).  Every
-comparison is exact equality, because the engine sums each row in the same
-index order.
+avoids: T[j, k] = sum_i psi(sqrt q_k(x_i), sqrt q_j(x_i)), with psi from
+:func:`psi_pair_oracle`, an independent full-pass implementation of the 0/inf
+conventions.  Every comparison is exact equality, because the engine sums
+each entry in the same index order.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rhoest import (DensityFamily, Gaussian, PathologicalGaussian, Penalty,
                     ProductDensity, Sample, Uniform, kernel_constants,
@@ -27,8 +29,64 @@ sqrt_values = st.one_of(
 density_sqrts = st.floats(min_value=0.0, allow_nan=False).map(np.sqrt)
 
 
+# Roots where the psi1 ratio stops being exact, plus the 0 and inf cases.
+special_roots = st.sampled_from([0.0, 5e-324, 1e-160, 1e-150, 1.0, 1e150, 1e154,
+                                 1e160, 1.7e308, np.inf])
+any_roots = st.one_of(special_roots, st.floats(min_value=0.0, allow_nan=False))
+
+
+def psi_pair_oracle(kernel, num_sqrt, den_sqrt):
+    """psi on (u, v) with every 0/inf convention applied by a full np.where pass."""
+    u = np.asarray(num_sqrt, dtype=float)
+    v = np.asarray(den_sqrt, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        if kernel.id == "psi1":
+            vals = (u - v) / np.sqrt(u * u + v * v)
+        else:
+            vals = (u - v) / (u + v)
+    vals = np.where(u == v, 0.0, vals)
+    vals = np.where((u > v) & ((v == 0.0) | np.isinf(u)), 1.0, vals)
+    vals = np.where((v > u) & ((u == 0.0) | np.isinf(v)), -1.0, vals)
+    return float(vals) if vals.ndim == 0 else vals
+
+
 def dense_t(S, kernel):
-    return psi_pair(kernel, S[np.newaxis, :, :], S[:, np.newaxis, :]).sum(axis=2)
+    return psi_pair_oracle(kernel, S[np.newaxis, :, :],
+                           S[:, np.newaxis, :]).sum(axis=2)
+
+
+def square_path_t(S, kernel):
+    """T as the all-candidates (upper triangle plus mirror) path computes it.
+
+    Column k is read off as the row maxima under a penalty that is 0 at k
+    and +inf elsewhere.
+    """
+    T = np.empty((len(S), len(S)))
+    for k in range(len(S)):
+        pen = np.full(len(S), np.inf)
+        pen[k] = 0.0
+        T[:, k] = criterion._criterion_rows(S, S, pen, kernel)
+    return T
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@st.composite
+def root_operands(draw):
+    """(u, v) as Python floats, equal-length vectors or broadcasting blocks."""
+    kind = draw(st.sampled_from(["scalar", "vector", "broadcast"]))
+    if kind == "scalar":
+        return draw(any_roots), draw(any_roots)
+    n = draw(st.integers(1, 8))
+    if kind == "vector":
+        return (draw(hnp.arrays(float, n, elements=any_roots)),
+                draw(hnp.arrays(float, n, elements=any_roots)))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return (draw(hnp.arrays(float, (1, cols, n), elements=any_roots)),
+            draw(hnp.arrays(float, (rows, 1, n), elements=any_roots)))
 
 
 @st.composite
@@ -58,6 +116,14 @@ class TestExactInvariants:
         v = data.draw(st.lists(sqrt_values, min_size=len(u), max_size=len(u)))
         u, v = np.array(u), np.array(v)
         assert np.array_equal(psi_pair(kernel, u, v), -psi_pair(kernel, v, u))
+
+    @settings(max_examples=300, deadline=None)
+    @given(operands=root_operands())
+    def test_psi_pair_matches_oracle_bitwise(self, kernel, operands):
+        u, v = operands
+        got, want = psi_pair(kernel, u, v), psi_pair_oracle(kernel, u, v)
+        assert type(got) is type(want)
+        assert same_bits(got, want)
 
     @PROPERTY
     @given(u=st.lists(density_sqrts, min_size=1, max_size=20), data=st.data())
@@ -110,12 +176,53 @@ class TestExactInvariants:
         n = 700
         fam = build_gaussian_location_grid(-2.0, 1.9, 0.1, 1.0, n).family
         X = Sample(np.random.default_rng(3).standard_cauchy(n))
-        rows_per_block = criterion._BLOCK_ELEMENTS // (len(fam) * n)
-        assert (len(fam), -(-len(fam) // rows_per_block)) == (40, 2)
+        assert len(fam) ** 2 * n > 2 * criterion._BLOCK_ELEMENTS
         pvec = np.linspace(0.0, 2.0, len(fam))
         T = dense_t(fam.sqrt_value_matrix(X), kernel)
         ups = upsilon_all(X, fam, Penalty(dict(enumerate(pvec))), kernel)
         assert np.array_equal(ups, np.max(T - pvec, axis=1) + pvec)
+
+
+def zeros_and_infinities_case():
+    """Uniforms vanish off their supports; PathologicalGaussians with centres
+    2.5 and 3 are infinite there, and both centres are sample points.  The
+    two Uniforms far off the sample vanish at every point, so their T
+    entries are zero sums."""
+    points = np.array([-2.5, -1.0, -0.2, 0.0, 0.4, 0.9, 1.5, 2.5, 3.0, 6.0, -7.0])
+    marginals = ([Uniform(a, a + w) for a, w in ((-3.0, 2.5), (-1.0, 2.0),
+                                                 (0.0, 4.0), (-1.0, 2.0 + 1e-9),
+                                                 (50.0, 1.0), (60.0, 1.0))]
+                 + [PathologicalGaussian(c) for c in (0.9, 2.5, 3.0)]
+                 + [Gaussian(m, 1.0) for m in np.linspace(-2.0, 2.0, 13)])
+    return points, marginals
+
+
+def tiny_roots_case():
+    """Gaussian densities near 1e-314 at x = 38, whose square roots lie below
+    1e-150, facing Uniform entries that vanish there: zero against a root
+    whose square underflows, where the psi1 ratio alone need not give +-1."""
+    points = np.array([-1.0, 0.0, 0.5, 37.9, 38.0, 38.2, 38.6])
+    marginals = ([Uniform(-2.0, 2.0), Uniform(-2.0, 38.1), Uniform(0.0, 39.0)]
+                 + [Gaussian(m, 1.0) for m in np.linspace(-0.5, 0.5, 9)])
+    return points, marginals
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.id)
+@pytest.mark.parametrize("block", [1, 64, 4096])
+@pytest.mark.parametrize("case", [zeros_and_infinities_case, tiny_roots_case])
+def test_triangle_blocks_match_dense(kernel, block, case, monkeypatch):
+    monkeypatch.setattr(criterion, "_BLOCK_ELEMENTS", block)
+    points, marginals = case()
+    fam = DensityFamily([ProductDensity(iid=d, n=len(points)) for d in marginals])
+    X = Sample(points)
+    S = fam.sqrt_value_matrix(X)
+    T = dense_t(S, kernel)
+    pvec = np.linspace(0.0, 3.0, len(fam))
+    ups = upsilon_all(X, fam, Penalty(dict(enumerate(pvec))), kernel)
+    assert np.array_equal(ups, np.max(T - pvec, axis=1) + pvec)
+    T_square = square_path_t(S, kernel)
+    assert same_bits(T_square, T)
+    assert same_bits(np.diag(T_square), np.zeros(len(fam)))
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -101,6 +101,17 @@ class TestPsiPair:
         assert psi_pair(PSI2, 3.0, inf) == -1.0
 
     @pytest.mark.parametrize("k", [PSI1, PSI2], ids=lambda k: k.id)
+    @pytest.mark.parametrize("u, v", [
+        (float("nan"), 1.0),
+        (0.0, float("nan")),
+        (np.array([0.5, np.nan]), np.ones(2)),
+        (np.ones((1, 3, 2)), np.array([[[1.0, np.nan]]] * 2)),
+    ])
+    def test_rejects_nan_roots(self, k, u, v):
+        with pytest.raises(ContractViolationError, match="square roots"):
+            psi_pair(k, u, v)
+
+    @pytest.mark.parametrize("k", [PSI1, PSI2], ids=lambda k: k.id)
     def test_exact_swap_antisymmetry(self, k):
         rng = np.random.default_rng(9)
         u = rng.uniform(0, 5, 1000)

@@ -37,12 +37,25 @@ def _reject_constant(token):
     raise ConfigError(f"non-finite number {token} in config")
 
 
+def _finite_float(token):
+    value = float(token)
+    if not np.isfinite(value):
+        raise ConfigError(f"a number in config overflows a float: {token:.24}")
+    return value
+
+
+def _finite_int(token):
+    _finite_float(token)  # ints reach float arithmetic; also caps int()'s digits
+    return int(token)
+
+
 def _load_config(path):
     if path is None:
         raise ConfigError("this subcommand requires --config")
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh, parse_constant=_reject_constant)
+            return json.load(fh, parse_constant=_reject_constant,
+                             parse_float=_finite_float, parse_int=_finite_int)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
@@ -114,7 +127,10 @@ def _cmd_fit(args) -> int:
     X = _sample_from_config(cfg)
     kernel = kernel_constants(args.psi)
     desc = _family_from_config(_require(cfg, "family"), X.n, args.c1)
-    pen = Penalty({int(k): float(v) for k, v in cfg.get("penalty", {}).items()})
+    try:
+        pen = Penalty({int(k): float(v) for k, v in cfg.get("penalty", {}).items()})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad penalty: {exc}") from exc
     fit = rho_estimate(X, desc.family, pen, kernel,
                        slack=args.kappa_multiplier * kernel.kappa / 25.0)
     payload = fit.to_json()

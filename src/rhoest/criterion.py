@@ -63,12 +63,15 @@ class Penalty:
     values: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if any(v < 0 for v in self.values.values()):
-            raise ContractViolationError("penalties must be nonnegative")
+        if not all(v >= 0 for v in self.values.values()):  # NaN fails v >= 0
+            raise ContractViolationError("penalties must be nonnegative numbers")
 
     def vector(self, size: int) -> np.ndarray:
         out = np.zeros(size)
         for idx, val in self.values.items():
+            if idx not in range(size):
+                raise ContractViolationError(
+                    f"penalty index {idx!r} is outside the family of size {size}")
             out[idx] = val
         return out
 

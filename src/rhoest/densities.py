@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolationError
-from .quadrature import QuadratureSpec, integrate_1d
+from .quadrature import integrate_1d
 
 __all__ = [
     "Sample",
@@ -283,7 +283,9 @@ class Histogram(Density1D):
         if any(h < 0 for h in heights):
             raise ContractViolationError("heights must be nonnegative")
         mass = sum(h * (b2 - b1) for h, b1, b2 in zip(heights, breaks[:-1], breaks[1:]))
-        if abs(mass - 1.0) > 1e-9:
+        # A NaN mass fails too: NaN heights or breaks, and a zero height over
+        # an infinite piece, give one.
+        if not abs(mass - 1.0) <= 1e-9:
             raise ContractViolationError(f"histogram mass {mass} != 1")
         object.__setattr__(self, "breaks", breaks)
         object.__setattr__(self, "heights", heights)
@@ -425,8 +427,8 @@ class Tabulated(Density1D):
         values = tuple(float(v) for v in self.values)
         if len(grid) != len(values) or len(grid) < 2:
             raise ContractViolationError("grid and values must match, length >= 2")
-        if any(v < 0 for v in values):
-            raise ContractViolationError("tabulated values must be nonnegative")
+        if not all(v >= 0 for v in values):  # NaN fails v >= 0
+            raise ContractViolationError("tabulated values must be nonnegative numbers")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
 
@@ -491,12 +493,13 @@ def density_from_json(obj: dict) -> Density1D:
     try:
         cls = _DENSITY_KINDS[obj["kind"]]
         params = dict(obj["params"])
+        for tupled in ("breaks", "heights", "grid", "values", "basis", "coeffs"):
+            if tupled in params:
+                params[tupled] = tuple(params[tupled])
+        # TypeError here means an unknown or missing parameter, or a wrong type.
+        return cls(**params)
     except (KeyError, TypeError) as exc:
-        raise ContractViolationError(f"bad density spec: {obj!r}") from exc
-    for tupled in ("breaks", "heights", "grid", "values", "basis", "coeffs"):
-        if tupled in params:
-            params[tupled] = tuple(params[tupled])
-    return cls(**params)
+        raise ContractViolationError(f"bad density spec {obj!r}: {exc}") from exc
 
 
 def shifted(d: Density1D, a: float) -> Density1D:
@@ -524,30 +527,33 @@ def shifted(d: Density1D, a: float) -> Density1D:
 # Hellinger distance and affinity
 # ---------------------------------------------------------------------------
 
-def _disjoint(p: Density1D, q: Density1D) -> bool:
-    (pl, ph), (ql, qh) = p.support, q.support
-    return ph <= ql or qh <= pl
+def integrate_on_supports(fn, over, kinks_of=(), quad=None):
+    """Integrate ``fn`` over the common support of the densities in ``over``.
+
+    ``fn`` must vanish off that range, so ``over`` lists the densities whose
+    supports bound the integrand's.  The range is split at the breakpoints of
+    the densities in ``over`` and ``kinks_of`` that fall inside it.  An empty
+    common support gives 0.0 without any quadrature.
+    """
+    lo = max(d.support[0] for d in over)
+    hi = min(d.support[1] for d in over)
+    if hi <= lo:
+        return 0.0
+    kinks = tuple(k for d in (*over, *kinks_of) for k in d.breakpoints())
+    return integrate_1d(fn, lo, hi, quad, points=kinks)
 
 
 def hellinger_affinity(p, q, quad=None, base=None, method="auto"):
     """rho(p, q) = integral of sqrt(p q); equals 1 - h^2."""
-    quad = quad or QuadratureSpec()
     if method not in ("auto", "quadrature"):
         raise ContractViolationError(f"unknown method {method!r}")
     if method == "auto" and base is None:
         if p.key() == q.key():
             return 1.0
-        if _disjoint(p, q):
-            return 0.0
         if (isinstance(p, Gaussian) and isinstance(q, Gaussian)
                 and p.sd == q.sd):
             return math.exp(-((p.mean - q.mean) ** 2) / (8.0 * p.sd**2))
 
-    lo = max(p.support[0], q.support[0])
-    hi = min(p.support[1], q.support[1])
-    if hi <= lo:
-        return 0.0
-    kinks = tuple(p.breakpoints()) + tuple(q.breakpoints())
     if base is None:
         def integrand(x):
             return np.sqrt(p.pdf(x) * q.pdf(x))
@@ -560,8 +566,8 @@ def hellinger_affinity(p, q, quad=None, base=None, method="auto"):
             with np.errstate(divide="ignore", invalid="ignore"):
                 r = np.sqrt((p.pdf(x) / b) * (q.pdf(x) / b)) * b
             return np.where(b > 0, r, 0.0)
-        kinks = kinks + tuple(base.breakpoints())
-    rho = integrate_1d(integrand, lo, hi, quad, points=kinks)
+    rho = integrate_on_supports(integrand, (p, q),
+                                () if base is None else (base,), quad)
     return min(max(rho, 0.0), 1.0)
 
 

@@ -21,10 +21,10 @@ import numpy as np
 
 from .criterion import DensityFamily, rho_estimate
 from .densities import (Density1D, PathologicalGaussian, ProductDensity,
-                        Sample, hellinger_sq)
+                        Sample, hellinger_sq, integrate_on_supports)
 from .errors import ContractViolationError, RhoestError
 from .psi import PsiKernel, kernel_constants
-from .quadrature import QuadratureSpec, integrate_1d
+from .quadrature import QuadratureSpec
 
 __all__ = ["Scenario", "RiskReport", "simulate", "mc_risk",
            "contamination_bias", "mle_counterexample", "export"]
@@ -172,17 +172,14 @@ def contamination_bias(center: Density1D, contaminant: Density1D, eps: float,
         raise ContractViolationError("eps must lie in [0, 1]")
     if eps == 0.0:
         return 0.0
-    quad = quad or QuadratureSpec()
-    lo = min(center.support[0], contaminant.support[0])
-    hi = max(center.support[1], contaminant.support[1])
-    kinks = tuple(center.breakpoints()) + tuple(contaminant.breakpoints())
 
     def integrand(x):
         c = center.pdf(x)
         mix = (1.0 - eps) * c + eps * contaminant.pdf(x)
         return np.sqrt(mix * c)
 
-    rho = integrate_1d(integrand, lo, hi, quad, points=kinks)
+    # The integrand vanishes wherever the center does.
+    rho = integrate_on_supports(integrand, (center,), (contaminant,), quad)
     return 1.0 - min(max(rho, 0.0), 1.0)
 
 

@@ -18,9 +18,9 @@ import numpy as np
 from .aggregation import simplex_grid_array
 from .criterion import DensityFamily
 from .densities import (ExpFamily, Gaussian, Histogram, ProductDensity,
-                        _compile_basis, product_hellinger_sq)
+                        integrate_on_supports, product_hellinger_sq)
 from .errors import ContractViolationError, QuadratureError
-from .quadrature import QuadratureSpec, integrate_1d
+from .quadrature import QuadratureSpec
 
 __all__ = [
     "ModelDescriptor",
@@ -214,24 +214,16 @@ def build_exp_family_grid(basis, coefficient_grid, lo: float, hi: float, n: int,
     """
     quad = quad or QuadratureSpec(abs_tol=1e-10)
     basis = tuple(basis)
-    fns = [_compile_basis(expr) for expr in basis]
     entries, labels, rejected = [], [], []
     for coeffs in coefficient_grid:
-        coeffs = tuple(float(c) for c in coeffs)
-        if len(coeffs) != len(basis):
-            raise ContractViolationError("coefficient vector length != basis size")
-
-        def unnorm(x, _c=coeffs):
-            acc = np.zeros(np.shape(x))
-            for c, fn in zip(_c, fns):
-                acc = acc + c * fn(x)
-            with np.errstate(over="ignore"):
-                return np.exp(np.minimum(acc, 700.0))
-
+        unnormalized = ExpFamily(basis, coeffs, 0.0, lo, hi)
+        coeffs = unnormalized.coeffs
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                z = integrate_1d(unnorm, lo, hi, quad)
+                z = integrate_on_supports(
+                    lambda x: np.exp(np.minimum(unnormalized.log_pdf(x), 700.0)),
+                    (unnormalized,), quad=quad)
         except (QuadratureError, ArithmeticError):
             z = float("inf")
         if not (math.isfinite(z) and 0 < z < 1e300):

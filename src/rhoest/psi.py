@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import Density1D, hellinger_sq
+from .densities import Density1D, hellinger_sq, integrate_on_supports
 from .errors import ContractViolationError
-from .quadrature import QuadratureSpec, integrate_1d
+from .quadrature import QuadratureSpec
 
 __all__ = ["PsiKernel", "kernel_constants", "eval_psi", "psi_pair",
            "check_assumption"]
@@ -154,16 +154,14 @@ def check_assumption(kernel: PsiKernel, q: Density1D, qp: Density1D,
     h2_rq = hellinger_sq(r, q, quad)
     h2_rqp = hellinger_sq(r, qp, quad)
 
-    lo = min(q.support[0], qp.support[0], r.support[0])
-    hi = max(q.support[1], qp.support[1], r.support[1])
-    lo, hi = max(lo, r.support[0]), min(hi, r.support[1])
-    kinks = tuple(q.breakpoints()) + tuple(qp.breakpoints()) + tuple(r.breakpoints())
-
     def psi_at(x):
         return psi_pair(kernel, np.sqrt(qp.pdf(x)), np.sqrt(q.pdf(x)))
 
-    lhs_esp = integrate_1d(lambda x: psi_at(x) * r.pdf(x), lo, hi, quad, kinks)
-    lhs_var = integrate_1d(lambda x: psi_at(x) ** 2 * r.pdf(x), lo, hi, quad, kinks)
+    # Both integrands carry the factor r(x), so they run over r's support.
+    lhs_esp = integrate_on_supports(lambda x: psi_at(x) * r.pdf(x),
+                                    (r,), (q, qp), quad)
+    lhs_var = integrate_on_supports(lambda x: psi_at(x) ** 2 * r.pdf(x),
+                                    (r,), (q, qp), quad)
     rhs_esp = kernel.a0 * h2_rq - kernel.a1 * h2_rqp
     rhs_var = kernel.a2_sq * (h2_rq + h2_rqp)
     tol = max(quad.abs_tol, 1e-9)

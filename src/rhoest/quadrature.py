@@ -3,6 +3,8 @@
 Thin wrapper around scipy's QUADPACK bindings: integrands are split at
 known kink locations, and the subdivision budget escalates geometrically
 until the requested absolute tolerance is met or the budget is exhausted.
+Density integrals reach it through ``densities.integrate_on_supports``,
+which chooses the range and the kinks.
 """
 
 from __future__ import annotations
@@ -19,15 +21,12 @@ __all__ = ["QuadratureSpec", "integrate_1d"]
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """How to integrate: adaptive (default) or fixed-grid Riemann sums."""
+    """Absolute error tolerance and subdivision budget of :func:`integrate_1d`."""
 
-    scheme: str = "adaptive"
     abs_tol: float = 1e-9
     max_subdivisions: int = 2**20
 
     def __post_init__(self):
-        if self.scheme not in ("adaptive", "fixed-grid"):
-            raise ContractViolationError(f"unknown quadrature scheme {self.scheme!r}")
         if not self.abs_tol > 0:
             raise ContractViolationError("abs_tol must be > 0")
         if self.max_subdivisions < 1:
@@ -38,16 +37,6 @@ def _segments(lo, hi, points):
     cuts = sorted({p for p in points if lo < p < hi})
     edges = [lo, *cuts, hi]
     return list(zip(edges[:-1], edges[1:]))
-
-
-def _fixed_grid(fn, lo, hi, spec):
-    # Midpoint rule on a dense grid; infinite ranges are truncated by the caller.
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ContractViolationError("fixed-grid scheme requires finite bounds")
-    m = min(spec.max_subdivisions, 2**22)
-    x = np.linspace(lo, hi, m + 1)
-    mid = 0.5 * (x[:-1] + x[1:])
-    return float(np.sum(fn(mid) * np.diff(x)))
 
 
 def integrate_1d(fn, lo, hi, spec=None, points=()):
@@ -62,9 +51,6 @@ def integrate_1d(fn, lo, hi, spec=None, points=()):
     spec = spec or QuadratureSpec()
     if hi <= lo:
         return 0.0
-    if spec.scheme == "fixed-grid":
-        return _fixed_grid(fn, lo, hi, spec)
-
     segs = _segments(lo, hi, points)
     per_seg_tol = spec.abs_tol / len(segs)
     total = 0.0

@@ -233,7 +233,40 @@ class TestExitCodes:
                         '"gaussian_location_grid", "theta_min": -1, '
                         '"theta_max": 1, "step": 0.5}}')
         assert main(["fit", "--config", str(path)]) == 2
-        assert "sample points must be finite" in capsys.readouterr().err
+        assert f"overflows a float: {point}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["99", "-1", "abc"])
+    def test_fit_rejects_bad_penalty_key(self, tmp_path, capsys,
+                                         gaussian_sample, key):
+        cfg = write_config(tmp_path, "c.json", {
+            "sample": gaussian_sample,
+            "family": {"type": "gaussian_location_grid", "theta_min": -1,
+                       "theta_max": 1, "step": 0.5},
+            "penalty": {key: 1.0},
+        })
+        assert main(["fit", "--config", cfg]) == 2
+        assert "penalty" in capsys.readouterr().err
+
+    def test_fit_rejects_unknown_density_parameter(self, tmp_path, capsys,
+                                                   gaussian_sample):
+        cfg = write_config(tmp_path, "c.json", {
+            "sample": gaussian_sample,
+            "family": {"type": "explicit", "densities": [
+                {"kind": "gaussian", "params": {"mean": 0, "sd": 1, "bogus": 2}},
+            ]},
+        })
+        assert main(["fit", "--config", cfg]) == 2
+        assert "bad density spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("number", ["-1e400", "-1" + "0" * 400],
+                             ids=["float", "integer"])
+    def test_fit_rejects_overflowing_number(self, tmp_path, capsys, number):
+        path = tmp_path / "c.json"
+        path.write_text('{"sample": [0.0, 1.0], "family": {"type": '
+                        f'"gaussian_location_grid", "theta_min": {number}, '
+                        '"theta_max": 1, "step": 0.5}}')
+        assert main(["fit", "--config", str(path)]) == 2
+        assert "overflows a float" in capsys.readouterr().err
 
     def test_unknown_family_type(self, tmp_path, capsys, gaussian_sample):
         cfg = write_config(tmp_path, "c.json", {

@@ -114,6 +114,21 @@ class TestUpsilon:
             rho_estimate(X, fam)
 
 
+class TestPenalty:
+    @pytest.mark.parametrize("value", [-1.0, math.nan])
+    def test_negative_or_nan_rejected(self, value):
+        with pytest.raises(ContractViolationError, match="nonnegative"):
+            Penalty({0: value})
+
+    @pytest.mark.parametrize("key", [2, 99, -1, "0"])
+    def test_index_outside_family_rejected(self, key):
+        fam = DensityFamily([ProductDensity(iid=Gaussian(m, 1.0), n=3)
+                             for m in (0.0, 1.0)])
+        X = Sample(np.array([0.0, 0.5, 1.0]))
+        with pytest.raises(ContractViolationError, match="penalty index"):
+            rho_estimate(X, fam, Penalty({key: 1.0}))
+
+
 class TestRhoEstimate:
     def test_singleton(self):
         q = ProductDensity(iid=Gaussian(0, 1), n=3)

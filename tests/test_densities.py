@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
 from rhoest import (Cauchy, ContractViolationError, ExpFamily, Exponential,
                     Gaussian, Histogram, Laplace, PathologicalGaussian,
                     ProductDensity, QuadratureSpec, Sample, Tabulated,
                     Uniform, density_from_json, hellinger_affinity,
                     hellinger_sq, integrate_1d, product_hellinger_sq, shifted)
+from rhoest import densities, quadrature
 from rhoest.errors import QuadratureError
 
 QUAD = QuadratureSpec(abs_tol=1e-10)
@@ -98,6 +100,29 @@ class TestDensityBasics:
         assert d.pdf(np.array([-1.0, 3.0])).tolist() == [0.0, 0.0]
         assert d.pdf(1.0) == 1.0
 
+    @pytest.mark.parametrize("make", [
+        lambda: Tabulated((0.0, 1.0), (math.nan, 1.0)),
+        lambda: Histogram((0.0, 1.0), (math.nan,)),
+        lambda: Histogram((math.nan, 1.0), (1.0,)),
+        lambda: Histogram((-math.inf, 0.0, 1.0), (0.0, 1.0)),
+    ], ids=["tabulated-value", "histogram-height", "histogram-break",
+            "histogram-infinite-break"])
+    def test_nan_parameters_rejected(self, make):
+        with pytest.raises(ContractViolationError):
+            make()
+
+    @pytest.mark.parametrize("params", [
+        {"mean": 0.0, "sd": 1.0, "bogus": 2.0},
+        {"sd": "wide"},
+    ], ids=["unknown-name", "wrong-type"])
+    def test_json_bad_parameters_rejected(self, params):
+        with pytest.raises(ContractViolationError, match="bad density spec"):
+            density_from_json({"kind": "gaussian", "params": params})
+
+    def test_json_missing_parameter_rejected(self):
+        with pytest.raises(ContractViolationError, match="bad density spec"):
+            density_from_json({"kind": "histogram", "params": {"breaks": [0, 1]}})
+
 
 class TestPathologicalGaussian:
     def test_probability_is_plain_gaussian_off_spike(self):
@@ -136,6 +161,22 @@ class TestHellinger:
     def test_disjoint_supports(self):
         assert hellinger_sq(Uniform(0, 1), Uniform(2, 3), QUAD) == 1.0
         assert hellinger_affinity(Uniform(0, 1), Uniform(2, 3), QUAD) == 0.0
+
+    @pytest.mark.parametrize("p, q", [
+        (Uniform(0, 1), Uniform(2, 3)),
+        (Uniform(0, 1), Histogram((1.0, 1.5, 2.0), (0.8, 1.2))),
+        (Exponential(1.0, 0.0), Tabulated((-2.0, -1.0, 0.0), (0.0, 1.0, 0.0))),
+    ])
+    @pytest.mark.parametrize("kwargs", [{}, {"method": "quadrature"},
+                                        {"base": Laplace(0.0, 1.0)}],
+                             ids=["auto", "quadrature", "base"])
+    def test_disjoint_supports_skip_quadrature(self, monkeypatch, p, q, kwargs):
+        def fail(*args, **kw):
+            raise AssertionError("integrate_1d called on disjoint supports")
+
+        monkeypatch.setattr(densities, "integrate_1d", fail)
+        assert hellinger_sq(p, q, QUAD, **kwargs) == 1.0
+        assert hellinger_sq(q, p, QUAD, **kwargs) == 1.0
 
     def test_gaussian_vs_laplace_riemann_oracle(self):
         got = hellinger_affinity(Gaussian(0, 1), Laplace(0, 1), QUAD)
@@ -215,18 +256,39 @@ class TestProductDensity:
         assert np.allclose(P.coord_values(X), Gaussian(0, 1).pdf(X.points))
 
 
+class TestIntegrateOnSupports:
+    def _segments(self, monkeypatch, fn, over, kinks_of):
+        calls = []
+        real_quad = quadrature.integrate.quad
+
+        def spy(f, a, b, **kw):
+            calls.append((a, b))
+            return real_quad(f, a, b, **kw)
+
+        monkeypatch.setattr(quadrature.integrate, "quad", spy)
+        return densities.integrate_on_supports(fn, over, kinks_of, QUAD), calls
+
+    def test_kink_of_a_non_bounding_density_splits_the_range(self, monkeypatch):
+        lap = Laplace(0.5, 1.0)
+        val, calls = self._segments(monkeypatch, lap.pdf, (Uniform(0, 1),), (lap,))
+        assert calls == [(0.0, 0.5), (0.5, 1.0)]
+        assert val == pytest.approx(1.0 - math.exp(-0.5), abs=1e-10)
+
+    def test_kinks_outside_the_common_support_are_dropped(self, monkeypatch):
+        val, calls = self._segments(monkeypatch, Uniform(0, 1).pdf,
+                                    (Uniform(0, 1), Uniform(-1, 2)),
+                                    (Laplace(3.0, 1.0),))
+        assert calls == [(0.0, 1.0)]
+        assert val == pytest.approx(1.0, abs=1e-10)
+
+
 class TestQuadratureSpec:
     def test_abs_tol_positive(self):
         with pytest.raises(ContractViolationError):
             QuadratureSpec(abs_tol=0.0)
 
-    def test_fixed_grid_scheme(self):
-        spec = QuadratureSpec(scheme="fixed-grid", abs_tol=1e-6)
-        val = integrate_1d(lambda x: np.asarray(x) ** 2, 0.0, 1.0, spec)
-        assert val == pytest.approx(1 / 3, abs=1e-6)
-
     def test_nonconvergence_raises(self):
         spec = QuadratureSpec(abs_tol=1e-300, max_subdivisions=60)
-        with pytest.raises(QuadratureError):
+        with pytest.raises(QuadratureError), pytest.warns(IntegrationWarning):
             integrate_1d(lambda x: np.cos(50.0 / (np.asarray(x) + 1e-3)),
                          0.0, 1.0, spec)

@@ -80,6 +80,17 @@ class TestContaminationBias:
         h2 = contamination_bias(Gaussian(0, 1), Uniform(100, 101), 0.1, QUAD)
         assert h2 <= 0.1 + 1e-8
 
+    @pytest.mark.parametrize("eps", [0.05, 0.3, 1.0])
+    def test_bounded_center_riemann_oracle(self, eps):
+        # The integrand vanishes off the center's support [0, 1].
+        center, contaminant = Uniform(0, 1), Cauchy(0.5, 0.2)
+        x = np.linspace(0.0, 1.0, 400001)
+        c = center.pdf(x)
+        mix = (1.0 - eps) * c + eps * contaminant.pdf(x)
+        oracle = 1.0 - np.trapezoid(np.sqrt(mix * c), x)
+        assert contamination_bias(center, contaminant, eps, QUAD) == \
+            pytest.approx(oracle, abs=1e-9)
+
 
 class TestOutlierAccounting:
     def test_product_inequality(self):

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from rhoest import (ContractViolationError, Gaussian, QuadratureSpec,
-                    check_assumption, eval_psi, kernel_constants, psi_pair)
+from rhoest import (ContractViolationError, Gaussian, Laplace, QuadratureSpec,
+                    Uniform, check_assumption, eval_psi, kernel_constants,
+                    psi_pair)
+from rhoest import quadrature
 
 PSI1 = kernel_constants("psi1")
 PSI2 = kernel_constants("psi2")
@@ -137,6 +139,34 @@ class TestCheckAssumption:
         assert rep["pass"]
         assert rep["lhs_esp"] < 0.0
         assert rep["rhs_esp"] <= 0.0
+
+    @pytest.mark.parametrize("k", [PSI1, PSI2], ids=lambda k: k.id)
+    def test_bounded_r_riemann_oracle(self, k, monkeypatch):
+        # Every integral runs over r's support [-1, 2], split at the kinks
+        # that q and q' put inside it.
+        q, qp, r = Laplace(0.3, 1.0), Laplace(-0.5, 0.7), Uniform(-1.0, 2.0)
+        edges = set()
+        real_quad = quadrature.integrate.quad
+
+        def spy(f, a, b, **kw):
+            edges.update((a, b))
+            return real_quad(f, a, b, **kw)
+
+        monkeypatch.setattr(quadrature.integrate, "quad", spy)
+        rep = check_assumption(k, q, qp, r, QuadratureSpec(abs_tol=1e-10))
+        assert edges == {-1.0, -0.5, 0.3, 2.0}
+        x = np.linspace(-1.0, 2.0, 600001)
+        psi = psi_pair(k, np.sqrt(qp.pdf(x)), np.sqrt(q.pdf(x)))
+        h2_rq = 1.0 - np.trapezoid(np.sqrt(r.pdf(x) * q.pdf(x)), x)
+        h2_rqp = 1.0 - np.trapezoid(np.sqrt(r.pdf(x) * qp.pdf(x)), x)
+        assert rep["lhs_esp"] == pytest.approx(np.trapezoid(psi * r.pdf(x), x),
+                                               abs=1e-9)
+        assert rep["lhs_var"] == pytest.approx(np.trapezoid(psi**2 * r.pdf(x), x),
+                                               abs=1e-9)
+        assert rep["rhs_esp"] == pytest.approx(k.a0 * h2_rq - k.a1 * h2_rqp,
+                                               abs=1e-9)
+        assert rep["rhs_var"] == pytest.approx(k.a2_sq * (h2_rq + h2_rqp),
+                                               abs=1e-9)
 
     @pytest.mark.parametrize("k", [PSI1, PSI2], ids=lambda k: k.id)
     def test_random_gaussian_triples(self, k):

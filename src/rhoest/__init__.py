@@ -19,7 +19,8 @@ from .densities import (Cauchy, Density1D, ExpFamily, Exponential, Gaussian,
                         hellinger_affinity, hellinger_sq,
                         product_hellinger_sq, shifted)
 from .errors import (ConfigError, ContractViolationError,
-                     DegenerateCandidatesError, QuadratureError, RhoestError)
+                     DegenerateCandidatesError, QuadratureError, RhoestError,
+                     SolverError)
 from .harness import (RiskReport, Scenario, contamination_bias, export,
                       mc_risk, mle_counterexample, simulate)
 from .models import (ModelDescriptor, build_exp_family_grid,

@@ -3,9 +3,10 @@
 Selection treats each candidate probability as a singleton model with
 penalty kappa * weight.  Aggregation searches the simplex of mixture
 weights for the unique saddle point of the pairwise comparison map
-t(alpha, beta); the inner concave maximization runs Frank-Wolfe with away
-steps (the linear oracle over the simplex is exact and dimension-free),
-and every run is certified a posteriori instead of assuming convergence.
+t(alpha, beta), and every run is certified a posteriori instead of
+assuming convergence.  The inner concave maximization runs Frank-Wolfe
+with away steps (the linear oracle over the simplex is exact and
+dimension-free) and a bracketed root-find of the line derivative.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import optimize
 
 from .criterion import DensityFamily, Penalty, RhoFit, _criterion_rows, rho_estimate
 from .densities import ProductDensity, Sample
-from .errors import ContractViolationError, DegenerateCandidatesError
+from .errors import ContractViolationError, DegenerateCandidatesError, SolverError
 from .psi import PsiKernel, kernel_constants
 
 __all__ = ["SimplexPoint", "CandidateSet", "InnerSolverConfig",
@@ -26,6 +28,8 @@ __all__ = ["SimplexPoint", "CandidateSet", "InnerSolverConfig",
            "simplex_grid", "simplex_grid_array", "mixture_upsilon"]
 
 CONDITION_NUMBER_THRESHOLD = 1e10
+# Absolute tolerance of the line-search step s in [0, 1]: float precision at s = 1.
+_STEP_XTOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -125,24 +129,34 @@ def _mix_gradient_wrt_m(kernel, m, d_sqrt):
     return kernel.ratio_du(u, d_sqrt) / (2.0 * u)
 
 
-def _line_search(kernel, m, m_dir, d_sqrt, gamma_max):
-    """Maximize the concave 1-D restriction by bisecting its derivative."""
-    def deriv(g):
-        mg = m + g * m_dir
-        return float(np.dot(_mix_gradient_wrt_m(kernel, mg, d_sqrt), m_dir))
+def _line_search(kernel, m, m_end, d_sqrt):
+    """The step s in [0, 1] that maximizes t(alpha, .) from mixture m to m_end.
 
-    if deriv(gamma_max) >= 0.0:
-        return gamma_max
-    lo, hi = 0.0, gamma_max
-    if deriv(lo) <= 0.0:
+    t is concave along the segment, so s is an end point or the root of the
+    derivative, which Brent's method finds on the bracket to float precision.
+    Evaluating (1 - s) m + s m_end keeps the mixture positive at s = 1.
+    """
+    m_dir = m_end - m
+
+    def deriv(s):
+        mix = (1.0 - s) * m + s * m_end
+        value = float(np.dot(_mix_gradient_wrt_m(kernel, mix, d_sqrt), m_dir))
+        if not math.isfinite(value):
+            raise SolverError(f"line-search derivative is {value} at step {s}")
+        return value
+
+    ends = {1.0: deriv(1.0)}
+    if ends[1.0] >= 0.0:
+        return 1.0
+    ends[0.0] = deriv(0.0)
+    if ends[0.0] <= 0.0:
         return 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if deriv(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # brentq evaluates both ends again; hand it the values already known.
+    s, info = optimize.brentq(lambda s: ends[s] if s in ends else deriv(s), 0.0, 1.0,
+                              xtol=_STEP_XTOL, full_output=True, disp=False)
+    if not info.converged:
+        raise SolverError(f"line search did not converge: {info.flag}")
+    return s
 
 
 def inner_argmax(X: Sample, cs: CandidateSet, alpha: SimplexPoint,
@@ -175,23 +189,21 @@ def inner_argmax(X: Sample, cs: CandidateSet, alpha: SimplexPoint,
         away_j = int(active[np.argmin(grad[active])])
         away_gap = g_dot_beta - float(grad[away_j])
 
+        # Both steps move toward an end point on the simplex boundary: the
+        # Frank-Wolfe vertex, or beta with the away vertex's weight removed.
         if fw_gap >= away_gap:
-            direction = -beta.copy()
-            direction[fw_j] += 1.0
-            gamma_max = 1.0
+            end = np.zeros(N)
+            end[fw_j] = 1.0
         else:
-            direction = beta.copy()
-            direction[away_j] -= 1.0
             w = beta[away_j]
             if w >= 1.0 - 1e-15:
                 break
-            gamma_max = w / (1.0 - w)
-        m_dir = direction @ P
-        gamma = _line_search(kernel, m, m_dir, d_sqrt, gamma_max)
-        if gamma <= 0.0:
+            end = beta / (1.0 - w)
+            end[away_j] = 0.0
+        s = _line_search(kernel, m, end @ P, d_sqrt)
+        if s <= 0.0:
             break
-        beta = beta + gamma * direction
-        beta = np.clip(beta, 0.0, None)
+        beta = (1.0 - s) * beta + s * end
         beta /= beta.sum()
         m = beta @ P
     return SimplexPoint(tuple(beta))

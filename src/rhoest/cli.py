@@ -9,7 +9,9 @@ All inputs arrive through a JSON config file; results go to stdout or to
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -19,7 +21,7 @@ from .criterion import DensityFamily, Penalty, rho_estimate
 from .densities import (Density1D, Gaussian, ProductDensity, Sample,
                         density_from_json)
 from .errors import (ConfigError, ContractViolationError,
-                     DegenerateCandidatesError, QuadratureError)
+                     DegenerateCandidatesError, QuadratureError, SolverError)
 from .harness import RiskReport, Scenario, export, mc_risk, mle_counterexample
 from .models import (ModelDescriptor, build_exp_family_grid,
                      build_gaussian_location_grid, build_histogram_family,
@@ -39,7 +41,7 @@ def _reject_constant(token):
 
 def _finite_float(token):
     value = float(token)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ConfigError(f"a number in config overflows a float: {token:.24}")
     return value
 
@@ -316,6 +318,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rhoest",
@@ -344,8 +347,8 @@ def main(argv=None) -> int:
     except (ConfigError, ContractViolationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (QuadratureError, DegenerateCandidatesError, FloatingPointError,
-            ZeroDivisionError, np.linalg.LinAlgError) as exc:
+    except (QuadratureError, DegenerateCandidatesError, SolverError,
+            FloatingPointError, ZeroDivisionError, np.linalg.LinAlgError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 3
 

@@ -148,8 +148,10 @@ class Gaussian(Density1D):
     kind = "gaussian"
 
     def __post_init__(self):
-        if not self.sd > 0:
-            raise ContractViolationError("sd must be positive")
+        if not 0 < self.sd < _INF:
+            raise ContractViolationError("sd must be positive and finite")
+        if not math.isfinite(self.mean):
+            raise ContractViolationError("mean must be finite")
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -170,8 +172,10 @@ class Cauchy(Density1D):
     kind = "cauchy"
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise ContractViolationError("scale must be positive")
+        if not 0 < self.scale < _INF:
+            raise ContractViolationError("scale must be positive and finite")
+        if not math.isfinite(self.loc):
+            raise ContractViolationError("loc must be finite")
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -192,8 +196,10 @@ class Laplace(Density1D):
     kind = "laplace"
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise ContractViolationError("scale must be positive")
+        if not 0 < self.scale < _INF:
+            raise ContractViolationError("scale must be positive and finite")
+        if not math.isfinite(self.loc):
+            raise ContractViolationError("loc must be finite")
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -216,8 +222,8 @@ class Uniform(Density1D):
     kind = "uniform"
 
     def __post_init__(self):
-        if not self.b > self.a:
-            raise ContractViolationError("need a < b")
+        if not -_INF < self.a < self.b < _INF:
+            raise ContractViolationError("need finite a < b")
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -242,8 +248,10 @@ class Exponential(Density1D):
     kind = "exponential"
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ContractViolationError("rate must be positive")
+        if not 0 < self.rate < _INF:
+            raise ContractViolationError("rate must be positive and finite")
+        if not math.isfinite(self.shift):
+            raise ContractViolationError("shift must be finite")
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -427,7 +435,11 @@ class Tabulated(Density1D):
         values = tuple(float(v) for v in self.values)
         if len(grid) != len(values) or len(grid) < 2:
             raise ContractViolationError("grid and values must match, length >= 2")
-        if not all(v >= 0 for v in values):  # NaN fails v >= 0
+        # NaN fails g1 < g2 and v >= 0.
+        if not (math.isfinite(grid[0]) and math.isfinite(grid[-1])
+                and all(g1 < g2 for g1, g2 in zip(grid, grid[1:]))):
+            raise ContractViolationError("grid must be finite and strictly increasing")
+        if not all(v >= 0 for v in values):
             raise ContractViolationError("tabulated values must be nonnegative numbers")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)

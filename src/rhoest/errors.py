@@ -19,3 +19,7 @@ class DegenerateCandidatesError(RhoestError, ValueError):
 
 class ConfigError(RhoestError, ValueError):
     """A configuration file or CLI argument could not be interpreted."""
+
+
+class SolverError(RhoestError, ArithmeticError):
+    """An iterative solver met a non-finite value or failed to converge."""

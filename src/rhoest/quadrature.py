@@ -9,6 +9,7 @@ which chooses the range and the kinks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,7 @@ def integrate_1d(fn, lo, hi, spec=None, points=()):
     non-smooth; the range is split there before handing each segment to the
     adaptive routine.  Raises :class:`QuadratureError` when the estimated
     absolute error stays above ``spec.abs_tol`` at the full subdivision
-    budget.
+    budget, and at once when the value or its error estimate is NaN.
     """
     spec = spec or QuadratureSpec()
     if hi <= lo:
@@ -60,9 +61,11 @@ def integrate_1d(fn, lo, hi, spec=None, points=()):
             with np.errstate(all="ignore"):
                 val, err = integrate.quad(fn, a, b, epsabs=per_seg_tol, epsrel=0.0,
                                           limit=limit)
-            if err <= per_seg_tol or err <= spec.abs_tol * max(1.0, abs(val)):
+            nan = math.isnan(val + err)  # more subdivisions cannot repair a NaN
+            if not nan and (err <= per_seg_tol
+                            or err <= spec.abs_tol * max(1.0, abs(val))):
                 break
-            if limit >= spec.max_subdivisions:
+            if nan or limit >= spec.max_subdivisions:
                 raise QuadratureError(
                     f"integral over ({a}, {b}) did not converge: "
                     f"error estimate {err:.3e} > tolerance {per_seg_tol:.3e} "

@@ -1,21 +1,56 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from rhoest import (CandidateSet, ContractViolationError, Gaussian,
-                    InnerSolverConfig, ProductDensity, Sample, SimplexPoint,
-                    inner_argmax, kernel_constants, mixture_upsilon,
-                    saddle_point, select_candidate, simplex_grid, t_mix)
-from rhoest.aggregation import simplex_grid_array
+from rhoest import (Cauchy, CandidateSet, ContractViolationError, Gaussian,
+                    InnerSolverConfig, Laplace, ProductDensity, Sample,
+                    SimplexPoint, SolverError, aggregation, inner_argmax,
+                    kernel_constants, mixture_upsilon, saddle_point,
+                    select_candidate, simplex_grid, t_mix)
+from rhoest.aggregation import _line_search, simplex_grid_array
 from rhoest.errors import DegenerateCandidatesError
 
+K1 = kernel_constants("psi1")
 K2 = kernel_constants("psi2")
 
 
 def gaussian_candidates(means, X):
     return CandidateSet([ProductDensity(iid=Gaussian(m, 1), n=X.n)
                          for m in means], X)
+
+
+def face_case(seed, n=500):
+    """Six candidates fitted to a mixture of the first two: the saddle point
+    lies on a face of the simplex, and away steps run to a vertex."""
+    rng = np.random.default_rng([seed, seed])
+    w = rng.uniform(0.25, 0.75)
+    left = rng.uniform(0.0, 1.0, n) < w
+    X = Sample(np.where(left, rng.normal(-1.0, 1.0, n), rng.normal(1.5, 0.7, n)))
+    marginals = [Gaussian(-1.0, 1.0), Gaussian(1.5, 0.7), Cauchy(0.0, 2.0),
+                 Laplace(0.0, 1.0), Gaussian(0.0, 2.0), Gaussian(1.0, 1.0)]
+    return X, CandidateSet([ProductDensity(iid=d, n=n) for d in marginals], X)
+
+
+def bisection_line_search(kernel, m, m_dir, d_sqrt, gamma_max):
+    """The fixed 80-step bisection of the derivative, kept as an oracle."""
+    def deriv(g):
+        u = np.sqrt(m + g * m_dir)
+        return float(np.dot(kernel.ratio_du(u, d_sqrt) / (2.0 * u), m_dir))
+
+    if deriv(gamma_max) >= 0.0:
+        return gamma_max
+    lo, hi = 0.0, gamma_max
+    if deriv(lo) <= 0.0:
+        return 0.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if deriv(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def golden_section_argmax(fn, lo, hi, tol=1e-10):
@@ -220,3 +255,75 @@ class TestSaddlePoint:
         for g in simplex_grid(3, 10):
             assert t_mix(X, cs, alpha, g, K2) <= 1e-5 + 1e-9
             assert t_mix(X, cs, g, alpha, K2) >= -(1e-5 + 1e-9)
+
+
+class TestLineSearch:
+    @pytest.mark.parametrize("kernel", [K1, K2], ids=["psi1", "psi2"])
+    def test_matches_bisection_oracle(self, kernel):
+        rng = np.random.default_rng(11)
+        interior = 0
+        for _ in range(40):
+            size = int(rng.integers(2, 6))
+            X = Sample(rng.normal(0.0, 1.5, 80))
+            P = gaussian_candidates(rng.uniform(-2.0, 2.0, size), X).values
+            beta = rng.dirichlet(np.ones(size))
+            d_sqrt = np.sqrt(rng.dirichlet(np.ones(size)) @ P)
+            m = beta @ P
+            j = int(rng.integers(size))
+            # Frank-Wolfe step toward vertex j, then away step from it.
+            vertex = np.zeros(size)
+            vertex[j] = 1.0
+            dropped = beta / (1.0 - beta[j])
+            dropped[j] = 0.0
+            for end, gamma_max in ((vertex, 1.0),
+                                   (dropped, beta[j] / (1.0 - beta[j]))):
+                direction = (end - beta) / gamma_max
+                want = bisection_line_search(kernel, m, direction @ P, d_sqrt,
+                                             gamma_max)
+                got = _line_search(kernel, m, end @ P, d_sqrt) * gamma_max
+                assert abs(got - want) <= 1e-12 * gamma_max
+                interior += 0.0 < want < gamma_max
+        assert interior >= 20
+
+    def test_evaluation_count_is_bounded(self, monkeypatch):
+        evaluations, per_search = [0], []
+        gradient, search = aggregation._mix_gradient_wrt_m, aggregation._line_search
+
+        def counting_gradient(*args):
+            evaluations[0] += 1
+            return gradient(*args)
+
+        def counting_search(*args):
+            before = evaluations[0]
+            step = search(*args)
+            per_search.append(evaluations[0] - before)
+            return step
+
+        monkeypatch.setattr(aggregation, "_mix_gradient_wrt_m", counting_gradient)
+        monkeypatch.setattr(aggregation, "_line_search", counting_search)
+        for kernel in (K1, K2):
+            X, cs = face_case(7)
+            saddle_point(X, cs, kernel)
+        assert len(per_search) > 100
+        assert max(per_search) <= 15
+
+    def test_away_step_to_a_vertex_stays_finite(self):
+        # Here an away step ends where the dropped vertex carried nearly all
+        # of the mixture at a sample point; m + gamma_max * m_dir cancels to 0.
+        X, cs = face_case(7)
+        out = saddle_point(X, cs, K2)
+        assert out["converged"]
+        assert out["certificate"] < 1e-4
+
+    def test_nan_derivative_raises(self):
+        m, m_end = np.array([1.0, 2.0]), np.array([2.0, 1.0])
+        with pytest.raises(SolverError, match="derivative"):
+            _line_search(K2, m, m_end, np.array([1.0, np.nan]))
+
+    def test_failed_root_find_raises(self, monkeypatch):
+        m, m_end, d_sqrt = np.array([0.1, 4.0]), np.array([4.0, 0.1]), np.ones(2)
+        monkeypatch.setattr(aggregation.optimize, "brentq",
+                            lambda *a, **k: (0.5, SimpleNamespace(
+                                converged=False, flag="convergence error")))
+        with pytest.raises(SolverError, match="did not converge"):
+            _line_search(K2, m, m_end, d_sqrt)

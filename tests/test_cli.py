@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from rhoest import cli
+from rhoest import SolverError, aggregation, cli
 from rhoest.cli import main
 
 
@@ -276,6 +276,36 @@ class TestExitCodes:
     def test_bad_kappa_multiplier(self, tmp_path, capsys):
         assert main(["fit", "--kappa-multiplier", "-1"]) == 2
 
+    def test_decreasing_tabulated_grid_rejected(self, tmp_path, capsys,
+                                                gaussian_sample):
+        cfg = write_config(tmp_path, "c.json", {
+            "sample": gaussian_sample,
+            "candidates": [
+                {"kind": "gaussian", "params": {"mean": 0.0, "sd": 1.0}},
+                {"kind": "tabulated", "params": {"grid": [3.0, -3.0],
+                                                 "values": [0.2, 0.2]}},
+            ],
+        })
+        assert main(["aggregate", "--config", cfg]) == 2
+        assert "strictly increasing" in capsys.readouterr().err
+
+    def test_line_search_failure_is_numerical_failure(self, tmp_path, capsys,
+                                                      gaussian_sample,
+                                                      monkeypatch):
+        def fail(*args):
+            raise SolverError("line-search derivative is nan")
+
+        monkeypatch.setattr(aggregation, "_line_search", fail)
+        cfg = write_config(tmp_path, "c.json", {
+            "sample": gaussian_sample,
+            "candidates": [
+                {"kind": "gaussian", "params": {"mean": 0.0, "sd": 1.0}},
+                {"kind": "gaussian", "params": {"mean": 2.0, "sd": 1.0}},
+            ],
+        })
+        assert main(["aggregate", "--config", cfg]) == 3
+        assert "numerical failure: line-search" in capsys.readouterr().err
+
     def test_degenerate_aggregation_is_numerical_failure(self, tmp_path,
                                                          capsys,
                                                          gaussian_sample):
@@ -287,3 +317,7 @@ class TestExitCodes:
             ],
         })
         assert main(["aggregate", "--config", cfg]) == 3
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()

@@ -105,8 +105,28 @@ class TestDensityBasics:
         lambda: Histogram((0.0, 1.0), (math.nan,)),
         lambda: Histogram((math.nan, 1.0), (1.0,)),
         lambda: Histogram((-math.inf, 0.0, 1.0), (0.0, 1.0)),
+        lambda: Gaussian(math.nan, 1.0),
+        lambda: Gaussian(math.inf, 1.0),
+        lambda: Cauchy(math.nan, 1.0),
+        lambda: Laplace(-math.inf, 1.0),
+        lambda: Exponential(1.0, math.nan),
+        lambda: Tabulated((1.0, 0.0), (1.0, 1.0)),
+        lambda: Tabulated((0.0, 0.0, 1.0), (1.0, 1.0, 1.0)),
+        lambda: Tabulated((0.0, math.nan), (1.0, 1.0)),
+        lambda: Tabulated((-math.inf, 0.0), (1.0, 1.0)),
+        lambda: Gaussian(0.0, math.inf),
+        lambda: Cauchy(0.0, math.inf),
+        lambda: Laplace(0.0, math.inf),
+        lambda: Exponential(math.inf, 0.0),
+        lambda: Uniform(0.0, math.inf),
     ], ids=["tabulated-value", "histogram-height", "histogram-break",
-            "histogram-infinite-break"])
+            "histogram-infinite-break", "gaussian-nan-mean",
+            "gaussian-infinite-mean", "cauchy-nan-loc", "laplace-infinite-loc",
+            "exponential-nan-shift", "tabulated-decreasing-grid",
+            "tabulated-repeated-grid", "tabulated-nan-grid",
+            "tabulated-infinite-grid", "gaussian-infinite-sd",
+            "cauchy-infinite-scale", "laplace-infinite-scale",
+            "exponential-infinite-rate", "uniform-infinite-end"])
     def test_nan_parameters_rejected(self, make):
         with pytest.raises(ContractViolationError):
             make()
@@ -286,6 +306,20 @@ class TestQuadratureSpec:
     def test_abs_tol_positive(self):
         with pytest.raises(ContractViolationError):
             QuadratureSpec(abs_tol=0.0)
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_nan_integrand_raises_without_escalating(self, monkeypatch):
+        calls = []
+        real_quad = quadrature.integrate.quad
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs["limit"])
+            return real_quad(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature.integrate, "quad", spy)
+        with pytest.raises(QuadratureError, match="error estimate nan"):
+            integrate_1d(lambda x: np.nan, 0.0, 1.0)
+        assert calls == [50]
 
     def test_nonconvergence_raises(self):
         spec = QuadratureSpec(abs_tol=1e-300, max_subdivisions=60)

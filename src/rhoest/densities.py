@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
 from .errors import ContractViolationError
 from .quadrature import integrate_1d
@@ -359,6 +360,11 @@ class ExpFamily(Density1D):
             raise ContractViolationError("basis and coefficients differ in length")
         object.__setattr__(self, "basis", tuple(self.basis))
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        if not all(math.isfinite(c) for c in (*self.coeffs, self.log_norm)):
+            raise ContractViolationError("coefficients and log_norm must be finite")
+        # Infinite ends are allowed; NaN ends fail the comparison.
+        if not self.lo < self.hi:
+            raise ContractViolationError("need lo < hi")
         object.__setattr__(self, "_fns", tuple(_compile_basis(e) for e in self.basis))
 
     def log_pdf(self, x):
@@ -397,6 +403,10 @@ class PathologicalGaussian(Density1D):
 
     theta: float
     kind = "pathological-gaussian"
+
+    def __post_init__(self):
+        if not math.isfinite(self.theta):
+            raise ContractViolationError("theta must be finite")
 
     def base_ratio(self, x):
         """Density w.r.t. the standard-Gaussian base measure."""
@@ -555,16 +565,56 @@ def integrate_on_supports(fn, over, kinks_of=(), quad=None):
     return integrate_1d(fn, lo, hi, quad, points=kinks)
 
 
+def _closed_form_affinity(p, q):
+    """rho(p, q) for identical densities and for two Gaussians, two Laplaces or
+    two Cauchys; None for any other pair.  None, NaN or inf when a parameter
+    is so extreme that the formula under- or overflows."""
+    if p.key() == q.key():
+        return 1.0
+    if isinstance(p, Gaussian) and isinstance(q, Gaussian):
+        # sqrt(2 s1 s2 / (s1^2 + s2^2)) exp(-d^2 / (4 (s1^2 + s2^2))), with the
+        # first factor written in t = min/max sd.  Equal sds give a factor of
+        # exactly 1.0, so the value is exp(-d^2 / (8 sd^2)) bit for bit.
+        t = min(p.sd, q.sd) / max(p.sd, q.sd)
+        try:
+            s = p.sd**2 + q.sd**2
+            return (math.sqrt(2.0 * t / (1.0 + t * t))
+                    * math.exp(-((p.mean - q.mean) ** 2) / (4.0 * s)))
+        except (OverflowError, ZeroDivisionError):  # an sd or d beyond ~1e154
+            return None
+    if isinstance(p, Laplace) and isinstance(q, Laplace):
+        # Three exponential pieces in a = d / (2 b1), b = d / (2 b2): left of
+        # both locations, right of both, and between them, which is
+        # sqrt(ab) e^-min(a, b) (1 - e^-delta) / delta with delta = |a - b|.
+        t = min(p.scale, q.scale) / max(p.scale, q.scale)
+        d = abs(p.loc - q.loc)
+        a, b = d / (2.0 * p.scale), d / (2.0 * q.scale)
+        delta = abs(a - b)
+        between = (math.sqrt(a) * math.sqrt(b) * math.exp(-min(a, b))
+                   * (-math.expm1(-delta) / delta if delta > 0.0 else 1.0))
+        return math.sqrt(t) / (1.0 + t) * (math.exp(-a) + math.exp(-b)) + between
+    if isinstance(p, Cauchy) and isinstance(q, Cauchy):
+        # (2 / pi) c K(m), where c^2 = 1 - m = 4 b1 b2 / ((b1 + b2)^2 + d^2);
+        # ellipkm1 takes 1 - m, which keeps K accurate as m approaches 1.
+        c = (2.0 * math.sqrt(p.scale) * math.sqrt(q.scale)
+             / math.hypot(p.scale + q.scale, p.loc - q.loc))
+        return 2.0 / math.pi * c * float(special.ellipkm1(c * c))
+    return None
+
+
 def hellinger_affinity(p, q, quad=None, base=None, method="auto"):
-    """rho(p, q) = integral of sqrt(p q); equals 1 - h^2."""
+    """rho(p, q) = integral of sqrt(p q); equals 1 - h^2.
+
+    ``method="auto"`` without ``base`` uses a closed form for identical
+    densities and for pairs of Gaussians, of Laplaces or of Cauchys, and
+    integrates every other pair, and any pair whose closed form is not
+    finite; ``method="quadrature"`` always integrates.
+    """
     if method not in ("auto", "quadrature"):
         raise ContractViolationError(f"unknown method {method!r}")
-    if method == "auto" and base is None:
-        if p.key() == q.key():
-            return 1.0
-        if (isinstance(p, Gaussian) and isinstance(q, Gaussian)
-                and p.sd == q.sd):
-            return math.exp(-((p.mean - q.mean) ** 2) / (8.0 * p.sd**2))
+    rho = _closed_form_affinity(p, q) if method == "auto" and base is None else None
+    if rho is not None and math.isfinite(rho):
+        return min(rho, 1.0)
 
     if base is None:
         def integrand(x):

@@ -10,6 +10,7 @@ re-derived.  psi2 is the recommended default.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -103,17 +104,20 @@ def eval_psi(kernel: PsiKernel, x):
 def psi_pair(kernel: PsiKernel, num_sqrt, den_sqrt):
     """psi(sqrt(q'/q)) from the square roots u = sqrt(q'), v = sqrt(q).
 
-    Evaluating on the (u, v) pair keeps swap-antisymmetry exact in floating
-    point.  The conventions are 0/0 -> psi(1) = 0, inf/inf -> 0,
-    a/0 and inf/a -> psi(+inf) = 1, and 0/a and a/inf -> psi(0) = -1; infinite
-    roots come from singular density representations, where only the
-    comparison of u and v matters.
+    ``num_sqrt`` and ``den_sqrt`` are scalars or arrays that broadcast
+    together; the result has their broadcast shape, and is a Python float
+    when both are scalars.  Evaluating on the (u, v) pair keeps
+    swap-antisymmetry exact in floating point.  The conventions are
+    0/0 -> psi(1) = 0, inf/inf -> 0, a/0 and inf/a -> psi(+inf) = 1, and
+    0/a and a/inf -> psi(0) = -1; infinite roots come from singular density
+    representations, where only the comparison of u and v matters.
 
     One pass of :meth:`PsiKernel.ratio` gives every value except on the
-    entries where it returns NaN (0/0 and any infinite root); only those are
-    then set, from the sign of u - v.  For a kernel whose ratio is not exact
-    at a one-sided zero (:attr:`PsiKernel.ratio_exact_at_zero`), the entries
-    with a zero root are set the same way.  NaN roots raise
+    entries where it returns NaN (0/0 and any infinite root).  Only those are
+    then set, from the sign of u - v, through their flat indices into the
+    broadcast operands.  For a kernel whose ratio is not exact at a one-sided
+    zero (:attr:`PsiKernel.ratio_exact_at_zero`), the entries with a zero
+    root are set the same way.  NaN or negative roots raise
     :class:`ContractViolationError`.
     """
     u = np.asarray(num_sqrt, dtype=float)
@@ -129,11 +133,11 @@ def psi_pair(kernel: PsiKernel, num_sqrt, den_sqrt):
     if vals.ndim == 0:
         return float(_sign(u, v) if fix else vals)
     if fix.any():
-        at = np.nonzero(fix)
+        at = np.flatnonzero(fix)
         # np.broadcast_to costs more than the rest of a small call.
         if u.shape != vals.shape or v.shape != vals.shape:
             u, v = np.broadcast_to(u, vals.shape), np.broadcast_to(v, vals.shape)
-        vals[at] = _sign(u[at], v[at])
+        vals.flat[at] = _sign(u.flat[at], v.flat[at])
     return vals
 
 
@@ -146,22 +150,38 @@ def check_assumption(kernel: PsiKernel, q: Density1D, qp: Density1D,
                      r: Density1D, quad: QuadratureSpec | None = None) -> dict:
     """Numerically certify the two kernel inequalities on a (q, q', R) triple.
 
-    R must be absolutely continuous w.r.t. the common dominating measure of q
-    and q'.  Returns both sides of the expectation and variance inequalities;
-    ``pass`` requires lhs <= rhs + tolerance for both.
+    The left-hand sides are lhs_esp = E_R[psi] and lhs_var = E_R[psi^2], with
+    psi = psi(sqrt(q'/q)); the right-hand sides are
+    rhs_esp = a0 h^2(R, q) - a1 h^2(R, q') and
+    rhs_var = a2^2 (h^2(R, q) + h^2(R, q')).  R must be absolutely continuous
+    w.r.t. the common dominating measure of q and q'.
+
+    Both left-hand integrals run over R's support with the same kinks, so
+    QUADPACK asks them for nearly the same nodes: each distinct node's psi
+    and R values are computed once per call and read by both integrands.
+    Returns the four sides; ``pass`` requires lhs <= rhs + tolerance for both.
     """
     quad = quad or QuadratureSpec(abs_tol=1e-10)
     h2_rq = hellinger_sq(r, q, quad)
     h2_rqp = hellinger_sq(r, qp, quad)
 
-    def psi_at(x):
-        return psi_pair(kernel, np.sqrt(qp.pdf(x)), np.sqrt(q.pdf(x)))
+    # The cache relies on QUADPACK calling each integrand with one scalar
+    # node at a time: the float node is the key.
+    @functools.cache
+    def psi_and_r(x):
+        return psi_pair(kernel, np.sqrt(qp.pdf(x)), np.sqrt(q.pdf(x))), r.pdf(x)
+
+    def esp(x):
+        psi, rx = psi_and_r(x)
+        return psi * rx
+
+    def var(x):
+        psi, rx = psi_and_r(x)
+        return psi ** 2 * rx
 
     # Both integrands carry the factor r(x), so they run over r's support.
-    lhs_esp = integrate_on_supports(lambda x: psi_at(x) * r.pdf(x),
-                                    (r,), (q, qp), quad)
-    lhs_var = integrate_on_supports(lambda x: psi_at(x) ** 2 * r.pdf(x),
-                                    (r,), (q, qp), quad)
+    lhs_esp = integrate_on_supports(esp, (r,), (q, qp), quad)
+    lhs_var = integrate_on_supports(var, (r,), (q, qp), quad)
     rhs_esp = kernel.a0 * h2_rq - kernel.a1 * h2_rqp
     rhs_var = kernel.a2_sq * (h2_rq + h2_rqp)
     tol = max(quad.abs_tol, 1e-9)

@@ -289,6 +289,20 @@ class TestExitCodes:
         assert main(["aggregate", "--config", cfg]) == 2
         assert "strictly increasing" in capsys.readouterr().err
 
+    def test_reversed_exp_family_support_rejected(self, tmp_path, capsys,
+                                                  gaussian_sample):
+        cfg = write_config(tmp_path, "c.json", {
+            "sample": gaussian_sample,
+            "candidates": [
+                {"kind": "gaussian", "params": {"mean": 0.0, "sd": 1.0}},
+                {"kind": "exp-family", "params": {
+                    "basis": ["x"], "coeffs": [0.0], "log_norm": 0.0,
+                    "lo": 1.0, "hi": -1.0}},
+            ],
+        })
+        assert main(["aggregate", "--config", cfg]) == 2
+        assert "lo < hi" in capsys.readouterr().err
+
     def test_line_search_failure_is_numerical_failure(self, tmp_path, capsys,
                                                       gaussian_sample,
                                                       monkeypatch):

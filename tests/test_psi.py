@@ -3,13 +3,42 @@ import math
 import numpy as np
 import pytest
 
-from rhoest import (ContractViolationError, Gaussian, Laplace, QuadratureSpec,
-                    Uniform, check_assumption, eval_psi, kernel_constants,
-                    psi_pair)
-from rhoest import quadrature
+from rhoest import (Cauchy, ContractViolationError, Gaussian, Laplace,
+                    QuadratureSpec, Uniform, check_assumption, eval_psi,
+                    hellinger_sq, kernel_constants, psi_pair)
+from rhoest import psi, quadrature
+from rhoest.densities import integrate_on_supports
 
 PSI1 = kernel_constants("psi1")
 PSI2 = kernel_constants("psi2")
+
+
+def check_assumption_oracle(kernel, q, qp, r, quad):
+    """check_assumption with two independent integrands that share nothing."""
+    def psi_at(x):
+        return psi_pair(kernel, np.sqrt(qp.pdf(x)), np.sqrt(q.pdf(x)))
+
+    lhs_esp = integrate_on_supports(lambda x: psi_at(x) * r.pdf(x),
+                                    (r,), (q, qp), quad)
+    lhs_var = integrate_on_supports(lambda x: psi_at(x) ** 2 * r.pdf(x),
+                                    (r,), (q, qp), quad)
+    h2_rq, h2_rqp = hellinger_sq(r, q, quad), hellinger_sq(r, qp, quad)
+    rhs_esp = kernel.a0 * h2_rq - kernel.a1 * h2_rqp
+    rhs_var = kernel.a2_sq * (h2_rq + h2_rqp)
+    tol = max(quad.abs_tol, 1e-9)
+    return {"lhs_esp": lhs_esp, "rhs_esp": rhs_esp, "lhs_var": lhs_var,
+            "rhs_var": rhs_var,
+            "pass": bool(lhs_esp <= rhs_esp + tol and lhs_var <= rhs_var + tol)}
+
+
+def oracle_triples():
+    rng = np.random.default_rng(17)
+    kinds = (Gaussian, Laplace, Cauchy)
+    triples = [tuple(kinds[rng.integers(3)](rng.uniform(-3, 3), rng.uniform(0.5, 2))
+                     for _ in range(3)) for _ in range(8)]
+    # A bounded r, and a Laplace kink inside r's support.
+    return triples + [(Laplace(0.3, 1.0), Laplace(-0.5, 0.7), Uniform(-1.0, 2.0)),
+                      (Gaussian(0.0, 1.0), Laplace(0.4, 1.3), Cauchy(-0.2, 0.8))]
 
 
 class TestConstants:
@@ -176,3 +205,32 @@ class TestCheckAssumption:
                         for _ in range(3))
             rep = check_assumption(k, q, qp, r, QuadratureSpec(abs_tol=1e-8))
             assert rep["pass"], (q, qp, r, rep)
+
+    @pytest.mark.parametrize("k", [PSI1, PSI2], ids=lambda k: k.id)
+    def test_shared_nodes_match_independent_integrands_bitwise(self, k):
+        quad = QuadratureSpec(abs_tol=1e-8)
+        for q, qp, r in oracle_triples():
+            rep = check_assumption(k, q, qp, r, quad)
+            want = check_assumption_oracle(k, q, qp, r, quad)
+            assert ({f: float(v).hex() for f, v in rep.items()}
+                    == {f: float(v).hex() for f, v in want.items()}), (q, qp, r)
+
+    def test_psi_pair_runs_once_per_distinct_node(self, monkeypatch):
+        q, qp, r = Laplace(0.3, 1.0), Gaussian(-0.5, 0.7), Cauchy(0.1, 1.5)
+        nodes, psi_calls = [], []
+        real_integrate, real_psi_pair = psi.integrate_on_supports, psi.psi_pair
+
+        def integrate_spy(fn, *args):
+            def traced(x):
+                nodes.append(x)
+                return fn(x)
+            return real_integrate(traced, *args)
+
+        def psi_pair_spy(*args):
+            psi_calls.append(args)
+            return real_psi_pair(*args)
+
+        monkeypatch.setattr(psi, "integrate_on_supports", integrate_spy)
+        monkeypatch.setattr(psi, "psi_pair", psi_pair_spy)
+        check_assumption(PSI2, q, qp, r, QuadratureSpec(abs_tol=1e-8))
+        assert len(psi_calls) == len(set(nodes)) < len(nodes)

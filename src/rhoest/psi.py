@@ -56,9 +56,14 @@ class PsiKernel:
         return 4.0 * (self.a0 + 16.0) / self.a1 + 2.0 + 168.0 / self.a2_sq
 
     def ratio(self, u, v):
-        """psi(u / v) on the pair (u, v), without :func:`psi_pair`'s 0 and inf cases."""
+        """psi(u / v) on the pair (u, v), without :func:`psi_pair`'s 0 and inf cases.
+
+        On a float ``u`` it computes in Python floats, which give the same
+        bits as numpy but raise ZeroDivisionError where numpy gives +-inf.
+        """
         if self.id == "psi1":
-            return (u - v) / np.sqrt(u * u + v * v)
+            sqrt = math.sqrt if isinstance(u, float) else np.sqrt
+            return (u - v) / sqrt(u * u + v * v)
         return (u - v) / (u + v)
 
     @property
@@ -119,7 +124,24 @@ def psi_pair(kernel: PsiKernel, num_sqrt, den_sqrt):
     zero (:attr:`PsiKernel.ratio_exact_at_zero`), the entries with a zero
     root are set the same way.  NaN or negative roots raise
     :class:`ContractViolationError`.
+
+    Two float operands (``np.float64`` included), such as QUADPACK's nodes
+    in :func:`check_assumption`, skip numpy's array path and give the same
+    bits: equal, zero and infinite roots take the sign of u - v, and every
+    other pair calls the same :meth:`PsiKernel.ratio` on Python floats.
     """
+    if isinstance(num_sqrt, float) and isinstance(den_sqrt, float):
+        # Python floats: np.float64 arithmetic would warn on overflow.
+        u, v = float(num_sqrt), float(den_sqrt)
+        if not (u >= 0.0 and v >= 0.0):  # NaN fails the comparison too
+            raise ContractViolationError(
+                "density square roots must be nonnegative numbers")
+        if u == v or u == 0.0 or v == 0.0 or u == math.inf or v == math.inf:
+            return _sign(u, v)
+        try:
+            return kernel.ratio(u, v)
+        except ZeroDivisionError:  # psi1's u*u + v*v underflows; numpy gives +-inf
+            return _sign(u, v) * math.inf
     u = np.asarray(num_sqrt, dtype=float)
     v = np.asarray(den_sqrt, dtype=float)
     # min propagates NaN, which fails the comparison: NaN roots are rejected too.
@@ -159,7 +181,10 @@ def check_assumption(kernel: PsiKernel, q: Density1D, qp: Density1D,
     Both left-hand integrals run over R's support with the same kinks, so
     QUADPACK asks them for nearly the same nodes: each distinct node's psi
     and R values are computed once per call and read by both integrands.
-    Returns the four sides; ``pass`` requires lhs <= rhs + tolerance for both.
+    QUADPACK passes one float node at a time, and the Gaussian, Laplace and
+    Cauchy pdfs and :func:`psi_pair` take their float paths on it, with the
+    same bits as on arrays.  Returns the four sides; ``pass`` requires
+    lhs <= rhs + tolerance for both.
     """
     quad = quad or QuadratureSpec(abs_tol=1e-10)
     h2_rq = hellinger_sq(r, q, quad)

@@ -45,9 +45,10 @@ def integrate_1d(fn, lo, hi, spec=None, points=()):
 
     ``points`` lists interior locations where the integrand is known to be
     non-smooth; the range is split there before handing each segment to the
-    adaptive routine.  Raises :class:`QuadratureError` when the estimated
-    absolute error stays above ``spec.abs_tol`` at the full subdivision
-    budget, and at once when the value or its error estimate is NaN.
+    adaptive routine.  Raises :class:`QuadratureError`, with QUADPACK's own
+    reason when it gives one, when the estimated absolute error stays above
+    ``spec.abs_tol`` at the full subdivision budget, and at once when the
+    value or its error estimate is NaN.  QUADPACK's warnings are not emitted.
     """
     spec = spec or QuadratureSpec()
     if hi <= lo:
@@ -59,17 +60,19 @@ def integrate_1d(fn, lo, hi, spec=None, points=()):
         limit = 50
         while True:
             with np.errstate(all="ignore"):
-                val, err = integrate.quad(fn, a, b, epsabs=per_seg_tol, epsrel=0.0,
-                                          limit=limit)
+                val, err, _, *message = integrate.quad(
+                    fn, a, b, epsabs=per_seg_tol, epsrel=0.0, limit=limit,
+                    full_output=1)
             nan = math.isnan(val + err)  # more subdivisions cannot repair a NaN
             if not nan and (err <= per_seg_tol
                             or err <= spec.abs_tol * max(1.0, abs(val))):
                 break
             if nan or limit >= spec.max_subdivisions:
+                reason = f": {' '.join(message[0].split())}" if message else ""
                 raise QuadratureError(
                     f"integral over ({a}, {b}) did not converge: "
                     f"error estimate {err:.3e} > tolerance {per_seg_tol:.3e} "
-                    f"at {limit} subdivisions")
+                    f"at {limit} subdivisions{reason}")
             limit = min(limit * 10, spec.max_subdivisions)
         total += val
     return total

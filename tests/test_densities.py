@@ -1,15 +1,16 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import IntegrationWarning
 
 from rhoest import (Cauchy, ContractViolationError, ExpFamily, Exponential,
-                    Gaussian, Histogram, Laplace, PathologicalGaussian,
-                    ProductDensity, QuadratureSpec, Sample, Tabulated,
-                    Uniform, density_from_json, hellinger_affinity,
-                    hellinger_sq, integrate_1d, product_hellinger_sq, shifted)
+                    Gaussian, Histogram, Laplace, PairDensity,
+                    PathologicalGaussian, ProductDensity, QuadratureSpec,
+                    Sample, Tabulated, Uniform, density_from_json,
+                    hellinger_affinity, hellinger_sq, integrate_1d,
+                    product_hellinger_sq, shifted)
 from rhoest import densities, quadrature
 from rhoest.errors import QuadratureError
 
@@ -24,6 +25,34 @@ ALL_CLOSED_FORM = [
     Exponential(2.0, -1.0),
     Histogram((0.0, 0.5, 1.0), (0.8, 1.2)),
 ]
+
+
+# One density of every kind, with kinks and finite support ends.
+EVERY_KIND = [
+    Gaussian(0.5, 2.0),
+    Cauchy(-1.0, 0.3),
+    Laplace(1.0, 0.7),
+    Uniform(0.0, 1.0),
+    Exponential(2.0, -1.0),
+    Histogram((0.0, 0.5, 1.0), (0.8, 1.2)),
+    ExpFamily(("x", "x**2", "sin(x)"), (0.5, -0.5, 0.25), 1.0),
+    PathologicalGaussian(0.75),
+    Tabulated((0.0, 1.0, 2.0), (0.0, 1.0, 0.0)),
+]
+
+
+def probe_points(d):
+    """Extreme points, support ends and kinks of ``d`` and their neighbours."""
+    marks = [e for e in d.support if math.isfinite(e)] + list(d.breakpoints())
+    marks += [getattr(d, "theta", 0.0)]  # PathologicalGaussian's spike
+    near = [math.nextafter(m, t) for m in marks for t in (-math.inf, math.inf)]
+    return [0.0, -0.0, 5e-324, -1e-300, 1e-150, 37.5, -1e10, 1e300, -1e300,
+            1.7e308, -1.7e308, math.inf, -math.inf, *marks, *near]
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def riemann_affinity(p, q, lo, hi, m=400001):
@@ -157,6 +186,14 @@ class TestDensityBasics:
     def test_json_missing_parameter_rejected(self):
         with pytest.raises(ContractViolationError, match="bad density spec"):
             density_from_json({"kind": "histogram", "params": {"breaks": [0, 1]}})
+
+    @pytest.mark.parametrize("d", EVERY_KIND, ids=lambda d: d.kind)
+    def test_pdf_of_a_float_keeps_the_array_bits(self, d):
+        for x in probe_points(d):
+            with np.errstate(all="ignore"):
+                want = d.pdf(np.array([x]))[0]
+                for node in (x, np.float64(x)):
+                    assert same_bits(d.pdf(node), want), (node, d.pdf(node), want)
 
 
 class TestPathologicalGaussian:
@@ -311,6 +348,14 @@ class TestHellinger:
         forced = hellinger_sq(p, q, QUAD, method="quadrature")
         assert forced == pytest.approx(closed, abs=1e-9)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "h^2 is scale-invariant, but QUADPACK misses a peak of width 1e-5 "
+        "on the infinite segments and reports an error inside tolerance"))
+    def test_narrow_window_mass_is_not_lost(self):
+        unit = hellinger_sq(Gaussian(0, 1), Laplace(0, 2), QUAD)
+        narrow = hellinger_sq(Gaussian(0, 1e-5), Laplace(0, 2e-5), QUAD)
+        assert narrow == pytest.approx(unit, abs=1e-6)
+
 
 class TestProductDensity:
     def test_self_distance_zero(self):
@@ -339,6 +384,24 @@ class TestProductDensity:
         P = ProductDensity(iid=Gaussian(0, 1), n=3)
         X = Sample(np.array([0.0, 1.0, -1.0]))
         assert np.allclose(P.coord_values(X), Gaussian(0, 1).pdf(X.points))
+
+    @pytest.mark.parametrize("d", EVERY_KIND, ids=lambda d: d.kind)
+    def test_non_iid_coord_values_match_iid_and_slices_bitwise(self, d):
+        pts = [x for x in probe_points(d) if math.isfinite(x)]
+        X = Sample(np.concatenate([pts, np.random.default_rng(3).normal(0, 3, 200)]))
+        with np.errstate(all="ignore"):
+            iid = ProductDensity(iid=d, n=X.n).coord_values(X)
+            coords = ProductDensity(coords=[d] * X.n).coord_values(X)
+            slices = np.array([float(np.asarray(d.pdf(X.points[i:i + 1]))[0])
+                               for i in range(X.n)])
+        assert same_bits(coords, iid)
+        assert same_bits(coords, slices)
+
+    def test_non_iid_pair_coord_values_match_iid_bitwise(self):
+        d = PairDensity(Laplace(0.5, 1.0), lambda w: 2.0 * w, "2w")
+        X = Sample(np.random.default_rng(4).normal(size=(30, 2)), kind="pair")
+        assert same_bits(ProductDensity(coords=[d] * X.n).coord_values(X),
+                         ProductDensity(iid=d, n=X.n).coord_values(X))
 
 
 class TestIntegrateOnSupports:
@@ -372,8 +435,8 @@ class TestQuadratureSpec:
         with pytest.raises(ContractViolationError):
             QuadratureSpec(abs_tol=0.0)
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-    def test_nan_integrand_raises_without_escalating(self, monkeypatch):
+    @staticmethod
+    def _limits(monkeypatch):
         calls = []
         real_quad = quadrature.integrate.quad
 
@@ -382,12 +445,27 @@ class TestQuadratureSpec:
             return real_quad(*args, **kwargs)
 
         monkeypatch.setattr(quadrature.integrate, "quad", spy)
+        return calls
+
+    def test_nan_integrand_raises_without_escalating(self, monkeypatch):
+        calls = self._limits(monkeypatch)
         with pytest.raises(QuadratureError, match="error estimate nan"):
             integrate_1d(lambda x: np.nan, 0.0, 1.0)
         assert calls == [50]
 
     def test_nonconvergence_raises(self):
         spec = QuadratureSpec(abs_tol=1e-300, max_subdivisions=60)
-        with pytest.raises(QuadratureError), pytest.warns(IntegrationWarning):
-            integrate_1d(lambda x: np.cos(50.0 / (np.asarray(x) + 1e-3)),
-                         0.0, 1.0, spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError, match="probably divergent"):
+                integrate_1d(lambda x: np.cos(50.0 / (np.asarray(x) + 1e-3)),
+                             0.0, 1.0, spec)
+
+    def test_escalation_that_converges_emits_no_warning(self, monkeypatch):
+        calls = self._limits(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = integrate_1d(lambda x: math.cos(200.0 * x), 0.0, 3.0,
+                               QuadratureSpec(abs_tol=1e-10))
+        assert calls == [50, 500]
+        assert val == pytest.approx(math.sin(600.0) / 200.0, abs=1e-10)

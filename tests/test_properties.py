@@ -7,15 +7,20 @@ conventions.  Every comparison is exact equality, because the engine sums
 each entry in the same index order.
 """
 
+import itertools
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rhoest import (DensityFamily, Gaussian, PathologicalGaussian, Penalty,
-                    ProductDensity, Sample, Uniform, kernel_constants,
-                    psi_pair, t_statistic, upsilon, upsilon_all)
+from rhoest import (ContractViolationError, DensityFamily, Gaussian,
+                    PathologicalGaussian, Penalty, ProductDensity, Sample,
+                    Uniform, kernel_constants, psi_pair, t_statistic, upsilon,
+                    upsilon_all)
 from rhoest import criterion
 from rhoest.models import build_gaussian_location_grid
 
@@ -226,6 +231,40 @@ def test_triangle_blocks_match_dense(kernel, block, case, monkeypatch):
     T_square = square_path_t(S, kernel)
     assert same_bits(T_square, T)
     assert same_bits(np.diag(T_square), np.zeros(len(fam)))
+
+
+# Quadrature nodes reach psi_pair as Python floats or np.float64 roots.
+# Below about 1e-162 psi1's u*u + v*v underflows to 0 (1e-200 with 5e-324).
+FLOAT_TYPES = list(itertools.product((float, np.float64), repeat=2))
+node_roots = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-200, 1e-160, 1e-150, 1.0, 1e150,
+                     1e160, 1.7e308, np.inf]),
+    st.floats(min_value=0.0, allow_nan=False))
+bad_roots = st.one_of(st.just(math.nan),
+                      st.floats(max_value=0.0, exclude_max=True))
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.id)
+class TestScalarPsiPair:
+    @settings(max_examples=300, deadline=None)
+    @given(u=node_roots, v=node_roots)
+    def test_float_operands_keep_the_array_bits(self, kernel, u, v):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for a, b in ((u, v), (v, u)):
+                want = psi_pair(kernel, np.asarray(a), np.asarray(b))
+                for ta, tb in FLOAT_TYPES:
+                    got = psi_pair(kernel, ta(a), tb(b))
+                    assert type(got) is float
+                    assert same_bits(got, want), (ta, tb, a, b)
+
+    @PROPERTY
+    @given(good=node_roots, bad=bad_roots)
+    def test_float_operands_reject_nan_and_negative_roots(self, kernel, good, bad):
+        for (ta, tb), (a, b) in itertools.product(FLOAT_TYPES,
+                                                  ((good, bad), (bad, good))):
+            with pytest.raises(ContractViolationError, match="square roots"):
+                psi_pair(kernel, ta(a), tb(b))
 
 
 @pytest.mark.xfail(strict=True, reason=(

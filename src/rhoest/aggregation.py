@@ -4,15 +4,19 @@ Selection treats each candidate probability as a singleton model with
 penalty kappa * weight.  Aggregation searches the simplex of mixture
 weights for the unique saddle point of the pairwise comparison map
 t(alpha, beta), and every run is certified a posteriori instead of
-assuming convergence.  The inner concave maximization runs Frank-Wolfe
-with away steps (the linear oracle over the simplex is exact and
-dimension-free) and a bracketed root-find of the line derivative.
+assuming convergence.  The inner concave maximization over beta starts at
+alpha and takes active-set Newton steps on a face of the simplex, with the
+N x N Hessian P diag(phi'') P^T; a Frank-Wolfe vertex step is the safeguard
+when the Newton direction does not ascend.  Each step ends in a bracketed
+root-find of the line derivative, and the Frank-Wolfe gap certifies the
+result.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +32,8 @@ __all__ = ["SimplexPoint", "CandidateSet", "InnerSolverConfig",
            "simplex_grid", "simplex_grid_array", "mixture_upsilon"]
 
 CONDITION_NUMBER_THRESHOLD = 1e10
-# Absolute tolerance of the line-search step s in [0, 1]: float precision at s = 1.
+# Tolerance of the line-search step s in [0, 1]: float precision at s = 1,
+# for a step that changes the mixture by as much as the mixture itself.
 _STEP_XTOL = 1e-15
 
 
@@ -117,10 +122,23 @@ def t_mix(X: Sample, cs: CandidateSet, alpha: SimplexPoint, beta: SimplexPoint,
                                  np.sqrt(num)[np.newaxis, :], 0.0, kernel)[0])
 
 
+def _require_count(name, value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ContractViolationError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class InnerSolverConfig:
+    """Stop :func:`inner_argmax` at a Frank-Wolfe gap below ``tol``, or after
+    ``max_iter`` steps."""
+
     tol: float = 1e-8
     max_iter: int = 5000
+
+    def __post_init__(self):
+        if not (isinstance(self.tol, numbers.Real) and 0.0 < self.tol < math.inf):
+            raise ContractViolationError(f"tol must be finite and > 0, got {self.tol!r}")
+        _require_count("max_iter", self.max_iter)
 
 
 def _mix_gradient_wrt_m(kernel, m, d_sqrt):
@@ -129,12 +147,20 @@ def _mix_gradient_wrt_m(kernel, m, d_sqrt):
     return kernel.ratio_du(u, d_sqrt) / (2.0 * u)
 
 
+def _mix_derivatives(kernel, m, d_sqrt):
+    """phi'(m) and phi''(m) of phi(m) = psi(sqrt(m)/v), v = d_sqrt, from one sqrt."""
+    u = np.sqrt(m)
+    du = kernel.ratio_du(u, d_sqrt)
+    return du / (2.0 * u), (u * kernel.ratio_duu(u, d_sqrt) - du) / (4.0 * u * m)
+
+
 def _line_search(kernel, m, m_end, d_sqrt):
     """The step s in [0, 1] that maximizes t(alpha, .) from mixture m to m_end.
 
     t is concave along the segment, so s is an end point or the root of the
-    derivative, which Brent's method finds on the bracket to float precision.
-    Evaluating (1 - s) m + s m_end keeps the mixture positive at s = 1.
+    derivative, which Brent's method finds on the bracket to the precision
+    the mixture resolves.  Evaluating (1 - s) m + s m_end keeps the mixture
+    positive at s = 1.
     """
     m_dir = m_end - m
 
@@ -151,12 +177,51 @@ def _line_search(kernel, m, m_end, d_sqrt):
     ends[0.0] = deriv(0.0)
     if ends[0.0] <= 0.0:
         return 0.0
+    # An error e in s moves the mixture by e * m_dir, so a step much shorter
+    # than the mixture needs s less precisely.  Near the root of such a
+    # step the derivative is rounding noise, which brentq would chase.
+    xtol = _STEP_XTOL / min(1.0, float(np.max(np.abs(m_dir) / m)))
     # brentq evaluates both ends again; hand it the values already known.
     s, info = optimize.brentq(lambda s: ends[s] if s in ends else deriv(s), 0.0, 1.0,
-                              xtol=_STEP_XTOL, full_output=True, disp=False)
+                              xtol=xtol, full_output=True, disp=False)
     if not info.converged:
         raise SolverError(f"line search did not converge: {info.flag}")
     return s
+
+
+def _newton_end_point(P, beta, grad, hess_m, fw_j):
+    """End point of the Newton step on the face of supp(beta) plus ``fw_j``.
+
+    Maximizes the quadratic model of t(alpha, .) on that face through the
+    bordered KKT system [H_AA 1; 1^T 0], H = P diag(phi'') P^T, and cuts the
+    step where a weight reaches 0; those weights are set to exactly 0, so
+    they leave the face.  An exactly singular system takes its least-squares
+    step.  Returns None when the direction does not ascend or a zero weight
+    blocks the step at once.
+    """
+    on_face = beta > 0.0
+    on_face[fw_j] = True
+    P_A = P[on_face]
+    k = len(P_A)
+    kkt = np.ones((k + 1, k + 1))
+    kkt[:k, :k] = (P_A * hess_m) @ P_A.T
+    kkt[k, k] = 0.0
+    rhs = np.append(-grad[on_face], 0.0)
+    try:
+        solution = np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:  # e.g. two equal candidates on the face
+        solution = np.linalg.lstsq(kkt, rhs)[0]
+    step = np.zeros_like(beta)
+    step[on_face] = solution[:k]
+    if not 0.0 < float(grad @ step) < math.inf:  # NaN and inf fail too
+        return None
+    ratios = np.divide(beta, -step, out=np.full_like(beta, math.inf), where=step < 0.0)
+    reach = min(1.0, float(ratios.min()))
+    if reach <= 0.0:
+        return None
+    end = np.maximum(beta + reach * step, 0.0)
+    end[ratios <= reach] = 0.0
+    return end / end.sum()
 
 
 def inner_argmax(X: Sample, cs: CandidateSet, alpha: SimplexPoint,
@@ -164,45 +229,36 @@ def inner_argmax(X: Sample, cs: CandidateSet, alpha: SimplexPoint,
                  inner: InnerSolverConfig | None = None) -> SimplexPoint:
     """argmax over the simplex of beta -> t(alpha, beta).
 
-    Frank-Wolfe with away steps; the best-vertex linear oracle is exact on
-    the simplex.  Stops when the Frank-Wolfe gap drops below ``inner.tol``.
+    Starts at beta = alpha, where t vanishes, so the outer iteration of
+    :func:`saddle_point` warm-starts every solve at the previous answer.
+    Each step is an active-set Newton step on the face spanned by the
+    support of beta and the Frank-Wolfe vertex (the best vertex of the
+    linearization), cut at the simplex boundary.  When the Newton direction
+    does not ascend, is blocked at once by a zero weight, or its line search
+    stalls, a Frank-Wolfe step toward that vertex is taken instead.  Every step ends
+    in :func:`_line_search`.  Stops when the Frank-Wolfe gap, which bounds
+    max t(alpha, .) - t(alpha, beta) from above, drops below ``inner.tol``.
     """
     kernel = kernel or kernel_constants()
     inner = inner or InnerSolverConfig()
     P = cs.values
-    N = cs.size
-    d_sqrt = np.sqrt(alpha.as_array() @ P)
-
-    beta = np.full(N, 1.0 / N)
+    beta = alpha.as_array().copy()
     m = beta @ P
+    d_sqrt = np.sqrt(m)
     for _ in range(inner.max_iter):
-        grad_m = _mix_gradient_wrt_m(kernel, m, d_sqrt)
+        grad_m, hess_m = _mix_derivatives(kernel, m, d_sqrt)
         grad = P @ grad_m
-        g_dot_beta = float(grad @ beta)
-
         fw_j = int(np.argmax(grad))
-        fw_gap = float(grad[fw_j]) - g_dot_beta
-        if fw_gap < inner.tol:
+        if float(grad[fw_j] - grad @ beta) < inner.tol:
             break
-
-        active = np.flatnonzero(beta > 1e-15)
-        away_j = int(active[np.argmin(grad[active])])
-        away_gap = g_dot_beta - float(grad[away_j])
-
-        # Both steps move toward an end point on the simplex boundary: the
-        # Frank-Wolfe vertex, or beta with the away vertex's weight removed.
-        if fw_gap >= away_gap:
-            end = np.zeros(N)
-            end[fw_j] = 1.0
-        else:
-            w = beta[away_j]
-            if w >= 1.0 - 1e-15:
-                break
-            end = beta / (1.0 - w)
-            end[away_j] = 0.0
-        s = _line_search(kernel, m, end @ P, d_sqrt)
+        end = _newton_end_point(P, beta, grad, hess_m, fw_j)
+        s = 0.0 if end is None else _line_search(kernel, m, end @ P, d_sqrt)
         if s <= 0.0:
-            break
+            end = np.zeros_like(beta)
+            end[fw_j] = 1.0
+            s = _line_search(kernel, m, P[fw_j], d_sqrt)
+            if s <= 0.0:
+                break
         beta = (1.0 - s) * beta + s * end
         beta /= beta.sum()
         m = beta @ P
@@ -223,6 +279,7 @@ def saddle_point(X: Sample, cs: CandidateSet, kernel: PsiKernel | None = None,
     kernel = kernel or kernel_constants()
     if not 0.0 < eps <= 1.0:
         raise ContractViolationError("eps must lie in (0, 1]")
+    _require_count("max_outer", max_outer)
     cond = cs.condition_number()
     if cond > CONDITION_NUMBER_THRESHOLD:
         raise DegenerateCandidatesError(

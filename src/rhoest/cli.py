@@ -68,6 +68,23 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _number(cfg: dict, key: str, default=None, integer=False):
+    """cfg[key] as a finite float, or as an int if ``integer``.
+
+    A missing key gives ``default``, and is an error when there is none.
+    Strings, booleans and non-integral values of an integer key are
+    rejected, not converted.
+    """
+    value = _require(cfg, key) if default is None else cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
+    if not integer:
+        return _finite_float(value)
+    if not float(value).is_integer():
+        raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
+    return _finite_int(value)
+
+
 def _sample_from_config(cfg) -> Sample:
     pts = np.asarray(_require(cfg, "sample"), dtype=float)
     kind = "pair" if pts.ndim == 2 else "scalar"
@@ -88,8 +105,8 @@ def _family_from_config(spec: dict, n: int, c1: float) -> ModelDescriptor:
     kind = _require(spec, "type")
     if kind == "gaussian_location_grid":
         return build_gaussian_location_grid(
-            _require(spec, "theta_min"), _require(spec, "theta_max"),
-            _require(spec, "step"), spec.get("sd", 1.0), n, c1)
+            _number(spec, "theta_min"), _number(spec, "theta_max"),
+            _number(spec, "step"), _number(spec, "sd", 1.0), n, c1)
     if kind == "histogram":
         return build_histogram_family(
             _require(spec, "breakpoint_grids"), _require(spec, "k"), n,
@@ -129,8 +146,9 @@ def _cmd_fit(args) -> int:
     X = _sample_from_config(cfg)
     kernel = kernel_constants(args.psi)
     desc = _family_from_config(_require(cfg, "family"), X.n, args.c1)
+    penalty = cfg.get("penalty", {})
     try:
-        pen = Penalty({int(k): float(v) for k, v in cfg.get("penalty", {}).items()})
+        pen = Penalty({int(k): _number(penalty, k) for k in penalty})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad penalty: {exc}") from exc
     fit = rho_estimate(X, desc.family, pen, kernel,
@@ -150,7 +168,7 @@ def _cmd_select(args) -> int:
     models = []
     for spec in model_specs:
         desc = _family_from_config(_require(spec, "family"), X.n, args.c1)
-        desc.delta_weight = float(spec.get("delta", default_delta))
+        desc.delta_weight = _number(spec, "delta", default_delta)
         models.append(desc)
     coll = ModelCollection(models, kernel)
     result = select(X, coll, slack_multiplier=args.kappa_multiplier)
@@ -169,8 +187,8 @@ def _cmd_aggregate(args) -> int:
                  for d in _require(cfg, "candidates")]
     cs = CandidateSet(densities, X)
     result = saddle_point(X, cs, kernel,
-                          eps=float(cfg.get("eps", 1e-4)),
-                          max_outer=int(cfg.get("max_outer", 1000)))
+                          eps=_number(cfg, "eps", 1e-4),
+                          max_outer=_number(cfg, "max_outer", 1000, integer=True))
     _emit({
         "alpha_star": list(result["alpha_star"].weights),
         "certificate": result["certificate"],
@@ -191,9 +209,8 @@ def _cmd_regress(args) -> int:
     grid = fun_spec.get("theta_grid")
     if grid is None:
         raise ConfigError("function_family.theta_grid is required")
-    thetas = np.arange(float(_require(grid, "min")),
-                       float(_require(grid, "max")) + float(_require(grid, "step")) / 2,
-                       float(_require(grid, "step")))
+    step = _number(grid, "step")
+    thetas = np.arange(_number(grid, "min"), _number(grid, "max") + step / 2, step)
     functions = [RegressionFunction(lambda w, _t=float(t): _t * w,
                                     label=f"theta={t:g}") for t in thetas]
     default_delta = uniform_weights(len(error_specs))
@@ -219,13 +236,13 @@ def _scenario_from_config(cfg: dict, seed: int) -> Scenario:
     try:
         return Scenario(
             truth=_density(_require(spec, "truth")),
-            n=int(_require(spec, "n")),
-            replications=int(_require(spec, "replications")),
+            n=_number(spec, "n", integer=True),
+            replications=_number(spec, "replications", integer=True),
             seed=seed,
             kind=kind,
             contaminant=(_density(spec["contaminant"])
                          if "contaminant" in spec else None),
-            eps=float(spec.get("eps", 0.0)),
+            eps=_number(spec, "eps", 0.0),
             outlier_indices=tuple(spec.get("outlier_indices", ())),
             outlier_points=tuple(spec.get("outlier_points", ())),
         )
@@ -239,9 +256,8 @@ def _estimator_from_config(cfg: dict, n: int, kernel, c1: float,
     spec = _require(cfg, "estimator")
     kind = _require(spec, "type")
     if kind == "rho_gaussian_grid":
-        family = build_gaussian_location_grid(
-            float(_require(spec, "theta_min")), float(_require(spec, "theta_max")),
-            float(_require(spec, "step")), float(spec.get("sd", 1.0)), n, c1).family
+        family = _family_from_config(
+            {**spec, "type": "gaussian_location_grid"}, n, c1).family
         slack = slack_multiplier * kernel.kappa / 25.0
 
         def estimate(sample: Sample) -> Density1D:
@@ -250,7 +266,7 @@ def _estimator_from_config(cfg: dict, n: int, kernel, c1: float,
 
         return estimate
     if kind == "gaussian_mle_plugin":
-        sd = float(spec.get("sd", 1.0))
+        sd = _number(spec, "sd", 1.0)
 
         def estimate(sample: Sample) -> Density1D:
             return Gaussian(float(np.mean(sample.points)), sd)
@@ -281,12 +297,12 @@ def _cmd_bounds(args) -> int:
     cfg = _load_config(args.config)
     out = {}
     if "finite" in cfg:
-        out["finite"] = dimension_bound_finite(int(cfg["finite"]))
+        out["finite"] = dimension_bound_finite(_number(cfg, "finite", integer=True))
     if "vc" in cfg:
-        out["vc"] = dimension_bound_vc(float(_require(cfg["vc"], "v")),
-                                       int(_require(cfg["vc"], "n")), args.c1)
+        out["vc"] = dimension_bound_vc(_number(cfg["vc"], "v"),
+                                       _number(cfg["vc"], "n", integer=True), args.c1)
     if "entropy" in cfg:
-        out["entropy"] = dimension_bound_entropy(float(cfg["entropy"]))
+        out["entropy"] = dimension_bound_entropy(_number(cfg, "entropy"))
     if not out:
         raise ConfigError("bounds config needs one of: finite, vc, entropy")
     _emit(out, args)
@@ -296,11 +312,11 @@ def _cmd_bounds(args) -> int:
 def _cmd_demo_mle(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
     report = mle_counterexample(
-        theta=float(cfg.get("theta", 0.0)),
-        n=int(cfg.get("n", 100)),
-        reps=int(cfg.get("reps", 200)),
+        theta=_number(cfg, "theta", 0.0),
+        n=_number(cfg, "n", 100, integer=True),
+        reps=_number(cfg, "reps", 200, integer=True),
         seed=args.seed,
-        grid_step=float(cfg.get("grid_step", 0.1)),
+        grid_step=_number(cfg, "grid_step", 0.1),
         kernel=kernel_constants(args.psi),
     )
     _emit(report, args)

@@ -81,6 +81,12 @@ class PsiKernel:
             return v * (u + v) / np.power(u * u + v * v, 1.5)
         return 2.0 * v / (u + v) ** 2
 
+    def ratio_duu(self, u, v):
+        """d^2/du^2 of :meth:`ratio` for u, v > 0."""
+        if self.id == "psi1":
+            return v * (v * v - 2.0 * u * u - 3.0 * u * v) / np.power(u * u + v * v, 2.5)
+        return -4.0 * v / (u + v) ** 3
+
 
 _KERNELS = {
     "psi1": PsiKernel("psi1", a0=4.97, a1=0.083, a2_sq=3.0 + 2.0 * math.sqrt(2.0)),

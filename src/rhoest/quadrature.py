@@ -57,7 +57,7 @@ def integrate_1d(fn, lo, hi, spec=None, points=()):
     per_seg_tol = spec.abs_tol / len(segs)
     total = 0.0
     for a, b in segs:
-        limit = 50
+        limit = min(50, spec.max_subdivisions)
         while True:
             with np.errstate(all="ignore"):
                 val, err, _, *message = integrate.quad(

@@ -9,7 +9,8 @@ from rhoest import (Cauchy, CandidateSet, ContractViolationError, Gaussian,
                     SimplexPoint, SolverError, aggregation, inner_argmax,
                     kernel_constants, mixture_upsilon, saddle_point,
                     select_candidate, simplex_grid, t_mix)
-from rhoest.aggregation import _line_search, simplex_grid_array
+from rhoest.aggregation import (_line_search, _mix_derivatives,
+                                _mix_gradient_wrt_m, simplex_grid_array)
 from rhoest.errors import DegenerateCandidatesError
 
 K1 = kernel_constants("psi1")
@@ -23,7 +24,8 @@ def gaussian_candidates(means, X):
 
 def face_case(seed, n=500):
     """Six candidates fitted to a mixture of the first two: the saddle point
-    lies on a face of the simplex, and away steps run to a vertex."""
+    lies on a face of the simplex, so the inner solve has to drop weights
+    to exactly 0."""
     rng = np.random.default_rng([seed, seed])
     w = rng.uniform(0.25, 0.75)
     left = rng.uniform(0.0, 1.0, n) < w
@@ -31,6 +33,47 @@ def face_case(seed, n=500):
     marginals = [Gaussian(-1.0, 1.0), Gaussian(1.5, 0.7), Cauchy(0.0, 2.0),
                  Laplace(0.0, 1.0), Gaussian(0.0, 2.0), Gaussian(1.0, 1.0)]
     return X, CandidateSet([ProductDensity(iid=d, n=n) for d in marginals], X)
+
+
+def away_step_frank_wolfe(cs, alpha, kernel, tol, max_iter=100000):
+    """Frank-Wolfe with away steps from the uniform weights, kept as an oracle
+    for the Newton inner solve (Lacoste-Julien & Jaggi 2015)."""
+    P, N = cs.values, cs.size
+    d_sqrt = np.sqrt(alpha.as_array() @ P)
+    beta = np.full(N, 1.0 / N)
+    m = beta @ P
+    for _ in range(max_iter):
+        grad = P @ _mix_gradient_wrt_m(kernel, m, d_sqrt)
+        g_dot_beta = float(grad @ beta)
+        fw_j = int(np.argmax(grad))
+        fw_gap = float(grad[fw_j]) - g_dot_beta
+        if fw_gap < tol:
+            break
+        active = np.flatnonzero(beta > 1e-15)
+        away_j = int(active[np.argmin(grad[active])])
+        if fw_gap >= g_dot_beta - float(grad[away_j]):
+            end = np.zeros(N)
+            end[fw_j] = 1.0
+        else:
+            w = beta[away_j]
+            if w >= 1.0 - 1e-15:
+                break
+            end = beta / (1.0 - w)
+            end[away_j] = 0.0
+        s = _line_search(kernel, m, end @ P, d_sqrt)
+        if s <= 0.0:
+            break
+        beta = (1.0 - s) * beta + s * end
+        beta /= beta.sum()
+        m = beta @ P
+    return beta
+
+
+def frank_wolfe_gap(cs, alpha, beta, kernel):
+    P = cs.values
+    grad = P @ _mix_gradient_wrt_m(kernel, beta.as_array() @ P,
+                                   np.sqrt(alpha.as_array() @ P))
+    return float(grad.max() - grad @ beta.as_array())
 
 
 def bisection_line_search(kernel, m, m_dir, d_sqrt, gamma_max):
@@ -201,6 +244,142 @@ class TestInnerArgmax:
         assert obj(beta.weights[0]) == pytest.approx(obj(b_star), abs=1e-6)
         assert beta.weights[0] == pytest.approx(b_star, abs=1e-3)
 
+    @pytest.mark.parametrize("kernel", [K1, K2], ids=["psi1", "psi2"])
+    def test_matches_away_step_oracle(self, kernel):
+        rng = np.random.default_rng(13)
+        cases = [face_case(seed) for seed in (7, 8, 9)]
+        for _ in range(12):
+            X = Sample(rng.normal(0.0, 1.5, 80))
+            cases.append((X, gaussian_candidates(
+                rng.uniform(-2.0, 2.0, int(rng.integers(2, 7))), X)))
+        inner = InnerSolverConfig()
+        for X, cs in cases:
+            for alpha in (SimplexPoint(tuple(np.full(cs.size, 1.0 / cs.size))),
+                          SimplexPoint(tuple(rng.dirichlet(np.ones(cs.size))))):
+                beta = inner_argmax(X, cs, alpha, kernel, inner)
+                want = away_step_frank_wolfe(cs, alpha, kernel, tol=1e-13)
+                assert np.abs(beta.as_array() - want).max() <= 1e-6
+                assert frank_wolfe_gap(cs, alpha, beta, kernel) < inner.tol
+
+    def test_duplicate_candidates(self):
+        # Two equal rows make the Newton system exactly singular on any face
+        # that holds both; its least-squares step still reaches the maximum.
+        X = Sample(np.random.default_rng(4).normal(0.0, 1.0, 40))
+        cs = gaussian_candidates([-1.0, 0.0, 0.0, 1.5], X)
+        alpha = SimplexPoint((0.7, 0.1, 0.1, 0.1))
+        beta = inner_argmax(X, cs, alpha, K2)
+        want = away_step_frank_wolfe(cs, alpha, K2, tol=1e-13)
+        merge = np.array([[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]])
+        assert np.abs(merge @ (beta.as_array() - want)).max() <= 1e-6
+        assert frank_wolfe_gap(cs, alpha, beta, K2) < InnerSolverConfig().tol
+
+    def test_newton_step_is_cut_where_a_weight_reaches_zero(self):
+        rng = np.random.default_rng(0)
+        X = Sample(rng.normal(0.0, 1.5, 60))
+        P = gaussian_candidates([-2.0, -0.5, 0.5, 2.0], X).values
+        cut = 0
+        for _ in range(500):
+            alpha, beta = rng.dirichlet(np.ones(4), size=2)
+            grad_m, hess_m = _mix_derivatives(K2, beta @ P, np.sqrt(alpha @ P))
+            grad = P @ grad_m
+            kkt = np.block([[(P * hess_m) @ P.T, np.ones((4, 1))],
+                            [np.ones((1, 4)), np.zeros((1, 1))]])
+            step = np.linalg.solve(kkt, np.append(-grad, 0.0))[:4]
+            reach = min(1.0, min(-b / d for b, d in zip(beta, step) if d < 0))
+            end = aggregation._newton_end_point(P, beta, grad, hess_m,
+                                                int(np.argmax(grad)))
+            assert np.allclose(end, beta + reach * step, rtol=0.0, atol=1e-12)
+            if reach < 1.0:
+                cut += 1
+                assert np.count_nonzero(end == 0.0) == 1
+            assert end.min() >= 0.0 and abs(end.sum() - 1.0) <= 1e-15
+        assert cut >= 100
+
+    def test_vertex_steps_alone_reach_the_maximum(self, monkeypatch):
+        # The safeguard when no Newton end point is usable.
+        monkeypatch.setattr(aggregation, "_newton_end_point", lambda *args: None)
+        rng = np.random.default_rng(3)
+        X = Sample(rng.normal(0.5, 1, 20))
+        cs = gaussian_candidates([0.0, 1.0], X)
+        alpha = SimplexPoint((0.9, 0.1))
+        beta = inner_argmax(X, cs, alpha, K2)
+        want = away_step_frank_wolfe(cs, alpha, K2, tol=1e-13)
+        assert np.abs(beta.as_array() - want).max() <= 1e-6
+
+    def test_starts_at_alpha(self, monkeypatch):
+        X, cs = face_case(8)
+        alpha = SimplexPoint((0.05, 0.5, 0.05, 0.1, 0.1, 0.2))
+        first_m = []
+        derivatives = aggregation._mix_derivatives
+
+        def spy(kernel, m, d_sqrt):
+            first_m.append(m.copy())
+            return derivatives(kernel, m, d_sqrt)
+
+        monkeypatch.setattr(aggregation, "_mix_derivatives", spy)
+        inner_argmax(X, cs, alpha, K2)
+        assert np.array_equal(first_m[0], alpha.as_array() @ cs.values)
+
+    @pytest.mark.parametrize("kernel", [K1, K2], ids=["psi1", "psi2"])
+    def test_face_case_step_count(self, kernel, monkeypatch):
+        per_solve = []
+        search, solve = aggregation._line_search, aggregation.inner_argmax
+
+        def counting_search(*args):
+            per_solve[-1] += 1
+            return search(*args)
+
+        def counting_solve(*args, **kwargs):
+            per_solve.append(0)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(aggregation, "_line_search", counting_search)
+        monkeypatch.setattr(aggregation, "inner_argmax", counting_solve)
+        for seed in (7, 8, 9):
+            X, cs = face_case(seed)
+            assert saddle_point(X, cs, kernel)["converged"]
+        assert max(per_solve) <= 30
+
+    @pytest.mark.parametrize("kernel", [K1, K2], ids=["psi1", "psi2"])
+    def test_second_derivative_helper(self, kernel):
+        rng = np.random.default_rng(17)
+        m = rng.uniform(0.01, 3.0, 400)
+        d_sqrt = np.sqrt(rng.uniform(0.01, 3.0, 400))
+        h = 1e-5 * m
+        grad, hess = _mix_derivatives(kernel, m, d_sqrt)
+        assert np.array_equal(grad, _mix_gradient_wrt_m(kernel, m, d_sqrt))
+        fd = (_mix_gradient_wrt_m(kernel, m + h, d_sqrt)
+              - _mix_gradient_wrt_m(kernel, m - h, d_sqrt)) / (2.0 * h)
+        assert np.allclose(hess, fd, rtol=1e-6, atol=1e-8)
+        assert np.all(hess < 0.0)
+
+
+class TestSolverSettings:
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf"), "1e-8"])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(ContractViolationError, match="tol"):
+            InnerSolverConfig(tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [0, -3, 2.5, True, None])
+    def test_bad_max_iter_rejected(self, max_iter):
+        with pytest.raises(ContractViolationError, match="max_iter"):
+            InnerSolverConfig(max_iter=max_iter)
+
+    @pytest.mark.parametrize("max_outer", [0, -1, 3.0, False])
+    def test_bad_max_outer_rejected(self, max_outer):
+        X = Sample(np.array([0.0, 1.0]))
+        cs = gaussian_candidates([0.0, 1.0], X)
+        with pytest.raises(ContractViolationError, match="max_outer"):
+            saddle_point(X, cs, K2, max_outer=max_outer)
+
+    def test_smallest_settings_accepted(self):
+        X = Sample(np.array([0.0, 1.0, 2.0]))
+        cs = gaussian_candidates([0.0, 1.0], X)
+        out = saddle_point(X, cs, K2, max_outer=np.int64(1),
+                           inner=InnerSolverConfig(tol=1e-3, max_iter=1))
+        assert out["iterations"] == 1
+        assert math.isfinite(out["certificate"])
+
 
 class TestSaddlePoint:
     def test_single_candidate(self):
@@ -301,15 +480,18 @@ class TestLineSearch:
 
         monkeypatch.setattr(aggregation, "_mix_gradient_wrt_m", counting_gradient)
         monkeypatch.setattr(aggregation, "_line_search", counting_search)
+        # Newton needs few searches per solve: seeds 7-12 give about 150.
         for kernel in (K1, K2):
-            X, cs = face_case(7)
-            saddle_point(X, cs, kernel)
+            for seed in range(7, 13):
+                X, cs = face_case(seed)
+                saddle_point(X, cs, kernel)
         assert len(per_search) > 100
         assert max(per_search) <= 15
 
     def test_away_step_to_a_vertex_stays_finite(self):
-        # Here an away step ends where the dropped vertex carried nearly all
-        # of the mixture at a sample point; m + gamma_max * m_dir cancels to 0.
+        # Here a step that drops a weight to 0 ends where that candidate
+        # carried nearly all of the mixture at a sample point; the end point
+        # is evaluated from its own weights, so its mixture stays positive.
         X, cs = face_case(7)
         out = saddle_point(X, cs, K2)
         assert out["converged"]

@@ -333,5 +333,75 @@ class TestExitCodes:
         assert main(["aggregate", "--config", cfg]) == 3
 
 
+GRID = {"type": "gaussian_location_grid", "theta_min": -1, "theta_max": 1,
+        "step": 0.5}
+TWO_GAUSSIANS = [{"kind": "gaussian", "params": {"mean": 0.0, "sd": 1.0}},
+                 {"kind": "gaussian", "params": {"mean": 2.0, "sd": 1.0}}]
+SCENARIO = {"kind": "iid", "n": 40, "replications": 2,
+            "truth": {"kind": "gaussian", "params": {"mean": 0.0, "sd": 1.0}}}
+REGRESS = {"error_models": TWO_GAUSSIANS[:1],
+           "function_family": {"theta_grid": {"min": 0.0, "max": 1.0, "step": 0.5}}}
+
+
+class TestConfigNumbers:
+    """Every numeric config value is a finite number, and an integer where one
+    is counted; anything else is a configuration error (exit 2)."""
+
+    @pytest.mark.parametrize("command, config, key", [
+        ("fit", {"family": {**GRID, "theta_min": "a"}}, "theta_min"),
+        ("fit", {"family": {**GRID, "sd": [1.0]}}, "sd"),
+        ("fit", {"family": GRID, "penalty": {"0": "1.5"}}, "'0'"),
+        ("select", {"models": [{"family": GRID, "delta": "x"}]}, "delta"),
+        ("aggregate", {"candidates": TWO_GAUSSIANS, "eps": "x"}, "eps"),
+        ("aggregate", {"candidates": TWO_GAUSSIANS, "max_outer": "abc"}, "max_outer"),
+        ("aggregate", {"candidates": TWO_GAUSSIANS, "max_outer": 2.5}, "max_outer"),
+        ("regress", {**REGRESS, "function_family": {"theta_grid": {
+            "min": 0.0, "max": True, "step": 0.5}}}, "max"),
+        ("bench", {"scenario": {**SCENARIO, "replications": 2.7},
+                   "estimator": {"type": "gaussian_mle_plugin"}}, "replications"),
+        ("bench", {"scenario": {**SCENARIO, "eps": "0.1"},
+                   "estimator": {"type": "gaussian_mle_plugin"}}, "eps"),
+        ("bench", {"scenario": SCENARIO, "estimator": {
+            "type": "rho_gaussian_grid", "theta_min": -1, "theta_max": "1",
+            "step": 0.5}}, "theta_max"),
+        ("bench", {"scenario": SCENARIO, "estimator": {
+            "type": "gaussian_mle_plugin", "sd": None}}, "sd"),
+        ("bounds", {"finite": "3"}, "finite"),
+        ("bounds", {"vc": {"v": 3, "n": 300.5}}, "n"),
+        ("bounds", {"entropy": {}}, "entropy"),
+        ("demo-mle", {"n": "ten"}, "n"),
+        ("demo-mle", {"reps": 2.7}, "reps"),
+        ("demo-mle", {"theta": "0", "n": 20, "reps": 2}, "theta"),
+        ("demo-mle", {"grid_step": False, "n": 20, "reps": 2}, "grid_step"),
+    ])
+    def test_bad_number_is_config_error(self, tmp_path, capsys, gaussian_sample,
+                                        command, config, key):
+        if command in ("fit", "select", "aggregate"):
+            config = {"sample": gaussian_sample, **config}
+        if command == "regress":
+            config = {"sample": [[0.0, 0.1], [1.0, 0.9], [2.0, 2.2]], **config}
+        cfg = write_config(tmp_path, "c.json", config)
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+
+    def test_integral_float_counts(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {"n": 20.0, "reps": 2.0})
+        code, out = run(capsys, ["demo-mle", "--config", cfg])
+        assert code == 0
+        assert out["reps"] == 2
+
+    @pytest.mark.parametrize("max_outer", [0, -1])
+    def test_aggregate_rejects_no_outer_steps(self, tmp_path, capsys,
+                                              gaussian_sample, max_outer):
+        cfg = write_config(tmp_path, "c.json", {
+            "sample": gaussian_sample, "candidates": TWO_GAUSSIANS,
+            "max_outer": max_outer})
+        assert main(["aggregate", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "max_outer must be an integer >= 1" in err
+
+
 def test_parser_is_built_once():
     assert cli._build_parser() is cli._build_parser()

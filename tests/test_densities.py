@@ -469,3 +469,18 @@ class TestQuadratureSpec:
                                QuadratureSpec(abs_tol=1e-10))
         assert calls == [50, 500]
         assert val == pytest.approx(math.sin(600.0) / 200.0, abs=1e-10)
+
+    @pytest.mark.parametrize("budget", [1, 7])
+    def test_budget_below_the_first_limit_is_enforced(self, monkeypatch, budget):
+        calls = self._limits(monkeypatch)
+        with pytest.raises(QuadratureError, match=f"at {budget} subdivisions"):
+            integrate_1d(lambda x: math.cos(20.0 * x), 0.0, 3.0,
+                         QuadratureSpec(abs_tol=1e-10, max_subdivisions=budget))
+        assert calls == [budget]
+
+    def test_budget_below_the_first_limit_can_converge(self, monkeypatch):
+        calls = self._limits(monkeypatch)
+        val = integrate_1d(lambda x: math.cos(20.0 * x), 0.0, 3.0,
+                           QuadratureSpec(abs_tol=1e-10, max_subdivisions=49))
+        assert calls == [49]
+        assert val == pytest.approx(math.sin(60.0) / 20.0, abs=1e-10)

@@ -152,6 +152,19 @@ class TestPsiPair:
         assert np.all(lhs + rhs == 0.0)
 
 
+class TestRatioDerivatives:
+    @pytest.mark.parametrize("k", [PSI1, PSI2], ids=lambda k: k.id)
+    def test_central_differences(self, k):
+        rng = np.random.default_rng(21)
+        u = rng.uniform(0.05, 4.0, 500)
+        v = rng.uniform(0.05, 4.0, 500)
+        h = 1e-5 * u
+        du = (k.ratio(u + h, v) - k.ratio(u - h, v)) / (2.0 * h)
+        duu = (k.ratio_du(u + h, v) - k.ratio_du(u - h, v)) / (2.0 * h)
+        assert np.allclose(k.ratio_du(u, v), du, rtol=0.0, atol=1e-8)
+        assert np.allclose(k.ratio_duu(u, v), duu, rtol=0.0, atol=1e-8)
+
+
 class TestCheckAssumption:
     QUAD = QuadratureSpec(abs_tol=1e-9)
 

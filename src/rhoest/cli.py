@@ -56,16 +56,35 @@ def _load_config(path):
         raise ConfigError("this subcommand requires --config")
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh, parse_constant=_reject_constant,
-                             parse_float=_finite_float, parse_int=_finite_int)
+            cfg = json.load(fh, parse_constant=_reject_constant,
+                            parse_float=_finite_float, parse_int=_finite_int)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
+    return cfg
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
+def _get(cfg: dict, key: str, default=None):
+    """cfg[key] from a config section, which must be a JSON object.
+
+    A missing key gives ``default``, and is an error when there is none.
+    """
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"expected a JSON object with key {key!r}, got {cfg!r}")
+    if key in cfg:
+        return cfg[key]
+    if default is None:
         raise ConfigError(f"config is missing required key {key!r}")
-    return cfg[key]
+    return default
+
+
+def _list(cfg: dict, key: str) -> list:
+    """cfg[key], which must be a JSON list."""
+    value = _get(cfg, key)
+    if not isinstance(value, list):
+        raise ConfigError(f"config key {key!r} must be a list, got {value!r}")
+    return value
 
 
 def _number(cfg: dict, key: str, default=None, integer=False):
@@ -75,7 +94,7 @@ def _number(cfg: dict, key: str, default=None, integer=False):
     Strings, booleans and non-integral values of an integer key are
     rejected, not converted.
     """
-    value = _require(cfg, key) if default is None else cfg.get(key, default)
+    value = _get(cfg, key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
     if not integer:
@@ -86,39 +105,34 @@ def _number(cfg: dict, key: str, default=None, integer=False):
 
 
 def _sample_from_config(cfg) -> Sample:
-    pts = np.asarray(_require(cfg, "sample"), dtype=float)
-    kind = "pair" if pts.ndim == 2 else "scalar"
+    points = _get(cfg, "sample")
     try:
-        return Sample(pts, kind=kind)
-    except ContractViolationError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _density(obj) -> Density1D:
-    try:
-        return density_from_json(obj)
-    except ContractViolationError as exc:
-        raise ConfigError(str(exc)) from exc
+        # ValueError covers ContractViolationError and a ragged or
+        # non-numeric list; TypeError an object inside it.
+        pts = np.asarray(points, dtype=float)
+        return Sample(pts, kind="pair" if pts.ndim == 2 else "scalar")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad sample: {exc}") from exc
 
 
 def _family_from_config(spec: dict, n: int, c1: float) -> ModelDescriptor:
-    kind = _require(spec, "type")
+    kind = _get(spec, "type")
     if kind == "gaussian_location_grid":
         return build_gaussian_location_grid(
             _number(spec, "theta_min"), _number(spec, "theta_max"),
             _number(spec, "step"), _number(spec, "sd", 1.0), n, c1)
     if kind == "histogram":
         return build_histogram_family(
-            _require(spec, "breakpoint_grids"), _require(spec, "k"), n,
-            spec.get("mass_steps", 4), c1)
+            _list(spec, "breakpoint_grids"), _get(spec, "k"), n,
+            _get(spec, "mass_steps", 4), c1)
     if kind == "exp_family":
         return build_exp_family_grid(
-            _require(spec, "basis"), _require(spec, "coefficient_grid"),
-            spec.get("lo", float("-inf")), spec.get("hi", float("inf")), n,
+            _list(spec, "basis"), _list(spec, "coefficient_grid"),
+            _get(spec, "lo", float("-inf")), _get(spec, "hi", float("inf")), n,
             c1=c1)
     if kind == "explicit":
-        entries = [ProductDensity(iid=_density(d), n=n)
-                   for d in _require(spec, "densities")]
+        entries = [ProductDensity(iid=density_from_json(d), n=n)
+                   for d in _list(spec, "densities")]
         fam = DensityFamily(entries)
         return ModelDescriptor(
             family=fam,
@@ -145,8 +159,8 @@ def _cmd_fit(args) -> int:
     cfg = _load_config(args.config)
     X = _sample_from_config(cfg)
     kernel = kernel_constants(args.psi)
-    desc = _family_from_config(_require(cfg, "family"), X.n, args.c1)
-    penalty = cfg.get("penalty", {})
+    desc = _family_from_config(_get(cfg, "family"), X.n, args.c1)
+    penalty = _get(cfg, "penalty", {})
     try:
         pen = Penalty({int(k): _number(penalty, k) for k in penalty})
     except (TypeError, ValueError) as exc:
@@ -163,11 +177,11 @@ def _cmd_select(args) -> int:
     cfg = _load_config(args.config)
     X = _sample_from_config(cfg)
     kernel = kernel_constants(args.psi)
-    model_specs = _require(cfg, "models")
+    model_specs = _list(cfg, "models")
     default_delta = uniform_weights(len(model_specs))
     models = []
     for spec in model_specs:
-        desc = _family_from_config(_require(spec, "family"), X.n, args.c1)
+        desc = _family_from_config(_get(spec, "family"), X.n, args.c1)
         desc.delta_weight = _number(spec, "delta", default_delta)
         models.append(desc)
     coll = ModelCollection(models, kernel)
@@ -183,8 +197,8 @@ def _cmd_aggregate(args) -> int:
     cfg = _load_config(args.config)
     X = _sample_from_config(cfg)
     kernel = kernel_constants(args.psi)
-    densities = [ProductDensity(iid=_density(d), n=X.n)
-                 for d in _require(cfg, "candidates")]
+    densities = [ProductDensity(iid=density_from_json(d), n=X.n)
+                 for d in _list(cfg, "candidates")]
     cs = CandidateSet(densities, X)
     result = saddle_point(X, cs, kernel,
                           eps=_number(cfg, "eps", 1e-4),
@@ -204,17 +218,14 @@ def _cmd_regress(args) -> int:
     X = _sample_from_config(cfg)
     if X.kind != "pair":
         raise ConfigError("regress expects a sample of [w, y] pairs")
-    error_specs = _require(cfg, "error_models")
-    fun_spec = _require(cfg, "function_family")
-    grid = fun_spec.get("theta_grid")
-    if grid is None:
-        raise ConfigError("function_family.theta_grid is required")
+    error_specs = _list(cfg, "error_models")
+    grid = _get(_get(cfg, "function_family"), "theta_grid")
     step = _number(grid, "step")
     thetas = np.arange(_number(grid, "min"), _number(grid, "max") + step / 2, step)
     functions = [RegressionFunction(lambda w, _t=float(t): _t * w,
                                     label=f"theta={t:g}") for t in thetas]
     default_delta = uniform_weights(len(error_specs))
-    models = [RegressionModel(_density(spec), functions, vc_index_f=3,
+    models = [RegressionModel(density_from_json(spec), functions, vc_index_f=3,
                               delta_weight=default_delta)
               for spec in error_specs]
     coll = build_regression_family(models, X.n, kernel_constants(args.psi),
@@ -231,30 +242,26 @@ def _cmd_regress(args) -> int:
 
 
 def _scenario_from_config(cfg: dict, seed: int) -> Scenario:
-    spec = _require(cfg, "scenario")
-    kind = spec.get("kind", "iid")
-    try:
-        return Scenario(
-            truth=_density(_require(spec, "truth")),
-            n=_number(spec, "n", integer=True),
-            replications=_number(spec, "replications", integer=True),
-            seed=seed,
-            kind=kind,
-            contaminant=(_density(spec["contaminant"])
-                         if "contaminant" in spec else None),
-            eps=_number(spec, "eps", 0.0),
-            outlier_indices=tuple(spec.get("outlier_indices", ())),
-            outlier_points=tuple(spec.get("outlier_points", ())),
-        )
-    except ContractViolationError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = _get(cfg, "scenario")
+    return Scenario(
+        truth=density_from_json(_get(spec, "truth")),
+        n=_number(spec, "n", integer=True),
+        replications=_number(spec, "replications", integer=True),
+        seed=seed,
+        kind=_get(spec, "kind", "iid"),
+        contaminant=(density_from_json(spec["contaminant"])
+                     if "contaminant" in spec else None),
+        eps=_number(spec, "eps", 0.0),
+        outlier_indices=_get(spec, "outlier_indices", ()),
+        outlier_points=_get(spec, "outlier_points", ()),
+    )
 
 
 def _estimator_from_config(cfg: dict, n: int, kernel, c1: float,
                            slack_multiplier: float):
     """The estimator for samples of size ``n``; a grid is built once, here."""
-    spec = _require(cfg, "estimator")
-    kind = _require(spec, "type")
+    spec = _get(cfg, "estimator")
+    kind = _get(spec, "type")
     if kind == "rho_gaussian_grid":
         family = _family_from_config(
             {**spec, "type": "gaussian_location_grid"}, n, c1).family
@@ -281,7 +288,7 @@ def _cmd_bench(args) -> int:
     scenario = _scenario_from_config(cfg, args.seed)
     estimator = _estimator_from_config(cfg, scenario.n, kernel, args.c1,
                                        args.kappa_multiplier)
-    truth_for_loss = (_density(cfg["truth_for_loss"])
+    truth_for_loss = (density_from_json(cfg["truth_for_loss"])
                       if "truth_for_loss" in cfg else scenario.truth)
     report = mc_risk(scenario, estimator, truth_for_loss)
     if args.out:

@@ -8,8 +8,9 @@ back to adaptive quadrature of the affinity integral.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -88,14 +89,80 @@ def _float_or_array(x):
     return x if isinstance(x, float) else np.asarray(x, dtype=float)
 
 
+# Parameter rules.  Each takes a parameter's name and the value passed, and
+# returns the value to store or raises ContractViolationError naming the
+# parameter.  Scalars are stored as passed, so ``to_json`` keeps an int an int.
+
+_REAL = (int, float, np.integer, np.floating)
+
+
+def _number(name, v):
+    """A real number other than NaN; infinities pass, a bool does not."""
+    if isinstance(v, bool) or not isinstance(v, _REAL) or v != v:
+        raise ContractViolationError(f"{name} must be a number, got {v!r}")
+    return v
+
+
+def _finite(name, v):
+    if not math.isfinite(_number(name, v)):
+        raise ContractViolationError(f"{name} must be finite, got {v!r}")
+    return v
+
+
+def _scale(name, v):
+    if not _finite(name, v) > 0:
+        raise ContractViolationError(f"{name} must be positive and finite, got {v!r}")
+    return v
+
+
+def _items(name, v):
+    """Any iterable but a string, as a tuple."""
+    if isinstance(v, str) or not hasattr(v, "__iter__"):
+        raise ContractViolationError(f"{name} must be a list, got {v!r}")
+    return tuple(v)
+
+
+def _vector(name, v):
+    """A sequence of finite numbers, as a tuple of floats."""
+    return tuple(float(_finite(name, x)) for x in _items(name, v))
+
+
+def _weights(name, v):
+    w = _vector(name, v)
+    if any(x < 0 for x in w):
+        raise ContractViolationError(f"{name} must be nonnegative")
+    return w
+
+
+def _grid(name, v):
+    g = _vector(name, v)
+    if any(b <= a for a, b in zip(g, g[1:])):
+        raise ContractViolationError(f"{name} must be finite and strictly increasing")
+    return g
+
+
 class Density1D:
     """Base class: a nonnegative density on the line.
 
-    Subclasses provide ``pdf`` (vectorized), a support interval, the interior
-    kink locations used to guide quadrature, and a parameter dict for JSON.
+    Subclasses are frozen dataclasses that provide ``pdf`` (vectorized), a
+    support interval and the interior kink locations used to guide
+    quadrature.  ``rules`` maps every parameter, in field order, to the rule
+    that checks it; ``params``, ``key``, ``to_json`` and ``density_from_json``
+    all read it.  ``location`` names the parameters a translation moves, and
+    ``_check`` tests the conditions that tie parameters together.
     """
 
     kind = "abstract"
+    rules = {}
+    location = ()
+
+    def __post_init__(self):
+        for name, rule in self.rules.items():
+            object.__setattr__(self, name, rule(name, getattr(self, name)))
+        self._check()
+
+    def _check(self):
+        pass
 
     def pdf(self, x):
         raise NotImplementedError
@@ -108,16 +175,12 @@ class Density1D:
         return ()
 
     def params(self) -> dict:
-        raise NotImplementedError
+        """The parameters by name, sequences as lists."""
+        values = {name: getattr(self, name) for name in self.rules}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
 
     def key(self):
-        def freeze(v):
-            if isinstance(v, (list, tuple)):
-                return tuple(freeze(x) for x in v)
-            if isinstance(v, dict):
-                return tuple(sorted((k, freeze(x)) for k, x in v.items()))
-            return v
-        return (self.kind, freeze(self.params()))
+        return (self.kind, tuple(getattr(self, name) for name in self.rules))
 
     def sample(self, rng, size):
         # Generic inverse-CDF fallback on a dense tabulation of the support.
@@ -157,20 +220,13 @@ class Gaussian(Density1D):
     mean: float = 0.0
     sd: float = 1.0
     kind = "gaussian"
-
-    def __post_init__(self):
-        if not 0 < self.sd < _INF:
-            raise ContractViolationError("sd must be positive and finite")
-        if not math.isfinite(self.mean):
-            raise ContractViolationError("mean must be finite")
+    rules = {"mean": _finite, "sd": _scale}
+    location = ("mean",)
 
     def pdf(self, x):
         x = _float_or_array(x)
         z = (x - self.mean) / self.sd
         return np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
-
-    def params(self):
-        return {"mean": self.mean, "sd": self.sd}
 
     def sample(self, rng, size):
         return rng.normal(self.mean, self.sd, size)
@@ -181,20 +237,13 @@ class Cauchy(Density1D):
     loc: float = 0.0
     scale: float = 1.0
     kind = "cauchy"
-
-    def __post_init__(self):
-        if not 0 < self.scale < _INF:
-            raise ContractViolationError("scale must be positive and finite")
-        if not math.isfinite(self.loc):
-            raise ContractViolationError("loc must be finite")
+    rules = {"loc": _finite, "scale": _scale}
+    location = ("loc",)
 
     def pdf(self, x):
         x = _float_or_array(x)
         z = (x - self.loc) / self.scale
         return 1.0 / (math.pi * self.scale * (1.0 + z * z))
-
-    def params(self):
-        return {"loc": self.loc, "scale": self.scale}
 
     def sample(self, rng, size):
         return self.loc + self.scale * rng.standard_cauchy(size)
@@ -205,12 +254,8 @@ class Laplace(Density1D):
     loc: float = 0.0
     scale: float = 1.0
     kind = "laplace"
-
-    def __post_init__(self):
-        if not 0 < self.scale < _INF:
-            raise ContractViolationError("scale must be positive and finite")
-        if not math.isfinite(self.loc):
-            raise ContractViolationError("loc must be finite")
+    rules = {"loc": _finite, "scale": _scale}
+    location = ("loc",)
 
     def pdf(self, x):
         x = _float_or_array(x)
@@ -218,9 +263,6 @@ class Laplace(Density1D):
 
     def breakpoints(self):
         return (self.loc,)
-
-    def params(self):
-        return {"loc": self.loc, "scale": self.scale}
 
     def sample(self, rng, size):
         return rng.laplace(self.loc, self.scale, size)
@@ -231,10 +273,12 @@ class Uniform(Density1D):
     a: float = 0.0
     b: float = 1.0
     kind = "uniform"
+    rules = {"a": _finite, "b": _finite}
+    location = ("a", "b")
 
-    def __post_init__(self):
-        if not -_INF < self.a < self.b < _INF:
-            raise ContractViolationError("need finite a < b")
+    def _check(self):
+        if not self.a < self.b:
+            raise ContractViolationError("need a < b")
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -245,9 +289,6 @@ class Uniform(Density1D):
     def support(self):
         return (self.a, self.b)
 
-    def params(self):
-        return {"a": self.a, "b": self.b}
-
     def sample(self, rng, size):
         return rng.uniform(self.a, self.b, size)
 
@@ -257,12 +298,8 @@ class Exponential(Density1D):
     rate: float = 1.0
     shift: float = 0.0
     kind = "exponential"
-
-    def __post_init__(self):
-        if not 0 < self.rate < _INF:
-            raise ContractViolationError("rate must be positive and finite")
-        if not math.isfinite(self.shift):
-            raise ContractViolationError("shift must be finite")
+    rules = {"rate": _scale, "shift": _finite}
+    location = ("shift",)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -277,9 +314,6 @@ class Exponential(Density1D):
     def breakpoints(self):
         return (self.shift,)
 
-    def params(self):
-        return {"rate": self.rate, "shift": self.shift}
-
     def sample(self, rng, size):
         return self.shift + rng.exponential(1.0 / self.rate, size)
 
@@ -291,23 +325,16 @@ class Histogram(Density1D):
     breaks: tuple
     heights: tuple
     kind = "histogram"
+    rules = {"breaks": _grid, "heights": _weights}
+    location = ("breaks",)
 
-    def __post_init__(self):
-        breaks = tuple(float(b) for b in self.breaks)
-        heights = tuple(float(h) for h in self.heights)
+    def _check(self):
+        breaks, heights = self.breaks, self.heights
         if len(breaks) != len(heights) + 1:
             raise ContractViolationError("need len(breaks) == len(heights) + 1")
-        if any(b2 <= b1 for b1, b2 in zip(breaks[:-1], breaks[1:])):
-            raise ContractViolationError("breakpoints must be strictly increasing")
-        if any(h < 0 for h in heights):
-            raise ContractViolationError("heights must be nonnegative")
         mass = sum(h * (b2 - b1) for h, b1, b2 in zip(heights, breaks[:-1], breaks[1:]))
-        # A NaN mass fails too: NaN heights or breaks, and a zero height over
-        # an infinite piece, give one.
         if not abs(mass - 1.0) <= 1e-9:
             raise ContractViolationError(f"histogram mass {mass} != 1")
-        object.__setattr__(self, "breaks", breaks)
-        object.__setattr__(self, "heights", heights)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -324,9 +351,6 @@ class Histogram(Density1D):
     def breakpoints(self):
         return self.breaks
 
-    def params(self):
-        return {"breaks": list(self.breaks), "heights": list(self.heights)}
-
     def sample(self, rng, size):
         widths = np.diff(self.breaks)
         masses = np.asarray(self.heights) * widths
@@ -341,7 +365,10 @@ _BASIS_NS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
 
 
 def _compile_basis(expr: str):
-    code = compile(expr, "<basis>", "eval")
+    try:
+        code = compile(expr, "<basis>", "eval")
+    except (SyntaxError, TypeError, ValueError) as exc:
+        raise ContractViolationError(f"bad basis {expr!r}: {exc}") from None
     for name in code.co_names:
         if name != "x" and name not in _BASIS_NS:
             raise ContractViolationError(f"unknown symbol {name!r} in basis {expr!r}")
@@ -364,15 +391,12 @@ class ExpFamily(Density1D):
     lo: float = -_INF
     hi: float = _INF
     kind = "exp-family"
+    rules = {"basis": _items, "coeffs": _vector, "log_norm": _finite,
+             "lo": _number, "hi": _number}
 
-    def __post_init__(self):
+    def _check(self):
         if len(self.basis) != len(self.coeffs):
             raise ContractViolationError("basis and coefficients differ in length")
-        object.__setattr__(self, "basis", tuple(self.basis))
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-        if not all(math.isfinite(c) for c in (*self.coeffs, self.log_norm)):
-            raise ContractViolationError("coefficients and log_norm must be finite")
-        # Infinite ends are allowed; NaN ends fail the comparison.
         if not self.lo < self.hi:
             raise ContractViolationError("need lo < hi")
         object.__setattr__(self, "_fns", tuple(_compile_basis(e) for e in self.basis))
@@ -395,10 +419,6 @@ class ExpFamily(Density1D):
     def support(self):
         return (self.lo, self.hi)
 
-    def params(self):
-        return {"basis": list(self.basis), "coeffs": list(self.coeffs),
-                "log_norm": self.log_norm, "lo": self.lo, "hi": self.hi}
-
 
 @dataclass(frozen=True, eq=False)
 class PathologicalGaussian(Density1D):
@@ -413,10 +433,7 @@ class PathologicalGaussian(Density1D):
 
     theta: float
     kind = "pathological-gaussian"
-
-    def __post_init__(self):
-        if not math.isfinite(self.theta):
-            raise ContractViolationError("theta must be finite")
+    rules = {"theta": _finite}
 
     def base_ratio(self, x):
         """Density w.r.t. the standard-Gaussian base measure."""
@@ -435,9 +452,6 @@ class PathologicalGaussian(Density1D):
         phi = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
         return self.base_ratio(x) * phi
 
-    def params(self):
-        return {"theta": self.theta}
-
     def sample(self, rng, size):
         return rng.normal(self.theta, 1.0, size)
 
@@ -449,20 +463,12 @@ class Tabulated(Density1D):
     grid: tuple
     values: tuple
     kind = "tabulated"
+    rules = {"grid": _grid, "values": _weights}
+    location = ("grid",)
 
-    def __post_init__(self):
-        grid = tuple(float(g) for g in self.grid)
-        values = tuple(float(v) for v in self.values)
-        if len(grid) != len(values) or len(grid) < 2:
+    def _check(self):
+        if len(self.grid) != len(self.values) or len(self.grid) < 2:
             raise ContractViolationError("grid and values must match, length >= 2")
-        # NaN fails g1 < g2 and v >= 0.
-        if not (math.isfinite(grid[0]) and math.isfinite(grid[-1])
-                and all(g1 < g2 for g1, g2 in zip(grid, grid[1:]))):
-            raise ContractViolationError("grid must be finite and strictly increasing")
-        if not all(v >= 0 for v in values):
-            raise ContractViolationError("tabulated values must be nonnegative numbers")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -474,9 +480,6 @@ class Tabulated(Density1D):
 
     def breakpoints(self):
         return self.grid
-
-    def params(self):
-        return {"grid": list(self.grid), "values": list(self.values)}
 
 
 class PairDensity(Density1D):
@@ -507,52 +510,33 @@ class PairDensity(Density1D):
         return ("pair", self.error_density.key(), self.label)
 
 
-_DENSITY_KINDS = {
-    "gaussian": Gaussian,
-    "cauchy": Cauchy,
-    "laplace": Laplace,
-    "uniform": Uniform,
-    "exponential": Exponential,
-    "histogram": Histogram,
-    "exp-family": ExpFamily,
-    "pathological-gaussian": PathologicalGaussian,
-    "tabulated": Tabulated,
-}
+_DENSITY_KINDS = {cls.kind: cls for cls in (
+    Gaussian, Cauchy, Laplace, Uniform, Exponential, Histogram, ExpFamily,
+    PathologicalGaussian, Tabulated)}
 
 
 def density_from_json(obj: dict) -> Density1D:
     """Inverse of ``Density1D.to_json``: {kind, params} -> instance."""
     try:
-        cls = _DENSITY_KINDS[obj["kind"]]
-        params = dict(obj["params"])
-        for tupled in ("breaks", "heights", "grid", "values", "basis", "coeffs"):
-            if tupled in params:
-                params[tupled] = tuple(params[tupled])
-        # TypeError here means an unknown or missing parameter, or a wrong type.
-        return cls(**params)
-    except (KeyError, TypeError) as exc:
+        # TypeError here means an unknown or missing parameter, or a spec or
+        # params that is not an object.
+        return _DENSITY_KINDS[obj["kind"]](**obj["params"])
+    except (KeyError, TypeError, ContractViolationError) as exc:
         raise ContractViolationError(f"bad density spec {obj!r}: {exc}") from exc
 
 
 def shifted(d: Density1D, a: float) -> Density1D:
-    """The density of X + a when X has density d (same family when closed)."""
+    """The density of X + a when X has density d: its location parameters
+    move by ``a``.  A kind without one cannot be shifted."""
     if a == 0.0:
         return d
-    if isinstance(d, Gaussian):
-        return Gaussian(d.mean + a, d.sd)
-    if isinstance(d, Cauchy):
-        return Cauchy(d.loc + a, d.scale)
-    if isinstance(d, Laplace):
-        return Laplace(d.loc + a, d.scale)
-    if isinstance(d, Uniform):
-        return Uniform(d.a + a, d.b + a)
-    if isinstance(d, Exponential):
-        return Exponential(d.rate, d.shift + a)
-    if isinstance(d, Histogram):
-        return Histogram(tuple(b + a for b in d.breaks), d.heights)
-    if isinstance(d, Tabulated):
-        return Tabulated(tuple(g + a for g in d.grid), d.values)
-    raise ContractViolationError(f"cannot shift density of kind {d.kind!r}")
+    if not d.location:
+        raise ContractViolationError(f"cannot shift density of kind {d.kind!r}")
+    moved = {}
+    for name in d.location:
+        v = getattr(d, name)
+        moved[name] = tuple(x + a for x in v) if isinstance(v, tuple) else v + a
+    return dataclasses.replace(d, **moved)
 
 
 # ---------------------------------------------------------------------------
@@ -612,40 +596,28 @@ def _closed_form_affinity(p, q):
     return None
 
 
-def hellinger_affinity(p, q, quad=None, base=None, method="auto"):
-    """rho(p, q) = integral of sqrt(p q); equals 1 - h^2.
+def hellinger_affinity(p, q, quad=None, method="auto"):
+    """rho(p, q) = integral of sqrt(p q) dx; equals 1 - h^2.
 
-    ``method="auto"`` without ``base`` uses a closed form for identical
-    densities and for pairs of Gaussians, of Laplaces or of Cauchys, and
-    integrates every other pair, and any pair whose closed form is not
-    finite; ``method="quadrature"`` always integrates.
+    ``method="auto"`` uses a closed form for identical densities and for
+    pairs of Gaussians, of Laplaces or of Cauchys, and integrates every other
+    pair, and any pair whose closed form is not finite, against Lebesgue
+    measure on their common support; ``method="quadrature"`` always
+    integrates.
     """
     if method not in ("auto", "quadrature"):
         raise ContractViolationError(f"unknown method {method!r}")
-    rho = _closed_form_affinity(p, q) if method == "auto" and base is None else None
+    rho = _closed_form_affinity(p, q) if method == "auto" else None
     if rho is not None and math.isfinite(rho):
         return min(rho, 1.0)
-
-    if base is None:
-        def integrand(x):
-            return np.sqrt(p.pdf(x) * q.pdf(x))
-    else:
-        # Same integral expressed against an explicit dominating measure:
-        # integral sqrt((p/b)(q/b)) b.  Mathematically identical, numerically
-        # a distinct evaluation path.
-        def integrand(x):
-            b = base.pdf(x)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r = np.sqrt((p.pdf(x) / b) * (q.pdf(x) / b)) * b
-            return np.where(b > 0, r, 0.0)
-    rho = integrate_on_supports(integrand, (p, q),
-                                () if base is None else (base,), quad)
+    rho = integrate_on_supports(lambda x: np.sqrt(p.pdf(x) * q.pdf(x)), (p, q),
+                                quad=quad)
     return min(max(rho, 0.0), 1.0)
 
 
-def hellinger_sq(p, q, quad=None, base=None, method="auto"):
+def hellinger_sq(p, q, quad=None, method="auto"):
     """Squared Hellinger distance h^2(p, q) = 1 - rho(p, q), in [0, 1]."""
-    return 1.0 - hellinger_affinity(p, q, quad=quad, base=base, method=method)
+    return 1.0 - hellinger_affinity(p, q, quad=quad, method=method)
 
 
 # ---------------------------------------------------------------------------

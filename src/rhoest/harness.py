@@ -21,7 +21,7 @@ import numpy as np
 
 from .criterion import DensityFamily, rho_estimate
 from .densities import (Density1D, PathologicalGaussian, ProductDensity,
-                        Sample, hellinger_sq, integrate_on_supports)
+                        Sample, _vector, hellinger_sq, integrate_on_supports)
 from .errors import ContractViolationError, RhoestError
 from .psi import PsiKernel, kernel_constants
 from .quadrature import QuadratureSpec
@@ -65,8 +65,11 @@ class Scenario:
             if not 0.0 <= self.eps <= 1.0:
                 raise ContractViolationError("eps must lie in [0, 1]")
         elif self.kind == "outliers":
-            idx = tuple(int(j) for j in self.outlier_indices)
-            pts = tuple(float(x) for x in self.outlier_points)
+            idx = _vector("outlier_indices", self.outlier_indices)
+            pts = _vector("outlier_points", self.outlier_points)
+            if not all(j.is_integer() for j in idx):
+                raise ContractViolationError(f"outlier indices must be integers: {idx}")
+            idx = tuple(int(j) for j in idx)
             if len(idx) != len(pts):
                 raise ContractViolationError("one point per outlier index required")
             if len(set(idx)) != len(idx) or any(not 0 <= j < self.n for j in idx):

@@ -403,5 +403,80 @@ class TestConfigNumbers:
         assert "max_outer must be an integer >= 1" in err
 
 
+class TestConfigShapes:
+    """A section that should be a JSON object or list, and every density or
+    scenario parameter, is checked where it is read: a wrong type is a
+    configuration error (exit 2), never a traceback."""
+
+    @pytest.mark.parametrize("command, config", [
+        ("bounds", {"vc": 3}),
+        ("regress", {**REGRESS, "function_family": {"theta_grid": 5}}),
+        ("regress", {**REGRESS, "function_family": 5}),
+        ("fit", {"family": 5}),
+        ("select", {"models": [5]}),
+        ("select", {"models": {"family": GRID}}),
+        ("aggregate", {"candidates": 5}),
+        ("bench", {"scenario": 5, "estimator": {"type": "gaussian_mle_plugin"}}),
+        ("fit", {"family": {"type": "explicit", "densities": 5}}),
+        ("fit", {"family": {"type": "exp_family", "basis": "x",
+                            "coefficient_grid": [[0.0]], "lo": 0, "hi": 1}}),
+        ("fit", {"sample": ["x"], "family": GRID}),
+        ("fit", {"sample": [[0.0, 1.0], [2.0]], "family": GRID}),
+    ])
+    def test_wrong_section_type_is_config_error(self, tmp_path, capsys,
+                                                gaussian_sample, command, config):
+        if command in ("fit", "select", "aggregate"):
+            config = {"sample": gaussian_sample, **config}
+        if command == "regress":
+            config = {"sample": [[0.0, 0.1], [1.0, 0.9], [2.0, 2.2]], **config}
+        cfg = write_config(tmp_path, "c.json", config)
+        assert main([command, "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("payload", ["[1, 2]", "5", '"fit"'])
+    def test_config_that_is_not_an_object(self, tmp_path, capsys, payload):
+        path = tmp_path / "c.json"
+        path.write_text(payload)
+        assert main(["bounds", "--config", str(path)]) == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("candidate", [
+        {"kind": "histogram", "params": {"breaks": [0, 1], "heights": ["x"]}},
+        {"kind": "histogram", "params": {"breaks": ["0", "1"], "heights": [1]}},
+        {"kind": "exp-family", "params": {"basis": ["x"], "coeffs": [0.0],
+                                          "log_norm": 0.0, "lo": "a", "hi": "b"}},
+        {"kind": "exp-family", "params": {"basis": ["x"], "coeffs": ["x"],
+                                          "log_norm": 0.0, "lo": 0, "hi": 1}},
+        {"kind": "exp-family", "params": {"basis": ["x+"], "coeffs": [0.0],
+                                          "log_norm": 0.0, "lo": 0, "hi": 1}},
+        {"kind": "gaussian", "params": {"mean": True, "sd": 1.0}},
+        {"kind": "cauchy", "params": {"loc": 0.0, "scale": True}},
+        {"kind": "tabulated", "params": {"grid": [0, 1], "values": [1, "x"]}},
+        {"kind": "uniform", "params": {"a": False, "b": 1}},
+    ], ids=["string-height", "string-breaks", "string-ends", "string-coeff",
+            "basis-syntax", "bool-mean", "bool-scale", "string-value",
+            "bool-end"])
+    def test_newly_rejected_density_parameter(self, tmp_path, capsys,
+                                              gaussian_sample, candidate):
+        cfg = write_config(tmp_path, "c.json", {
+            "sample": gaussian_sample,
+            "candidates": [TWO_GAUSSIANS[0], candidate]})
+        assert main(["aggregate", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("error: bad density spec")
+
+    @pytest.mark.parametrize("outliers", [
+        {"outlier_indices": [1.5], "outlier_points": [3.0]},
+        {"outlier_indices": ["a"], "outlier_points": [3.0]},
+        {"outlier_indices": 5, "outlier_points": [3.0]},
+        {"outlier_indices": [1], "outlier_points": ["a"]},
+    ], ids=["fractional-index", "string-index", "scalar-indices", "string-point"])
+    def test_bench_rejects_bad_outlier_lists(self, tmp_path, capsys, outliers):
+        cfg = write_config(tmp_path, "c.json", {
+            "scenario": {**SCENARIO, "kind": "outliers", **outliers},
+            "estimator": {"type": "gaussian_mle_plugin"}})
+        assert main(["bench", "--config", cfg]) == 2
+        assert "outlier" in capsys.readouterr().err
+
+
 def test_parser_is_built_once():
     assert cli._build_parser() is cli._build_parser()

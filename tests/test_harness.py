@@ -33,6 +33,23 @@ class TestScenario:
             Scenario(truth=Gaussian(0, 1), n=5, replications=1, seed=0,
                      kind="outliers", outlier_indices=(7,), outlier_points=(1.0,))
 
+    @pytest.mark.parametrize("indices, points", [
+        ((1.5,), (1.0,)), (("a",), (1.0,)), (5, (1.0,)), ((True,), (1.0,)),
+        ((1,), ("a",)), ((1,), (math.nan,)), ((1,), 5.0), ((1,), (False,)),
+    ])
+    def test_outlier_lists_must_be_integers_and_finite_numbers(self, indices,
+                                                               points):
+        with pytest.raises(ContractViolationError, match="outlier"):
+            Scenario(truth=Gaussian(0, 1), n=5, replications=1, seed=0,
+                     kind="outliers", outlier_indices=indices,
+                     outlier_points=points)
+
+    def test_integral_float_outlier_index_is_an_index(self):
+        sc = Scenario(truth=Gaussian(0, 1), n=5, replications=1, seed=0,
+                      kind="outliers", outlier_indices=[1.0, np.int64(3)],
+                      outlier_points=[2, 4.5])
+        assert sc.outlier_indices == (1, 3) and sc.outlier_points == (2.0, 4.5)
+
 
 class TestSimulate:
     def test_deterministic(self):

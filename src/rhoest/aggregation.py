@@ -20,7 +20,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .criterion import DensityFamily, Penalty, RhoFit, _criterion_rows, rho_estimate
 from .densities import ProductDensity, Sample
@@ -181,9 +180,10 @@ def _line_search(kernel, m, m_end, d_sqrt):
     # than the mixture needs s less precisely.  Near the root of such a
     # step the derivative is rounding noise, which brentq would chase.
     xtol = _STEP_XTOL / min(1.0, float(np.max(np.abs(m_dir) / m)))
+    from scipy.optimize import brentq  # loaded on the first interior step
     # brentq evaluates both ends again; hand it the values already known.
-    s, info = optimize.brentq(lambda s: ends[s] if s in ends else deriv(s), 0.0, 1.0,
-                              xtol=xtol, full_output=True, disp=False)
+    s, info = brentq(lambda s: ends[s] if s in ends else deriv(s), 0.0, 1.0,
+                     xtol=xtol, full_output=True, disp=False)
     if not info.converged:
         raise SolverError(f"line search did not converge: {info.flag}")
     return s

@@ -19,7 +19,7 @@ import numpy as np
 from .aggregation import CandidateSet, saddle_point
 from .criterion import DensityFamily, Penalty, rho_estimate
 from .densities import (Density1D, Gaussian, ProductDensity, Sample,
-                        density_from_json)
+                        _vector, density_from_json)
 from .errors import (ConfigError, ContractViolationError,
                      DegenerateCandidatesError, QuadratureError, SolverError)
 from .harness import RiskReport, Scenario, export, mc_risk, mle_counterexample
@@ -122,9 +122,11 @@ def _family_from_config(spec: dict, n: int, c1: float) -> ModelDescriptor:
             _number(spec, "theta_min"), _number(spec, "theta_max"),
             _number(spec, "step"), _number(spec, "sd", 1.0), n, c1)
     if kind == "histogram":
+        grids = [_vector("breakpoint_grids row", row)
+                 for row in _list(spec, "breakpoint_grids")]
         return build_histogram_family(
-            _list(spec, "breakpoint_grids"), _get(spec, "k"), n,
-            _get(spec, "mass_steps", 4), c1)
+            grids, _number(spec, "k", integer=True), n,
+            _number(spec, "mass_steps", 4, integer=True), c1)
     if kind == "exp_family":
         return build_exp_family_grid(
             _list(spec, "basis"), _list(spec, "coefficient_grid"),

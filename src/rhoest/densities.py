@@ -8,12 +8,12 @@ back to adaptive quadrature of the affinity integral.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import ContractViolationError
 from .quadrature import integrate_1d
@@ -362,16 +362,41 @@ class Histogram(Density1D):
 # Restricted namespace for exp-family basis expressions like "x" or "x**2".
 _BASIS_NS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
              "abs": np.abs, "sqrt": np.sqrt, "pi": math.pi}
+_BASIS_FUNCTIONS = {name for name, value in _BASIS_NS.items() if callable(value)}
+_BASIS_VALUES = {"x", *_BASIS_NS.keys() - _BASIS_FUNCTIONS}
+# Arithmetic on floats; a number is an int or float constant.
+_BASIS_SYNTAX = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Load, ast.Add,
+                 ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow,
+                 ast.UAdd, ast.USub)
+
+
+def _basis_node_ok(node, called):
+    if isinstance(node, ast.Constant):
+        return type(node.value) in (int, float)
+    if isinstance(node, ast.Name):
+        return node.id in (_BASIS_FUNCTIONS if node in called else _BASIS_VALUES)
+    if isinstance(node, ast.Call):
+        return (isinstance(node.func, ast.Name) and len(node.args) == 1
+                and not node.keywords)
+    return isinstance(node, _BASIS_SYNTAX)
 
 
 def _compile_basis(expr: str):
+    """A basis expression as a vectorized function of x.
+
+    Only numbers, ``x``, ``pi``, arithmetic and one-argument calls of the
+    functions in ``_BASIS_NS`` are accepted.
+    """
     try:
-        code = compile(expr, "<basis>", "eval")
+        tree = ast.parse(expr, "<basis>", "eval")
     except (SyntaxError, TypeError, ValueError) as exc:
         raise ContractViolationError(f"bad basis {expr!r}: {exc}") from None
-    for name in code.co_names:
-        if name != "x" and name not in _BASIS_NS:
-            raise ContractViolationError(f"unknown symbol {name!r} in basis {expr!r}")
+    called = {node.func for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    for node in ast.walk(tree):
+        if not _basis_node_ok(node, called):
+            what = ast.unparse(node) or type(node).__name__  # an operator unparses to ""
+            raise ContractViolationError(f"{what!r} not allowed in basis {expr!r}")
+    code = compile(tree, "<basis>", "eval")
     return lambda x: np.broadcast_to(
         np.asarray(eval(code, {"__builtins__": {}}, {**_BASIS_NS, "x": x}),
                    dtype=float), np.shape(x)).copy()
@@ -590,9 +615,10 @@ def _closed_form_affinity(p, q):
     if isinstance(p, Cauchy) and isinstance(q, Cauchy):
         # (2 / pi) c K(m), where c^2 = 1 - m = 4 b1 b2 / ((b1 + b2)^2 + d^2);
         # ellipkm1 takes 1 - m, which keeps K accurate as m approaches 1.
+        from scipy.special import ellipkm1
         c = (2.0 * math.sqrt(p.scale) * math.sqrt(q.scale)
              / math.hypot(p.scale + q.scale, p.loc - q.loc))
-        return 2.0 / math.pi * c * float(special.ellipkm1(c * c))
+        return 2.0 / math.pi * c * float(ellipkm1(c * c))
     return None
 
 

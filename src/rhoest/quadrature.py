@@ -5,6 +5,13 @@ known kink locations, and the subdivision budget escalates geometrically
 until the requested absolute tolerance is met or the budget is exhausted.
 Density integrals reach it through ``densities.integrate_on_supports``,
 which chooses the range and the kinks.
+
+``scipy.integrate`` takes most of a second to import, and the rho-estimator,
+selection and Monte Carlo paths never integrate, so the module attribute
+``integrate`` is bound on first access (PEP 562 ``__getattr__``) instead of
+at import.  :func:`integrate_1d` reaches QUADPACK through that attribute, so
+a replacement bound there is honoured: the benchmark tracer
+(perfbench/tracing.py) swaps in a stand-in that counts ``quad`` calls.
 """
 
 from __future__ import annotations
@@ -13,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ContractViolationError, QuadratureError
 
@@ -32,6 +38,15 @@ class QuadratureSpec:
             raise ContractViolationError("abs_tol must be > 0")
         if self.max_subdivisions < 1:
             raise ContractViolationError("max_subdivisions must be >= 1")
+
+
+def __getattr__(name):
+    """Import ``scipy.integrate`` on the first access of ``integrate``."""
+    if name != "integrate":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    global integrate
+    from scipy import integrate
+    return integrate
 
 
 def _segments(lo, hi, points):
@@ -53,6 +68,7 @@ def integrate_1d(fn, lo, hi, spec=None, points=()):
     spec = spec or QuadratureSpec()
     if hi <= lo:
         return 0.0
+    quadpack = globals().get("integrate") or __getattr__("integrate")
     segs = _segments(lo, hi, points)
     per_seg_tol = spec.abs_tol / len(segs)
     total = 0.0
@@ -60,7 +76,7 @@ def integrate_1d(fn, lo, hi, spec=None, points=()):
         limit = min(50, spec.max_subdivisions)
         while True:
             with np.errstate(all="ignore"):
-                val, err, _, *message = integrate.quad(
+                val, err, _, *message = quadpack.quad(
                     fn, a, b, epsabs=per_seg_tol, epsrel=0.0, limit=limit,
                     full_output=1)
             nan = math.isnan(val + err)  # more subdivisions cannot repair a NaN

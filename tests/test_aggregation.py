@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from rhoest import (Cauchy, CandidateSet, ContractViolationError, Gaussian,
                     InnerSolverConfig, Laplace, ProductDensity, Sample,
@@ -504,7 +505,7 @@ class TestLineSearch:
 
     def test_failed_root_find_raises(self, monkeypatch):
         m, m_end, d_sqrt = np.array([0.1, 4.0]), np.array([4.0, 0.1]), np.ones(2)
-        monkeypatch.setattr(aggregation.optimize, "brentq",
+        monkeypatch.setattr(scipy.optimize, "brentq",
                             lambda *a, **k: (0.5, SimpleNamespace(
                                 converged=False, flag="convergence error")))
         with pytest.raises(SolverError, match="did not converge"):

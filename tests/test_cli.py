@@ -449,12 +449,14 @@ class TestConfigShapes:
                                           "log_norm": 0.0, "lo": 0, "hi": 1}},
         {"kind": "exp-family", "params": {"basis": ["x+"], "coeffs": [0.0],
                                           "log_norm": 0.0, "lo": 0, "hi": 1}},
+        {"kind": "exp-family", "params": {"basis": ["x(1)"], "coeffs": [0.0],
+                                          "log_norm": 0.0, "lo": 0, "hi": 1}},
         {"kind": "gaussian", "params": {"mean": True, "sd": 1.0}},
         {"kind": "cauchy", "params": {"loc": 0.0, "scale": True}},
         {"kind": "tabulated", "params": {"grid": [0, 1], "values": [1, "x"]}},
         {"kind": "uniform", "params": {"a": False, "b": 1}},
     ], ids=["string-height", "string-breaks", "string-ends", "string-coeff",
-            "basis-syntax", "bool-mean", "bool-scale", "string-value",
+            "basis-syntax", "basis-call", "bool-mean", "bool-scale", "string-value",
             "bool-end"])
     def test_newly_rejected_density_parameter(self, tmp_path, capsys,
                                               gaussian_sample, candidate):
@@ -463,6 +465,28 @@ class TestConfigShapes:
             "candidates": [TWO_GAUSSIANS[0], candidate]})
         assert main(["aggregate", "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith("error: bad density spec")
+
+    HISTOGRAM = {"type": "histogram", "breakpoint_grids": [[-3, 0, 3]], "k": 2}
+
+    def test_histogram_family_fits(self, tmp_path, capsys, gaussian_sample):
+        cfg = write_config(tmp_path, "c.json", {"sample": gaussian_sample,
+                                                "family": self.HISTOGRAM})
+        code, out = run(capsys, ["fit", "--config", cfg])
+        assert code == 0
+        assert out["chosen_label"].startswith("breaks=(-3.0, 0.0, 3.0)")
+
+    @pytest.mark.parametrize("change, key", [
+        ({"k": "a"}, "'k'"),
+        ({"mass_steps": 2.5}, "'mass_steps'"),
+        ({"breakpoint_grids": [["a", 1]]}, "breakpoint_grids row"),
+    ], ids=["string-k", "fractional-mass-steps", "string-breakpoint"])
+    def test_histogram_family_inputs(self, tmp_path, capsys, gaussian_sample,
+                                     change, key):
+        cfg = write_config(tmp_path, "c.json", {
+            "sample": gaussian_sample, "family": {**self.HISTOGRAM, **change}})
+        assert main(["fit", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
 
     @pytest.mark.parametrize("outliers", [
         {"outlier_indices": [1.5], "outlier_points": [3.0]},

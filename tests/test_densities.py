@@ -210,6 +210,11 @@ class TestDensityBasics:
         lambda: ExpFamily("x", (0.0,), 0.0),
         lambda: ExpFamily(("x+",), (0.0,), 0.0),
         lambda: ExpFamily((5,), (0.0,), 0.0),
+        lambda: ExpFamily(("x(1)",), (0.0,), 0.0, 0.0, 1.0),
+        lambda: ExpFamily(("sin",), (0.0,), 0.0, 0.0, 1.0),
+        lambda: ExpFamily(("sin(x, x)",), (0.0,), 0.0, 0.0, 1.0),
+        lambda: ExpFamily(("x.real",), (0.0,), 0.0, 0.0, 1.0),
+        lambda: ExpFamily(("True * x",), (0.0,), 0.0, 0.0, 1.0),
     ], ids=["tabulated-value", "histogram-height", "histogram-break",
             "histogram-infinite-break", "gaussian-nan-mean",
             "gaussian-infinite-mean", "cauchy-nan-loc", "laplace-infinite-loc",
@@ -230,7 +235,10 @@ class TestDensityBasics:
             "tabulated-infinite-value", "exp-family-string-coeff",
             "exp-family-bool-coeff", "exp-family-string-ends",
             "exp-family-string-hi", "exp-family-string-basis",
-            "exp-family-basis-syntax", "exp-family-basis-not-text"])
+            "exp-family-basis-syntax", "exp-family-basis-not-text",
+            "exp-family-basis-call-of-x", "exp-family-basis-bare-function",
+            "exp-family-basis-two-arguments", "exp-family-basis-attribute",
+            "exp-family-basis-bool-constant"])
     def test_nan_parameters_rejected(self, make):
         with pytest.raises(ContractViolationError):
             make()

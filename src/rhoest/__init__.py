@@ -13,10 +13,9 @@ from .aggregation import (CandidateSet, InnerSolverConfig, SimplexPoint,
 from .criterion import (DensityFamily, Penalty, RhoFit, rho_estimate,
                         t_statistic, upsilon, upsilon_all)
 from .densities import (Cauchy, Density1D, ExpFamily, Exponential, Gaussian,
-                        Histogram, Laplace, PairDensity,
-                        PathologicalGaussian, ProductDensity, Sample,
-                        Tabulated, Uniform, density_from_json,
-                        hellinger_affinity, hellinger_sq,
+                        Histogram, Laplace, PathologicalGaussian,
+                        ProductDensity, Sample, Tabulated, Uniform,
+                        density_from_json, hellinger_affinity, hellinger_sq,
                         product_hellinger_sq, shifted)
 from .errors import (ConfigError, ContractViolationError,
                      DegenerateCandidatesError, QuadratureError, RhoestError,

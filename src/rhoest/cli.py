@@ -23,7 +23,7 @@ from .densities import (Density1D, Gaussian, ProductDensity, Sample,
 from .errors import (ConfigError, ContractViolationError,
                      DegenerateCandidatesError, QuadratureError, SolverError)
 from .harness import RiskReport, Scenario, export, mc_risk, mle_counterexample
-from .models import (ModelDescriptor, build_exp_family_grid,
+from .models import (ModelDescriptor, _check_grid, build_exp_family_grid,
                      build_gaussian_location_grid, build_histogram_family,
                      dimension_bound_entropy, dimension_bound_finite,
                      dimension_bound_vc)
@@ -222,8 +222,9 @@ def _cmd_regress(args) -> int:
         raise ConfigError("regress expects a sample of [w, y] pairs")
     error_specs = _list(cfg, "error_models")
     grid = _get(_get(cfg, "function_family"), "theta_grid")
-    step = _number(grid, "step")
-    thetas = np.arange(_number(grid, "min"), _number(grid, "max") + step / 2, step)
+    lo, hi, step = _number(grid, "min"), _number(grid, "max"), _number(grid, "step")
+    _check_grid(lo, hi, step)
+    thetas = np.arange(lo, hi + step / 2, step)
     functions = [RegressionFunction(lambda w, _t=float(t): _t * w,
                                     label=f"theta={t:g}") for t in thetas]
     default_delta = uniform_weights(len(error_specs))
@@ -232,8 +233,7 @@ def _cmd_regress(args) -> int:
               for spec in error_specs]
     coll = build_regression_family(models, X.n, kernel_constants(args.psi),
                                    c1=args.c1)
-    result = fit_regression(X, coll, models,
-                            slack_multiplier=args.kappa_multiplier)
+    result = fit_regression(X, coll, slack_multiplier=args.kappa_multiplier)
     _emit({
         "g_id": result.f_hat.label,
         "r_id": result.s_hat.to_json(),

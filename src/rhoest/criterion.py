@@ -19,16 +19,19 @@ import numpy as np
 
 from .densities import ProductDensity, Sample
 from .errors import ContractViolationError
-from .psi import PsiKernel, psi_pair
+from .psi import PsiKernel, kernel_constants, psi_pair
 
 __all__ = ["DensityFamily", "Penalty", "RhoFit", "t_statistic", "upsilon",
            "upsilon_all", "rho_estimate"]
 
 
 class DensityFamily:
-    """A finite indexed family of product densities (one model representation)."""
+    """A finite indexed family of densities of n observations.
 
-    def __init__(self, entries, labels=None, vc_index=None):
+    Each entry has ``n``, ``coord_values(X)`` and ``key()``; labels default to None.
+    """
+
+    def __init__(self, entries, labels=None):
         entries = list(entries)
         if not entries:
             raise ContractViolationError("family must contain at least one entry")
@@ -36,10 +39,9 @@ class DensityFamily:
         if len(ns) != 1:
             raise ContractViolationError("entries disagree on coordinate count")
         self.entries = entries
-        self.labels = list(labels) if labels is not None else [e.label for e in entries]
+        self.labels = list(labels) if labels is not None else [None] * len(entries)
         if len(self.labels) != len(entries):
             raise ContractViolationError("labels and entries differ in length")
-        self.vc_index = vc_index
 
     def __len__(self):
         return len(self.entries)
@@ -180,7 +182,6 @@ def rho_estimate(X: Sample, fam: DensityFamily, pen: Penalty | None = None,
     smallest index, for reproducibility).
     """
     if kernel is None:
-        from .psi import kernel_constants
         kernel = kernel_constants()
     if slack is None:
         slack = kernel.kappa / 25.0

@@ -30,7 +30,6 @@ __all__ = [
     "ExpFamily",
     "PathologicalGaussian",
     "Tabulated",
-    "PairDensity",
     "ProductDensity",
     "shifted",
     "density_from_json",
@@ -507,34 +506,6 @@ class Tabulated(Density1D):
         return self.grid
 
 
-class PairDensity(Density1D):
-    """Density on (w, y) pairs of the translation form r(y - g(w)).
-
-    Used for random-design regression; evaluated only at observed pairs, the
-    design distribution never enters.
-    """
-
-    kind = "pair"
-
-    def __init__(self, error_density: Density1D, regression_fn, label=""):
-        self.error_density = error_density
-        self.regression_fn = regression_fn
-        self.label = label
-
-    def pdf(self, points):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ContractViolationError("PairDensity expects (n, 2) points")
-        w, y = pts[:, 0], pts[:, 1]
-        return self.error_density.pdf(y - self.regression_fn(w))
-
-    def params(self):
-        return {"error": self.error_density.to_json(), "g": self.label}
-
-    def key(self):
-        return ("pair", self.error_density.key(), self.label)
-
-
 _DENSITY_KINDS = {cls.kind: cls for cls in (
     Gaussian, Cauchy, Laplace, Uniform, Exponential, Histogram, ExpFamily,
     PathologicalGaussian, Tabulated)}
@@ -653,7 +624,7 @@ def hellinger_sq(p, q, quad=None, method="auto"):
 class ProductDensity:
     """n-coordinate product density; i.i.d. shorthand stores one marginal."""
 
-    def __init__(self, coords=None, *, iid=None, n=None, label=None):
+    def __init__(self, coords=None, *, iid=None, n=None):
         if iid is not None:
             if coords is not None:
                 raise ContractViolationError("pass either coords or iid, not both")
@@ -669,7 +640,6 @@ class ProductDensity:
             self.marginal = None
             self.coords = coords
             self.n = len(coords)
-        self.label = label
 
     @property
     def is_iid(self):
@@ -706,6 +676,8 @@ class ProductDensity:
 
 def product_hellinger_sq(P: ProductDensity, Q: ProductDensity, quad=None):
     """Sum of coordinate h^2; n * h^2 for a pair of i.i.d. products."""
+    if not (isinstance(P, ProductDensity) and isinstance(Q, ProductDensity)):
+        raise ContractViolationError("product_hellinger_sq takes two ProductDensity")
     if P.n != Q.n:
         raise ContractViolationError(f"coordinate counts differ: {P.n} != {Q.n}")
     if P.is_iid and Q.is_iid:

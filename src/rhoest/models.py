@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 DEFAULT_C1 = 1.0
+# Largest location grid: at 2**16 points the N x N criterion matrix is 32 GiB.
+MAX_GRID_POINTS = 2**16
 
 
 @dataclass
@@ -138,6 +140,15 @@ def eta_bar_finite(fam: DensityFamily, kernel, center_pool: DensityFamily | None
 # Builders
 # ---------------------------------------------------------------------------
 
+def _check_grid(lo: float, hi: float, step: float) -> None:
+    """Reject a grid on [lo, hi] with a step <= 0 or over MAX_GRID_POINTS points."""
+    if not step > 0:
+        raise ContractViolationError(f"grid step must be > 0, got {step!r}")
+    if not (hi - lo) / step < MAX_GRID_POINTS:
+        raise ContractViolationError(f"grid step {step!r} on [{lo!r}, {hi!r}] "
+                                     f"makes more than {MAX_GRID_POINTS} points")
+
+
 def build_gaussian_location_grid(theta_min: float, theta_max: float, step: float,
                                  sd: float, n: int,
                                  c1: float = DEFAULT_C1) -> ModelDescriptor:
@@ -145,17 +156,17 @@ def build_gaussian_location_grid(theta_min: float, theta_max: float, step: float
 
     A one-parameter exponential family, hence VC-subgraph index 3.
     """
-    if step <= 0 or theta_min >= theta_max:
-        raise ContractViolationError("need step > 0 and theta_min < theta_max")
+    _check_grid(theta_min, theta_max, step)
+    if theta_min >= theta_max:
+        raise ContractViolationError("need theta_min < theta_max")
     count = int(math.floor((theta_max - theta_min) / step + 1e-9)) + 1
     thetas = [theta_min + i * step for i in range(count)]
     if not thetas:
         raise ContractViolationError("empty location grid")
-    entries = [ProductDensity(iid=Gaussian(t, sd), n=n, label=f"theta={t:g}")
-               for t in thetas]
+    entries = [ProductDensity(iid=Gaussian(t, sd), n=n) for t in thetas]
     vc = 3
     return ModelDescriptor(
-        family=DensityFamily(entries, vc_index=vc),
+        family=DensityFamily(entries, labels=[f"theta={t:g}" for t in thetas]),
         dim_bound=dimension_bound_vc(vc, n, c1),
         bound_source="vc",
         vc_index=vc,
@@ -196,7 +207,7 @@ def build_histogram_family(breakpoint_grids, k: int, n: int,
         raise ContractViolationError("histogram family is empty")
     vc = 2 * k + 1
     return ModelDescriptor(
-        family=DensityFamily(entries, labels=labels, vc_index=vc),
+        family=DensityFamily(entries, labels=labels),
         dim_bound=dimension_bound_vc(vc, n, c1),
         bound_source="vc",
         vc_index=vc,
@@ -239,7 +250,7 @@ def build_exp_family_grid(basis, coefficient_grid, lo: float, hi: float, n: int,
                       f"{rejected}", stacklevel=2)
     vc = len(basis) + 2
     return ModelDescriptor(
-        family=DensityFamily(entries, labels=labels, vc_index=vc),
+        family=DensityFamily(entries, labels=labels),
         dim_bound=dimension_bound_vc(vc, n, c1),
         bound_source="vc",
         vc_index=vc,

@@ -1,10 +1,11 @@
 """Random-design regression through translation models r(y - g(w)).
 
 Each model pairs one candidate error density r with a finite family F of
-regression functions; the induced pair densities are evaluated only at the
-observed (w, y) pairs, so the design distribution never has to be known or
-modeled.  The loss between regression functions is the design-averaged
-Hellinger distance between the translated error densities.
+regression functions.  Each (r, g) is one family entry, keyed by r and the
+``RegressionFunction`` object g (not its label), and evaluated only at the
+observed (w, y) pairs, so the design distribution is never modeled.  The
+loss between regression functions is the design-averaged Hellinger distance
+between the translated error densities.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criterion import RhoFit
-from .densities import Density1D, PairDensity, ProductDensity, Sample, \
-    hellinger_sq, shifted
+from .criterion import DensityFamily, RhoFit
+from .densities import Density1D, Sample, hellinger_sq, shifted
 from .errors import ContractViolationError
 from .models import ModelDescriptor, dimension_bound_vc
 from .psi import PsiKernel, kernel_constants
@@ -65,6 +65,24 @@ class RegressionModel:
 
 
 @dataclass(frozen=True)
+class _TranslationEntry:
+    """The family entry r(y - g(w)) for a sample of n (w, y) pairs."""
+
+    error_density: Density1D
+    g: RegressionFunction
+    n: int
+
+    def coord_values(self, X: Sample) -> np.ndarray:
+        if X.kind != "pair" or X.n != self.n:
+            raise ContractViolationError(f"regression expects {self.n} (w, y) pairs")
+        w, y = X.points[:, 0], X.points[:, 1]
+        return np.asarray(self.error_density.pdf(y - self.g(w)), dtype=float)
+
+    def key(self):
+        return ("translation", self.error_density.key(), self.g)
+
+
+@dataclass(frozen=True)
 class RegressionFit:
     f_hat: RegressionFunction
     s_hat: Density1D
@@ -78,13 +96,11 @@ def build_regression_family(models, n: int, kernel: PsiKernel | None = None,
     kernel = kernel or kernel_constants()
     descriptors = []
     for model in models:
-        entries, labels = [], []
-        for g in model.functions:
-            dens = PairDensity(model.error_density, g, label=g.label)
-            entries.append(ProductDensity(iid=dens, n=n, label=g.label))
-            labels.append(f"r={model.error_density.kind} g={g.label}")
+        entries = [_TranslationEntry(model.error_density, g, n)
+                   for g in model.functions]
+        labels = [f"r={model.error_density.kind} g={g.label}"
+                  for g in model.functions]
         vc_pair = PAIR_VC_FACTOR * model.mode_multiplier * model.vc_index_f
-        from .criterion import DensityFamily
         descriptors.append(ModelDescriptor(
             family=DensityFamily(entries, labels=labels),
             dim_bound=dimension_bound_vc(min(vc_pair, n), n, c1),
@@ -95,20 +111,15 @@ def build_regression_family(models, n: int, kernel: PsiKernel | None = None,
     return ModelCollection(descriptors, kernel)
 
 
-def fit_regression(X: Sample, coll: ModelCollection, models,
+def fit_regression(X: Sample, coll: ModelCollection,
                    slack_multiplier: float = 1.0) -> RegressionFit:
-    """Penalized fit over all (r, g) pairs, decoded to (s_hat, f_hat)."""
-    if X.kind != "pair":
-        raise ContractViolationError("regression expects a sample of (w, y) pairs")
+    """Penalized fit over all (r, g) pairs; the chosen one is (s_hat, f_hat)."""
     result = select(X, coll, slack_multiplier)
     fit = result["fit"]
     chosen = coll.union_family[fit.chosen_index]
-    pair = chosen.marginal
-    model = models[result["selected_models"][0]]
-    g_hat = next(g for g in model.functions if g.label == pair.label)
     return RegressionFit(
-        f_hat=g_hat,
-        s_hat=pair.error_density,
+        f_hat=chosen.g,
+        s_hat=chosen.error_density,
         fit=fit,
         selected_models=tuple(result["selected_models"]),
     )

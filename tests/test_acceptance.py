@@ -260,7 +260,7 @@ def test_10_regression():
                                         label=f"theta={t:g}") for t in thetas]
         model = RegressionModel(Gaussian(0, 1), functions, vc_index_f=3)
         coll = build_regression_family([model], 300)
-        fit = fit_regression(X, coll, [model])
+        fit = fit_regression(X, coll)
         theta_hat = float(fit.f_hat.label.split("=")[1])
         slope_hits += abs(theta_hat - 1.0) <= 0.25
 
@@ -280,7 +280,7 @@ def test_10_regression():
                             delta_weight=math.log(2.0)),
         ]
         coll = build_regression_family(models, 500)
-        fit = fit_regression(X, coll, models)
+        fit = fit_regression(X, coll)
         cauchy_hits += isinstance(fit.s_hat, Cauchy)
 
     ok = slope_hits >= 90 and cauchy_hits >= 90

@@ -385,6 +385,32 @@ class TestConfigNumbers:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
 
+    @pytest.mark.parametrize("command, config, message", [
+        ("regress", {**REGRESS, "function_family": {"theta_grid": {
+            "min": 0.0, "max": 1.0, "step": 0}}}, "step must be > 0"),
+        ("regress", {**REGRESS, "function_family": {"theta_grid": {
+            "min": 0.0, "max": 1.0, "step": -0.5}}}, "step must be > 0"),
+        ("regress", {**REGRESS, "function_family": {"theta_grid": {
+            "min": 0.0, "max": 1.0, "step": 1e-300}}}, "more than 65536 points"),
+        ("fit", {"family": {**GRID, "step": 0}}, "step must be > 0"),
+        ("fit", {"family": {**GRID, "step": 1e-300}}, "more than 65536 points"),
+        ("bench", {"scenario": SCENARIO, "estimator": {
+            "type": "rho_gaussian_grid", "theta_min": -1e308, "theta_max": 1e308,
+            "step": 1.0}}, "more than 65536 points"),
+    ])
+    def test_bad_grid_step_is_config_error(self, tmp_path, capsys,
+                                           gaussian_sample, command, config,
+                                           message):
+        if command == "fit":
+            config = {"sample": gaussian_sample, **config}
+        if command == "regress":
+            config = {"sample": [[0.0, 0.1], [1.0, 0.9], [2.0, 2.2]], **config}
+        cfg = write_config(tmp_path, "c.json", config)
+        assert main([command, "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
     def test_integral_float_counts(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {"n": 20.0, "reps": 2.0})
         code, out = run(capsys, ["demo-mle", "--config", cfg])

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from rhoest import (Cauchy, ContractViolationError, ExpFamily, Exponential,
-                    Gaussian, Histogram, Laplace, PairDensity,
-                    PathologicalGaussian, ProductDensity, QuadratureSpec,
+                    Gaussian, Histogram, Laplace, PathologicalGaussian,
+                    ProductDensity, QuadratureSpec,
                     Sample, Tabulated, Uniform, density_from_json,
                     hellinger_affinity, hellinger_sq, integrate_1d,
                     product_hellinger_sq, shifted)
@@ -463,12 +463,6 @@ class TestProductDensity:
                                for i in range(X.n)])
         assert same_bits(coords, iid)
         assert same_bits(coords, slices)
-
-    def test_non_iid_pair_coord_values_match_iid_bitwise(self):
-        d = PairDensity(Laplace(0.5, 1.0), lambda w: 2.0 * w, "2w")
-        X = Sample(np.random.default_rng(4).normal(size=(30, 2)), kind="pair")
-        assert same_bits(ProductDensity(coords=[d] * X.n).coord_values(X),
-                         ProductDensity(iid=d, n=X.n).coord_values(X))
 
 
 class TestIntegrateOnSupports:

@@ -64,6 +64,12 @@ TINY = {
                                            "params": {"loc": 0.0, "scale": 1.0}}},
               "estimator": {"type": "rho_gaussian_grid", "theta_min": -1,
                             "theta_max": 1, "step": 0.5}},
+    "regress": {"sample": [[w, 0.5 * w + e] for w, e in
+                           zip(np.linspace(-2.0, 2.0, 30), SAMPLE)],
+                "error_models": [{"kind": "gaussian",
+                                  "params": {"mean": 0.0, "sd": 1.0}}],
+                "function_family": {"theta_grid": {"min": 0.0, "max": 1.0,
+                                                   "step": 0.25}}},
 }
 
 

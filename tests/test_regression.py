@@ -6,8 +6,8 @@ import pytest
 from rhoest import (Cauchy, ContractViolationError, Gaussian,
                     QuadratureSpec, RegressionFunction, RegressionModel,
                     Sample, Uniform, build_regression_family,
-                    check_identifiability, d_s_loss, fit_regression,
-                    kernel_constants)
+                    check_identifiability, d_s_loss, eta_bar_finite,
+                    fit_regression, kernel_constants)
 
 QUAD = QuadratureSpec(abs_tol=1e-10)
 K2 = kernel_constants("psi2")
@@ -48,10 +48,55 @@ class TestBuild:
         coll = build_regression_family([model], n=6)
         X = Sample(np.column_stack([rng.uniform(-1, 1, 6), rng.normal(0, 1, 6)]),
                    kind="pair")
-        for idx, theta in enumerate((0.5, 1.5)):
+        w, y = X.points[:, 0], X.points[:, 1]
+        for idx, g in enumerate(model.functions):
             got = coll.union_family[idx].coord_values(X)
-            want = Cauchy(0, 1).pdf(X.points[:, 1] - theta * X.points[:, 0])
-            assert np.allclose(got, want)
+            want = Cauchy(0, 1).pdf(y - g(w))
+            assert got.tobytes() == want.tobytes()
+
+    def test_entry_rejects_a_sample_of_another_shape(self):
+        model = RegressionModel(Gaussian(0, 1), linear_functions([0.0]),
+                                vc_index_f=1)
+        entry = build_regression_family([model], n=3).union_family[0]
+        for X in (Sample(np.array([0.0, 1.0, 2.0])),
+                  Sample(np.zeros((4, 2)), kind="pair")):
+            with pytest.raises(ContractViolationError):
+                entry.coord_values(X)
+
+    def test_same_label_functions_stay_distinct(self):
+        # Eleven slopes that all print as theta=1000; the design spreads w
+        # far enough that neighbouring slopes are 10 to 20 error sds apart.
+        slopes = [1000.0 + k * 1e-7 for k in range(11)]
+        functions = linear_functions(slopes)
+        assert len({g.label for g in functions}) == 1
+        model = RegressionModel(Gaussian(0, 1), functions, vc_index_f=3)
+        coll = build_regression_family([model], n=200)
+        assert len(coll.union_family) == 11
+        rng = np.random.default_rng(7)
+        w = rng.uniform(1e8, 2e8, 200)
+        X = Sample(np.column_stack([w, slopes[4] * w + rng.normal(0, 1, 200)]),
+                   kind="pair")
+        fit = fit_regression(X, coll)
+        assert fit.f_hat is functions[4]
+
+    def test_shared_pair_merges_across_models(self):
+        g0, g1, g2 = linear_functions([0.0, 0.5, 1.0])
+        half = math.log(2.0)
+        models = [RegressionModel(Gaussian(0, 1), [g0, g1], vc_index_f=3,
+                                  delta_weight=half),
+                  RegressionModel(Gaussian(0, 1), [g1, g2], vc_index_f=3,
+                                  delta_weight=half)]
+        coll = build_regression_family(models, n=5)
+        assert len(coll.union_family) == 3
+        assert [entry.g for entry in coll.union_family] == [g0, g1, g2]
+        assert coll.membership == [(0,), (0, 1), (1,)]
+
+    def test_no_product_hellinger_for_pair_entries(self):
+        model = RegressionModel(Gaussian(0, 1), linear_functions([0.0, 1.0]),
+                                vc_index_f=1)
+        fam = build_regression_family([model], n=5).union_family
+        with pytest.raises(ContractViolationError):
+            eta_bar_finite(fam, K2)
 
     def test_empty_function_menu(self):
         with pytest.raises(ContractViolationError):
@@ -70,7 +115,7 @@ class TestFit:
         model = RegressionModel(Gaussian(0, 1), [g0], vc_index_f=1)
         coll = build_regression_family([model], n=3)
         X = Sample(np.array([[0.0, 0.1], [1.0, -0.2], [2.0, 0.3]]), kind="pair")
-        fit = fit_regression(X, coll, [model])
+        fit = fit_regression(X, coll)
         assert fit.f_hat.label == "zero"
         assert fit.s_hat == Gaussian(0, 1)
 
@@ -79,7 +124,7 @@ class TestFit:
         model = RegressionModel(Gaussian(0, 1), [g0], vc_index_f=1)
         coll = build_regression_family([model], n=3)
         with pytest.raises(ContractViolationError):
-            fit_regression(Sample(np.array([0.0, 1.0, 2.0])), coll, [model])
+            fit_regression(Sample(np.array([0.0, 1.0, 2.0])), coll)
 
     def test_zero_function_recovered(self):
         hits = 0
@@ -91,7 +136,7 @@ class TestFit:
                                     vc_index_f=3)
             coll = build_regression_family([model], n=300)
             X = pair_sample(rng, 300, 0.0, Gaussian(0, 1))
-            fit = fit_regression(X, coll, [model])
+            fit = fit_regression(X, coll)
             hits += fit.f_hat.label == "theta=0"
         assert hits / reps >= 0.95
 

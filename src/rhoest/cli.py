@@ -23,10 +23,10 @@ from .densities import (Density1D, Gaussian, ProductDensity, Sample,
 from .errors import (ConfigError, ContractViolationError,
                      DegenerateCandidatesError, QuadratureError, SolverError)
 from .harness import RiskReport, Scenario, export, mc_risk, mle_counterexample
-from .models import (ModelDescriptor, _check_grid, build_exp_family_grid,
-                     build_gaussian_location_grid, build_histogram_family,
-                     dimension_bound_entropy, dimension_bound_finite,
-                     dimension_bound_vc)
+from .models import (ModelDescriptor, _check_grid, _theta_labels,
+                     build_exp_family_grid, build_gaussian_location_grid,
+                     build_histogram_family, dimension_bound_entropy,
+                     dimension_bound_finite, dimension_bound_vc)
 from .psi import kernel_constants
 from .regression import (RegressionFunction, RegressionModel,
                          build_regression_family, fit_regression)
@@ -225,8 +225,8 @@ def _cmd_regress(args) -> int:
     lo, hi, step = _number(grid, "min"), _number(grid, "max"), _number(grid, "step")
     _check_grid(lo, hi, step)
     thetas = np.arange(lo, hi + step / 2, step)
-    functions = [RegressionFunction(lambda w, _t=float(t): _t * w,
-                                    label=f"theta={t:g}") for t in thetas]
+    functions = [RegressionFunction(lambda w, _t=float(t): _t * w, label=label)
+                 for t, label in zip(thetas, _theta_labels(thetas))]
     default_delta = uniform_weights(len(error_specs))
     models = [RegressionModel(density_from_json(spec), functions, vc_index_f=3,
                               delta_weight=default_delta)

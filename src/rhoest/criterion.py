@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import ProductDensity, Sample
+from .densities import _REAL, ProductDensity, Sample
 from .errors import ContractViolationError
-from .psi import PsiKernel, kernel_constants, psi_pair
+from .psi import PsiKernel, _odd_columns, kernel_constants, psi_pair
 
 __all__ = ["DensityFamily", "Penalty", "RhoFit", "t_statistic", "upsilon",
            "upsilon_all", "rho_estimate"]
@@ -55,7 +55,8 @@ class DensityFamily:
 
     def sqrt_value_matrix(self, X: Sample) -> np.ndarray:
         """(|family|, n) matrix of sqrt density values at the sample."""
-        return np.sqrt(np.stack([e.coord_values(X) for e in self.entries]))
+        values = np.stack([e.coord_values(X) for e in self.entries])
+        return np.sqrt(values, out=values)
 
 
 @dataclass(frozen=True)
@@ -65,8 +66,13 @@ class Penalty:
     values: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not all(v >= 0 for v in self.values.values()):  # NaN fails v >= 0
-            raise ContractViolationError("penalties must be nonnegative numbers")
+        for idx, val in self.values.items():
+            # A bool index would act as a numpy mask; a float one raises IndexError.
+            if isinstance(idx, bool) or not isinstance(idx, (int, np.integer)):
+                raise ContractViolationError(f"penalty index {idx!r} is not an integer")
+            if isinstance(val, bool) or not isinstance(val, _REAL) or not val >= 0:
+                raise ContractViolationError(  # NaN fails val >= 0
+                    f"penalties must be nonnegative numbers, got {val!r}")
 
     def vector(self, size: int) -> np.ndarray:
         out = np.zeros(size)
@@ -104,8 +110,10 @@ class RhoFit:
         }
 
 
-# psi values per block: small enough that a block's temporaries stay in cache.
-_BLOCK_ELEMENTS = 2**15
+# psi values per block.  The two workspace rows (1 MiB together) fit in a
+# 2 MiB L2 cache; on a 2-vCPU Xeon, 2**16 beat 2**15 on the bench, demo-mle
+# and fit benchmark ops.
+_BLOCK_ELEMENTS = 2**16
 
 
 def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
@@ -115,34 +123,51 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
     T[j, k] = sum_i psi_pair(num_sqrt[k, i], den_sqrt[j, i]); ``den_sqrt`` is
     (J, n), ``num_sqrt`` is (K, n) and ``num_pen`` is a (K,) vector or a
     scalar.  T is filled a block of (rows, challengers) at a time, each block
-    holding about ``_BLOCK_ELEMENTS`` psi values.  Every entry sums over the
-    last, contiguous axis, exactly as for a single pair, so no value depends
-    on the block shape.
+    holding at most ``_BLOCK_ELEMENTS`` psi values, or one pair's n when n is
+    larger.  Every entry sums over the last, contiguous axis, exactly as for
+    a single pair, so no value depends on the block shape.
+
+    The roots are checked once per call: :func:`psi._odd_columns` rejects NaN
+    and negative roots and finds the odd columns, the sample indices where
+    some root is 0, inf, tiny or huge.  Every block's :func:`psi_pair` repairs
+    those columns only, and writes its psi values into one ``(2, block)``
+    workspace.  The workspace is allocated once per call and is no larger
+    than the biggest block the call can make, so a call on a single pair
+    allocates 2n values, not ``2 * _BLOCK_ELEMENTS``.
 
     When both arguments are the same matrix (the all-candidates criterion), T
     is antisymmetric: the blocks of a row band start at the band's first
-    row, and the strict lower triangle is mirrored from the upper one.  psi
-    is exactly antisymmetric and negating a sum is exact, so a mirrored entry
-    is bitwise the direct sum.  Mirroring computes 0.0 - t, not -t, because
-    psi of equal roots is +0.0 both ways, so a zero sum is too.  Only a zero
-    sum of -0.0 terms, which needs roots near the float64 overflow limit,
-    mirrors to a zero of the other sign.
+    row, and the strict lower triangle is mirrored from the upper one.  A
+    band starting at row ``lo`` spans at most K - lo challengers, so its
+    height is ``pairs // min(cols, K - lo)``: the bands grow taller towards
+    the bottom of the triangle.  psi is exactly antisymmetric and negating a
+    sum is exact, so a mirrored entry is bitwise the direct sum.  Mirroring
+    computes 0.0 - t, not -t, because psi of equal roots is +0.0 both ways,
+    so a zero sum is too.  Only a zero sum of -0.0 terms, which needs roots
+    near the float64 overflow limit, mirrors to a zero of the other sign.
     """
     square = den_sqrt is num_sqrt
-    J, K = len(den_sqrt), len(num_sqrt)
-    pairs = max(1, _BLOCK_ELEMENTS // num_sqrt.shape[1])
+    (J, n), K = den_sqrt.shape, len(num_sqrt)
+    odd = _odd_columns(num_sqrt, den_sqrt)
+    pairs = max(1, _BLOCK_ELEMENTS // n)
     cols = min(K, pairs)
-    rows = max(1, pairs // cols)
+    work = np.empty((2, min(pairs, J * cols) * n))
     T = np.empty((J, K))
-    for lo in range(0, J, rows):
-        for c in range(lo if square else 0, K, cols):
-            T[lo:lo + rows, c:c + cols] = psi_pair(
-                kernel, num_sqrt[np.newaxis, c:c + cols, :],
-                den_sqrt[lo:lo + rows, np.newaxis, :]).sum(axis=2)
+    lo = 0
+    while lo < J:
+        first = lo if square else 0
+        rows = pairs // min(cols, K - first)
+        for c in range(first, K, cols):
+            h, w = min(rows, J - lo), min(cols, K - c)
+            T[lo:lo + h, c:c + w] = psi_pair(
+                kernel, num_sqrt[np.newaxis, c:c + w, :],
+                den_sqrt[lo:lo + h, np.newaxis, :],
+                out=work[:, :h * w * n].reshape(2, h, w, n), odd=odd).sum(axis=2)
+        lo += rows
     if square:
         lower = np.tril_indices(J, -1)
         T[lower] = 0.0 - T.T[lower]
-    return np.max(T - num_pen, axis=1)
+    return (T - num_pen).max(axis=1)
 
 
 def t_statistic(X: Sample, q: ProductDensity, qp: ProductDensity,

@@ -149,6 +149,16 @@ def _check_grid(lo: float, hi: float, step: float) -> None:
                                      f"makes more than {MAX_GRID_POINTS} points")
 
 
+def _theta_labels(thetas) -> list:
+    """``theta=<t>`` labels in ``g`` style with the fewest significant digits,
+    at least ``:g``'s six, that keep the labels of distinct values distinct."""
+    for digits in range(6, 18):
+        labels = [f"theta={t:.{digits}g}" for t in thetas]
+        if len(set(labels)) == len(set(thetas)):
+            break
+    return labels
+
+
 def build_gaussian_location_grid(theta_min: float, theta_max: float, step: float,
                                  sd: float, n: int,
                                  c1: float = DEFAULT_C1) -> ModelDescriptor:
@@ -166,7 +176,7 @@ def build_gaussian_location_grid(theta_min: float, theta_max: float, step: float
     entries = [ProductDensity(iid=Gaussian(t, sd), n=n) for t in thetas]
     vc = 3
     return ModelDescriptor(
-        family=DensityFamily(entries, labels=[f"theta={t:g}" for t in thetas]),
+        family=DensityFamily(entries, labels=_theta_labels(thetas)),
         dim_bound=dimension_bound_vc(vc, n, c1),
         bound_source="vc",
         vc_index=vc,

@@ -55,16 +55,31 @@ class PsiKernel:
     def gamma(self) -> float:
         return 4.0 * (self.a0 + 16.0) / self.a1 + 2.0 + 168.0 / self.a2_sq
 
-    def ratio(self, u, v):
+    def ratio(self, u, v, out=None):
         """psi(u / v) on the pair (u, v), without :func:`psi_pair`'s 0 and inf cases.
 
         On a float ``u`` it computes in Python floats, which give the same
         bits as numpy but raise ZeroDivisionError where numpy gives +-inf.
+        On arrays it writes into ``out``, a ``(2, *shape)`` workspace for the
+        broadcast shape of ``u`` and ``v`` (allocated when None), and returns
+        ``out[0]``; ``out[1]`` holds the denominator.
         """
+        if isinstance(u, float):
+            if self.id == "psi1":
+                return (u - v) / math.sqrt(u * u + v * v)
+            return (u - v) / (u + v)
+        if out is None:
+            out = np.empty((2, *np.broadcast(u, v).shape))
+        num, den = out[0, ...], out[1, ...]
         if self.id == "psi1":
-            sqrt = math.sqrt if isinstance(u, float) else np.sqrt
-            return (u - v) / sqrt(u * u + v * v)
-        return (u - v) / (u + v)
+            np.multiply(u, u, out=den)
+            np.multiply(v, v, out=num)
+            np.add(den, num, out=den)
+            np.sqrt(den, out=den)
+        else:
+            np.add(u, v, out=den)
+        np.subtract(u, v, out=num)
+        return np.divide(num, den, out=num)
 
     @property
     def ratio_exact_at_zero(self) -> bool:
@@ -112,7 +127,7 @@ def eval_psi(kernel: PsiKernel, x):
     return psi_pair(kernel, x, 1.0)
 
 
-def psi_pair(kernel: PsiKernel, num_sqrt, den_sqrt):
+def psi_pair(kernel: PsiKernel, num_sqrt, den_sqrt, out=None, odd=None):
     """psi(sqrt(q'/q)) from the square roots u = sqrt(q'), v = sqrt(q).
 
     ``num_sqrt`` and ``den_sqrt`` are scalars or arrays that broadcast
@@ -123,13 +138,18 @@ def psi_pair(kernel: PsiKernel, num_sqrt, den_sqrt):
     0/a and a/inf -> psi(0) = -1; infinite roots come from singular density
     representations, where only the comparison of u and v matters.
 
-    One pass of :meth:`PsiKernel.ratio` gives every value except on the
-    entries where it returns NaN (0/0 and any infinite root).  Only those are
-    then set, from the sign of u - v, through their flat indices into the
-    broadcast operands.  For a kernel whose ratio is not exact at a one-sided
-    zero (:attr:`PsiKernel.ratio_exact_at_zero`), the entries with a zero
-    root are set the same way.  NaN or negative roots raise
-    :class:`ContractViolationError`.
+    One pass of :meth:`PsiKernel.ratio`, written into the optional
+    ``(2, *shape)`` workspace ``out``, gives every value except where it
+    returns NaN (0/0 and any infinite root) or, for a kernel whose ratio is
+    not exact at a one-sided zero (:attr:`PsiKernel.ratio_exact_at_zero`),
+    where a root is 0.  Both can happen only in the odd columns of
+    :func:`_odd_columns`: the last-axis indices where some root is 0, inf,
+    or below 2**-500 or above 2**500.  Only those columns are read again,
+    and their NaN and zero-root entries are set from the sign of u - v;
+    without odd columns, no floating-point exception needs silencing.
+    ``odd`` passes columns the caller has already found and validated for a
+    larger array the operands are slices of; without it they are computed
+    here, and NaN or negative roots raise :class:`ContractViolationError`.
 
     Two float operands (``np.float64`` included), such as QUADPACK's nodes
     in :func:`check_assumption`, skip numpy's array path and give the same
@@ -150,23 +170,64 @@ def psi_pair(kernel: PsiKernel, num_sqrt, den_sqrt):
             return _sign(u, v) * math.inf
     u = np.asarray(num_sqrt, dtype=float)
     v = np.asarray(den_sqrt, dtype=float)
-    # min propagates NaN, which fails the comparison: NaN roots are rejected too.
-    if not (u.min(initial=0.0) >= 0.0 and v.min(initial=0.0) >= 0.0):
-        raise ContractViolationError("density square roots must be nonnegative numbers")
+    if odd is None:
+        odd = _odd_columns(u, v)
+    if not odd.size:  # nothing to repair, no floating-point exception to silence
+        vals = kernel.ratio(u, v, out)
+        return float(vals) if vals.ndim == 0 else vals
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        vals = kernel.ratio(u, v)
-    fix = np.isnan(vals)
-    if not kernel.ratio_exact_at_zero:
-        fix = fix | (u == 0.0) | (v == 0.0)
+        vals = kernel.ratio(u, v, out)
     if vals.ndim == 0:
+        fix = np.isnan(vals) or (not kernel.ratio_exact_at_zero
+                                 and (u == 0.0 or v == 0.0))
         return float(_sign(u, v) if fix else vals)
-    if fix.any():
-        at = np.flatnonzero(fix)
-        # np.broadcast_to costs more than the rest of a small call.
-        if u.shape != vals.shape or v.shape != vals.shape:
-            u, v = np.broadcast_to(u, vals.shape), np.broadcast_to(v, vals.shape)
-        vals.flat[at] = _sign(u.flat[at], v.flat[at])
+    # With every column odd, gathering them would copy the whole block.
+    whole = odd.size == vals.shape[-1]
+    got, u, v = ((vals, u, v) if whole else
+                 (vals[..., odd], _columns(u, odd), _columns(v, odd)))
+    fix = np.isnan(got)
+    if not kernel.ratio_exact_at_zero:
+        fix |= (u == 0.0) | (v == 0.0)
+    np.putmask(got, fix, _sign(u, v))  # u and v broadcast to got's shape
+    if not whole:
+        vals[..., odd] = got
     return vals
+
+
+def _columns(a, cols):
+    """a's last-axis columns ``cols``; an axis of 1 (or none) broadcasts as is."""
+    return a if a.ndim == 0 or a.shape[-1] == 1 else a[..., cols]
+
+
+# Roots outside [2**-500, 2**500] are odd: 0, inf, and those whose squares
+# can underflow to 0 (below about 2**-537) or overflow in psi1's u*u + v*v.
+_LOW_ROOT, _HIGH_ROOT = 2.0 ** -500, 2.0 ** 500
+
+
+def _odd_columns(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Last-axis indices of the broadcast of u and v where a root is odd.
+
+    A root is odd when it is 0, inf, or so small or large that psi1's
+    squares can underflow or overflow.  Only in odd columns can
+    :meth:`PsiKernel.ratio` raise a floating-point exception, return NaN or
+    miss the sign rule of :func:`psi_pair`.  Each operand is reduced on its
+    own, never broadcast: first whole, which settles the common case of no
+    odd column, then over all but its last axis.  NaN or negative roots
+    raise :class:`ContractViolationError`.
+    """
+    u_lo = np.minimum.reduce(u, axis=None, initial=np.inf)
+    v_lo = np.minimum.reduce(v, axis=None, initial=np.inf)
+    if not (u_lo >= 0.0 and v_lo >= 0.0):  # NaN fails the comparison too
+        raise ContractViolationError("density square roots must be nonnegative numbers")
+    if (u_lo >= _LOW_ROOT and v_lo >= _LOW_ROOT
+            and np.maximum.reduce(u, axis=None, initial=0.0) <= _HIGH_ROOT
+            and np.maximum.reduce(v, axis=None, initial=0.0) <= _HIGH_ROOT):
+        return np.empty(0, dtype=np.intp)
+    lo = np.minimum(u.min(axis=tuple(range(u.ndim - 1)), initial=np.inf),
+                    v.min(axis=tuple(range(v.ndim - 1)), initial=np.inf))
+    hi = np.maximum(u.max(axis=tuple(range(u.ndim - 1)), initial=0.0),
+                    v.max(axis=tuple(range(v.ndim - 1)), initial=0.0))
+    return np.flatnonzero((lo < _LOW_ROOT) | (hi > _HIGH_ROOT))
 
 
 def _sign(u, v):

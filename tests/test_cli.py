@@ -107,6 +107,25 @@ class TestRegress:
         assert code == 0
         assert out["g_id"] in ("theta=0.75", "theta=1", "theta=1.25")
 
+    def test_slopes_of_a_fine_grid_print_distinct_labels(self, tmp_path, capsys):
+        # At :g's six digits all eleven slopes print as theta=1000.  The
+        # design spreads w so far that neighbouring slopes are 10 to 20 error
+        # sds apart.
+        slope = 1000.0 + 4 * 1e-7
+        rng = np.random.default_rng(7)
+        w = rng.uniform(1e8, 2e8, 200)
+        y = slope * w + rng.normal(0, 1, 200)
+        cfg = write_config(tmp_path, "c.json", {
+            "sample": np.column_stack([w, y]).tolist(),
+            "error_models": [{"kind": "gaussian",
+                              "params": {"mean": 0.0, "sd": 1.0}}],
+            "function_family": {"theta_grid": {"min": 1000.0, "max": 1000.000001,
+                                               "step": 1e-7}},
+        })
+        code, out = run(capsys, ["regress", "--config", cfg])
+        assert code == 0
+        assert out["g_id"] == "theta=1000.0000004"
+
 
 class TestBench:
     def test_json_report(self, tmp_path, capsys):

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from rhoest import (ContractViolationError, DensityFamily, Gaussian,
-                    Histogram, Penalty, ProductDensity, RhoFit, Sample,
-                    kernel_constants, rho_estimate, t_statistic, upsilon,
-                    upsilon_all)
+from rhoest import (CandidateSet, ContractViolationError, DensityFamily,
+                    Gaussian, Histogram, Penalty, ProductDensity, RhoFit,
+                    Sample, SimplexPoint, criterion, kernel_constants,
+                    rho_estimate, t_mix, t_statistic, upsilon, upsilon_all)
 
 K2 = kernel_constants("psi2")
 
@@ -127,6 +127,104 @@ class TestPenalty:
         X = Sample(np.array([0.0, 0.5, 1.0]))
         with pytest.raises(ContractViolationError, match="penalty index"):
             rho_estimate(X, fam, Penalty({key: 1.0}))
+
+    @pytest.mark.parametrize("key", [True, False, np.True_, 1.0, np.float64(0.0),
+                                     None, (0,)])
+    def test_non_integer_index_rejected(self, key):
+        # A bool index would set every entry as a numpy mask, a float one
+        # would raise IndexError.
+        with pytest.raises(ContractViolationError, match="penalty index"):
+            Penalty({key: 1.0})
+
+    @pytest.mark.parametrize("value", [True, False, np.True_, "1", None, 1j])
+    def test_non_real_value_rejected(self, value):
+        with pytest.raises(ContractViolationError, match="nonnegative"):
+            Penalty({0: value})
+
+    def test_integer_and_real_types_accepted(self):
+        pen = Penalty({np.int64(0): np.float64(0.5), 1: 2, np.int32(2): math.inf})
+        assert pen.vector(3).tolist() == [0.5, 2.0, math.inf]
+        assert Penalty({1: 0.0}).vector(3).tolist() == [0.0, 0.0, 0.0]
+
+
+class FixedValues:
+    """A family entry whose density values at every sample are given."""
+
+    def __init__(self, values):
+        self.values = np.array(values, dtype=float)
+        self.n = len(self.values)
+
+    def coord_values(self, X):
+        return self.values.copy()
+
+    def key(self):
+        return ("fixed", id(self))
+
+
+class TestRootsCheckedOncePerCall:
+    """A NaN root raises wherever it sits, although the roots are checked
+    once per call rather than once per block.  Column 1 holds a zero and an
+    infinite density, so it is repaired; column 3 is regular."""
+
+    VALUES = np.array([[0.3, 0.0, 0.5, 0.2, 0.7, 0.4],
+                       [0.1, np.inf, 0.6, 0.3, 0.5, 0.2],
+                       [0.9, 0.4, 0.2, 0.8, 0.1, 0.6],
+                       [0.2, 0.3, 0.7, 0.4, 0.3, 0.5]])
+    X = Sample(np.zeros(6))
+
+    def values_with_nan(self, row, col):
+        values = self.VALUES.copy()
+        values[row, col] = math.nan
+        return values
+
+    @pytest.mark.parametrize("col", [1, 3])
+    @pytest.mark.parametrize("row", [0, 3])
+    @pytest.mark.parametrize("kernel", [kernel_constants("psi1"), K2],
+                             ids=lambda k: k.id)
+    def test_upsilon_all(self, kernel, row, col):
+        fam = DensityFamily([FixedValues(r) for r in self.values_with_nan(row, col)])
+        with pytest.raises(ContractViolationError, match="square roots"):
+            upsilon_all(self.X, fam, None, kernel)
+
+    @pytest.mark.parametrize("col", [1, 3])
+    def test_upsilon_den_and_num_rows(self, col):
+        values = self.values_with_nan(3, col)
+        fam = DensityFamily([FixedValues(r) for r in values])
+        clean = DensityFamily([FixedValues(r) for r in self.VALUES])
+        with pytest.raises(ContractViolationError, match="square roots"):
+            upsilon(self.X, fam[3], clean, None, K2)  # den row
+        with pytest.raises(ContractViolationError, match="square roots"):
+            upsilon(self.X, clean[0], fam, None, K2)  # last num row
+
+    @pytest.mark.parametrize("col", [1, 3])
+    def test_t_statistic_den_and_num(self, col):
+        bad = FixedValues(self.values_with_nan(0, col)[0])
+        good = FixedValues(self.VALUES[2])
+        for q, qp in ((bad, good), (good, bad)):
+            with pytest.raises(ContractViolationError, match="square roots"):
+                t_statistic(self.X, q, qp, K2)
+
+    @pytest.mark.parametrize("col", [0, 3])
+    def test_t_mix_den_and_num(self, col):
+        X = Sample(np.linspace(-1.0, 1.0, 6))
+        cs = CandidateSet([ProductDensity(iid=Gaussian(m, 1.0), n=6)
+                           for m in (0.0, 0.5)], X)
+        cs.values[1, col] = math.nan
+        alpha, beta = SimplexPoint((0.5, 0.5)), SimplexPoint((1.0, 0.0))
+        for a, b in ((alpha, beta), (beta, alpha)):
+            with pytest.raises(ContractViolationError, match="square roots"):
+                t_mix(X, cs, a, b, K2)
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, -1e-300])
+    @pytest.mark.parametrize("col", [1, 3])
+    def test_criterion_rows_den_num_and_last_row(self, bad, col):
+        S = np.sqrt(self.VALUES)
+        for row in range(len(S)):
+            B = S.copy()
+            B[row, col] = bad
+            for den, num in ((B, B), (B, S), (S, B), (B[row:row + 1], S)):
+                with pytest.raises(ContractViolationError, match="square roots"):
+                    criterion._criterion_rows(den, num, 0.0, K2)
 
 
 class TestRhoEstimate:

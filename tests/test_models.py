@@ -9,6 +9,7 @@ from rhoest import (ContractViolationError, DensityFamily, Gaussian,
                     dimension_bound_entropy, dimension_bound_finite,
                     dimension_bound_vc, eta_bar_finite, integrate_1d,
                     kernel_constants)
+from rhoest.models import _theta_labels
 
 QUAD = QuadratureSpec(abs_tol=1e-9)
 K2 = kernel_constants("psi2")
@@ -98,6 +99,25 @@ class TestGaussianGrid:
     def test_bad_grid(self):
         with pytest.raises(ContractViolationError):
             build_gaussian_location_grid(1, -1, 0.5, 1.0, n=10)
+
+    def test_labels_keep_the_g_format_where_it_is_distinct(self):
+        desc = build_gaussian_location_grid(-1, 1, 0.25, 1.0, n=10)
+        assert desc.family.labels == [
+            "theta=-1", "theta=-0.75", "theta=-0.5", "theta=-0.25", "theta=0",
+            "theta=0.25", "theta=0.5", "theta=0.75", "theta=1"]
+
+    def test_labels_distinct_on_a_fine_grid(self):
+        # At :g's six digits every point prints as theta=1000.
+        desc = build_gaussian_location_grid(1000.0, 1000.000001, 1e-7, 1.0, n=10)
+        labels = desc.family.labels
+        assert len(set(labels)) == len(labels) == len(desc.family) >= 10
+        assert labels[:2] == ["theta=1000", "theta=1000.0000001"]
+        assert labels[4] == "theta=1000.0000004"
+
+    def test_labels_use_up_to_17_digits(self):
+        assert _theta_labels([1.0, math.nextafter(1.0, 2.0)]) == [
+            "theta=1", "theta=1.0000000000000002"]
+        assert _theta_labels([0.5, 0.5]) == ["theta=0.5", "theta=0.5"]
 
 
 class TestHistogramFamily:

@@ -10,10 +10,11 @@ each entry in the same index order.
 import itertools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -84,8 +85,9 @@ def same_bits(a, b):
 
 @st.composite
 def root_operands(draw):
-    """(u, v) as Python floats, equal-length vectors or broadcasting blocks."""
-    kind = draw(st.sampled_from(["scalar", "vector", "broadcast"]))
+    """(u, v) as Python floats, equal-length vectors, broadcasting blocks, or
+    arrays of mixed ranks: 0-d against an array, a last axis of 1, fewer axes."""
+    kind = draw(st.sampled_from(["scalar", "vector", "broadcast", "mixed"]))
     if kind == "scalar":
         return draw(any_roots), draw(any_roots)
     n = draw(st.integers(1, 8))
@@ -93,8 +95,33 @@ def root_operands(draw):
         return (draw(hnp.arrays(float, n, elements=any_roots)),
                 draw(hnp.arrays(float, n, elements=any_roots)))
     rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    return (draw(hnp.arrays(float, (1, cols, n), elements=block_roots)),
-            draw(hnp.arrays(float, (rows, 1, n), elements=block_roots)))
+    if kind == "broadcast":
+        return (draw(hnp.arrays(float, (1, cols, n), elements=block_roots)),
+                draw(hnp.arrays(float, (rows, 1, n), elements=block_roots)))
+    full = (rows, cols, n)
+
+    def operand():
+        # The trailing axes of (rows, cols, n), each kept or shrunk to 1.
+        dims = full[3 - draw(st.integers(0, 3)):]
+        shape = tuple(d if draw(st.booleans()) else 1 for d in dims)
+        return draw(hnp.arrays(float, shape, elements=block_roots))
+
+    return operand(), operand()
+
+
+@st.composite
+def root_matrices(draw):
+    """(den, num) root matrices of (J, n) and (K, n) from ``block_roots``,
+    with some columns set to 0 or inf in both, as where every density of a
+    grid vanishes at an outlier."""
+    n = draw(st.integers(1, 9))
+    den = draw(hnp.arrays(float, (draw(st.integers(1, 7)), n), elements=block_roots))
+    num = draw(hnp.arrays(float, (draw(st.integers(1, 7)), n), elements=block_roots))
+    for col in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        fill = draw(st.sampled_from([0.0, np.inf]))
+        den[:, col] = fill
+        num[:, col] = fill
+    return den, num
 
 
 @st.composite
@@ -179,6 +206,30 @@ class TestExactInvariants:
         ups = upsilon_all(X, fam, pen, kernel)
         assert np.array_equal(upsilon_all(X, shuffled, shuffled_pen, kernel),
                               ups[list(perm)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(mats=root_matrices(), block=st.integers(1, 4096))
+    @example(mats=(np.array([[1e-300, 1e-310]]), np.array([[1e-310, 1e-300]])),
+             block=1)
+    def test_criterion_rows_match_oracle_bitwise(self, kernel, mats, block):
+        den, num = mats
+        pen = np.linspace(0.0, 1.0, len(num))
+        # psi1 on two roots below 1e-162 is +-inf (the strict xfail below),
+        # and a sum of +inf and -inf warns on both sides of the comparison.
+        with (warnings.catch_warnings(),
+              mock.patch.object(criterion, "_BLOCK_ELEMENTS", block)):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            T = psi_pair_oracle(kernel, num[np.newaxis, :, :],
+                                den[:, np.newaxis, :]).sum(axis=2)
+            T_square = dense_t(num, kernel)
+            assert same_bits(criterion._criterion_rows(den, num, pen, kernel),
+                             np.max(T - pen, axis=1))
+            assert same_bits(criterion._criterion_rows(num, num, pen, kernel),
+                             np.max(T_square - pen, axis=1))
+            # square_path_t reads T through +inf penalties, which an infinite
+            # or NaN sum (psi1 on roots below 1e-162) would hide.
+            if np.all(np.isfinite(T_square)):
+                assert same_bits(square_path_t(num, kernel), T_square)
 
     def test_several_blocks_match_dense(self, kernel):
         n = 700

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .criterion import DensityFamily, Penalty, RhoFit, _criterion_rows, rho_estimate
 from .densities import ProductDensity, Sample
-from .errors import ContractViolationError, DegenerateCandidatesError, SolverError
+from .errors import (Checked, ContractViolationError, DegenerateCandidatesError,
+                     SolverError, _count, _number, _scale, _vector, _weights)
 from .psi import PsiKernel, kernel_constants
 
 __all__ = ["SimplexPoint", "CandidateSet", "InnerSolverConfig",
@@ -37,16 +37,13 @@ _STEP_XTOL = 1e-15
 
 
 @dataclass(frozen=True)
-class SimplexPoint:
+class SimplexPoint(Checked):
     weights: tuple
+    rules = {"weights": _weights}
 
-    def __post_init__(self):
-        w = tuple(float(x) for x in self.weights)
-        if any(x < 0 for x in w):
-            raise ContractViolationError("simplex weights must be nonnegative")
-        if abs(sum(w) - 1.0) > 1e-12:
+    def _check(self):
+        if abs(sum(self.weights) - 1.0) > 1e-12:
             raise ContractViolationError("simplex weights must sum to 1")
-        object.__setattr__(self, "weights", w)
 
     def as_array(self):
         return np.asarray(self.weights)
@@ -99,7 +96,7 @@ def select_candidate(X: Sample, candidates, deltas,
     """
     kernel = kernel or kernel_constants()
     candidates = list(candidates)
-    deltas = [float(d) for d in deltas]
+    deltas = _vector("deltas", deltas)
     if len(deltas) != len(candidates):
         raise ContractViolationError("one weight per candidate required")
     if sum(math.exp(-d) for d in deltas) > 1.0 + 1e-12:
@@ -121,23 +118,14 @@ def t_mix(X: Sample, cs: CandidateSet, alpha: SimplexPoint, beta: SimplexPoint,
                                  np.sqrt(num)[np.newaxis, :], 0.0, kernel)[0])
 
 
-def _require_count(name, value):
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ContractViolationError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 @dataclass(frozen=True)
-class InnerSolverConfig:
+class InnerSolverConfig(Checked):
     """Stop :func:`inner_argmax` at a Frank-Wolfe gap below ``tol``, or after
     ``max_iter`` steps."""
 
     tol: float = 1e-8
     max_iter: int = 5000
-
-    def __post_init__(self):
-        if not (isinstance(self.tol, numbers.Real) and 0.0 < self.tol < math.inf):
-            raise ContractViolationError(f"tol must be finite and > 0, got {self.tol!r}")
-        _require_count("max_iter", self.max_iter)
+    rules = {"tol": _scale, "max_iter": _count}
 
 
 def _mix_gradient_wrt_m(kernel, m, d_sqrt):
@@ -277,9 +265,9 @@ def saddle_point(X: Sample, cs: CandidateSet, kernel: PsiKernel | None = None,
     reported, never silently truncated.
     """
     kernel = kernel or kernel_constants()
-    if not 0.0 < eps <= 1.0:
+    if not 0.0 < _number("eps", eps) <= 1.0:
         raise ContractViolationError("eps must lie in (0, 1]")
-    _require_count("max_outer", max_outer)
+    _count("max_outer", max_outer)
     cond = cs.condition_number()
     if cond > CONDITION_NUMBER_THRESHOLD:
         raise DegenerateCandidatesError(
@@ -309,13 +297,13 @@ def saddle_point(X: Sample, cs: CandidateSet, kernel: PsiKernel | None = None,
 
 def simplex_grid(size: int, steps: int):
     """All simplex lattice points with coordinates multiples of 1/steps."""
-    for row in simplex_grid_array(size, steps):
-        yield SimplexPoint(tuple(row))
+    return (SimplexPoint(tuple(row)) for row in simplex_grid_array(size, steps))
 
 
 def simplex_grid_array(size: int, steps: int) -> np.ndarray:
     """The lattice of :func:`simplex_grid` as rows, in lexicographic cut order."""
-    if size == 1:
+    _count("steps", steps)
+    if _count("size", size) == 1:
         return np.ones((1, 1))
     cuts = np.fromiter(
         itertools.chain.from_iterable(

@@ -18,10 +18,10 @@ import numpy as np
 
 from .aggregation import CandidateSet, saddle_point
 from .criterion import DensityFamily, Penalty, rho_estimate
-from .densities import (Density1D, Gaussian, ProductDensity, Sample,
-                        _vector, density_from_json)
+from .densities import Density1D, Gaussian, ProductDensity, Sample, density_from_json
 from .errors import (ConfigError, ContractViolationError,
-                     DegenerateCandidatesError, QuadratureError, SolverError)
+                     DegenerateCandidatesError, QuadratureError, SolverError,
+                     _finite, _vector)
 from .harness import RiskReport, Scenario, export, mc_risk, mle_counterexample
 from .models import (ModelDescriptor, _check_grid, _theta_labels,
                      build_exp_family_grid, build_gaussian_location_grid,
@@ -91,17 +91,12 @@ def _number(cfg: dict, key: str, default=None, integer=False):
     """cfg[key] as a finite float, or as an int if ``integer``.
 
     A missing key gives ``default``, and is an error when there is none.
-    Strings, booleans and non-integral values of an integer key are
-    rejected, not converted.
+    Non-integral values of an integer key are rejected, not converted.
     """
-    value = _get(cfg, key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
-    if not integer:
-        return _finite_float(value)
-    if not float(value).is_integer():
+    value = _finite(f"config key {key!r}", _get(cfg, key, default))
+    if integer and not float(value).is_integer():
         raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
-    return _finite_int(value)
+    return int(value) if integer else float(value)
 
 
 def _sample_from_config(cfg) -> Sample:

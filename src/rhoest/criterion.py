@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import _REAL, ProductDensity, Sample
-from .errors import ContractViolationError
+from .densities import ProductDensity, Sample
+from .errors import Checked, ContractViolationError, _count, _finite, _nonnegative
 from .psi import PsiKernel, _odd_columns, kernel_constants, psi_pair
 
 __all__ = ["DensityFamily", "Penalty", "RhoFit", "t_statistic", "upsilon",
@@ -60,19 +60,16 @@ class DensityFamily:
 
 
 @dataclass(frozen=True)
-class Penalty:
+class Penalty(Checked):
     """Per-entry nonnegative penalties, default all-zero."""
 
     values: dict = field(default_factory=dict)
 
-    def __post_init__(self):
+    def _check(self):
         for idx, val in self.values.items():
             # A bool index would act as a numpy mask; a float one raises IndexError.
-            if isinstance(idx, bool) or not isinstance(idx, (int, np.integer)):
-                raise ContractViolationError(f"penalty index {idx!r} is not an integer")
-            if isinstance(val, bool) or not isinstance(val, _REAL) or not val >= 0:
-                raise ContractViolationError(  # NaN fails val >= 0
-                    f"penalties must be nonnegative numbers, got {val!r}")
+            _count("penalty index", idx, least=0)
+            _nonnegative(f"penalty {idx!r}", val)
 
     def vector(self, size: int) -> np.ndarray:
         out = np.zeros(size)
@@ -208,8 +205,8 @@ def rho_estimate(X: Sample, fam: DensityFamily, pen: Penalty | None = None,
     """
     if kernel is None:
         kernel = kernel_constants()
-    if slack is None:
-        slack = kernel.kappa / 25.0
+    slack = (kernel.kappa / 25.0 if slack is None
+             else _nonnegative("slack", _finite("slack", slack)))
     ups = upsilon_all(X, fam, pen, kernel)
     u_min = float(np.min(ups))
     admissible = tuple(int(i) for i in np.flatnonzero(ups <= u_min + slack))

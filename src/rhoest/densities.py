@@ -2,6 +2,8 @@
 
 Densities are immutable value objects evaluating a nonnegative density with
 respect to a declared dominating measure (Lebesgue unless stated otherwise).
+Parameter rules, for these and every other public value object, live in
+:mod:`rhoest.errors`.
 The Hellinger machinery prefers closed forms for recognized pairs and falls
 back to adaptive quadrature of the affinity integral.
 """
@@ -15,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import (Checked, ContractViolationError, _count, _finite, _grid,
+                     _items, _number, _scale, _vector, _weights)
 from .quadrature import integrate_1d
 
 __all__ = [
@@ -88,80 +91,20 @@ def _float_or_array(x):
     return x if isinstance(x, float) else np.asarray(x, dtype=float)
 
 
-# Parameter rules.  Each takes a parameter's name and the value passed, and
-# returns the value to store or raises ContractViolationError naming the
-# parameter.  Scalars are stored as passed, so ``to_json`` keeps an int an int.
-
-_REAL = (int, float, np.integer, np.floating)
-
-
-def _number(name, v):
-    """A real number other than NaN; infinities pass, a bool does not."""
-    if isinstance(v, bool) or not isinstance(v, _REAL) or v != v:
-        raise ContractViolationError(f"{name} must be a number, got {v!r}")
-    return v
-
-
-def _finite(name, v):
-    if not math.isfinite(_number(name, v)):
-        raise ContractViolationError(f"{name} must be finite, got {v!r}")
-    return v
-
-
-def _scale(name, v):
-    if not _finite(name, v) > 0:
-        raise ContractViolationError(f"{name} must be positive and finite, got {v!r}")
-    return v
-
-
-def _items(name, v):
-    """Any iterable but a string, as a tuple."""
-    if isinstance(v, str) or not hasattr(v, "__iter__"):
-        raise ContractViolationError(f"{name} must be a list, got {v!r}")
-    return tuple(v)
-
-
-def _vector(name, v):
-    """A sequence of finite numbers, as a tuple of floats."""
-    return tuple(float(_finite(name, x)) for x in _items(name, v))
-
-
-def _weights(name, v):
-    w = _vector(name, v)
-    if any(x < 0 for x in w):
-        raise ContractViolationError(f"{name} must be nonnegative")
-    return w
-
-
-def _grid(name, v):
-    g = _vector(name, v)
-    if any(b <= a for a, b in zip(g, g[1:])):
-        raise ContractViolationError(f"{name} must be finite and strictly increasing")
-    return g
-
-
-class Density1D:
+class Density1D(Checked):
     """Base class: a nonnegative density on the line.
 
     Subclasses are frozen dataclasses that provide ``pdf`` (vectorized), a
     support interval and the interior kink locations used to guide
     quadrature.  ``rules`` maps every parameter, in field order, to the rule
-    that checks it; ``params``, ``key``, ``to_json`` and ``density_from_json``
-    all read it.  ``location`` names the parameters a translation moves, and
-    ``_check`` tests the conditions that tie parameters together.
+    from :mod:`rhoest.errors` that checks it; ``params``, ``key``,
+    ``to_json`` and ``density_from_json`` all read it.  ``location`` names
+    the parameters a translation moves, and ``_check`` tests the conditions
+    that tie parameters together.
     """
 
     kind = "abstract"
-    rules = {}
     location = ()
-
-    def __post_init__(self):
-        for name, rule in self.rules.items():
-            object.__setattr__(self, name, rule(name, getattr(self, name)))
-        self._check()
-
-    def _check(self):
-        pass
 
     def pdf(self, x):
         raise NotImplementedError
@@ -621,25 +564,23 @@ def hellinger_sq(p, q, quad=None, method="auto"):
 # Product densities
 # ---------------------------------------------------------------------------
 
-class ProductDensity:
-    """n-coordinate product density; i.i.d. shorthand stores one marginal."""
+class ProductDensity(Checked):
+    """n-coordinate product density of :class:`Density1D` coordinates;
+    i.i.d. shorthand stores one marginal."""
+
+    rules = {"n": _count}
 
     def __init__(self, coords=None, *, iid=None, n=None):
-        if iid is not None:
-            if coords is not None:
-                raise ContractViolationError("pass either coords or iid, not both")
-            if n is None or n < 1:
-                raise ContractViolationError("iid shorthand needs n >= 1")
-            self.marginal = iid
-            self.coords = None
-            self.n = int(n)
-        else:
-            coords = tuple(coords or ())
-            if not coords:
-                raise ContractViolationError("need at least one coordinate density")
-            self.marginal = None
-            self.coords = coords
-            self.n = len(coords)
+        if iid is not None and coords is not None:
+            raise ContractViolationError("pass either coords or iid, not both")
+        self.marginal = iid
+        self.coords = None if iid is not None else _items("coords", coords or ())
+        self.n = n if iid is not None else len(self.coords)
+        self.__post_init__()
+
+    def _check(self):
+        if not all(isinstance(d, Density1D) for d in self.coords or [self.marginal]):
+            raise ContractViolationError("product coordinates must be Density1D")
 
     @property
     def is_iid(self):
@@ -650,9 +591,10 @@ class ProductDensity:
 
     def coord_values(self, sample: Sample) -> np.ndarray:
         """Per-coordinate density values at the sample points."""
-        if sample.n != self.n:
+        if sample.kind != "scalar" or sample.n != self.n:
             raise ContractViolationError(
-                f"sample has n={sample.n}, product density has n={self.n}")
+                f"product density needs a scalar sample of n={self.n}, "
+                f"got a {sample.kind} sample of n={sample.n}")
         if self.is_iid:
             return np.asarray(self.marginal.pdf(sample.points), dtype=float)
         return np.array([float(np.asarray(self.coords[i].pdf(

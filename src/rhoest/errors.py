@@ -1,4 +1,13 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy, and the input rules of every public value object.
+
+A rule takes a parameter's name and the value passed, and returns the value
+to store (a count as an int, other scalars as passed, so ``to_json`` keeps an
+int an int) or raises :class:`ContractViolationError` naming the parameter.
+"""
+
+import math
+
+import numpy as np
 
 
 class RhoestError(Exception):
@@ -23,3 +32,78 @@ class ConfigError(RhoestError, ValueError):
 
 class SolverError(RhoestError, ArithmeticError):
     """An iterative solver met a non-finite value or failed to converge."""
+
+
+class Checked:
+    """Base of the public value objects.  ``rules`` maps parameters, in field
+    order, to their rules; ``_check`` tests the conditions that tie them
+    together.  Both run once, when an object is built."""
+
+    rules = {}
+
+    def __post_init__(self):
+        for name, rule in self.rules.items():
+            object.__setattr__(self, name, rule(name, getattr(self, name)))
+        self._check()
+
+    def _check(self):
+        pass
+
+
+_REAL = (int, float, np.integer, np.floating)
+
+
+def _number(name, v):
+    """A real number other than NaN; infinities pass, a bool does not."""
+    if isinstance(v, bool) or not isinstance(v, _REAL) or v != v:
+        raise ContractViolationError(f"{name} must be a number, got {v!r}")
+    return v
+
+
+def _finite(name, v):
+    if not math.isfinite(_number(name, v)):
+        raise ContractViolationError(f"{name} must be finite, got {v!r}")
+    return v
+
+
+def _scale(name, v):
+    if not _finite(name, v) > 0:
+        raise ContractViolationError(f"{name} must be positive and finite, got {v!r}")
+    return v
+
+
+def _nonnegative(name, v):
+    """A number >= 0; infinity passes, NaN and a bool do not."""
+    if isinstance(v, bool) or not isinstance(v, _REAL) or not v >= 0:
+        raise ContractViolationError(f"{name} must be a nonnegative number, got {v!r}")
+    return v
+
+
+def _count(name, v, least=1):
+    """An integer >= ``least``, as an int; a bool or a float is not one."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
+        raise ContractViolationError(f"{name} must be an integer >= {least}, got {v!r}")
+    return int(v)
+
+
+def _items(name, v):
+    """Any iterable but a string, as a tuple."""
+    if isinstance(v, str) or not hasattr(v, "__iter__"):
+        raise ContractViolationError(f"{name} must be a list, got {v!r}")
+    return tuple(v)
+
+
+def _vector(name, v):
+    """A sequence of finite numbers, as a tuple of floats."""
+    return tuple(float(_finite(name, x)) for x in _items(name, v))
+
+
+def _weights(name, v):
+    return tuple(_nonnegative(name, x) for x in _vector(name, v))
+
+
+def _grid(name, v):
+    g = _vector(name, v)
+    if any(b <= a for a, b in zip(g, g[1:])):
+        raise ContractViolationError(f"{name} must be finite and strictly increasing")
+    return g

@@ -21,8 +21,10 @@ import numpy as np
 
 from .criterion import DensityFamily, rho_estimate
 from .densities import (Density1D, PathologicalGaussian, ProductDensity,
-                        Sample, _vector, hellinger_sq, integrate_on_supports)
-from .errors import ContractViolationError, RhoestError
+                        Sample, hellinger_sq, integrate_on_supports)
+from .errors import (Checked, ContractViolationError, RhoestError, _count,
+                     _finite, _scale, _vector)
+from .models import _check_grid
 from .psi import PsiKernel, kernel_constants
 from .quadrature import QuadratureSpec
 
@@ -33,7 +35,7 @@ OUTLIER_WIDTH = 1e-9
 
 
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(Checked):
     """Data-generating description for one Monte Carlo study.
 
     ``kind`` is one of "iid", "contaminated" or "outliers".  The truth is the
@@ -53,32 +55,28 @@ class Scenario:
     eps: float = 0.0
     outlier_indices: tuple = ()
     outlier_points: tuple = ()
+    rules = {"n": _count, "replications": _count, "eps": _finite,
+             "outlier_indices": _vector, "outlier_points": _vector}
 
-    def __post_init__(self):
-        if self.n < 1 or self.replications < 1:
-            raise ContractViolationError("need n >= 1 and replications >= 1")
-        if self.kind == "iid":
-            pass
-        elif self.kind == "contaminated":
+    def _check(self):
+        if self.kind == "contaminated":
             if self.contaminant is None:
                 raise ContractViolationError("contaminated scenario needs a contaminant")
             if not 0.0 <= self.eps <= 1.0:
                 raise ContractViolationError("eps must lie in [0, 1]")
         elif self.kind == "outliers":
-            idx = _vector("outlier_indices", self.outlier_indices)
-            pts = _vector("outlier_points", self.outlier_points)
+            idx = self.outlier_indices
             if not all(j.is_integer() for j in idx):
                 raise ContractViolationError(f"outlier indices must be integers: {idx}")
             idx = tuple(int(j) for j in idx)
-            if len(idx) != len(pts):
+            if len(idx) != len(self.outlier_points):
                 raise ContractViolationError("one point per outlier index required")
             if len(set(idx)) != len(idx) or any(not 0 <= j < self.n for j in idx):
                 raise ContractViolationError("outlier indices must be distinct, in [0, n)")
             if len(idx) >= self.n:
                 raise ContractViolationError("need fewer outliers than observations")
             object.__setattr__(self, "outlier_indices", idx)
-            object.__setattr__(self, "outlier_points", pts)
-        else:
+        elif self.kind != "iid":
             raise ContractViolationError(f"unknown scenario kind {self.kind!r}")
 
 
@@ -201,8 +199,10 @@ def mle_counterexample(theta: float, n: int, reps: int, seed: int,
     1 - Phi(sqrt(log 4n))^n, the probability that the maximum clears the
     threshold; it neglects the chance that |mean| reaches it.
     """
-    if n < 3 or reps < 1:
-        raise ContractViolationError("need n >= 3 and reps >= 1")
+    _count("n", n, least=3)
+    _count("reps", reps)
+    _check_grid(_finite("theta", theta) - _scale("grid_halfwidth", grid_halfwidth),
+                theta + grid_halfwidth, _scale("grid_step", grid_step))
     kernel = kernel or kernel_constants()
     grid = np.arange(theta - grid_halfwidth, theta + grid_halfwidth + grid_step / 2,
                      grid_step)

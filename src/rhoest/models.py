@@ -19,7 +19,8 @@ from .aggregation import simplex_grid_array
 from .criterion import DensityFamily
 from .densities import (ExpFamily, Gaussian, Histogram, ProductDensity,
                         integrate_on_supports, product_hellinger_sq)
-from .errors import ContractViolationError, QuadratureError
+from .errors import (Checked, ContractViolationError, QuadratureError, _count,
+                     _finite, _nonnegative, _scale)
 from .quadrature import QuadratureSpec
 
 __all__ = [
@@ -39,7 +40,7 @@ MAX_GRID_POINTS = 2**16
 
 
 @dataclass
-class ModelDescriptor:
+class ModelDescriptor(Checked):
     """A family plus the complexity metadata used by penalized selection."""
 
     family: DensityFamily
@@ -47,14 +48,13 @@ class ModelDescriptor:
     bound_source: str
     vc_index: int | None = None
     delta_weight: float = 0.0
+    rules = {"dim_bound": _finite, "delta_weight": _nonnegative}
 
-    def __post_init__(self):
+    def _check(self):
         if self.dim_bound < 1.0:
             raise ContractViolationError("dimension bounds are >= 1")
         if self.bound_source not in ("finite", "vc", "entropy", "user"):
             raise ContractViolationError(f"unknown bound source {self.bound_source!r}")
-        if self.delta_weight < 0:
-            raise ContractViolationError("weights are nonnegative")
 
     def to_json(self):
         return {
@@ -74,16 +74,16 @@ class ModelDescriptor:
 
 def dimension_bound_finite(cardinality: int) -> float:
     """9 log(2 |Q|), floored at 1; the cardinality-only bound."""
-    if cardinality < 1:
-        raise ContractViolationError("cardinality must be >= 1")
+    _count("cardinality", cardinality)
     return max(1.0, 9.0 * math.log(2.0 * cardinality))
 
 
 def dimension_bound_vc(vc_index: float, n: int, c1: float = DEFAULT_C1) -> float:
     """min(C1 * V * (1 + log+(n/V)), n/6), floored at 1."""
-    if vc_index < 1 or n < 1 or c1 <= 0:
-        raise ContractViolationError("need vc_index >= 1, n >= 1, c1 > 0")
-    if vc_index > n:
+    if not _finite("vc_index", vc_index) >= 1:
+        raise ContractViolationError(f"vc_index must be >= 1, got {vc_index!r}")
+    _scale("c1", c1)
+    if vc_index > _count("n", n):
         warnings.warn("VC index exceeds n; clamping to the n/6 cap", stacklevel=2)
         return max(1.0, n / 6.0)
     raw = c1 * vc_index * (1.0 + max(0.0, math.log(n / vc_index)))
@@ -92,8 +92,7 @@ def dimension_bound_vc(vc_index: float, n: int, c1: float = DEFAULT_C1) -> float
 
 def dimension_bound_entropy(v: float) -> float:
     """18 * max(1, V log2 / 2) for entropy dimension V >= 0."""
-    if v < 0:
-        raise ContractViolationError("entropy dimension must be >= 0")
+    _nonnegative("entropy dimension", v)
     return 18.0 * max(1.0, v * math.log(2.0) / 2.0)
 
 
@@ -171,8 +170,6 @@ def build_gaussian_location_grid(theta_min: float, theta_max: float, step: float
         raise ContractViolationError("need theta_min < theta_max")
     count = int(math.floor((theta_max - theta_min) / step + 1e-9)) + 1
     thetas = [theta_min + i * step for i in range(count)]
-    if not thetas:
-        raise ContractViolationError("empty location grid")
     entries = [ProductDensity(iid=Gaussian(t, sd), n=n) for t in thetas]
     vc = 3
     return ModelDescriptor(
@@ -193,8 +190,8 @@ def build_histogram_family(breakpoint_grids, k: int, n: int,
     ``mass_steps`` subdivisions.  Piecewise-constant densities with at most k
     pieces have VC-subgraph dimension 2k, hence index 2k + 1.
     """
-    if k < 1 or mass_steps < 1:
-        raise ContractViolationError("k and mass_steps must be >= 1")
+    _count("k", k)
+    _count("mass_steps", mass_steps)
     entries, labels = [], []
     seen = set()
     for breaks in breakpoint_grids:

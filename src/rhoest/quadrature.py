@@ -21,23 +21,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, QuadratureError
+from .errors import Checked, QuadratureError, _count, _scale
 
 __all__ = ["QuadratureSpec", "integrate_1d"]
 
 
 @dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(Checked):
     """Absolute error tolerance and subdivision budget of :func:`integrate_1d`."""
 
     abs_tol: float = 1e-9
     max_subdivisions: int = 2**20
-
-    def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise ContractViolationError("abs_tol must be > 0")
-        if self.max_subdivisions < 1:
-            raise ContractViolationError("max_subdivisions must be >= 1")
+    rules = {"abs_tol": _scale, "max_subdivisions": _count}
 
 
 def __getattr__(name):

@@ -18,7 +18,8 @@ import numpy as np
 
 from .criterion import DensityFamily, RhoFit
 from .densities import Density1D, Sample, hellinger_sq, shifted
-from .errors import ContractViolationError
+from .errors import (Checked, ContractViolationError, _count, _items,
+                     _nonnegative, _scale)
 from .models import ModelDescriptor, dimension_bound_vc
 from .psi import PsiKernel, kernel_constants
 from .quadrature import QuadratureSpec
@@ -45,23 +46,23 @@ class RegressionFunction:
 
 
 @dataclass
-class RegressionModel:
+class RegressionModel(Checked):
     """One error density r with a finite menu of regression functions."""
 
     error_density: Density1D
-    functions: list
+    functions: tuple
     vc_index_f: int
     delta_weight: float = 0.0
     mode_multiplier: float = 1.0   # c(r) > 1 for declared multi-modal r
+    rules = {"functions": _items, "vc_index_f": _count,
+             "delta_weight": _nonnegative, "mode_multiplier": _scale}
 
-    def __post_init__(self):
+    def _check(self):
         if not self.functions:
             raise ContractViolationError("function menu must be nonempty")
-        if self.vc_index_f < 1:
-            raise ContractViolationError("vc_index_f must be >= 1")
         if self.mode_multiplier != 1.0:
             warnings.warn("multi-modal error density: VC metadata scaled by the "
-                          "user-supplied mode multiplier", stacklevel=2)
+                          "user-supplied mode multiplier", stacklevel=4)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criterion import DensityFamily, Penalty, RhoFit, rho_estimate
-from .errors import ContractViolationError
+from .errors import ContractViolationError, _scale
 from .models import ModelDescriptor
 from .psi import PsiKernel, kernel_constants
 
@@ -101,7 +101,6 @@ def risk_bound_report(coll: ModelCollection, m_idx: int, xi: float) -> float:
     gamma times the (usually unknowable) squared bias when a truth density
     is available.
     """
-    if not xi > 0:
-        raise ContractViolationError("xi must be positive")
+    _scale("xi", xi)
     k = coll.kernel
     return (4.0 * k.kappa / k.a1) * (coll.complexity(m_idx) + 1.5 + xi)

@@ -356,17 +356,18 @@ class TestInnerArgmax:
 
 
 class TestSolverSettings:
-    @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf"), "1e-8"])
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf"), "1e-8",
+                                     True])
     def test_bad_tol_rejected(self, tol):
         with pytest.raises(ContractViolationError, match="tol"):
             InnerSolverConfig(tol=tol)
 
-    @pytest.mark.parametrize("max_iter", [0, -3, 2.5, True, None])
+    @pytest.mark.parametrize("max_iter", [0, -3, 2.5, True, None, float("nan"), "5"])
     def test_bad_max_iter_rejected(self, max_iter):
         with pytest.raises(ContractViolationError, match="max_iter"):
             InnerSolverConfig(max_iter=max_iter)
 
-    @pytest.mark.parametrize("max_outer", [0, -1, 3.0, False])
+    @pytest.mark.parametrize("max_outer", [0, -1, 3.0, False, float("nan"), "3"])
     def test_bad_max_outer_rejected(self, max_outer):
         X = Sample(np.array([0.0, 1.0]))
         cs = gaussian_candidates([0.0, 1.0], X)

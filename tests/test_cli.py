@@ -392,6 +392,11 @@ class TestConfigNumbers:
         ("demo-mle", {"reps": 2.7}, "reps"),
         ("demo-mle", {"theta": "0", "n": 20, "reps": 2}, "theta"),
         ("demo-mle", {"grid_step": False, "n": 20, "reps": 2}, "grid_step"),
+        ("demo-mle", {"n": 2, "reps": 2}, "n must be an integer >= 3"),
+        ("bounds", {"vc": {"v": 3, "n": 0}}, "n must be an integer >= 1"),
+        ("bounds", {"finite": 0}, "cardinality must be an integer >= 1"),
+        ("fit", {"family": {"type": "histogram", "breakpoint_grids": [[0, 1]],
+                            "k": 0}}, "k must be an integer >= 1"),
     ])
     def test_bad_number_is_config_error(self, tmp_path, capsys, gaussian_sample,
                                         command, config, key):
@@ -416,6 +421,10 @@ class TestConfigNumbers:
         ("bench", {"scenario": SCENARIO, "estimator": {
             "type": "rho_gaussian_grid", "theta_min": -1e308, "theta_max": 1e308,
             "step": 1.0}}, "more than 65536 points"),
+        ("demo-mle", {"n": 5, "reps": 2, "grid_step": 0},
+         "grid_step must be positive"),
+        ("demo-mle", {"n": 5, "reps": 2, "grid_step": 1e-300},
+         "more than 65536 points"),
     ])
     def test_bad_grid_step_is_config_error(self, tmp_path, capsys,
                                            gaussian_sample, command, config,
@@ -477,6 +486,20 @@ class TestConfigShapes:
         cfg = write_config(tmp_path, "c.json", config)
         assert main([command, "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command, config", [
+        ("fit", {"family": GRID}),
+        ("select", {"models": [{"family": GRID}]}),
+        ("aggregate", {"candidates": TWO_GAUSSIANS}),
+    ])
+    def test_pair_sample_for_a_1d_family_is_config_error(self, tmp_path, capsys,
+                                                         command, config):
+        cfg = write_config(tmp_path, "c.json", {
+            "sample": [[0.1, 0.2], [0.3, -0.4], [1.0, 0.5]], **config})
+        assert main([command, "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "scalar sample" in err
 
     @pytest.mark.parametrize("payload", ["[1, 2]", "5", '"fit"'])
     def test_config_that_is_not_an_object(self, tmp_path, capsys, payload):

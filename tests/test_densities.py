@@ -452,6 +452,23 @@ class TestProductDensity:
         X = Sample(np.array([0.0, 1.0, -1.0]))
         assert np.allclose(P.coord_values(X), Gaussian(0, 1).pdf(X.points))
 
+    @pytest.mark.parametrize("P", [ProductDensity(iid=Gaussian(0, 1), n=3),
+                                   ProductDensity(coords=[Gaussian(0, 1)] * 3)],
+                             ids=["iid", "coords"])
+    def test_pair_sample_rejected(self, P):
+        # A 1-D marginal evaluated on (n, 2) points would give an (n, 2) array.
+        X = Sample(np.array([[0.1, 0.2], [0.3, -0.4], [1.0, 0.5]]), kind="pair")
+        with pytest.raises(ContractViolationError, match="scalar sample"):
+            P.coord_values(X)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"iid": "gaussian", "n": 3}, {"coords": [Gaussian(0, 1), 1.0]},
+        {"coords": []}, {"iid": Gaussian(0, 1)},
+        {"iid": Gaussian(0, 1), "coords": [Gaussian(0, 1)]}])
+    def test_bad_coordinates_rejected(self, kwargs):
+        with pytest.raises(ContractViolationError):
+            ProductDensity(**kwargs)
+
     @pytest.mark.parametrize("d", EVERY_KIND, ids=lambda d: d.kind)
     def test_non_iid_coord_values_match_iid_and_slices_bitwise(self, d):
         pts = [x for x in probe_points(d) if math.isfinite(x)]

@@ -1,0 +1,100 @@
+"""The shared input rules of ``rhoest.errors`` at every public boundary.
+
+Each public value object and each public function that takes a count, a
+scale, a weight or a tolerance rejects a bool, NaN and a string there, and
+a count also rejects a non-integral number and 0, with
+ContractViolationError.
+Penalty, InnerSolverConfig, ``saddle_point(max_outer=...)`` and the density
+kinds have their own parametrized tests in the modules that test them.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from rhoest import (CandidateSet, ContractViolationError, DensityFamily,
+                    Gaussian, ModelDescriptor, ProductDensity, QuadratureSpec,
+                    RegressionFunction, RegressionModel, Sample, Scenario,
+                    SimplexPoint, build_histogram_family,
+                    dimension_bound_entropy, dimension_bound_finite,
+                    dimension_bound_vc, mixture_upsilon, mle_counterexample,
+                    rho_estimate, saddle_point, simplex_grid)
+
+G = Gaussian(0.0, 1.0)
+X = Sample(np.array([0.0, 0.5, 1.0]))
+ENTRIES = [ProductDensity(iid=Gaussian(m, 1.0), n=3) for m in (0.0, 1.0)]
+FAM = DensityFamily(ENTRIES)
+CS = CandidateSet(ENTRIES, X)
+LINE = RegressionFunction(lambda w: w, label="w")
+
+
+def scenario(**kwargs):
+    return Scenario(**{"truth": G, "n": 5, "replications": 1, "seed": 0, **kwargs})
+
+
+# Parameter -> (call with the value, a good value); the rule asks for a count.
+INTEGERS = {
+    "ProductDensity.n": (lambda v: ProductDensity(iid=G, n=v), 2),
+    "QuadratureSpec.max_subdivisions": (
+        lambda v: QuadratureSpec(max_subdivisions=v), 2),
+    "Scenario.n": (lambda v: scenario(n=v), 2),
+    "Scenario.replications": (lambda v: scenario(replications=v), 2),
+    "RegressionModel.vc_index_f": (
+        lambda v: RegressionModel(G, [LINE], vc_index_f=v), 2),
+    "simplex_grid.size": (lambda v: simplex_grid(v, 3), 2),
+    "simplex_grid.steps": (lambda v: simplex_grid(3, v), 2),
+    "mixture_upsilon.grid_steps": (
+        lambda v: mixture_upsilon(X, CS, SimplexPoint((0.5, 0.5)), v), 2),
+    "dimension_bound_finite": (dimension_bound_finite, 2),
+    "dimension_bound_vc.n": (lambda v: dimension_bound_vc(1, v), 2),
+    "build_histogram_family.k": (
+        lambda v: build_histogram_family([(0.0, 1.0)], v, 5), 2),
+    "build_histogram_family.mass_steps": (
+        lambda v: build_histogram_family([(0.0, 1.0)], 1, 5, mass_steps=v), 2),
+    "mle_counterexample.n": (lambda v: mle_counterexample(0.0, v, 1, 0), 3),
+    "mle_counterexample.reps": (lambda v: mle_counterexample(0.0, 5, v, 0), 2),
+}
+
+# The same for parameters whose rule asks for a real number.
+REALS = {
+    "QuadratureSpec.abs_tol": (lambda v: QuadratureSpec(abs_tol=v), 0.5),
+    "SimplexPoint.weights": (lambda v: SimplexPoint((v, 0.5)), 0.5),
+    "Scenario.eps": (
+        lambda v: scenario(kind="contaminated", contaminant=G, eps=v), 0.5),
+    "ModelDescriptor.dim_bound": (lambda v: ModelDescriptor(FAM, v, "finite"), 2.0),
+    "ModelDescriptor.delta_weight": (
+        lambda v: ModelDescriptor(FAM, 2.0, "finite", delta_weight=v), 0.5),
+    "RegressionModel.delta_weight": (
+        lambda v: RegressionModel(G, [LINE], vc_index_f=1, delta_weight=v), 0.5),
+    "RegressionModel.mode_multiplier": (
+        lambda v: RegressionModel(G, [LINE], vc_index_f=1, mode_multiplier=v), 1.0),
+    "rho_estimate.slack": (lambda v: rho_estimate(X, FAM, slack=v), 0.5),
+    "saddle_point.eps": (lambda v: saddle_point(X, CS, eps=v), 0.5),
+    "dimension_bound_vc.vc_index": (lambda v: dimension_bound_vc(v, 10), 1.5),
+    "dimension_bound_vc.c1": (lambda v: dimension_bound_vc(3, 10, v), 0.5),
+    "dimension_bound_entropy": (dimension_bound_entropy, 0.5),
+    "mle_counterexample.theta": (lambda v: mle_counterexample(v, 5, 1, 0), 0.5),
+    "mle_counterexample.grid_step": (
+        lambda v: mle_counterexample(0.0, 5, 1, 0, grid_step=v), 0.5),
+}
+
+TABLE = {**INTEGERS, **REALS}
+BAD = {"bool": True, "nan": math.nan, "string": "1", "fraction": 2.5, "zero": 0}
+CASES = [(name, bad) for name in TABLE
+         for bad in (BAD if name in INTEGERS else ("bool", "nan", "string"))]
+
+
+@pytest.mark.parametrize("name, bad", CASES, ids=[f"{n}-{b}" for n, b in CASES])
+def test_rule_rejects_bad_value(name, bad):
+    call, good = TABLE[name]
+    call(good)  # so that the rejection below is the bad value's doing
+    with pytest.raises(ContractViolationError):
+        call(BAD[bad])
+
+
+@pytest.mark.parametrize("slack", [math.nan, -1.0, math.inf])
+def test_bad_slack_is_named(slack):
+    # Not an internal invariant of RhoFit: the message names the argument.
+    with pytest.raises(ContractViolationError, match="slack"):
+        rho_estimate(X, FAM, slack=slack)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criterion import DensityFamily, Penalty, RhoFit, _criterion_rows, rho_estimate
-from .densities import ProductDensity, Sample
+from .densities import Sample
 from .errors import (Checked, ContractViolationError, DegenerateCandidatesError,
                      SolverError, _count, _number, _scale, _vector, _weights)
 from .psi import PsiKernel, kernel_constants
@@ -58,10 +58,11 @@ class SimplexPoint(Checked):
 class CandidateSet:
     """Candidate product densities evaluated at the sample.
 
-    Stores the (N, n) matrix of per-coordinate density values.  Coordinates
-    must be strictly positive; linear independence is checked via the matrix
-    condition number, but only enforced where the saddle-point theory needs
-    it (see :func:`saddle_point`).
+    Stores the (N, n) matrix of per-coordinate density values, which is all
+    the aggregation functions below read: the sample is chosen here, once.
+    Coordinates must be strictly positive; linear independence is checked
+    via the matrix condition number, but only enforced where the
+    saddle-point theory needs it (see :func:`saddle_point`).
     """
 
     def __init__(self, densities, sample: Sample):
@@ -73,7 +74,6 @@ class CandidateSet:
             raise ContractViolationError(
                 "candidate evaluation vectors must be strictly positive and finite")
         self.densities = densities
-        self.sample = sample
         self.values = values
 
     @property
@@ -106,9 +106,10 @@ def select_candidate(X: Sample, candidates, deltas,
     return rho_estimate(X, fam, pen, kernel)
 
 
-def t_mix(X: Sample, cs: CandidateSet, alpha: SimplexPoint, beta: SimplexPoint,
+def t_mix(cs: CandidateSet, alpha: SimplexPoint, beta: SimplexPoint,
           kernel: PsiKernel | None = None) -> float:
-    """sum_i psi(sqrt(mix_beta(X_i) / mix_alpha(X_i))); antisymmetric in (alpha, beta)."""
+    """sum_i psi(sqrt(mix_beta(X_i) / mix_alpha(X_i))) over the sample of ``cs``;
+    antisymmetric in (alpha, beta)."""
     kernel = kernel or kernel_constants()
     num = beta.as_array() @ cs.values
     den = alpha.as_array() @ cs.values
@@ -212,7 +213,7 @@ def _newton_end_point(P, beta, grad, hess_m, fw_j):
     return end / end.sum()
 
 
-def inner_argmax(X: Sample, cs: CandidateSet, alpha: SimplexPoint,
+def inner_argmax(cs: CandidateSet, alpha: SimplexPoint,
                  kernel: PsiKernel | None = None,
                  inner: InnerSolverConfig | None = None) -> SimplexPoint:
     """argmax over the simplex of beta -> t(alpha, beta).
@@ -253,7 +254,7 @@ def inner_argmax(X: Sample, cs: CandidateSet, alpha: SimplexPoint,
     return SimplexPoint(tuple(beta))
 
 
-def saddle_point(X: Sample, cs: CandidateSet, kernel: PsiKernel | None = None,
+def saddle_point(cs: CandidateSet, kernel: PsiKernel | None = None,
                  eps: float = 1e-4, max_outer: int = 1000,
                  inner: InnerSolverConfig | None = None) -> dict:
     """Iterate alpha <- argmax_beta t(alpha, beta) until t drops below eps.
@@ -281,8 +282,8 @@ def saddle_point(X: Sample, cs: CandidateSet, kernel: PsiKernel | None = None,
     certificate = float("inf")
     iterations = 0
     for iterations in range(1, max_outer + 1):
-        beta = inner_argmax(X, cs, alpha, kernel, inner)
-        certificate = t_mix(X, cs, alpha, beta, kernel)
+        beta = inner_argmax(cs, alpha, kernel, inner)
+        certificate = t_mix(cs, alpha, beta, kernel)
         if certificate < eps:
             break
         alpha = beta
@@ -314,8 +315,8 @@ def simplex_grid_array(size: int, steps: int) -> np.ndarray:
     return (np.diff(edges, axis=1) - 1) / steps
 
 
-def mixture_upsilon(X: Sample, cs: CandidateSet, alpha: SimplexPoint,
-                    grid_steps: int, kernel: PsiKernel | None = None) -> float:
+def mixture_upsilon(cs: CandidateSet, alpha: SimplexPoint, grid_steps: int,
+                    kernel: PsiKernel | None = None) -> float:
     """Criterion value of the alpha-mixture against a simplex-lattice family."""
     kernel = kernel or kernel_constants()
     G = simplex_grid_array(cs.size, grid_steps)

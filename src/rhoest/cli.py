@@ -9,6 +9,7 @@ All inputs arrive through a JSON config file; results go to stdout or to
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -20,8 +21,7 @@ from .aggregation import CandidateSet, saddle_point
 from .criterion import DensityFamily, Penalty, rho_estimate
 from .densities import Density1D, Gaussian, ProductDensity, Sample, density_from_json
 from .errors import (ConfigError, ContractViolationError,
-                     DegenerateCandidatesError, QuadratureError, SolverError,
-                     _finite, _vector)
+                     DegenerateCandidatesError, _finite, _scale, _vector)
 from .harness import RiskReport, Scenario, export, mc_risk, mle_counterexample
 from .models import (ModelDescriptor, _check_grid, _theta_labels,
                      build_exp_family_grid, build_gaussian_location_grid,
@@ -130,12 +130,8 @@ def _family_from_config(spec: dict, n: int, c1: float) -> ModelDescriptor:
     if kind == "explicit":
         entries = [ProductDensity(iid=density_from_json(d), n=n)
                    for d in _list(spec, "densities")]
-        fam = DensityFamily(entries)
-        return ModelDescriptor(
-            family=fam,
-            dim_bound=dimension_bound_finite(len(fam)),
-            bound_source="finite",
-        )
+        return ModelDescriptor(family=DensityFamily(entries),
+                               dim_bound=dimension_bound_finite(len(entries)))
     raise ConfigError(f"unknown family type {kind!r}")
 
 
@@ -179,8 +175,8 @@ def _cmd_select(args) -> int:
     models = []
     for spec in model_specs:
         desc = _family_from_config(_get(spec, "family"), X.n, args.c1)
-        desc.delta_weight = _number(spec, "delta", default_delta)
-        models.append(desc)
+        models.append(dataclasses.replace(
+            desc, delta_weight=_number(spec, "delta", default_delta)))
     coll = ModelCollection(models, kernel)
     result = select(X, coll, slack_multiplier=args.kappa_multiplier)
     payload = result["fit"].to_json()
@@ -197,16 +193,10 @@ def _cmd_aggregate(args) -> int:
     densities = [ProductDensity(iid=density_from_json(d), n=X.n)
                  for d in _list(cfg, "candidates")]
     cs = CandidateSet(densities, X)
-    result = saddle_point(X, cs, kernel,
+    result = saddle_point(cs, kernel,
                           eps=_number(cfg, "eps", 1e-4),
                           max_outer=_number(cfg, "max_outer", 1000, integer=True))
-    _emit({
-        "alpha_star": list(result["alpha_star"].weights),
-        "certificate": result["certificate"],
-        "iterations": result["iterations"],
-        "converged": result["converged"],
-        "condition_number": result["condition_number"],
-    }, args)
+    _emit({**result, "alpha_star": list(result["alpha_star"].weights)}, args)
     return 0
 
 
@@ -359,16 +349,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.kappa_multiplier <= 0 or args.c1 <= 0:
-        sys.stderr.write("error: --kappa-multiplier and --c1 must be positive\n")
-        return 2
     try:
+        _scale("--kappa-multiplier", args.kappa_multiplier)
+        _scale("--c1", args.c1)
         return _COMMANDS[args.command](args)
     except (ConfigError, ContractViolationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (QuadratureError, DegenerateCandidatesError, SolverError,
-            FloatingPointError, ZeroDivisionError, np.linalg.LinAlgError) as exc:
+    except (ArithmeticError, DegenerateCandidatesError, np.linalg.LinAlgError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 3
 

@@ -157,6 +157,13 @@ class Density1D(Checked):
         return f"{type(self).__name__}({args})"
 
 
+def _density(name, v):
+    """The rule of a parameter that takes a :class:`Density1D`."""
+    if not isinstance(v, Density1D):
+        raise ContractViolationError(f"{name} must be a Density1D, got {v!r}")
+    return v
+
+
 @dataclass(frozen=True, eq=False)
 class Gaussian(Density1D):
     mean: float = 0.0
@@ -579,8 +586,8 @@ class ProductDensity(Checked):
         self.__post_init__()
 
     def _check(self):
-        if not all(isinstance(d, Density1D) for d in self.coords or [self.marginal]):
-            raise ContractViolationError("product coordinates must be Density1D")
+        for d in self.coords or [self.marginal]:
+            _density("product coordinate", d)
 
     @property
     def is_iid(self):
@@ -604,11 +611,6 @@ class ProductDensity(Checked):
         if self.is_iid:
             return ("iid", self.n, self.marginal.key())
         return ("coords", tuple(c.key() for c in self.coords))
-
-    def to_json(self):
-        if self.is_iid:
-            return {"iid": self.marginal.to_json(), "n": self.n}
-        return {"coords": [c.to_json() for c in self.coords]}
 
     def __repr__(self):
         if self.is_iid:

@@ -79,6 +79,13 @@ def _nonnegative(name, v):
     return v
 
 
+def _integer(name, v):
+    """Any integer, as an int; a bool or a float is not one."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ContractViolationError(f"{name} must be an integer, got {v!r}")
+    return int(v)
+
+
 def _count(name, v, least=1):
     """An integer >= ``least``, as an int; a bool or a float is not one."""
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:

@@ -21,9 +21,9 @@ import numpy as np
 
 from .criterion import DensityFamily, rho_estimate
 from .densities import (Density1D, PathologicalGaussian, ProductDensity,
-                        Sample, hellinger_sq, integrate_on_supports)
+                        Sample, _density, hellinger_sq, integrate_on_supports)
 from .errors import (Checked, ContractViolationError, RhoestError, _count,
-                     _finite, _scale, _vector)
+                     _finite, _integer, _number, _scale, _vector)
 from .models import _check_grid
 from .psi import PsiKernel, kernel_constants
 from .quadrature import QuadratureSpec
@@ -55,10 +55,13 @@ class Scenario(Checked):
     eps: float = 0.0
     outlier_indices: tuple = ()
     outlier_points: tuple = ()
-    rules = {"n": _count, "replications": _count, "eps": _finite,
+    rules = {"truth": _density, "n": _count, "replications": _count,
+             "seed": _integer, "eps": _finite,
              "outlier_indices": _vector, "outlier_points": _vector}
 
     def _check(self):
+        if self.contaminant is not None:
+            _density("contaminant", self.contaminant)
         if self.kind == "contaminated":
             if self.contaminant is None:
                 raise ContractViolationError("contaminated scenario needs a contaminant")
@@ -81,9 +84,9 @@ class Scenario(Checked):
 
 
 def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
-    """The Philox stream owned by one replicate."""
-    return np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF,
-                                                     replicate]))
+    """The Philox stream owned by one replicate; seeds count modulo 2**64."""
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, replicate], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _draw(scenario: Scenario, rng: np.random.Generator) -> Sample:
@@ -169,7 +172,7 @@ def contamination_bias(center: Density1D, contaminant: Density1D, eps: float,
     Bounded by eps whatever the contaminating distribution; the analytic
     check behind the contamination scenarios.
     """
-    if not 0.0 <= eps <= 1.0:
+    if not 0.0 <= _number("eps", eps) <= 1.0:
         raise ContractViolationError("eps must lie in [0, 1]")
     if eps == 0.0:
         return 0.0
@@ -201,6 +204,7 @@ def mle_counterexample(theta: float, n: int, reps: int, seed: int,
     """
     _count("n", n, least=3)
     _count("reps", reps)
+    seed = _integer("seed", seed)
     _check_grid(_finite("theta", theta) - _scale("grid_halfwidth", grid_halfwidth),
                 theta + grid_halfwidth, _scale("grid_step", grid_step))
     kernel = kernel or kernel_constants()

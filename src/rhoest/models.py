@@ -39,33 +39,19 @@ DEFAULT_C1 = 1.0
 MAX_GRID_POINTS = 2**16
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelDescriptor(Checked):
-    """A family plus the complexity metadata used by penalized selection."""
+    """A family with the dimension bound and weight that penalized selection
+    reads."""
 
     family: DensityFamily
     dim_bound: float
-    bound_source: str
-    vc_index: int | None = None
     delta_weight: float = 0.0
     rules = {"dim_bound": _finite, "delta_weight": _nonnegative}
 
     def _check(self):
         if self.dim_bound < 1.0:
             raise ContractViolationError("dimension bounds are >= 1")
-        if self.bound_source not in ("finite", "vc", "entropy", "user"):
-            raise ContractViolationError(f"unknown bound source {self.bound_source!r}")
-
-    def to_json(self):
-        return {
-            "size": len(self.family),
-            "n": self.family.n,
-            "labels": list(self.family.labels),
-            "dim_bound": self.dim_bound,
-            "bound_source": self.bound_source,
-            "vc_index": self.vc_index,
-            "delta_weight": self.delta_weight,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +157,9 @@ def build_gaussian_location_grid(theta_min: float, theta_max: float, step: float
     count = int(math.floor((theta_max - theta_min) / step + 1e-9)) + 1
     thetas = [theta_min + i * step for i in range(count)]
     entries = [ProductDensity(iid=Gaussian(t, sd), n=n) for t in thetas]
-    vc = 3
-    return ModelDescriptor(
-        family=DensityFamily(entries, labels=_theta_labels(thetas)),
-        dim_bound=dimension_bound_vc(vc, n, c1),
-        bound_source="vc",
-        vc_index=vc,
-    )
+    labels = _theta_labels(thetas)
+    return ModelDescriptor(family=DensityFamily(entries, labels=labels),
+                           dim_bound=dimension_bound_vc(3, n, c1))
 
 
 def build_histogram_family(breakpoint_grids, k: int, n: int,
@@ -212,13 +194,8 @@ def build_histogram_family(breakpoint_grids, k: int, n: int,
             labels.append(f"breaks={breaks} masses={masses}")
     if not entries:
         raise ContractViolationError("histogram family is empty")
-    vc = 2 * k + 1
-    return ModelDescriptor(
-        family=DensityFamily(entries, labels=labels),
-        dim_bound=dimension_bound_vc(vc, n, c1),
-        bound_source="vc",
-        vc_index=vc,
-    )
+    return ModelDescriptor(family=DensityFamily(entries, labels=labels),
+                           dim_bound=dimension_bound_vc(2 * k + 1, n, c1))
 
 
 def build_exp_family_grid(basis, coefficient_grid, lo: float, hi: float, n: int,
@@ -255,10 +232,5 @@ def build_exp_family_grid(basis, coefficient_grid, lo: float, hi: float, n: int,
     if rejected:
         warnings.warn(f"rejected {len(rejected)} divergent coefficient vectors: "
                       f"{rejected}", stacklevel=2)
-    vc = len(basis) + 2
-    return ModelDescriptor(
-        family=DensityFamily(entries, labels=labels),
-        dim_bound=dimension_bound_vc(vc, n, c1),
-        bound_source="vc",
-        vc_index=vc,
-    )
+    return ModelDescriptor(family=DensityFamily(entries, labels=labels),
+                           dim_bound=dimension_bound_vc(len(basis) + 2, n, c1))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criterion import DensityFamily, RhoFit
-from .densities import Density1D, Sample, hellinger_sq, shifted
+from .densities import Density1D, Sample, _density, hellinger_sq, shifted
 from .errors import (Checked, ContractViolationError, _count, _items,
                      _nonnegative, _scale)
 from .models import ModelDescriptor, dimension_bound_vc
@@ -45,7 +45,15 @@ class RegressionFunction:
         return np.asarray(self.fn(np.asarray(w, dtype=float)), dtype=float)
 
 
-@dataclass
+def _functions(name, v):
+    """A list of :class:`RegressionFunction`, as a tuple."""
+    v = _items(name, v)
+    if not all(isinstance(g, RegressionFunction) for g in v):
+        raise ContractViolationError(f"{name} must hold RegressionFunction objects")
+    return v
+
+
+@dataclass(frozen=True)
 class RegressionModel(Checked):
     """One error density r with a finite menu of regression functions."""
 
@@ -54,8 +62,9 @@ class RegressionModel(Checked):
     vc_index_f: int
     delta_weight: float = 0.0
     mode_multiplier: float = 1.0   # c(r) > 1 for declared multi-modal r
-    rules = {"functions": _items, "vc_index_f": _count,
-             "delta_weight": _nonnegative, "mode_multiplier": _scale}
+    rules = {"error_density": _density, "functions": _functions,
+             "vc_index_f": _count, "delta_weight": _nonnegative,
+             "mode_multiplier": _scale}
 
     def _check(self):
         if not self.functions:
@@ -105,8 +114,6 @@ def build_regression_family(models, n: int, kernel: PsiKernel | None = None,
         descriptors.append(ModelDescriptor(
             family=DensityFamily(entries, labels=labels),
             dim_bound=dimension_bound_vc(min(vc_pair, n), n, c1),
-            bound_source="vc",
-            vc_index=int(math.ceil(vc_pair)),
             delta_weight=model.delta_weight,
         ))
     return ModelCollection(descriptors, kernel)

@@ -141,7 +141,7 @@ def test_05_saddle_point_certified():
         sds = rng.uniform(0.7, 1.5, N)
         cs = CandidateSet([ProductDensity(iid=Gaussian(m, s), n=n)
                            for m, s in zip(means, sds)], X)
-        out = saddle_point(X, cs, K2, eps=1e-4)
+        out = saddle_point(cs, K2, eps=1e-4)
         alpha = out["alpha_star"]
         if not (out["converged"] and out["certificate"] < 1e-4):
             bad.append((case, "certificate", out["certificate"]))
@@ -149,13 +149,13 @@ def test_05_saddle_point_certified():
         # two-sided eps-saddle on a coarse grid, via exact antisymmetry
         from rhoest import simplex_grid
         two_sided = all(
-            t_mix(X, cs, alpha, g, K2) <= 1e-4 + 1e-9
-            and t_mix(X, cs, g, alpha, K2) >= -(1e-4 + 1e-9)
+            t_mix(cs, alpha, g, K2) <= 1e-4 + 1e-9
+            and t_mix(cs, g, alpha, K2) >= -(1e-4 + 1e-9)
             for g in simplex_grid(N, 10))
         if not two_sided:
             bad.append((case, "two-sided"))
             continue
-        ups = mixture_upsilon(X, cs, alpha, grid_steps=100, kernel=K2)
+        ups = mixture_upsilon(cs, alpha, grid_steps=100, kernel=K2)
         if ups > out["certificate"] + 1e-3:
             bad.append((case, "upsilon", ups))
     report(5, "saddle-point certificates on random candidate sets",

@@ -184,7 +184,7 @@ class TestTMix:
         X = Sample(np.random.default_rng(0).normal(0, 1, 10))
         cs = gaussian_candidates([-1, 0, 1], X)
         a = SimplexPoint((0.2, 0.5, 0.3))
-        assert t_mix(X, cs, a, a, K2) == 0.0
+        assert t_mix(cs, a, a, K2) == 0.0
 
     def test_antisymmetry(self):
         rng = np.random.default_rng(1)
@@ -194,7 +194,7 @@ class TestTMix:
             w = rng.dirichlet(np.ones(3))
             v = rng.dirichlet(np.ones(3))
             a, b = SimplexPoint(tuple(w)), SimplexPoint(tuple(v))
-            assert abs(t_mix(X, cs, a, b, K2) + t_mix(X, cs, b, a, K2)) <= 1e-12
+            assert abs(t_mix(cs, a, b, K2) + t_mix(cs, b, a, K2)) <= 1e-12
 
     def test_hand_value(self):
         # one sample point, candidate values 1 and 4: psi2(sqrt(4)) = 1/3
@@ -203,7 +203,7 @@ class TestTMix:
         p1 = ProductDensity(iid=Tabulated((-1.0, 0.0, 1.0), (1.0, 1.0, 1.0)), n=1)
         p2 = ProductDensity(iid=Tabulated((-1.0, 0.0, 1.0), (4.0, 4.0, 4.0)), n=1)
         cs = CandidateSet([p1, p2], X)
-        val = t_mix(X, cs, SimplexPoint((1.0, 0.0)), SimplexPoint((0.0, 1.0)), K2)
+        val = t_mix(cs, SimplexPoint((1.0, 0.0)), SimplexPoint((0.0, 1.0)), K2)
         assert val == pytest.approx(1 / 3, abs=1e-15)
 
     def test_concavity_in_beta(self):
@@ -216,8 +216,8 @@ class TestTMix:
             b2 = SimplexPoint(tuple(rng.dirichlet(np.ones(3))))
             mid = SimplexPoint(tuple(0.5 * (np.array(b1.weights)
                                             + np.array(b2.weights))))
-            chord = 0.5 * (t_mix(X, cs, a, b1, K2) + t_mix(X, cs, a, b2, K2))
-            assert t_mix(X, cs, a, mid, K2) >= chord - 1e-10
+            chord = 0.5 * (t_mix(cs, a, b1, K2) + t_mix(cs, a, b2, K2))
+            assert t_mix(cs, a, mid, K2) >= chord - 1e-10
 
 
 class TestInnerArgmax:
@@ -226,7 +226,7 @@ class TestInnerArgmax:
         d = ProductDensity(iid=Gaussian(0, 1), n=2)
         cs = CandidateSet([d, d], X)
         alpha = SimplexPoint((0.5, 0.5))
-        beta = inner_argmax(X, cs, alpha, K2)
+        beta = inner_argmax(cs, alpha, K2)
         assert beta.weights == tuple(beta.weights)   # valid simplex point
         assert abs(sum(beta.weights) - 1.0) <= 1e-12
 
@@ -237,10 +237,10 @@ class TestInnerArgmax:
         alpha = SimplexPoint((0.5, 0.5))
 
         def obj(b):
-            return t_mix(X, cs, alpha, SimplexPoint((b, 1.0 - b)), K2)
+            return t_mix(cs, alpha, SimplexPoint((b, 1.0 - b)), K2)
 
         b_star = golden_section_argmax(obj, 0.0, 1.0)
-        beta = inner_argmax(X, cs, alpha, K2,
+        beta = inner_argmax(cs, alpha, K2,
                             InnerSolverConfig(tol=1e-12, max_iter=20000))
         assert obj(beta.weights[0]) == pytest.approx(obj(b_star), abs=1e-6)
         assert beta.weights[0] == pytest.approx(b_star, abs=1e-3)
@@ -257,7 +257,7 @@ class TestInnerArgmax:
         for X, cs in cases:
             for alpha in (SimplexPoint(tuple(np.full(cs.size, 1.0 / cs.size))),
                           SimplexPoint(tuple(rng.dirichlet(np.ones(cs.size))))):
-                beta = inner_argmax(X, cs, alpha, kernel, inner)
+                beta = inner_argmax(cs, alpha, kernel, inner)
                 want = away_step_frank_wolfe(cs, alpha, kernel, tol=1e-13)
                 assert np.abs(beta.as_array() - want).max() <= 1e-6
                 assert frank_wolfe_gap(cs, alpha, beta, kernel) < inner.tol
@@ -268,7 +268,7 @@ class TestInnerArgmax:
         X = Sample(np.random.default_rng(4).normal(0.0, 1.0, 40))
         cs = gaussian_candidates([-1.0, 0.0, 0.0, 1.5], X)
         alpha = SimplexPoint((0.7, 0.1, 0.1, 0.1))
-        beta = inner_argmax(X, cs, alpha, K2)
+        beta = inner_argmax(cs, alpha, K2)
         want = away_step_frank_wolfe(cs, alpha, K2, tol=1e-13)
         merge = np.array([[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]])
         assert np.abs(merge @ (beta.as_array() - want)).max() <= 1e-6
@@ -303,7 +303,7 @@ class TestInnerArgmax:
         X = Sample(rng.normal(0.5, 1, 20))
         cs = gaussian_candidates([0.0, 1.0], X)
         alpha = SimplexPoint((0.9, 0.1))
-        beta = inner_argmax(X, cs, alpha, K2)
+        beta = inner_argmax(cs, alpha, K2)
         want = away_step_frank_wolfe(cs, alpha, K2, tol=1e-13)
         assert np.abs(beta.as_array() - want).max() <= 1e-6
 
@@ -318,7 +318,7 @@ class TestInnerArgmax:
             return derivatives(kernel, m, d_sqrt)
 
         monkeypatch.setattr(aggregation, "_mix_derivatives", spy)
-        inner_argmax(X, cs, alpha, K2)
+        inner_argmax(cs, alpha, K2)
         assert np.array_equal(first_m[0], alpha.as_array() @ cs.values)
 
     @pytest.mark.parametrize("kernel", [K1, K2], ids=["psi1", "psi2"])
@@ -338,7 +338,7 @@ class TestInnerArgmax:
         monkeypatch.setattr(aggregation, "inner_argmax", counting_solve)
         for seed in (7, 8, 9):
             X, cs = face_case(seed)
-            assert saddle_point(X, cs, kernel)["converged"]
+            assert saddle_point(cs, kernel)["converged"]
         assert max(per_solve) <= 30
 
     @pytest.mark.parametrize("kernel", [K1, K2], ids=["psi1", "psi2"])
@@ -372,12 +372,12 @@ class TestSolverSettings:
         X = Sample(np.array([0.0, 1.0]))
         cs = gaussian_candidates([0.0, 1.0], X)
         with pytest.raises(ContractViolationError, match="max_outer"):
-            saddle_point(X, cs, K2, max_outer=max_outer)
+            saddle_point(cs, K2, max_outer=max_outer)
 
     def test_smallest_settings_accepted(self):
         X = Sample(np.array([0.0, 1.0, 2.0]))
         cs = gaussian_candidates([0.0, 1.0], X)
-        out = saddle_point(X, cs, K2, max_outer=np.int64(1),
+        out = saddle_point(cs, K2, max_outer=np.int64(1),
                            inner=InnerSolverConfig(tol=1e-3, max_iter=1))
         assert out["iterations"] == 1
         assert math.isfinite(out["certificate"])
@@ -387,7 +387,7 @@ class TestSaddlePoint:
     def test_single_candidate(self):
         X = Sample(np.array([0.0, 1.0]))
         cs = CandidateSet([ProductDensity(iid=Gaussian(0, 1), n=2)], X)
-        out = saddle_point(X, cs, K2)
+        out = saddle_point(cs, K2)
         assert out["alpha_star"].weights == (1.0,)
         assert out["certificate"] == 0.0
         assert out["converged"]
@@ -396,14 +396,14 @@ class TestSaddlePoint:
         X = Sample(np.array([0.0, 1.0]))
         cs = gaussian_candidates([0.0, 1.0], X)
         with pytest.raises(ContractViolationError):
-            saddle_point(X, cs, K2, eps=0.0)
+            saddle_point(cs, K2, eps=0.0)
 
     def test_degenerate_candidates_rejected(self):
         X = Sample(np.array([0.0, 1.0, 2.0]))
         d = ProductDensity(iid=Gaussian(0, 1), n=3)
         cs = CandidateSet([d, d], X)
         with pytest.raises(DegenerateCandidatesError):
-            saddle_point(X, cs, K2)
+            saddle_point(cs, K2)
 
     def test_dominant_candidate_gets_weight(self):
         hits = 0
@@ -412,7 +412,7 @@ class TestSaddlePoint:
             rng = np.random.default_rng(200 + rep)
             X = Sample(rng.normal(0, 1, 200))
             cs = gaussian_candidates([0.0, 3.0], X)
-            out = saddle_point(X, cs, K2)
+            out = saddle_point(cs, K2)
             assert out["converged"]
             hits += out["alpha_star"].weights[0] >= 0.9
         assert hits / reps >= 0.95
@@ -421,21 +421,33 @@ class TestSaddlePoint:
         rng = np.random.default_rng(5)
         X = Sample(rng.normal(0, 1, 5))
         cs = gaussian_candidates([-0.5, 0.2, 0.9], X)
-        out = saddle_point(X, cs, K2, eps=1e-4)
+        out = saddle_point(cs, K2, eps=1e-4)
         assert out["converged"]
         assert out["certificate"] < 1e-4
-        ups = mixture_upsilon(X, cs, out["alpha_star"], grid_steps=100, kernel=K2)
+        ups = mixture_upsilon(cs, out["alpha_star"], grid_steps=100, kernel=K2)
         assert ups < 1e-4 + 1e-3
 
     def test_two_sided_saddle_property(self):
         rng = np.random.default_rng(6)
         X = Sample(rng.normal(0, 1, 30))
         cs = gaussian_candidates([-1.0, 0.0, 1.0], X)
-        out = saddle_point(X, cs, K2, eps=1e-5)
+        out = saddle_point(cs, K2, eps=1e-5)
         alpha = out["alpha_star"]
         for g in simplex_grid(3, 10):
-            assert t_mix(X, cs, alpha, g, K2) <= 1e-5 + 1e-9
-            assert t_mix(X, cs, g, alpha, K2) >= -(1e-5 + 1e-9)
+            assert t_mix(cs, alpha, g, K2) <= 1e-5 + 1e-9
+            assert t_mix(cs, g, alpha, K2) >= -(1e-5 + 1e-9)
+
+    def test_sample_is_chosen_once_in_the_candidate_set(self):
+        # The solve reads only the candidate values at the sample the set
+        # was built on; no function takes a second sample.
+        X, cs = face_case(7)
+        assert not hasattr(cs, "sample")
+        out = saddle_point(cs)
+        assert out["converged"]
+        assert out == saddle_point(cs, K2)
+        a, b = SimplexPoint.vertex(0, cs.size), out["alpha_star"]
+        with pytest.raises(TypeError):
+            t_mix(X, cs, a, b, K2)
 
 
 class TestLineSearch:
@@ -486,7 +498,7 @@ class TestLineSearch:
         for kernel in (K1, K2):
             for seed in range(7, 13):
                 X, cs = face_case(seed)
-                saddle_point(X, cs, kernel)
+                saddle_point(cs, kernel)
         assert len(per_search) > 100
         assert max(per_search) <= 15
 
@@ -495,7 +507,7 @@ class TestLineSearch:
         # carried nearly all of the mixture at a sample point; the end point
         # is evaluated from its own weights, so its mixture stays positive.
         X, cs = face_case(7)
-        out = saddle_point(X, cs, K2)
+        out = saddle_point(cs, K2)
         assert out["converged"]
         assert out["certificate"] < 1e-4
 

@@ -75,6 +75,16 @@ class TestSelect:
         assert code == 0
         assert out["selected_models"]
 
+    def test_negative_delta_rejected(self, tmp_path, capsys, gaussian_sample):
+        # exp(1e-13) passes the weight budget's 1e-12 tolerance, so only the
+        # descriptor's own rule stands between this weight and the penalty.
+        cfg = write_config(tmp_path, "c.json", {
+            "sample": gaussian_sample,
+            "models": [{"family": GRID, "delta": -1e-13}]})
+        assert main(["select", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "delta_weight must be a nonnegative number" in err
+
 
 class TestAggregate:
     def test_two_candidates(self, tmp_path, capsys, gaussian_sample):
@@ -292,8 +302,21 @@ class TestExitCodes:
             "sample": gaussian_sample, "family": {"type": "mystery"}})
         assert main(["fit", "--config", cfg]) == 2
 
-    def test_bad_kappa_multiplier(self, tmp_path, capsys):
+    def test_bad_kappa_multiplier(self, tmp_path, capsys, gaussian_sample):
         assert main(["fit", "--kappa-multiplier", "-1"]) == 2
+        fit = write_config(tmp_path, "fit.json",
+                           {"sample": gaussian_sample, "family": GRID})
+        bench = write_config(tmp_path, "bench.json", {
+            "scenario": SCENARIO, "estimator": {**GRID, "type": "rho_gaussian_grid"}})
+        for command, cfg in (("fit", fit), ("bench", bench)):
+            for value in ("nan", "inf"):
+                assert main([command, "--config", cfg,
+                             "--kappa-multiplier", value]) == 2
+                out, err = capsys.readouterr()
+                assert out == "" and "error: --kappa-multiplier must be" in err
+        assert main(["fit", "--config", fit, "--c1", "nan"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error: --c1 must be" in err
 
     def test_decreasing_tabulated_grid_rejected(self, tmp_path, capsys,
                                                 gaussian_sample):
@@ -350,6 +373,16 @@ class TestExitCodes:
             ],
         })
         assert main(["aggregate", "--config", cfg]) == 3
+
+    def test_overflow_is_numerical_failure(self, tmp_path, capsys):
+        # theta**2 overflows in PathologicalGaussian.base_ratio; the
+        # OverflowError is an ArithmeticError like every numerical failure.
+        # The sample and its mean overflow first, with numpy warnings.
+        cfg = write_config(tmp_path, "c.json", {"theta": 1e308, "n": 5, "reps": 1})
+        with pytest.warns(RuntimeWarning):
+            assert main(["demo-mle", "--config", cfg]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("numerical failure:")
 
 
 GRID = {"type": "gaussian_location_grid", "theta_min": -1, "theta_max": 1,

@@ -213,7 +213,7 @@ class TestRootsCheckedOncePerCall:
         alpha, beta = SimplexPoint((0.5, 0.5)), SimplexPoint((1.0, 0.0))
         for a, b in ((alpha, beta), (beta, alpha)):
             with pytest.raises(ContractViolationError, match="square roots"):
-                t_mix(X, cs, a, b, K2)
+                t_mix(cs, a, b, K2)
 
     @pytest.mark.parametrize("bad", [math.nan, -1.0, -1e-300])
     @pytest.mark.parametrize("col", [1, 3])

@@ -94,7 +94,7 @@ class TestGaussianGrid:
         desc = build_gaussian_location_grid(-2, 2, 0.01, 1.0, n=n)
         expected = min(3 * (1 + math.log(n / 3)), n / 6)
         assert desc.dim_bound == pytest.approx(expected, rel=1e-12)
-        assert desc.vc_index == 3
+        assert desc.dim_bound == dimension_bound_vc(3, n) < n / 6
 
     def test_bad_grid(self):
         with pytest.raises(ContractViolationError):
@@ -137,8 +137,9 @@ class TestHistogramFamily:
             assert mass == pytest.approx(1.0, abs=1e-12)
 
     def test_vc_metadata(self):
-        desc = build_histogram_family([(0.0, 0.25, 0.5, 1.0)], k=3, n=100)
-        assert desc.vc_index == 7
+        # VC index 2k + 1 = 7; at n = 1000 the n/6 cap does not bind.
+        desc = build_histogram_family([(0.0, 0.25, 0.5, 1.0)], k=3, n=1000)
+        assert desc.dim_bound == dimension_bound_vc(7, 1000) < 1000 / 6
 
     def test_too_many_pieces(self):
         with pytest.raises(ContractViolationError):
@@ -173,9 +174,10 @@ class TestExpFamilyGrid:
         assert np.allclose(d.pdf(x), g.pdf(x), atol=1e-9)
 
     def test_vc_metadata(self):
+        # VC index J + 2 = 4; at n = 500 the n/6 cap does not bind.
         desc = build_exp_family_grid(("x", "x**2"), [(0.0, -0.5)],
-                                     -5.0, 5.0, n=50)
-        assert desc.vc_index == 4
+                                     -5.0, 5.0, n=500)
+        assert desc.dim_bound == dimension_bound_vc(4, 500) < 500 / 6
 
     def test_divergent_coefficients_rejected(self):
         with pytest.warns(UserWarning):
@@ -192,10 +194,3 @@ class TestDescriptor:
     def test_dim_bound_floor(self):
         desc = build_gaussian_location_grid(-1, 1, 1.0, 1.0, n=10)
         assert desc.dim_bound >= 1.0
-
-    def test_json(self):
-        desc = build_gaussian_location_grid(-1, 1, 1.0, 1.0, n=10)
-        blob = desc.to_json()
-        assert blob["size"] == 3
-        assert blob["bound_source"] == "vc"
-        assert blob["vc_index"] == 3

@@ -6,8 +6,8 @@ import pytest
 from rhoest import (Cauchy, ContractViolationError, Gaussian,
                     QuadratureSpec, RegressionFunction, RegressionModel,
                     Sample, Uniform, build_regression_family,
-                    check_identifiability, d_s_loss, eta_bar_finite,
-                    fit_regression, kernel_constants)
+                    check_identifiability, d_s_loss, dimension_bound_vc,
+                    eta_bar_finite, fit_regression, kernel_constants)
 
 QUAD = QuadratureSpec(abs_tol=1e-10)
 K2 = kernel_constants("psi2")
@@ -39,7 +39,9 @@ class TestBuild:
         model = RegressionModel(Gaussian(0, 1), linear_functions(np.linspace(0, 2, 21)),
                                 vc_index_f=3)
         coll = build_regression_family([model], n=1000)
-        assert coll.models[0].vc_index == math.ceil(9.41 * 3)
+        # Pair VC index 9.41 V; at n = 1000 the n/6 cap does not bind.
+        bound = dimension_bound_vc(9.41 * 3, 1000)
+        assert coll.models[0].dim_bound == bound < 1000 / 6
 
     def test_pointwise_entry_oracle(self):
         rng = np.random.default_rng(0)

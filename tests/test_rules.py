@@ -1,9 +1,9 @@
 """The shared input rules of ``rhoest.errors`` at every public boundary.
 
 Each public value object and each public function that takes a count, a
-scale, a weight or a tolerance rejects a bool, NaN and a string there, and
-a count also rejects a non-integral number and 0, with
-ContractViolationError.
+seed, a scale, a weight, a tolerance or a density rejects a bool, NaN and a
+string there, a count or a seed also rejects a non-integral number, and a
+count also rejects 0, with ContractViolationError.
 Penalty, InnerSolverConfig, ``saddle_point(max_outer=...)`` and the density
 kinds have their own parametrized tests in the modules that test them.
 """
@@ -16,10 +16,10 @@ import pytest
 from rhoest import (CandidateSet, ContractViolationError, DensityFamily,
                     Gaussian, ModelDescriptor, ProductDensity, QuadratureSpec,
                     RegressionFunction, RegressionModel, Sample, Scenario,
-                    SimplexPoint, build_histogram_family,
+                    SimplexPoint, build_histogram_family, contamination_bias,
                     dimension_bound_entropy, dimension_bound_finite,
                     dimension_bound_vc, mixture_upsilon, mle_counterexample,
-                    rho_estimate, saddle_point, simplex_grid)
+                    rho_estimate, saddle_point, simplex_grid, simulate)
 
 G = Gaussian(0.0, 1.0)
 X = Sample(np.array([0.0, 0.5, 1.0]))
@@ -45,7 +45,7 @@ INTEGERS = {
     "simplex_grid.size": (lambda v: simplex_grid(v, 3), 2),
     "simplex_grid.steps": (lambda v: simplex_grid(3, v), 2),
     "mixture_upsilon.grid_steps": (
-        lambda v: mixture_upsilon(X, CS, SimplexPoint((0.5, 0.5)), v), 2),
+        lambda v: mixture_upsilon(CS, SimplexPoint((0.5, 0.5)), v), 2),
     "dimension_bound_finite": (dimension_bound_finite, 2),
     "dimension_bound_vc.n": (lambda v: dimension_bound_vc(1, v), 2),
     "build_histogram_family.k": (
@@ -56,33 +56,58 @@ INTEGERS = {
     "mle_counterexample.reps": (lambda v: mle_counterexample(0.0, 5, v, 0), 2),
 }
 
+# The same for parameters that take any integer; a negative seed is good.
+SEEDS = {
+    "Scenario.seed": (lambda v: scenario(seed=v), -1),
+    "mle_counterexample.seed": (lambda v: mle_counterexample(0.0, 5, 1, v), -1),
+}
+
 # The same for parameters whose rule asks for a real number.
 REALS = {
     "QuadratureSpec.abs_tol": (lambda v: QuadratureSpec(abs_tol=v), 0.5),
     "SimplexPoint.weights": (lambda v: SimplexPoint((v, 0.5)), 0.5),
     "Scenario.eps": (
         lambda v: scenario(kind="contaminated", contaminant=G, eps=v), 0.5),
-    "ModelDescriptor.dim_bound": (lambda v: ModelDescriptor(FAM, v, "finite"), 2.0),
+    "ModelDescriptor.dim_bound": (lambda v: ModelDescriptor(FAM, v), 2.0),
     "ModelDescriptor.delta_weight": (
-        lambda v: ModelDescriptor(FAM, 2.0, "finite", delta_weight=v), 0.5),
+        lambda v: ModelDescriptor(FAM, 2.0, delta_weight=v), 0.5),
     "RegressionModel.delta_weight": (
         lambda v: RegressionModel(G, [LINE], vc_index_f=1, delta_weight=v), 0.5),
     "RegressionModel.mode_multiplier": (
         lambda v: RegressionModel(G, [LINE], vc_index_f=1, mode_multiplier=v), 1.0),
     "rho_estimate.slack": (lambda v: rho_estimate(X, FAM, slack=v), 0.5),
-    "saddle_point.eps": (lambda v: saddle_point(X, CS, eps=v), 0.5),
+    "saddle_point.eps": (lambda v: saddle_point(CS, eps=v), 0.5),
     "dimension_bound_vc.vc_index": (lambda v: dimension_bound_vc(v, 10), 1.5),
     "dimension_bound_vc.c1": (lambda v: dimension_bound_vc(3, 10, v), 0.5),
     "dimension_bound_entropy": (dimension_bound_entropy, 0.5),
     "mle_counterexample.theta": (lambda v: mle_counterexample(v, 5, 1, 0), 0.5),
     "mle_counterexample.grid_step": (
         lambda v: mle_counterexample(0.0, 5, 1, 0, grid_step=v), 0.5),
+    "contamination_bias.eps": (lambda v: contamination_bias(G, G, v), 0.5),
 }
 
-TABLE = {**INTEGERS, **REALS}
+# The same for parameters that take a density or a regression function.
+OBJECTS = {
+    "Scenario.truth": (lambda v: scenario(truth=v), G),
+    "Scenario.contaminant": (
+        lambda v: scenario(kind="contaminated", contaminant=v, eps=0.5), G),
+    "RegressionModel.error_density": (
+        lambda v: RegressionModel(v, [LINE], vc_index_f=1), G),
+    "RegressionModel.functions": (
+        lambda v: RegressionModel(G, [v], vc_index_f=1), LINE),
+}
+
+TABLE = {**INTEGERS, **SEEDS, **REALS, **OBJECTS}
 BAD = {"bool": True, "nan": math.nan, "string": "1", "fraction": 2.5, "zero": 0}
-CASES = [(name, bad) for name in TABLE
-         for bad in (BAD if name in INTEGERS else ("bool", "nan", "string"))]
+
+
+def bad_values(name):
+    if name in INTEGERS:
+        return BAD
+    return ("bool", "nan", "string") + (("fraction",) if name in SEEDS else ())
+
+
+CASES = [(name, bad) for name in TABLE for bad in bad_values(name)]
 
 
 @pytest.mark.parametrize("name, bad", CASES, ids=[f"{n}-{b}" for n, b in CASES])
@@ -91,6 +116,14 @@ def test_rule_rejects_bad_value(name, bad):
     call(good)  # so that the rejection below is the bad value's doing
     with pytest.raises(ContractViolationError):
         call(BAD[bad])
+
+
+def test_negative_seed_is_masked_to_64_bits():
+    # A seed counts modulo 2**64; seeds past 2**63 keep keys of their own.
+    draw = {s: simulate(scenario(seed=s))[0].points for s in (-1, 2**64 - 1, -2, 0)}
+    assert np.array_equal(draw[-1], draw[2**64 - 1])
+    assert not np.array_equal(draw[-1], draw[-2])
+    assert not np.array_equal(draw[-1], draw[0])
 
 
 @pytest.mark.parametrize("slack", [math.nan, -1.0, math.inf])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,17 +15,14 @@ K2 = kernel_constants("psi2")
 
 def grid_model(theta_min, theta_max, step, n, delta=0.0, finite_bound=False):
     desc = build_gaussian_location_grid(theta_min, theta_max, step, 1.0, n)
-    desc.delta_weight = delta
-    if finite_bound:
-        desc.dim_bound = dimension_bound_finite(len(desc.family))
-        desc.bound_source = "finite"
-    return desc
+    dim_bound = (dimension_bound_finite(len(desc.family)) if finite_bound
+                 else desc.dim_bound)
+    return dataclasses.replace(desc, dim_bound=dim_bound, delta_weight=delta)
 
 
 def singleton_model(mean, n, dim_bound=1.0, delta=0.0):
     fam = DensityFamily([ProductDensity(iid=Gaussian(mean, 1), n=n)])
-    return ModelDescriptor(family=fam, dim_bound=dim_bound,
-                           bound_source="user", delta_weight=delta)
+    return ModelDescriptor(family=fam, dim_bound=dim_bound, delta_weight=delta)
 
 
 class TestCollection:
@@ -60,10 +58,8 @@ class TestPenaltyFor:
 
     def test_inf_takes_cheaper_model(self):
         fam = DensityFamily([ProductDensity(iid=Gaussian(0, 1), n=5)])
-        big = ModelDescriptor(family=fam, dim_bound=10.0, bound_source="user",
-                              delta_weight=math.log(2))
-        small = ModelDescriptor(family=fam, dim_bound=1.0, bound_source="user",
-                                delta_weight=math.log(2))
+        big = ModelDescriptor(family=fam, dim_bound=10.0, delta_weight=math.log(2))
+        small = ModelDescriptor(family=fam, dim_bound=1.0, delta_weight=math.log(2))
         coll = ModelCollection([big, small], K2)
         assert penalty_for(coll, 0) == pytest.approx(
             K2.kappa * (1.0 / 4.7 + math.log(2)), rel=1e-14)
@@ -72,10 +68,8 @@ class TestPenaltyFor:
         # dim/4.7 + delta identical for both models: the inf is a tie
         fam = DensityFamily([ProductDensity(iid=Gaussian(0, 1), n=5)])
         shift = math.log(2)
-        a = ModelDescriptor(family=fam, dim_bound=4.7, bound_source="user",
-                            delta_weight=1.0 + shift)
-        b = ModelDescriptor(family=fam, dim_bound=9.4, bound_source="user",
-                            delta_weight=0.0 + shift)
+        a = ModelDescriptor(family=fam, dim_bound=4.7, delta_weight=1.0 + shift)
+        b = ModelDescriptor(family=fam, dim_bound=9.4, delta_weight=0.0 + shift)
         coll = ModelCollection([a, b], K2)
         assert coll.complexity(0) == pytest.approx(coll.complexity(1), rel=1e-14)
         assert penalty_for(coll, 0) == pytest.approx(

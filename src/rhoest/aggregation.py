@@ -7,9 +7,9 @@ t(alpha, beta), and every run is certified a posteriori instead of
 assuming convergence.  The inner concave maximization over beta starts at
 alpha and takes active-set Newton steps on a face of the simplex, with the
 N x N Hessian P diag(phi'') P^T; a Frank-Wolfe vertex step is the safeguard
-when the Newton direction does not ascend.  Each step ends in a bracketed
-root-find of the line derivative, and the Frank-Wolfe gap certifies the
-result.
+when the Newton direction does not ascend.  Each step ends in a safeguarded
+Newton search for the root of the line derivative, and the Frank-Wolfe gap
+certifies the result.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ CONDITION_NUMBER_THRESHOLD = 1e10
 # Tolerance of the line-search step s in [0, 1]: float precision at s = 1,
 # for a step that changes the mixture by as much as the mixture itself.
 _STEP_XTOL = 1e-15
+_MAX_LINE_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -142,40 +143,45 @@ def _mix_derivatives(kernel, m, d_sqrt):
     return du / (2.0 * u), (u * kernel.ratio_duu(u, d_sqrt) - du) / (4.0 * u * m)
 
 
-def _line_search(kernel, m, m_end, d_sqrt):
+def _line_search(kernel, m, m_end, d_sqrt, grad_m, hess_m):
     """The step s in [0, 1] that maximizes t(alpha, .) from mixture m to m_end.
 
     t is concave along the segment, so s is an end point or the root of the
-    derivative, which Brent's method finds on the bracket to the precision
-    the mixture resolves.  Evaluating (1 - s) m + s m_end keeps the mixture
-    positive at s = 1.
+    slope g'(s) = phi'(m_s) . (m_end - m), where m_s = (1 - s) m + s m_end
+    stays positive at s = 1.  Newton steps on g' start at s = 0 from
+    phi' = ``grad_m`` and phi'' = ``hess_m``; one that leaves the bracket kept
+    by the sign of g', or is not half as long as the step before last,
+    bisects the bracket instead.
     """
     m_dir = m_end - m
 
-    def deriv(s):
-        mix = (1.0 - s) * m + s * m_end
-        value = float(np.dot(_mix_gradient_wrt_m(kernel, mix, d_sqrt), m_dir))
+    def slope(s, grad):
+        value = float(np.dot(grad, m_dir))
         if not math.isfinite(value):
             raise SolverError(f"line-search derivative is {value} at step {s}")
         return value
 
-    ends = {1.0: deriv(1.0)}
-    if ends[1.0] >= 0.0:
+    if slope(1.0, _mix_gradient_wrt_m(kernel, m_end, d_sqrt)) >= 0.0:
         return 1.0
-    ends[0.0] = deriv(0.0)
-    if ends[0.0] <= 0.0:
+    s, lo, hi, step, before = 0.0, 0.0, 1.0, 1.0, 1.0
+    g, h = slope(s, grad_m), float(np.dot(hess_m, m_dir * m_dir))
+    if g <= 0.0:
         return 0.0
     # An error e in s moves the mixture by e * m_dir, so a step much shorter
     # than the mixture needs s less precisely.  Near the root of such a
-    # step the derivative is rounding noise, which brentq would chase.
+    # step the derivative is rounding noise, which Newton would chase.
     xtol = _STEP_XTOL / min(1.0, float(np.max(np.abs(m_dir) / m)))
-    from scipy.optimize import brentq  # loaded on the first interior step
-    # brentq evaluates both ends again; hand it the values already known.
-    s, info = brentq(lambda s: ends[s] if s in ends else deriv(s), 0.0, 1.0,
-                     xtol=xtol, full_output=True, disp=False)
-    if not info.converged:
-        raise SolverError(f"line search did not converge: {info.flag}")
-    return s
+    for _ in range(_MAX_LINE_STEPS):
+        newton = s - g / h if h < 0.0 else math.inf  # h is NaN or 0 at worst
+        if not (lo <= newton <= hi and abs(newton - s) <= 0.5 * before):
+            newton = 0.5 * (lo + hi)
+        step, before, s = abs(newton - s), step, newton
+        if step <= xtol:  # also at a root found exactly: g = 0, so newton = s
+            return s
+        grad, hess = _mix_derivatives(kernel, (1.0 - s) * m + s * m_end, d_sqrt)
+        g, h = slope(s, grad), float(np.dot(hess, m_dir * m_dir))
+        lo, hi = (s, hi) if g > 0.0 else (lo, s)
+    raise SolverError(f"line search did not converge in {_MAX_LINE_STEPS} steps")
 
 
 def _newton_end_point(P, beta, grad, hess_m, fw_j):
@@ -241,11 +247,11 @@ def inner_argmax(cs: CandidateSet, alpha: SimplexPoint,
         if float(grad[fw_j] - grad @ beta) < inner.tol:
             break
         end = _newton_end_point(P, beta, grad, hess_m, fw_j)
-        s = 0.0 if end is None else _line_search(kernel, m, end @ P, d_sqrt)
+        s = 0.0 if end is None else _line_search(kernel, m, end @ P, d_sqrt, grad_m, hess_m)
         if s <= 0.0:
             end = np.zeros_like(beta)
             end[fw_j] = 1.0
-            s = _line_search(kernel, m, P[fw_j], d_sqrt)
+            s = _line_search(kernel, m, P[fw_j], d_sqrt, grad_m, hess_m)
             if s <= 0.0:
                 break
         beta = (1.0 - s) * beta + s * end

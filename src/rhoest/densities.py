@@ -409,22 +409,32 @@ class PathologicalGaussian(Density1D):
     kind = "pathological-gaussian"
     rules = {"theta": _finite}
 
-    def base_ratio(self, x):
-        """Density w.r.t. the standard-Gaussian base measure."""
-        x = np.asarray(x, dtype=float)
+    def _log_base_ratio(self, x):
         expo = self.theta * x - 0.5 * self.theta**2
         if self.theta > 0:
             spike = np.where(x == self.theta,
                              0.5 * self.theta**2 * np.exp(np.minimum(x * x, 700.0)),
                              0.0)
             expo = expo + spike
+        return expo
+
+    def base_ratio(self, x):
+        """Density w.r.t. the standard-Gaussian base measure."""
         with np.errstate(over="ignore"):
-            return np.exp(expo)
+            return np.exp(self._log_base_ratio(np.asarray(x, dtype=float)))
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
         phi = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        return self.base_ratio(x) * phi
+        expo = self._log_base_ratio(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratio = np.exp(expo)
+            vals = ratio * phi
+            over = np.isinf(ratio)
+            if over.any():  # where phi underflows to 0, inf * 0 is NaN
+                vals = np.where(over, np.exp(expo - 0.5 * x * x)
+                                / math.sqrt(2.0 * math.pi), vals)
+        return vals
 
     def sample(self, rng, size):
         return rng.normal(self.theta, 1.0, size)
@@ -534,12 +544,14 @@ def _closed_form_affinity(p, q):
                    * (-math.expm1(-delta) / delta if delta > 0.0 else 1.0))
         return math.sqrt(t) / (1.0 + t) * (math.exp(-a) + math.exp(-b)) + between
     if isinstance(p, Cauchy) and isinstance(q, Cauchy):
-        # (2 / pi) c K(m), where c^2 = 1 - m = 4 b1 b2 / ((b1 + b2)^2 + d^2);
-        # ellipkm1 takes 1 - m, which keeps K accurate as m approaches 1.
-        from scipy.special import ellipkm1
+        # (2 / pi) c K(m) = c / AGM(1, c), where c^2 = 1 - m = 4 b1 b2 /
+        # ((b1 + b2)^2 + d^2); c is never squared, so it may be subnormal.
         c = (2.0 * math.sqrt(p.scale) * math.sqrt(q.scale)
              / math.hypot(p.scale + q.scale, p.loc - q.loc))
-        return 2.0 / math.pi * c * float(ellipkm1(c * c))
+        a, b = 1.0, c
+        for _ in range(16):  # 13 steps converge for every float c in (0, 1]
+            a, b = 0.5 * (a + b), math.sqrt(a * b)
+        return c / (0.5 * (a + b))
     return None
 
 

@@ -151,12 +151,17 @@ def psi_pair(kernel: PsiKernel, num_sqrt, den_sqrt, out=None, odd=None):
     larger array the operands are slices of; without it they are computed
     here, and NaN or negative roots raise :class:`ContractViolationError`.
 
-    Two float operands (``np.float64`` included), such as QUADPACK's nodes
-    in :func:`check_assumption`, skip numpy's array path and give the same
-    bits: equal, zero and infinite roots take the sign of u - v, and every
-    other pair calls the same :meth:`PsiKernel.ratio` on Python floats.
+    Two scalar operands (floats, such as QUADPACK's nodes in
+    :func:`check_assumption`, other numbers and 0-d arrays) skip numpy's
+    array path and give the same bits: equal, zero and infinite roots take
+    the sign of u - v, and every other pair calls the same
+    :meth:`PsiKernel.ratio` on Python floats.
     """
-    if isinstance(num_sqrt, float) and isinstance(den_sqrt, float):
+    scalar = isinstance(num_sqrt, float) and isinstance(den_sqrt, float)
+    if not scalar:
+        u, v = np.asarray(num_sqrt, dtype=float), np.asarray(den_sqrt, dtype=float)
+        scalar = u.ndim == 0 == v.ndim
+    if scalar:
         # Python floats: np.float64 arithmetic would warn on overflow.
         u, v = float(num_sqrt), float(den_sqrt)
         if not (u >= 0.0 and v >= 0.0):  # NaN fails the comparison too
@@ -168,19 +173,12 @@ def psi_pair(kernel: PsiKernel, num_sqrt, den_sqrt, out=None, odd=None):
             return kernel.ratio(u, v)
         except ZeroDivisionError:  # psi1's u*u + v*v underflows; numpy gives +-inf
             return _sign(u, v) * math.inf
-    u = np.asarray(num_sqrt, dtype=float)
-    v = np.asarray(den_sqrt, dtype=float)
     if odd is None:
         odd = _odd_columns(u, v)
     if not odd.size:  # nothing to repair, no floating-point exception to silence
-        vals = kernel.ratio(u, v, out)
-        return float(vals) if vals.ndim == 0 else vals
+        return kernel.ratio(u, v, out)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         vals = kernel.ratio(u, v, out)
-    if vals.ndim == 0:
-        fix = np.isnan(vals) or (not kernel.ratio_exact_at_zero
-                                 and (u == 0.0 or v == 0.0))
-        return float(_sign(u, v) if fix else vals)
     # With every column odd, gathering them would copy the whole block.
     whole = odd.size == vals.shape[-1]
     got, u, v = ((vals, u, v) if whole else

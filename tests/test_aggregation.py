@@ -1,9 +1,7 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.optimize
 
 from rhoest import (Cauchy, CandidateSet, ContractViolationError, Gaussian,
                     InnerSolverConfig, Laplace, ProductDensity, Sample,
@@ -44,7 +42,8 @@ def away_step_frank_wolfe(cs, alpha, kernel, tol, max_iter=100000):
     beta = np.full(N, 1.0 / N)
     m = beta @ P
     for _ in range(max_iter):
-        grad = P @ _mix_gradient_wrt_m(kernel, m, d_sqrt)
+        grad_m, hess_m = _mix_derivatives(kernel, m, d_sqrt)
+        grad = P @ grad_m
         g_dot_beta = float(grad @ beta)
         fw_j = int(np.argmax(grad))
         fw_gap = float(grad[fw_j]) - g_dot_beta
@@ -61,7 +60,7 @@ def away_step_frank_wolfe(cs, alpha, kernel, tol, max_iter=100000):
                 break
             end = beta / (1.0 - w)
             end[away_j] = 0.0
-        s = _line_search(kernel, m, end @ P, d_sqrt)
+        s = _line_search(kernel, m, end @ P, d_sqrt, grad_m, hess_m)
         if s <= 0.0:
             break
         beta = (1.0 - s) * beta + s * end
@@ -473,18 +472,21 @@ class TestLineSearch:
                 direction = (end - beta) / gamma_max
                 want = bisection_line_search(kernel, m, direction @ P, d_sqrt,
                                              gamma_max)
-                got = _line_search(kernel, m, end @ P, d_sqrt) * gamma_max
+                got = _line_search(kernel, m, end @ P, d_sqrt,
+                                   *_mix_derivatives(kernel, m, d_sqrt)) * gamma_max
                 assert abs(got - want) <= 1e-12 * gamma_max
                 interior += 0.0 < want < gamma_max
         assert interior >= 20
 
     def test_evaluation_count_is_bounded(self, monkeypatch):
         evaluations, per_search = [0], []
-        gradient, search = aggregation._mix_gradient_wrt_m, aggregation._line_search
+        search = aggregation._line_search
 
-        def counting_gradient(*args):
-            evaluations[0] += 1
-            return gradient(*args)
+        def counting(helper):
+            def count(*args):
+                evaluations[0] += 1
+                return helper(*args)
+            return count
 
         def counting_search(*args):
             before = evaluations[0]
@@ -492,7 +494,8 @@ class TestLineSearch:
             per_search.append(evaluations[0] - before)
             return step
 
-        monkeypatch.setattr(aggregation, "_mix_gradient_wrt_m", counting_gradient)
+        for name in ("_mix_gradient_wrt_m", "_mix_derivatives"):
+            monkeypatch.setattr(aggregation, name, counting(getattr(aggregation, name)))
         monkeypatch.setattr(aggregation, "_line_search", counting_search)
         # Newton needs few searches per solve: seeds 7-12 give about 150.
         for kernel in (K1, K2):
@@ -513,13 +516,15 @@ class TestLineSearch:
 
     def test_nan_derivative_raises(self):
         m, m_end = np.array([1.0, 2.0]), np.array([2.0, 1.0])
+        d_sqrt = np.array([1.0, np.nan])
         with pytest.raises(SolverError, match="derivative"):
-            _line_search(K2, m, m_end, np.array([1.0, np.nan]))
+            _line_search(K2, m, m_end, d_sqrt, *_mix_derivatives(K2, m, d_sqrt))
 
-    def test_failed_root_find_raises(self, monkeypatch):
+    def test_step_cap_raises(self, monkeypatch):
+        # The slope changes sign at s = 1/2; three steps do not reach it.
         m, m_end, d_sqrt = np.array([0.1, 4.0]), np.array([4.0, 0.1]), np.ones(2)
-        monkeypatch.setattr(scipy.optimize, "brentq",
-                            lambda *a, **k: (0.5, SimpleNamespace(
-                                converged=False, flag="convergence error")))
-        with pytest.raises(SolverError, match="did not converge"):
-            _line_search(K2, m, m_end, d_sqrt)
+        at_m = _mix_derivatives(K2, m, d_sqrt)
+        assert _line_search(K2, m, m_end, d_sqrt, *at_m) == pytest.approx(0.5)
+        monkeypatch.setattr(aggregation, "_MAX_LINE_STEPS", 3)
+        with pytest.raises(SolverError, match="did not converge in 3 steps"):
+            _line_search(K2, m, m_end, d_sqrt, *at_m)

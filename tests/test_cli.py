@@ -229,6 +229,14 @@ class TestDemoMle:
         assert code == 0
         assert len(out["rho_errors"]) == 4
 
+    def test_far_theta(self, tmp_path, capsys):
+        # Near x = 40 the base ratio exp(40 x - 800) overflows while the
+        # Gaussian factor underflows; the density is their finite product.
+        cfg = write_config(tmp_path, "c.json", {"theta": 40, "n": 5, "reps": 1})
+        code, out = run(capsys, ["demo-mle", "--config", cfg, "--seed", "1"])
+        assert code == 0
+        assert out["theta"] == 40.0 and len(out["rho_errors"]) == 1
+
 
 class TestExitCodes:
     def test_missing_config(self, capsys):

@@ -282,6 +282,18 @@ class TestPathologicalGaussian:
         assert float(d.pdf(np.array([-0.5]))[0]) == pytest.approx(
             float(g.pdf(np.array([-0.5]))[0]))
 
+    def test_far_theta_off_spike(self):
+        # The base ratio exp(40 x - 800) overflows and the Gaussian factor
+        # underflows near x = 40; their product is computed in one exponent.
+        d, g = PathologicalGaussian(40.0), Gaussian(40.0, 1.0)
+        x = np.array([0.0, 38.0, 39.75, 40.5, 42.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = d.pdf(x)
+            assert d.pdf(40.0) == math.inf
+        assert np.allclose(got, g.pdf(x), rtol=1e-12, atol=0.0)
+        assert got[0] == 0.0 and np.all(got[1:] > 0.0)
+
 
 class TestHellinger:
     def test_identical_gaussians(self):
@@ -387,6 +399,49 @@ class TestHellinger:
         want = hellinger_affinity(family(0.0, 1.0), family(1.0, 2.0))
         assert hellinger_affinity(family(0.0, k), family(k, 2.0 * k)) == \
             pytest.approx(want, rel=1e-12)
+
+    def test_cauchy_affinity_matches_ellipkm1(self):
+        # c / AGM(1, c) against (2 / pi) c K(1 - c^2) from scipy's ellipkm1,
+        # on c = 2 sqrt(b1 b2) / hypot(b1 + b2, d) from 1e-150 to 1.
+        from scipy.special import ellipkm1
+        rng = np.random.default_rng(16)
+        cs = []
+        for _ in range(3000):
+            b1 = float(10.0 ** rng.uniform(-3.0, 3.0))
+            b2 = b1 * (1.0 + float(10.0 ** rng.uniform(-12.0, 3.0)))
+            d = float(10.0 ** rng.uniform(-8.0, 150.0)) * rng.choice([0.0, 1.0])
+            c = 2.0 * math.sqrt(b1) * math.sqrt(b2) / math.hypot(b1 + b2, d)
+            if c < 1e-150:
+                continue
+            want = 2.0 / math.pi * c * float(ellipkm1(c * c))
+            got = densities._closed_form_affinity(Cauchy(0.0, b1), Cauchy(d, b2))
+            assert abs(got - want) <= 8 * math.ulp(want), (b1, b2, d)
+            cs.append(c)
+        assert min(cs) < 1e-140 and max(cs) > 1.0 - 1e-12
+
+    @pytest.mark.parametrize("p, q", [
+        (Cauchy(0.0, 1.0), Cauchy(1e200, 2.0)),
+        (Cauchy(-1e300, 0.5), Cauchy(1e300, 3.0)),
+        (Cauchy(0.0, 1e-300), Cauchy(1.0, 1e10)),
+    ])
+    def test_cauchy_affinity_where_c_squared_underflows(self, p, q, monkeypatch):
+        # K(1 - c^2) = log(4 / c) to within c^2 log(1 / c) as c -> 0.
+        def fail(*args, **kw):
+            raise AssertionError("integrate_1d called for a closed-form pair")
+
+        monkeypatch.setattr(densities, "integrate_1d", fail)
+        c = (2.0 * math.sqrt(p.scale) * math.sqrt(q.scale)
+             / math.hypot(p.scale + q.scale, p.loc - q.loc))
+        assert 0.0 < c < 1e-154
+        got = hellinger_affinity(p, q)
+        assert got == pytest.approx(2.0 / math.pi * c * math.log(4.0 / c), rel=1e-15)
+        assert hellinger_affinity(q, p) == got
+
+    def test_cauchy_affinity_of_an_underflowed_c_is_zero(self):
+        # d overflows to inf, so c = 0; the affinity, about c log(4 / c), is 0.
+        p, q = Cauchy(-1e308, 1.0), Cauchy(1e308, 1.0)
+        assert densities._closed_form_affinity(p, q) == 0.0
+        assert hellinger_sq(p, q) == 1.0
 
     def test_gaussian_pair_beyond_the_closed_form_is_integrated(self):
         # sd^2 underflows to 0, so the closed form would divide by zero.

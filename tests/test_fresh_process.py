@@ -1,11 +1,10 @@
 """Checks that need a fresh interpreter.
 
-rhoest loads scipy on first use: QUADPACK on the first quadrature call,
-brentq on the first aggregation line search and ellipkm1 on the first
-Cauchy/Cauchy affinity.  pytest's ``filterwarnings`` setting imports
-scipy.integrate before any test runs, so an in-process test can neither see
-an eager scipy import come back nor exercise a first load.  These tests run
-each check in a subprocess.
+rhoest loads scipy, for QUADPACK, on the first quadrature call, and
+nowhere else.  pytest's ``filterwarnings`` setting imports scipy.integrate
+before any test runs, so an in-process test can neither see an eager scipy
+import come back nor exercise a first load.  These tests run each check in
+a subprocess.
 """
 
 import json
@@ -18,7 +17,6 @@ import numpy as np
 import pytest
 
 from rhoest import QuadratureSpec, check_assumption, density_from_json, kernel_constants
-from rhoest.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -70,6 +68,12 @@ TINY = {
                                   "params": {"mean": 0.0, "sd": 1.0}}],
                 "function_family": {"theta_grid": {"min": 0.0, "max": 1.0,
                                                    "step": 0.25}}},
+    # Four candidates around a two-component sample: the inner solves take
+    # interior line-search steps.
+    "aggregate": {"sample": (np.where(np.arange(30) < 12, -2.0, 2.0)
+                             + 0.5 * np.array(SAMPLE)).tolist(),
+                  "candidates": [{"kind": "gaussian", "params": {"mean": m, "sd": 0.5}}
+                                 for m in (-2.5, -1.5, 1.5, 2.5)]},
 }
 
 
@@ -88,7 +92,7 @@ TRIPLES = [
     ({"kind": "gaussian", "params": {"mean": 0.3, "sd": 1.2}},
      {"kind": "laplace", "params": {"loc": -0.5, "scale": 0.8}},
      {"kind": "cauchy", "params": {"loc": 1.0, "scale": 1.5}}),
-    # r and q both Cauchy: h^2(r, q) takes the ellipkm1 closed form.
+    # r and q both Cauchy: h^2(r, q) takes the AGM closed form.
     ({"kind": "cauchy", "params": {"loc": -1.0, "scale": 0.7}},
      {"kind": "gaussian", "params": {"mean": 0.5, "sd": 1.0}},
      {"kind": "cauchy", "params": {"loc": 0.2, "scale": 1.3}}),
@@ -115,19 +119,11 @@ def test_first_quadrature_matches_in_process(kernel, triple):
     assert out == repr(want) + "\n"
 
 
-def test_first_line_search_matches_in_process(tmp_path, capsys):
-    rng = np.random.default_rng(5)
-    x = np.where(rng.uniform(size=80) < 0.4, rng.normal(-2.0, 0.5, 80),
-                 rng.normal(2.0, 0.5, 80))
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"sample": x.tolist(), "candidates": [
-        {"kind": "gaussian", "params": {"mean": m, "sd": 0.5}}
-        for m in (-2.5, -1.5, 1.5, 2.5)]}))
-    run = ("import json, sys; from rhoest.cli import main; "
-           "code = main(['aggregate', '--config', sys.argv[1]]); "
-           f"{SCIPY_MODULES}; sys.exit(code)")
-    out, _ = python("-c", run, str(cfg))
-    report, loaded = out.rsplit("\n", 2)[:2]
-    assert "scipy.optimize" in json.loads(loaded)
-    assert main(["aggregate", "--config", str(cfg)]) == 0
-    assert capsys.readouterr().out == report + "\n"
+def test_cauchy_affinity_loads_no_scipy():
+    run = ("import json, sys; from rhoest import Cauchy, hellinger_sq; "
+           "print(hellinger_sq(Cauchy(-1.0, 0.7), Cauchy(0.2, 1.3))); "
+           f"{SCIPY_MODULES}")
+    out, _ = python("-c", run)
+    h2, loaded = out.splitlines()
+    assert 0.0 < float(h2) < 1.0
+    assert json.loads(loaded) == []

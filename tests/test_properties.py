@@ -286,7 +286,8 @@ def test_triangle_blocks_match_dense(kernel, block, case, monkeypatch):
 
 # Quadrature nodes reach psi_pair as Python floats or np.float64 roots.
 # Below about 1e-162 psi1's u*u + v*v underflows to 0 (1e-200 with 5e-324).
-FLOAT_TYPES = list(itertools.product((float, np.float64), repeat=2))
+# Operand types that take psi_pair's scalar path: 0-d arrays as well as floats.
+SCALAR_TYPES = list(itertools.product((float, np.float64, np.asarray), repeat=2))
 node_roots = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, 1e-200, 1e-160, 1e-150, 1.0, 1e150,
                      1e160, 1.7e308, np.inf]),
@@ -303,16 +304,22 @@ class TestScalarPsiPair:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for a, b in ((u, v), (v, u)):
-                want = psi_pair(kernel, np.asarray(a), np.asarray(b))
-                for ta, tb in FLOAT_TYPES:
+                want = psi_pair(kernel, np.array([a]), np.array([b]))[0]
+                for ta, tb in SCALAR_TYPES:
                     got = psi_pair(kernel, ta(a), tb(b))
                     assert type(got) is float
                     assert same_bits(got, want), (ta, tb, a, b)
 
+    def test_integer_operands_take_the_scalar_path(self, kernel):
+        for a, b in ((2, 1), (np.int64(0), 3), (4, np.asarray(4))):
+            got = psi_pair(kernel, a, b)
+            assert type(got) is float
+            assert same_bits(got, psi_pair(kernel, float(a), float(b)))
+
     @PROPERTY
     @given(good=node_roots, bad=bad_roots)
     def test_float_operands_reject_nan_and_negative_roots(self, kernel, good, bad):
-        for (ta, tb), (a, b) in itertools.product(FLOAT_TYPES,
+        for (ta, tb), (a, b) in itertools.product(SCALAR_TYPES,
                                                   ((good, bad), (bad, good))):
             with pytest.raises(ContractViolationError, match="square roots"):
                 psi_pair(kernel, ta(a), tb(b))

@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: fit, select, aggregate, regress, bench, bounds, demo-mle.
-All inputs arrive through a JSON config file; results go to stdout or to
---out as JSON or CSV.  Exit codes: 0 success, 2 configuration problem,
+Each ``_cmd_*`` maps the JSON config, which :func:`main` reads once, and
+the arguments to a result dict; :func:`main` writes it to stdout or --out as
+strict JSON, where a NaN or infinity is a numerical failure (``bench --format
+csv`` writes CSV).  Exit codes: 0 success, 2 configuration problem,
 3 numerical failure.
 """
 
@@ -22,7 +24,8 @@ from .criterion import DensityFamily, Penalty, rho_estimate
 from .densities import Density1D, Gaussian, ProductDensity, Sample, density_from_json
 from .errors import (ConfigError, ContractViolationError,
                      DegenerateCandidatesError, _finite, _scale, _vector)
-from .harness import RiskReport, Scenario, export, mc_risk, mle_counterexample
+from .harness import (Scenario, _csv_text, _json_text, mc_risk,
+                      mle_counterexample)
 from .models import (ModelDescriptor, _check_grid, _theta_labels,
                      build_exp_family_grid, build_gaussian_location_grid,
                      build_histogram_family, dimension_bound_entropy,
@@ -135,21 +138,11 @@ def _family_from_config(spec: dict, n: int, c1: float) -> ModelDescriptor:
     raise ConfigError(f"unknown family type {kind!r}")
 
 
-def _emit(payload: dict, args) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_fit(args) -> int:
-    cfg = _load_config(args.config)
+def _cmd_fit(cfg: dict, args) -> dict:
     X = _sample_from_config(cfg)
     kernel = kernel_constants(args.psi)
     desc = _family_from_config(_get(cfg, "family"), X.n, args.c1)
@@ -162,12 +155,10 @@ def _cmd_fit(args) -> int:
                        slack=args.kappa_multiplier * kernel.kappa / 25.0)
     payload = fit.to_json()
     payload["chosen_label"] = desc.family.labels[fit.chosen_index]
-    _emit(payload, args)
-    return 0
+    return payload
 
 
-def _cmd_select(args) -> int:
-    cfg = _load_config(args.config)
+def _cmd_select(cfg: dict, args) -> dict:
     X = _sample_from_config(cfg)
     kernel = kernel_constants(args.psi)
     model_specs = _list(cfg, "models")
@@ -182,12 +173,10 @@ def _cmd_select(args) -> int:
     payload = result["fit"].to_json()
     payload["chosen_label"] = coll.union_family.labels[result["fit"].chosen_index]
     payload["selected_models"] = result["selected_models"]
-    _emit(payload, args)
-    return 0
+    return payload
 
 
-def _cmd_aggregate(args) -> int:
-    cfg = _load_config(args.config)
+def _cmd_aggregate(cfg: dict, args) -> dict:
     X = _sample_from_config(cfg)
     kernel = kernel_constants(args.psi)
     densities = [ProductDensity(iid=density_from_json(d), n=X.n)
@@ -196,21 +185,18 @@ def _cmd_aggregate(args) -> int:
     result = saddle_point(cs, kernel,
                           eps=_number(cfg, "eps", 1e-4),
                           max_outer=_number(cfg, "max_outer", 1000, integer=True))
-    _emit({**result, "alpha_star": list(result["alpha_star"].weights)}, args)
-    return 0
+    return {**result, "alpha_star": list(result["alpha_star"].weights)}
 
 
-def _cmd_regress(args) -> int:
-    cfg = _load_config(args.config)
+def _cmd_regress(cfg: dict, args) -> dict:
     X = _sample_from_config(cfg)
     if X.kind != "pair":
         raise ConfigError("regress expects a sample of [w, y] pairs")
     error_specs = _list(cfg, "error_models")
     grid = _get(_get(cfg, "function_family"), "theta_grid")
-    lo, hi, step = _number(grid, "min"), _number(grid, "max"), _number(grid, "step")
-    _check_grid(lo, hi, step)
-    thetas = np.arange(lo, hi + step / 2, step)
-    functions = [RegressionFunction(lambda w, _t=float(t): _t * w, label=label)
+    thetas = _check_grid(_number(grid, "min"), _number(grid, "max"),
+                         _number(grid, "step"))
+    functions = [RegressionFunction(lambda w, _t=t: _t * w, label=label)
                  for t, label in zip(thetas, _theta_labels(thetas))]
     default_delta = uniform_weights(len(error_specs))
     models = [RegressionModel(density_from_json(spec), functions, vc_index_f=3,
@@ -219,13 +205,12 @@ def _cmd_regress(args) -> int:
     coll = build_regression_family(models, X.n, kernel_constants(args.psi),
                                    c1=args.c1)
     result = fit_regression(X, coll, slack_multiplier=args.kappa_multiplier)
-    _emit({
+    return {
         "g_id": result.f_hat.label,
         "r_id": result.s_hat.to_json(),
         "criterion": result.fit.upsilon_at_chosen,
         "selected_models": list(result.selected_models),
-    }, args)
-    return 0
+    }
 
 
 def _scenario_from_config(cfg: dict, seed: int) -> Scenario:
@@ -269,26 +254,17 @@ def _estimator_from_config(cfg: dict, n: int, kernel, c1: float,
     raise ConfigError(f"unknown estimator type {kind!r}")
 
 
-def _cmd_bench(args) -> int:
-    cfg = _load_config(args.config)
+def _cmd_bench(cfg: dict, args) -> dict:
     kernel = kernel_constants(args.psi)
     scenario = _scenario_from_config(cfg, args.seed)
     estimator = _estimator_from_config(cfg, scenario.n, kernel, args.c1,
                                        args.kappa_multiplier)
     truth_for_loss = (density_from_json(cfg["truth_for_loss"])
                       if "truth_for_loss" in cfg else scenario.truth)
-    report = mc_risk(scenario, estimator, truth_for_loss)
-    if args.out:
-        export(report, args.format, args.out)
-    elif args.format == "csv":
-        raise ConfigError("csv output requires --out")
-    else:
-        _emit(report.to_json(), args)
-    return 0
+    return mc_risk(scenario, estimator, truth_for_loss).to_json()
 
 
-def _cmd_bounds(args) -> int:
-    cfg = _load_config(args.config)
+def _cmd_bounds(cfg: dict, args) -> dict:
     out = {}
     if "finite" in cfg:
         out["finite"] = dimension_bound_finite(_number(cfg, "finite", integer=True))
@@ -299,13 +275,11 @@ def _cmd_bounds(args) -> int:
         out["entropy"] = dimension_bound_entropy(_number(cfg, "entropy"))
     if not out:
         raise ConfigError("bounds config needs one of: finite, vc, entropy")
-    _emit(out, args)
-    return 0
+    return out
 
 
-def _cmd_demo_mle(args) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    report = mle_counterexample(
+def _cmd_demo_mle(cfg: dict, args) -> dict:
+    return mle_counterexample(
         theta=_number(cfg, "theta", 0.0),
         n=_number(cfg, "n", 100, integer=True),
         reps=_number(cfg, "reps", 200, integer=True),
@@ -313,8 +287,6 @@ def _cmd_demo_mle(args) -> int:
         grid_step=_number(cfg, "grid_step", 0.1),
         kernel=kernel_constants(args.psi),
     )
-    _emit(report, args)
-    return 0
 
 
 _COMMANDS = {
@@ -352,7 +324,19 @@ def main(argv=None) -> int:
     try:
         _scale("--kappa-multiplier", args.kappa_multiplier)
         _scale("--c1", args.c1)
-        return _COMMANDS[args.command](args)
+        csv = args.format == "csv"
+        if csv and (args.command != "bench" or not args.out):
+            raise ConfigError("--format csv is for bench with --out only")
+        cfg = ({} if args.config is None and args.command == "demo-mle"
+               else _load_config(args.config))
+        result = _COMMANDS[args.command](cfg, args)
+        text = _csv_text(result["per_replicate"]) if csv else _json_text(result)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return 0
     except (ConfigError, ContractViolationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -418,11 +418,6 @@ class PathologicalGaussian(Density1D):
             expo = expo + spike
         return expo
 
-    def base_ratio(self, x):
-        """Density w.r.t. the standard-Gaussian base measure."""
-        with np.errstate(over="ignore"):
-            return np.exp(self._log_base_ratio(np.asarray(x, dtype=float)))
-
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
         phi = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)

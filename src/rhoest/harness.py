@@ -10,8 +10,6 @@ fatal.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import statistics
@@ -111,11 +109,12 @@ def simulate(scenario: Scenario) -> list:
 
 @dataclass(frozen=True)
 class RiskReport:
-    """Summary of per-replicate squared Hellinger losses."""
+    """Summary of per-replicate squared Hellinger losses; the three
+    statistics are None when every replicate failed."""
 
-    mean_h2: float
-    median_h2: float
-    stderr: float
+    mean_h2: float | None
+    median_h2: float | None
+    stderr: float | None
     per_replicate: tuple
     bound_reference: float | None = None
     failures: int = 0
@@ -138,7 +137,7 @@ def _summarize(losses, failures, bound_reference) -> RiskReport:
         sd = statistics.stdev(losses) if len(losses) > 1 else 0.0
         err = sd / math.sqrt(len(losses))
     else:
-        mean = med = err = float("nan")
+        mean = med = err = None
     return RiskReport(mean_h2=mean, median_h2=med, stderr=err,
                       per_replicate=tuple(losses),
                       bound_reference=bound_reference, failures=failures)
@@ -193,23 +192,23 @@ def mle_counterexample(theta: float, n: int, reps: int, seed: int,
     """Likelihood blow-up demonstration on the singular Gaussian representation.
 
     Per replicate of i.i.d. N(theta, 1): check the event that the sample
-    maximum dominates (X_(n) >= sqrt(log 4n) > |mean| and the mean is not a
-    sample point); maximize the singular log-likelihood over a theta grid
-    augmented with the sample points and the sample mean; and fit the
-    bounded-criterion estimator over the same singular family.  The
+    maximum dominates (X_(n) - theta >= sqrt(log 4n) > |mean - theta| and the
+    mean is not a sample point); maximize the singular log-likelihood over a
+    theta grid augmented with the sample points and the sample mean; and fit
+    the bounded-criterion estimator over the same singular family.  The
     likelihood maximizer lands on X_(n) whenever the event holds, while the
     bounded criterion ignores the Lebesgue-null spikes.  ``p_event`` is
-    1 - Phi(sqrt(log 4n))^n, the probability that the maximum clears the
-    threshold; it neglects the chance that |mean| reaches it.
+    1 - Phi(sqrt(log 4n))^n, the probability at any theta that the maximum
+    clears the threshold; it neglects the chance that |mean - theta| reaches
+    it.  ``freq_mle_at_max`` is None when no replicate meets the event.
     """
     _count("n", n, least=3)
     _count("reps", reps)
     seed = _integer("seed", seed)
-    _check_grid(_finite("theta", theta) - _scale("grid_halfwidth", grid_halfwidth),
-                theta + grid_halfwidth, _scale("grid_step", grid_step))
+    grid = _check_grid(
+        _finite("theta", theta) - _scale("grid_halfwidth", grid_halfwidth),
+        theta + grid_halfwidth, _scale("grid_step", grid_step))
     kernel = kernel or kernel_constants()
-    grid = np.arange(theta - grid_halfwidth, theta + grid_halfwidth + grid_step / 2,
-                     grid_step)
 
     events = 0
     mle_at_max = 0
@@ -221,7 +220,7 @@ def mle_counterexample(theta: float, n: int, reps: int, seed: int,
         x_bar = float(np.mean(x))
         x_max = float(np.max(x))
         omega = (x_bar not in set(x.tolist())
-                 and x_max >= threshold > abs(x_bar))
+                 and x_max - theta >= threshold > abs(x_bar - theta))
         if omega:
             events += 1
 
@@ -249,7 +248,7 @@ def mle_counterexample(theta: float, n: int, reps: int, seed: int,
     return {
         "freq_event": events / reps,
         "p_event": 1.0 - phi**n,
-        "freq_mle_at_max": (mle_at_max / events) if events else float("nan"),
+        "freq_mle_at_max": (mle_at_max / events) if events else None,
         "rho_errors": rho_errors,
         "rho_median_error": statistics.median(rho_errors),
         "n": n,
@@ -258,27 +257,31 @@ def mle_counterexample(theta: float, n: int, reps: int, seed: int,
     }
 
 
-def _format_float(x) -> str:
-    if x is None:
-        return ""
-    return "%.17g" % float(x)
+def _json_text(payload: dict) -> str:
+    """Strict JSON, where a NaN or infinity raises FloatingPointError."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:  # the out-of-range floats: NaN and +-inf
+        raise FloatingPointError(f"non-finite number in the result: {exc}") from exc
+
+
+def _csv_text(per_replicate) -> str:
+    """``replicate,h2`` rows, the losses to 17 significant digits."""
+    return "replicate,h2\n" + "".join(f"{i},{h2:.17g}\n"
+                                      for i, h2 in enumerate(per_replicate))
 
 
 def export(report: RiskReport, fmt: str, path: str) -> None:
     """Write a report; CSV carries the per-replicate losses, JSON everything.
 
     Output is byte-stable for identical reports: 17-significant-digit,
-    point-decimal numbers and LF line endings.
+    point-decimal numbers and LF line endings.  A NaN or infinity in a JSON
+    report raises FloatingPointError.
     """
     if fmt == "json":
-        text = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
+        text = _json_text(report.to_json())
     elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["replicate", "h2"])
-        for i, h2 in enumerate(report.per_replicate):
-            writer.writerow([i, _format_float(h2)])
-        text = buf.getvalue()
+        text = _csv_text(report.per_replicate)
     else:
         raise ContractViolationError(f"unknown export format {fmt!r}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

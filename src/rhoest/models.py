@@ -125,13 +125,18 @@ def eta_bar_finite(fam: DensityFamily, kernel, center_pool: DensityFamily | None
 # Builders
 # ---------------------------------------------------------------------------
 
-def _check_grid(lo: float, hi: float, step: float) -> None:
-    """Reject a grid on [lo, hi] with a step <= 0 or over MAX_GRID_POINTS points."""
+def _check_grid(lo: float, hi: float, step: float) -> list:
+    """lo + i * step for i < floor((hi - lo) / step + 1e-9) + 1; rejects
+    lo > hi, a step <= 0 and more than MAX_GRID_POINTS points."""
+    if not lo <= hi:
+        raise ContractViolationError(f"grid needs min <= max, got [{lo!r}, {hi!r}]")
     if not step > 0:
         raise ContractViolationError(f"grid step must be > 0, got {step!r}")
     if not (hi - lo) / step < MAX_GRID_POINTS:
         raise ContractViolationError(f"grid step {step!r} on [{lo!r}, {hi!r}] "
                                      f"makes more than {MAX_GRID_POINTS} points")
+    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    return [lo + i * step for i in range(count)]
 
 
 def _theta_labels(thetas) -> list:
@@ -151,11 +156,9 @@ def build_gaussian_location_grid(theta_min: float, theta_max: float, step: float
 
     A one-parameter exponential family, hence VC-subgraph index 3.
     """
-    _check_grid(theta_min, theta_max, step)
     if theta_min >= theta_max:
         raise ContractViolationError("need theta_min < theta_max")
-    count = int(math.floor((theta_max - theta_min) / step + 1e-9)) + 1
-    thetas = [theta_min + i * step for i in range(count)]
+    thetas = _check_grid(theta_min, theta_max, step)
     entries = [ProductDensity(iid=Gaussian(t, sd), n=n) for t in thetas]
     labels = _theta_labels(thetas)
     return ModelDescriptor(family=DensityFamily(entries, labels=labels),

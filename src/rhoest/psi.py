@@ -140,13 +140,15 @@ def psi_pair(kernel: PsiKernel, num_sqrt, den_sqrt, out=None, odd=None):
 
     One pass of :meth:`PsiKernel.ratio`, written into the optional
     ``(2, *shape)`` workspace ``out``, gives every value except where it
-    returns NaN (0/0 and any infinite root) or, for a kernel whose ratio is
-    not exact at a one-sided zero (:attr:`PsiKernel.ratio_exact_at_zero`),
-    where a root is 0.  Both can happen only in the odd columns of
-    :func:`_odd_columns`: the last-axis indices where some root is 0, inf,
-    or below 2**-500 or above 2**500.  Only those columns are read again,
-    and their NaN and zero-root entries are set from the sign of u - v;
-    without odd columns, no floating-point exception needs silencing.
+    returns NaN (0/0 and any infinite root), where a root is 0 for a kernel
+    whose ratio is not exact at a one-sided zero
+    (:attr:`PsiKernel.ratio_exact_at_zero`), and where its denominator under-
+    or overflows.  All happen only in the odd columns of :func:`_odd_columns`:
+    the last-axis indices where some root is 0, inf, or below 2**-500 or
+    above 2**500.  Only those columns are read again: NaN and zero-root
+    entries take the sign of u - v, and a lost denominator is recomputed
+    from both roots scaled by one power of two; without odd columns, no
+    floating-point exception needs silencing.
     ``odd`` passes columns the caller has already found and validated for a
     larger array the operands are slices of; without it they are computed
     here, and NaN or negative roots raise :class:`ContractViolationError`.
@@ -155,7 +157,8 @@ def psi_pair(kernel: PsiKernel, num_sqrt, den_sqrt, out=None, odd=None):
     :func:`check_assumption`, other numbers and 0-d arrays) skip numpy's
     array path and give the same bits: equal, zero and infinite roots take
     the sign of u - v, and every other pair calls the same
-    :meth:`PsiKernel.ratio` on Python floats.
+    :meth:`PsiKernel.ratio` on Python floats; a lost denominator takes the
+    array path.
     """
     scalar = isinstance(num_sqrt, float) and isinstance(den_sqrt, float)
     if not scalar:
@@ -169,10 +172,11 @@ def psi_pair(kernel: PsiKernel, num_sqrt, den_sqrt, out=None, odd=None):
                 "density square roots must be nonnegative numbers")
         if u == v or u == 0.0 or v == 0.0 or u == math.inf or v == math.inf:
             return _sign(u, v)
-        try:
-            return kernel.ratio(u, v)
-        except ZeroDivisionError:  # psi1's u*u + v*v underflows; numpy gives +-inf
-            return _sign(u, v) * math.inf
+        try:  # with u != v, 0.0 means a denominator that overflowed
+            val = kernel.ratio(u, v)
+        except ZeroDivisionError:  # psi1's u*u + v*v underflows
+            val = 0.0
+        return val or float(psi_pair(kernel, np.array([u]), np.array([v]))[0])
     if odd is None:
         odd = _odd_columns(u, v)
     if not odd.size:  # nothing to repair, no floating-point exception to silence
@@ -187,6 +191,14 @@ def psi_pair(kernel: PsiKernel, num_sqrt, den_sqrt, out=None, odd=None):
     if not kernel.ratio_exact_at_zero:
         fix |= (u == 0.0) | (v == 0.0)
     np.putmask(got, fix, _sign(u, v))  # u and v broadcast to got's shape
+    # Left are positive finite roots: +-inf, or 0 for unequal ones, means a
+    # denominator that under- or overflowed.  ldexp scales both roots so that
+    # the larger lies in [0.5, 1); 2**-e would overflow for subnormal roots.
+    lost = np.isinf(got) | ((got == 0.0) & (u != v))
+    if lost.any():
+        u, v = (np.broadcast_to(a, got.shape)[lost] for a in (u, v))
+        e = np.frexp(np.maximum(u, v))[1]
+        got[lost] = kernel.ratio(np.ldexp(u, -e), np.ldexp(v, -e))
     if not whole:
         vals[..., odd] = got
     return vals

@@ -19,10 +19,15 @@ def gaussian_sample():
     return rng.normal(0.0, 1.0, 60).tolist()
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
 def run(capsys, argv):
+    """(exit code, stdout parsed as strict JSON, or None when empty)."""
     code = main(argv)
     out = capsys.readouterr().out
-    return code, (json.loads(out) if out else None)
+    return code, (json.loads(out, parse_constant=_reject_constant) if out else None)
 
 
 class TestFit:
@@ -136,6 +141,20 @@ class TestRegress:
         assert code == 0
         assert out["g_id"] == "theta=1000.0000004"
 
+    def test_grid_stops_at_its_max(self, tmp_path, capsys):
+        # 1 / 0.3846 = 2.6 steps; a grid that rounded them up took 1.1538,
+        # the slope nearest the data's 1.2.
+        cfg = write_config(tmp_path, "c.json", {
+            "sample": [[-1, -1.2], [-0.5, -0.6], [0, 0], [0.5, 0.6], [1, 1.2]],
+            "error_models": [{"kind": "gaussian",
+                              "params": {"mean": 0.0, "sd": 1.0}}],
+            "function_family": {"theta_grid": {"min": 0, "max": 1,
+                                               "step": 0.3846}},
+        })
+        code, out = run(capsys, ["regress", "--config", cfg])
+        assert code == 0
+        assert out["g_id"] == "theta=0.7692"
+
 
 class TestBench:
     def test_json_report(self, tmp_path, capsys):
@@ -237,8 +256,34 @@ class TestDemoMle:
         assert code == 0
         assert out["theta"] == 40.0 and len(out["rho_errors"]) == 1
 
+    def test_no_event_gives_null(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {"theta": 0, "n": 5, "reps": 1})
+        code, out = run(capsys, ["demo-mle", "--config", cfg, "--seed", "3"])
+        assert code == 0
+        assert out["freq_event"] == 0.0 and out["freq_mle_at_max"] is None
+
 
 class TestExitCodes:
+    @pytest.mark.parametrize("command", ["fit", "select", "aggregate", "regress",
+                                         "bounds", "demo-mle"])
+    def test_csv_is_for_bench_only(self, tmp_path, capsys, command):
+        dest = tmp_path / "out.csv"
+        assert main([command, "--format", "csv", "--out", str(dest)]) == 2
+        assert "for bench" in capsys.readouterr().err and not dest.exists()
+
+    def test_bench_csv_needs_out(self, capsys):
+        assert main(["bench", "--format", "csv"]) == 2
+
+    def test_non_finite_result_is_numerical_failure(self, tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.setattr(cli, "mle_counterexample",
+                            lambda **kwargs: {"x": float("inf")})
+        dest = tmp_path / "out.json"
+        assert main(["demo-mle", "--out", str(dest)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and not dest.exists()
+        assert err.startswith("numerical failure: non-finite number")
+
     def test_missing_config(self, capsys):
         assert main(["fit", "--config", "/nonexistent/x.json"]) == 2
 
@@ -383,7 +428,7 @@ class TestExitCodes:
         assert main(["aggregate", "--config", cfg]) == 3
 
     def test_overflow_is_numerical_failure(self, tmp_path, capsys):
-        # theta**2 overflows in PathologicalGaussian.base_ratio; the
+        # theta**2 overflows in PathologicalGaussian._log_base_ratio; the
         # OverflowError is an ArithmeticError like every numerical failure.
         # The sample and its mean overflow first, with numpy warnings.
         cfg = write_config(tmp_path, "c.json", {"theta": 1e308, "n": 5, "reps": 1})

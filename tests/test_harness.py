@@ -8,6 +8,7 @@ from rhoest import (Cauchy, ContractViolationError, Gaussian, ProductDensity,
                     QuadratureSpec, RiskReport, Sample, Scenario, Uniform,
                     contamination_bias, export, hellinger_sq, mc_risk,
                     mle_counterexample, product_hellinger_sq, simulate)
+from rhoest import harness
 
 QUAD = QuadratureSpec(abs_tol=1e-9)
 
@@ -148,6 +149,16 @@ class TestMcRisk:
         assert report.failures == 2
         assert len(report.per_replicate) == 2
 
+    def test_all_failed_statistics_are_null(self, tmp_path):
+        def broken(sample):
+            raise ContractViolationError("boom")
+
+        report = mc_risk(iid_scenario(reps=2), broken, Gaussian(0, 1))
+        assert (report.mean_h2, report.median_h2, report.stderr) == (None, None, None)
+        path = tmp_path / "out.json"
+        export(report, "json", str(path))
+        assert json.loads(path.read_text())["mean_h2"] is None
+
     def test_programming_errors_propagate(self):
         def broken(sample):
             raise TypeError("not a fit failure")
@@ -183,6 +194,21 @@ class TestMleCounterexample:
         if rep["freq_event"] > 0:
             assert rep["freq_mle_at_max"] == 1.0
         assert len(rep["rho_errors"]) == 8
+
+    def test_event_centred_at_theta(self):
+        rep = mle_counterexample(40.0, 100, 200, seed=808)
+        assert rep["freq_event"] == 0.54
+        assert rep["p_event"] == pytest.approx(0.514, abs=1e-3)
+        assert rep["freq_mle_at_max"] == 1.0
+
+    def test_grid_stops_at_its_halfwidth(self, monkeypatch):
+        # 6 / 0.7 = 8.6 steps; a grid that rounded them up took theta = 3.3.
+        thetas = []
+        real = harness.PathologicalGaussian
+        monkeypatch.setattr(harness, "PathologicalGaussian",
+                            lambda t: thetas.append(t) or real(t))
+        mle_counterexample(0.0, 3, 1, seed=0, grid_step=0.7)
+        assert -3.0 in thetas and max(thetas) == pytest.approx(2.6)
 
     def test_requires_n_at_least_3(self):
         with pytest.raises(ContractViolationError):
@@ -221,6 +247,12 @@ class TestExport:
         export(report, "json", str(p1))
         export(report, "json", str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_json_rejects_non_finite_numbers(self, tmp_path):
+        path = tmp_path / "out.json"
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            export(RiskReport(math.nan, 0.2, 0.01, (0.1,)), "json", str(path))
+        assert not path.exists()
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ContractViolationError):

@@ -45,14 +45,27 @@ block_roots = st.one_of(st.sampled_from([0.0, np.inf]), any_roots)
 
 
 def psi_pair_oracle(kernel, num_sqrt, den_sqrt):
-    """psi on (u, v) with every 0/inf convention applied by a full np.where pass."""
+    """psi on (u, v) with every 0/inf convention applied by a full np.where pass.
+
+    Where the ratio's denominator under- or overflows on two positive finite
+    roots (the ratio is +-inf, or 0 for unequal roots), it is taken again on
+    both roots scaled by the power of two that brings the larger into
+    [0.5, 1).
+    """
     u = np.asarray(num_sqrt, dtype=float)
     v = np.asarray(den_sqrt, dtype=float)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+
+    def ratio(a, b):
         if kernel.id == "psi1":
-            vals = (u - v) / np.sqrt(u * u + v * v)
-        else:
-            vals = (u - v) / (u + v)
+            return (a - b) / np.sqrt(a * a + b * b)
+        return (a - b) / (a + b)
+
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        vals = ratio(u, v)
+        e = np.frexp(np.maximum(u, v))[1]
+        lost = ((np.isinf(vals) | ((vals == 0.0) & (u != v)))
+                & (u > 0.0) & (v > 0.0) & np.isfinite(u) & np.isfinite(v))
+        vals = np.where(lost, ratio(np.ldexp(u, -e), np.ldexp(v, -e)), vals)
     vals = np.where(u == v, 0.0, vals)
     vals = np.where((u > v) & ((v == 0.0) | np.isinf(u)), 1.0, vals)
     vals = np.where((v > u) & ((u == 0.0) | np.isinf(v)), -1.0, vals)
@@ -214,11 +227,7 @@ class TestExactInvariants:
     def test_criterion_rows_match_oracle_bitwise(self, kernel, mats, block):
         den, num = mats
         pen = np.linspace(0.0, 1.0, len(num))
-        # psi1 on two roots below 1e-162 is +-inf (the strict xfail below),
-        # and a sum of +inf and -inf warns on both sides of the comparison.
-        with (warnings.catch_warnings(),
-              mock.patch.object(criterion, "_BLOCK_ELEMENTS", block)):
-            warnings.simplefilter("ignore", RuntimeWarning)
+        with mock.patch.object(criterion, "_BLOCK_ELEMENTS", block):
             T = psi_pair_oracle(kernel, num[np.newaxis, :, :],
                                 den[:, np.newaxis, :]).sum(axis=2)
             T_square = dense_t(num, kernel)
@@ -226,10 +235,7 @@ class TestExactInvariants:
                              np.max(T - pen, axis=1))
             assert same_bits(criterion._criterion_rows(num, num, pen, kernel),
                              np.max(T_square - pen, axis=1))
-            # square_path_t reads T through +inf penalties, which an infinite
-            # or NaN sum (psi1 on roots below 1e-162) would hide.
-            if np.all(np.isfinite(T_square)):
-                assert same_bits(square_path_t(num, kernel), T_square)
+            assert same_bits(square_path_t(num, kernel), T_square)
 
     def test_several_blocks_match_dense(self, kernel):
         n = 700
@@ -325,8 +331,5 @@ class TestScalarPsiPair:
                 psi_pair(kernel, ta(a), tb(b))
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "psi1 squares u and v, and below about 1e-162 both squares underflow to "
-    "0; no square root of a positive float64 density is that small"))
 def test_psi1_bounded_below_density_square_roots():
     assert abs(psi_pair(kernel_constants("psi1"), 2e-242, 5e-324)) <= 1.0

@@ -131,6 +131,17 @@ class TestPsiPair:
         assert psi_pair(PSI2, inf, 3.0) == 1.0
         assert psi_pair(PSI2, 3.0, inf) == -1.0
 
+    @pytest.mark.parametrize("k, u, v, want", [
+        (PSI1, 2e-242, 5e-324, 1.0),  # both squares underflow
+        (PSI1, math.sqrt(1.5e308), math.sqrt(1e308), 0.1421411372078075),
+        (PSI2, 1.7e308, 9.769313486231587e306, 0.8913127797311211),
+    ], ids=["psi1-underflow", "psi1-overflow", "psi2-overflow"])
+    def test_denominator_under_and_overflow(self, k, u, v, want):
+        assert psi_pair(k, u, v) == want == -psi_pair(k, v, u)
+        u, v = np.array([u, 1.0]), np.array([v, 1.0])
+        assert psi_pair(k, u, v).tolist() == [want, 0.0]
+        assert psi_pair(k, v, u).tolist() == [-want, 0.0]
+
     @pytest.mark.parametrize("k", [PSI1, PSI2], ids=lambda k: k.id)
     @pytest.mark.parametrize("u, v", [
         (float("nan"), 1.0),

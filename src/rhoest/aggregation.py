@@ -23,7 +23,7 @@ import numpy as np
 from .criterion import DensityFamily, Penalty, RhoFit, _criterion_rows, rho_estimate
 from .densities import Sample
 from .errors import (Checked, ContractViolationError, DegenerateCandidatesError,
-                     SolverError, _count, _number, _scale, _vector, _weights)
+                     SolverError, _count, _number, _scale, _weights)
 from .psi import PsiKernel, kernel_constants
 
 __all__ = ["SimplexPoint", "CandidateSet", "InnerSolverConfig",
@@ -92,12 +92,12 @@ def select_candidate(X: Sample, candidates, deltas,
                      kernel: PsiKernel | None = None) -> RhoFit:
     """Pick one candidate probability, each viewed as a singleton model.
 
-    Penalties are kappa * delta_j; the weights must satisfy
-    sum exp(-delta_j) <= 1.
+    Penalties are kappa * delta_j; the weights must be finite, nonnegative
+    and satisfy sum exp(-delta_j) <= 1.
     """
     kernel = kernel or kernel_constants()
     candidates = list(candidates)
-    deltas = _vector("deltas", deltas)
+    deltas = _weights("deltas", deltas)
     if len(deltas) != len(candidates):
         raise ContractViolationError("one weight per candidate required")
     if sum(math.exp(-d) for d in deltas) > 1.0 + 1e-12:

@@ -126,11 +126,12 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
 
     The roots are checked once per call: :func:`psi._odd_columns` rejects NaN
     and negative roots and finds the odd columns, the sample indices where
-    some root is 0, inf, tiny or huge.  Every block's :func:`psi_pair` repairs
-    those columns only, and writes its psi values into one ``(2, block)``
-    workspace.  The workspace is allocated once per call and is no larger
-    than the biggest block the call can make, so a call on a single pair
-    allocates 2n values, not ``2 * _BLOCK_ELEMENTS``.
+    some root is 0, inf, tiny or huge.  Every block's :func:`psi_pair`
+    computes only those columns again, on rescaled roots, and writes its psi
+    values into one ``(2, block)`` workspace.  The workspace is
+    allocated once per call and is no larger than the biggest block the call
+    can make, so a call on a single pair allocates 2n values, not
+    ``2 * _BLOCK_ELEMENTS``.
 
     When both arguments are the same matrix (the all-candidates criterion), T
     is antisymmetric: the blocks of a row band start at the band's first

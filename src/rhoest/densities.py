@@ -421,8 +421,8 @@ class PathologicalGaussian(Density1D):
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
         phi = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        expo = self._log_base_ratio(x)
         with np.errstate(over="ignore", invalid="ignore"):
+            expo = self._log_base_ratio(x)
             ratio = np.exp(expo)
             vals = ratio * phi
             over = np.isinf(ratio)

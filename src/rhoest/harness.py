@@ -197,10 +197,14 @@ def mle_counterexample(theta: float, n: int, reps: int, seed: int,
     theta grid augmented with the sample points and the sample mean; and fit
     the bounded-criterion estimator over the same singular family.  The
     likelihood maximizer lands on X_(n) whenever the event holds, while the
-    bounded criterion ignores the Lebesgue-null spikes.  ``p_event`` is
-    1 - Phi(sqrt(log 4n))^n, the probability at any theta that the maximum
-    clears the threshold; it neglects the chance that |mean - theta| reaches
-    it.  ``freq_mle_at_max`` is None when no replicate meets the event.
+    bounded criterion ignores the Lebesgue-null spikes.  Spikes that
+    overflow to +inf (at sample points beyond about 188) tie, and the
+    largest point among them wins, as it does in exact arithmetic; a regular
+    log-likelihood part that overflows raises FloatingPointError.
+    ``p_event`` is 1 - Phi(sqrt(log 4n))^n, the probability at any theta that
+    the maximum clears the threshold; it neglects the chance that
+    |mean - theta| reaches it.  ``freq_mle_at_max`` is None when no
+    replicate meets the event.
     """
     _count("n", n, least=3)
     _count("reps", reps)
@@ -217,24 +221,28 @@ def mle_counterexample(theta: float, n: int, reps: int, seed: int,
     for r in range(reps):
         rng = replicate_rng(seed, r)
         x = rng.normal(theta, 1.0, n)
-        x_bar = float(np.mean(x))
+        # Singular log-likelihood, exact on every candidate theta'.  Its
+        # regular part must be finite.
+        with np.errstate(over="raise", invalid="raise"):
+            x_bar = float(np.mean(x))
+            cands = np.unique(np.concatenate([grid, x, [x_bar]]))
+            ll = cands * (n * x_bar) - n * cands**2 / 2.0
         x_max = float(np.max(x))
         omega = (x_bar not in set(x.tolist())
                  and x_max - theta >= threshold > abs(x_bar - theta))
         if omega:
             events += 1
 
-        # Singular log-likelihood, exact on every candidate theta'.
-        cands = np.unique(np.concatenate([grid, x, [x_bar]]))
-        ll = cands * (n * x_bar) - n * cands**2 / 2.0
         spikes = np.zeros_like(cands)
         pos_sample = x[x > 0]
         if pos_sample.size:
             idx = np.searchsorted(cands, pos_sample)
-            spikes[idx] += 0.5 * pos_sample**2 * np.exp(np.minimum(
-                pos_sample**2, 700.0))
+            with np.errstate(over="ignore"):  # +inf from x of about 188 up
+                spikes[idx] += 0.5 * pos_sample**2 * np.exp(np.minimum(
+                    pos_sample**2, 700.0))
         ll = ll + spikes
-        mle = float(cands[np.argmax(ll)])
+        # The spike grows with x, so of tied infinite spikes the last wins.
+        mle = float(cands[len(ll) - 1 - np.argmax(ll[::-1])])
         if omega and mle == x_max:
             mle_at_max += 1
 

@@ -56,13 +56,12 @@ class PsiKernel:
         return 4.0 * (self.a0 + 16.0) / self.a1 + 2.0 + 168.0 / self.a2_sq
 
     def ratio(self, u, v, out=None):
-        """psi(u / v) on the pair (u, v), without :func:`psi_pair`'s 0 and inf cases.
+        """psi(u / v) on the pair (u, v), without :func:`psi_pair`'s conventions.
 
         On a float ``u`` it computes in Python floats, which give the same
-        bits as numpy but raise ZeroDivisionError where numpy gives +-inf.
-        On arrays it writes into ``out``, a ``(2, *shape)`` workspace for the
-        broadcast shape of ``u`` and ``v`` (allocated when None), and returns
-        ``out[0]``; ``out[1]`` holds the denominator.
+        bits as numpy.  On arrays it writes into ``out``, a ``(2, *shape)``
+        workspace for the broadcast shape of ``u`` and ``v`` (allocated when
+        None), and returns ``out[0]``; ``out[1]`` holds the denominator.
         """
         if isinstance(u, float):
             if self.id == "psi1":
@@ -80,15 +79,6 @@ class PsiKernel:
             np.add(u, v, out=den)
         np.subtract(u, v, out=num)
         return np.divide(num, den, out=num)
-
-    @property
-    def ratio_exact_at_zero(self) -> bool:
-        """Whether ratio(a, 0) == 1 and ratio(0, a) == -1 for every finite a > 0.
-
-        psi2 divides a by a.  psi1 divides a by sqrt(a * a), which differs
-        from a once a * a underflows or overflows.
-        """
-        return self.id != "psi1"
 
     def ratio_du(self, u, v):
         """d/du of :meth:`ratio` for u, v > 0."""
@@ -121,9 +111,6 @@ def kernel_constants(kernel_id: str = DEFAULT_KERNEL_ID) -> PsiKernel:
 
 def eval_psi(kernel: PsiKernel, x):
     """psi(x) for x in [0, +inf]; psi(+inf) = 1."""
-    x = np.asarray(x, dtype=float)
-    if np.any(np.isnan(x)) or np.any(x < 0):
-        raise ContractViolationError("psi expects x >= 0 (or +inf)")
     return psi_pair(kernel, x, 1.0)
 
 
@@ -138,17 +125,18 @@ def psi_pair(kernel: PsiKernel, num_sqrt, den_sqrt, out=None, odd=None):
     0/a and a/inf -> psi(0) = -1; infinite roots come from singular density
     representations, where only the comparison of u and v matters.
 
-    One pass of :meth:`PsiKernel.ratio`, written into the optional
-    ``(2, *shape)`` workspace ``out``, gives every value except where it
-    returns NaN (0/0 and any infinite root), where a root is 0 for a kernel
-    whose ratio is not exact at a one-sided zero
-    (:attr:`PsiKernel.ratio_exact_at_zero`), and where its denominator under-
-    or overflows.  All happen only in the odd columns of :func:`_odd_columns`:
-    the last-axis indices where some root is 0, inf, or below 2**-500 or
-    above 2**500.  Only those columns are read again: NaN and zero-root
-    entries take the sign of u - v, and a lost denominator is recomputed
-    from both roots scaled by one power of two; without odd columns, no
-    floating-point exception needs silencing.
+    One rule gives them all.  A pair with a root outside [2**-500, 2**500]
+    is computed by :meth:`PsiKernel.ratio` on both roots scaled by the power
+    of two that brings the larger into [0.5, 1), where no square or sum can
+    under- or overflow; a pair that is still NaN (both roots 0, or one
+    infinite) takes the sign of u - v.  On a pair with both roots inside
+    that range the scaling changes no bit.  So one unscaled pass of the
+    ratio, written into the optional ``(2, *shape)`` workspace ``out``, gives
+    every column but the odd ones of :func:`_odd_columns`, where some root
+    is out of range, and every pair of those is computed again on scaled
+    roots: fewer array operations than picking out the out-of-range pairs,
+    which pays only where odd columns are many and their out-of-range roots
+    few.  Without odd columns, no floating-point exception needs silencing.
     ``odd`` passes columns the caller has already found and validated for a
     larger array the operands are slices of; without it they are computed
     here, and NaN or negative roots raise :class:`ContractViolationError`.
@@ -156,9 +144,8 @@ def psi_pair(kernel: PsiKernel, num_sqrt, den_sqrt, out=None, odd=None):
     Two scalar operands (floats, such as QUADPACK's nodes in
     :func:`check_assumption`, other numbers and 0-d arrays) skip numpy's
     array path and give the same bits: equal, zero and infinite roots take
-    the sign of u - v, and every other pair calls the same
-    :meth:`PsiKernel.ratio` on Python floats; a lost denominator takes the
-    array path.
+    the sign of u - v, and every other pair is scaled by the same rule and
+    calls the same :meth:`PsiKernel.ratio` on Python floats.
     """
     scalar = isinstance(num_sqrt, float) and isinstance(den_sqrt, float)
     if not scalar:
@@ -172,35 +159,22 @@ def psi_pair(kernel: PsiKernel, num_sqrt, den_sqrt, out=None, odd=None):
                 "density square roots must be nonnegative numbers")
         if u == v or u == 0.0 or v == 0.0 or u == math.inf or v == math.inf:
             return _sign(u, v)
-        try:  # with u != v, 0.0 means a denominator that overflowed
-            val = kernel.ratio(u, v)
-        except ZeroDivisionError:  # psi1's u*u + v*v underflows
-            val = 0.0
-        return val or float(psi_pair(kernel, np.array([u]), np.array([v]))[0])
+        if not (_LOW_ROOT <= u <= _HIGH_ROOT and _LOW_ROOT <= v <= _HIGH_ROOT):
+            e = math.frexp(max(u, v))[1]
+            u, v = math.ldexp(u, -e), math.ldexp(v, -e)
+        return kernel.ratio(u, v)
     if odd is None:
         odd = _odd_columns(u, v)
     if not odd.size:  # nothing to repair, no floating-point exception to silence
         return kernel.ratio(u, v, out)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         vals = kernel.ratio(u, v, out)
-    # With every column odd, gathering them would copy the whole block.
-    whole = odd.size == vals.shape[-1]
-    got, u, v = ((vals, u, v) if whole else
-                 (vals[..., odd], _columns(u, odd), _columns(v, odd)))
-    fix = np.isnan(got)
-    if not kernel.ratio_exact_at_zero:
-        fix |= (u == 0.0) | (v == 0.0)
-    np.putmask(got, fix, _sign(u, v))  # u and v broadcast to got's shape
-    # Left are positive finite roots: +-inf, or 0 for unequal ones, means a
-    # denominator that under- or overflowed.  ldexp scales both roots so that
-    # the larger lies in [0.5, 1); 2**-e would overflow for subnormal roots.
-    lost = np.isinf(got) | ((got == 0.0) & (u != v))
-    if lost.any():
-        u, v = (np.broadcast_to(a, got.shape)[lost] for a in (u, v))
-        e = np.frexp(np.maximum(u, v))[1]
-        got[lost] = kernel.ratio(np.ldexp(u, -e), np.ldexp(v, -e))
-    if not whole:
-        vals[..., odd] = got
+        u, v = _columns(u, odd), _columns(v, odd)
+        # ldexp, since 2.0**e overflows for subnormal roots.
+        e = -np.frexp(np.maximum(u, v))[1]
+        got = kernel.ratio(np.ldexp(u, e), np.ldexp(v, e))
+    np.putmask(got, np.isnan(got), _sign(u, v))
+    vals[..., odd] = got
     return vals
 
 
@@ -210,7 +184,8 @@ def _columns(a, cols):
 
 
 # Roots outside [2**-500, 2**500] are odd: 0, inf, and those whose squares
-# can underflow to 0 (below about 2**-537) or overflow in psi1's u*u + v*v.
+# can lose precision or vanish (below about 2**-511) or overflow in psi1's
+# u*u + v*v.
 _LOW_ROOT, _HIGH_ROOT = 2.0 ** -500, 2.0 ** 500
 
 

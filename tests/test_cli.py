@@ -428,14 +428,16 @@ class TestExitCodes:
         assert main(["aggregate", "--config", cfg]) == 3
 
     def test_overflow_is_numerical_failure(self, tmp_path, capsys):
-        # theta**2 overflows in PathologicalGaussian._log_base_ratio; the
-        # OverflowError is an ArithmeticError like every numerical failure.
-        # The sample and its mean overflow first, with numpy warnings.
-        cfg = write_config(tmp_path, "c.json", {"theta": 1e308, "n": 5, "reps": 1})
-        with pytest.warns(RuntimeWarning):
+        # The regular log-likelihood overflows: in the sample mean at 1e308,
+        # in theta' * n * mean at 1e155.  It raises FloatingPointError, an
+        # ArithmeticError like every numerical failure, before any numpy
+        # warning (an error under this suite's filters).
+        for theta in (1e155, 1e308):
+            cfg = write_config(tmp_path, "c.json", {"theta": theta, "n": 5, "reps": 1})
             assert main(["demo-mle", "--config", cfg]) == 3
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith("numerical failure:")
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("numerical failure:")
+            assert len(err.splitlines()) == 1
 
 
 GRID = {"type": "gaussian_location_grid", "theta_min": -1, "theta_max": 1,

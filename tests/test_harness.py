@@ -201,6 +201,14 @@ class TestMleCounterexample:
         assert rep["p_event"] == pytest.approx(0.514, abs=1e-3)
         assert rep["freq_mle_at_max"] == 1.0
 
+    def test_overflowing_spikes_keep_the_maximum(self):
+        # From x of about 188 up every spike overflows to +inf; the first of
+        # the tied infinities is the smallest positive sample point.
+        want = mle_counterexample(0.0, 100, 40, seed=808)
+        rep = mle_counterexample(200.0, 100, 40, seed=808)
+        assert rep["freq_event"] == want["freq_event"] == 0.475
+        assert rep["freq_mle_at_max"] == want["freq_mle_at_max"] == 1.0
+
     def test_grid_stops_at_its_halfwidth(self, monkeypatch):
         # 6 / 0.7 = 8.6 steps; a grid that rounded them up took theta = 3.3.
         thetas = []

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -141,6 +142,26 @@ class TestPsiPair:
         u, v = np.array([u, 1.0]), np.array([v, 1.0])
         assert psi_pair(k, u, v).tolist() == [want, 0.0]
         assert psi_pair(k, v, u).tolist() == [-want, 0.0]
+
+    @pytest.mark.parametrize("k", [PSI1, PSI2], ids=lambda k: k.id)
+    @pytest.mark.parametrize("u, v", [
+        (5e-324, 1e-160), (1e-161, 2.3e-162), (3e-162, 2.3e-162),
+        (1e-157, 4e-158), (1e-155, 5e-324), (1e200, 3e199), (1e308, 2e307),
+    ])
+    def test_out_of_range_roots_match_exact_value(self, k, u, v):
+        # psi1's squares are subnormal, zero or infinite on these roots.
+        with decimal.localcontext(decimal.Context(prec=60)):
+            du, dv = decimal.Decimal(u), decimal.Decimal(v)
+            den = (du * du + dv * dv).sqrt() if k is PSI1 else du + dv
+            want = float((du - dv) / den)
+        # The float path, and the block path on an odd column beside a
+        # regular one.
+        block = psi_pair(k, np.array([[u, 0.5], [v, 0.5]]),
+                         np.array([[v, 0.25], [u, 0.25]]))[:, 0]
+        got = [psi_pair(k, u, v), block[0], -psi_pair(k, v, u), -block[1]]
+        assert all(-1.0 <= g <= 1.0 for g in got)
+        assert all(abs(g - want) <= 4.5e-16 * abs(want) for g in got)
+        assert len(set(got)) == 1
 
     @pytest.mark.parametrize("k", [PSI1, PSI2], ids=lambda k: k.id)
     @pytest.mark.parametrize("u, v", [

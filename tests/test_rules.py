@@ -19,7 +19,8 @@ from rhoest import (CandidateSet, ContractViolationError, DensityFamily,
                     SimplexPoint, build_histogram_family, contamination_bias,
                     dimension_bound_entropy, dimension_bound_finite,
                     dimension_bound_vc, mixture_upsilon, mle_counterexample,
-                    rho_estimate, saddle_point, simplex_grid, simulate)
+                    rho_estimate, saddle_point, select_candidate,
+                    simplex_grid, simulate)
 
 G = Gaussian(0.0, 1.0)
 X = Sample(np.array([0.0, 0.5, 1.0]))
@@ -131,3 +132,11 @@ def test_bad_slack_is_named(slack):
     # Not an internal invariant of RhoFit: the message names the argument.
     with pytest.raises(ContractViolationError, match="slack"):
         rho_estimate(X, FAM, slack=slack)
+
+
+def test_negative_delta_is_rejected_by_the_weights_rule():
+    # Unchecked, -800 overflows exp(800) before the budget check runs.
+    select_candidate(X, ENTRIES, [0.5, 5.0])
+    for bad in (-800.0, -1.0):
+        with pytest.raises(ContractViolationError, match="deltas"):
+            select_candidate(X, ENTRIES, [bad, 5.0])

@@ -6,13 +6,17 @@ criterion value comes from one reduction, :func:`_criterion_rows`: for each
 candidate row it sums psi over the sample in index order and takes the
 largest penalized sum over the challengers.  The pairwise sums are computed a
 cache-sized block at a time, so memory stays bounded whatever the family size
-and no value depends on the block shape.  Across the whole family
-(:func:`upsilon_all`) the statistic is antisymmetric, T(q, q') = -T(q', q),
-so only its upper triangle is computed and the lower one is mirrored.
+and no value depends on the block shape, and the blocks of one call are
+shared out over the CPUs the process may run on, with the bits of one
+thread.  Across the whole family (:func:`upsilon_all`) the statistic is
+antisymmetric, T(q, q') = -T(q', q), so only its upper triangle is computed
+and the lower one is mirrored.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,6 +116,37 @@ class RhoFit:
 # and fit benchmark ops.
 _BLOCK_ELEMENTS = 2**16
 
+# The worker threads' ThreadPoolExecutor and its size, made on the first call
+# with more than one block and CPU (concurrent.futures is imported then), and
+# dropped in a forked child, which has none of the parent's threads.
+_pool, _pool_size = None, 0
+
+
+def _drop_pool():
+    global _pool, _pool_size
+    _pool, _pool_size = None, 0
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _workers(size: int):
+    """A thread pool of at least ``size`` workers."""
+    global _pool, _pool_size
+    if _pool_size < size:
+        from concurrent.futures import ThreadPoolExecutor
+        _pool, _pool_size = ThreadPoolExecutor(size, "rhoest-psi"), size
+    return _pool
+
 
 def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
                     kernel: PsiKernel) -> np.ndarray:
@@ -128,10 +163,23 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
     and negative roots and finds the odd columns, the sample indices where
     some root is 0, inf, tiny or huge.  Every block's :func:`psi_pair`
     computes only those columns again, on rescaled roots, and writes its psi
-    values into one ``(2, block)`` workspace.  The workspace is
-    allocated once per call and is no larger than the biggest block the call
-    can make, so a call on a single pair allocates 2n values, not
-    ``2 * _BLOCK_ELEMENTS``.
+    values into a ``(2, block)`` workspace.  The workspaces, one per share
+    (below), are allocated once per call, and each is no larger than the
+    biggest block the call can make, so a call on a single pair allocates 2n
+    values, not ``2 * _BLOCK_ELEMENTS``.
+
+    The blocks are shared out over the CPUs the process may run on
+    (``os.sched_getaffinity``, so ``taskset`` restricts them).  The calling
+    thread and, when there are two blocks or more and more than one CPU, one
+    pooled worker thread per further CPU run the same loop, each pulling
+    blocks from one shared iterator into its own workspace and writing
+    disjoint slices of T.  numpy's arithmetic and sums release the GIL, so
+    the shares run in parallel.  A block is computed the same way whichever
+    thread takes it, so T is bitwise the one-thread result.  A worker runs
+    in a copy of the caller's context, so the caller's ``np.errstate``
+    holds there too.  If a share raises, the others stop after their
+    current block, and the first exception is raised once every share has
+    stopped.  A call with one block, or on one CPU, starts no thread.
 
     When both arguments are the same matrix (the all-candidates criterion), T
     is antisymmetric: the blocks of a row band start at the band's first
@@ -149,19 +197,40 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
     odd = _odd_columns(num_sqrt, den_sqrt)
     pairs = max(1, _BLOCK_ELEMENTS // n)
     cols = min(K, pairs)
-    work = np.empty((2, min(pairs, J * cols) * n))
-    T = np.empty((J, K))
+    blocks = []
     lo = 0
     while lo < J:
         first = lo if square else 0
         rows = pairs // min(cols, K - first)
-        for c in range(first, K, cols):
-            h, w = min(rows, J - lo), min(cols, K - c)
-            T[lo:lo + h, c:c + w] = psi_pair(
-                kernel, num_sqrt[np.newaxis, c:c + w, :],
-                den_sqrt[lo:lo + h, np.newaxis, :],
-                out=work[:, :h * w * n].reshape(2, h, w, n), odd=odd).sum(axis=2)
+        blocks.extend((lo, min(rows, J - lo), c, min(cols, K - c))
+                      for c in range(first, K, cols))
         lo += rows
+    T = np.empty((J, K))
+
+    def share(work):
+        # The loop of the calling thread and of every worker: next() on the
+        # one list iterator hands each block to exactly one share.
+        try:
+            for r, h, c, w in pending:
+                if errors:
+                    return
+                T[r:r + h, c:c + w] = psi_pair(
+                    kernel, num_sqrt[np.newaxis, c:c + w, :],
+                    den_sqrt[r:r + h, np.newaxis, :],
+                    out=work[:, :h * w * n].reshape(2, h, w, n), odd=odd).sum(axis=2)
+        except BaseException as exc:  # raised below, once every share has stopped
+            errors.append(exc)
+
+    pending, errors = iter(blocks), []
+    workers = min(_cpus(), len(blocks)) - 1 if len(blocks) > 1 else 0
+    work = np.empty((workers + 1, 2, min(pairs, J * cols) * n))
+    shares = [_workers(workers).submit(contextvars.copy_context().run, share, work[i])
+              for i in range(1, workers + 1)]
+    share(work[0])
+    for future in shares:
+        future.result()
+    if errors:
+        raise errors[0]
     if square:
         lower = np.tril_indices(J, -1)
         T[lower] = 0.0 - T.T[lower]

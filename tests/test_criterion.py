@@ -1,5 +1,9 @@
 import itertools
 import math
+import multiprocessing
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -280,3 +284,136 @@ class TestRhoEstimate:
                                          [0.0] * len(sub), K2)
                 assert np.allclose(fit.trace, ups, atol=1e-12)
                 assert fit.chosen_index == chosen
+
+
+class TestSharedBlocks:
+    """The blocks of one criterion call shared out over threads.  A 24-entry
+    family at n = 16 with blocks of 64 psi values makes 78 blocks."""
+
+    S = np.sqrt(np.random.default_rng(7).uniform(0.01, 2.0, (24, 16)))
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(criterion, "_BLOCK_ELEMENTS", 64)
+
+    @staticmethod
+    def spy(monkeypatch, on_block):
+        """Two shares: the caller and one worker.  Every block runs
+        ``on_block(worker)`` first, and each share's first block waits (up
+        to 10 s) until the other share has taken one too, so both take part."""
+        monkeypatch.setattr(criterion, "_cpus", lambda: 2)
+        caller, started = threading.get_ident(), set()
+        both_in = threading.Barrier(2, timeout=10)
+        original = criterion.psi_pair
+
+        def psi_pair(*args, **kwargs):
+            worker = threading.get_ident() != caller
+            if worker not in started:
+                started.add(worker)
+                both_in.wait()
+            on_block(worker)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(criterion, "psi_pair", psi_pair)
+        return original
+
+    def test_caller_errstate_reaches_worker(self, monkeypatch):
+        seen = []
+        self.spy(monkeypatch, lambda worker: seen.append((worker, np.geterr()["over"])))
+        with np.errstate(over="raise"):
+            criterion._criterion_rows(self.S, self.S, 0.0, K2)
+        assert {worker for worker, _ in seen} == {False, True}
+        assert {over for _, over in seen} == {"raise"}
+
+    @pytest.mark.parametrize("raiser", ["caller", "worker"])
+    def test_error_reaches_caller_after_every_share_stopped(self, monkeypatch, raiser):
+        want = criterion._criterion_rows(self.S, self.S, 0.0, K2).tobytes()
+        calls, raised = [], threading.Event()
+
+        def on_block(worker):
+            # The raiser fails its first block; the other share finishes the
+            # block it holds once that has happened.
+            calls.append(worker)
+            if worker == (raiser == "worker"):
+                raised.set()
+                raise FloatingPointError("overflow in a block")
+            raised.wait(10)
+            time.sleep(0.02)
+
+        original = self.spy(monkeypatch, on_block)
+        with pytest.raises(FloatingPointError, match="overflow in a block"):
+            criterion._criterion_rows(self.S, self.S, 0.0, K2)
+        made = len(calls)
+        time.sleep(0.05)
+        assert len(calls) == made < 10  # every share stopped, long before block 78
+        monkeypatch.setattr(criterion, "psi_pair", original)
+        assert criterion._criterion_rows(self.S, self.S, 0.0, K2).tobytes() == want
+
+    def test_more_shares_than_cpus_switching_every_microsecond(self, monkeypatch):
+        """Six shares, with the interpreter switching threads as often as it
+        can, still compute every block exactly once and give the same bits."""
+        original, blocks = criterion.psi_pair, []
+
+        def psi_pair(*args, **kwargs):
+            blocks.append((args[1].shape, args[2].shape))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(criterion, "psi_pair", psi_pair)
+        calls = [(self.S, self.S), (self.S[:5], self.S[2:])]
+        monkeypatch.setattr(criterion, "_cpus", lambda: 1)
+        want = [criterion._criterion_rows(den, num, 0.0, K2).tobytes()
+                for den, num in calls]
+        one = sorted(blocks)
+        monkeypatch.setattr(criterion, "_cpus", lambda: 6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                del blocks[:]
+                assert [criterion._criterion_rows(den, num, 0.0, K2).tobytes()
+                        for den, num in calls] == want
+                assert sorted(blocks) == one
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_single_block_calls_start_no_thread(self, monkeypatch):
+        monkeypatch.setattr(criterion, "_BLOCK_ELEMENTS", 2**16)
+        monkeypatch.setattr(criterion, "_cpus", lambda: 4)
+
+        def no_pool(size):
+            raise AssertionError("a single-block call asked for worker threads")
+
+        monkeypatch.setattr(criterion, "_workers", no_pool)
+        before = threading.active_count()
+        n = 500
+        X = Sample(np.random.default_rng(8).normal(0.0, 1.0, n))
+        fam = DensityFamily([ProductDensity(iid=Gaussian(m, 1.0), n=n)
+                             for m in np.linspace(-1.0, 1.0, 6)])
+        t_statistic(X, fam[0], fam[1], K2)
+        cs = CandidateSet(fam.entries, X)
+        t_mix(cs, SimplexPoint((0.5, 0.5, 0, 0, 0, 0)),
+              SimplexPoint((0, 0, 0, 0, 0.5, 0.5)), K2)
+        rho_estimate(X, fam)
+        assert threading.active_count() == before
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork start method")
+    def test_forked_child_makes_its_own_pool(self, monkeypatch):
+        monkeypatch.setattr(criterion, "_cpus", lambda: 2)
+        X = Sample(np.zeros(16))
+        fam = DensityFamily([FixedValues(row) for row in self.S ** 2])
+        want = upsilon_all(X, fam, None, K2).tobytes()
+        assert criterion._pool is not None
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(
+            target=lambda: send.send_bytes(upsilon_all(X, fam, None, K2).tobytes()))
+        child.start()
+        try:
+            assert recv.poll(60), "the forked child hung"
+            assert recv.recv_bytes() == want
+            child.join(60)
+            assert child.exitcode == 0
+        finally:
+            child.kill()
+            child.join(60)

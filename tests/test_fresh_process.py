@@ -1,10 +1,11 @@
 """Checks that need a fresh interpreter.
 
 rhoest loads scipy, for QUADPACK, on the first quadrature call, and
-nowhere else.  pytest's ``filterwarnings`` setting imports scipy.integrate
-before any test runs, so an in-process test can neither see an eager scipy
-import come back nor exercise a first load.  These tests run each check in
-a subprocess.
+nowhere else.  Its worker threads, and concurrent.futures with them, start
+on the first criterion call with more than one block and CPU.  pytest's
+``filterwarnings`` setting imports scipy.integrate before any test runs, so
+an in-process test can neither see an eager scipy import come back nor
+exercise a first load.  These tests run each check in a subprocess.
 """
 
 import json
@@ -44,9 +45,19 @@ def scipy_imports(importtime_log):
     return sorted(n for n in names if n.split(".")[0] == "scipy")
 
 
+# Prints the thread count and whether concurrent.futures is loaded.
+THREADS = ("print(json.dumps([threading.active_count(), "
+           "'concurrent.futures' in sys.modules]))")
+
+
 def test_import_loads_no_scipy():
     out, _ = python("-c", f"import json, sys, rhoest, rhoest.cli; {SCIPY_MODULES}")
     assert json.loads(out) == []
+
+
+def test_import_starts_no_thread():
+    out, _ = python("-c", f"import json, sys, threading, rhoest, rhoest.cli; {THREADS}")
+    assert json.loads(out) == [1, False]
 
 
 SAMPLE = np.random.default_rng(3).normal(0.0, 1.0, 30).tolist()
@@ -86,6 +97,18 @@ def test_cli_run_loads_no_scipy(tmp_path, command):
     assert json.loads(out)
     assert "import time:" in log
     assert scipy_imports(log) == []
+
+
+def test_aggregate_starts_no_thread(tmp_path):
+    # Every criterion call of an aggregate solve is a single block.
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(TINY["aggregate"]))
+    run = ("import json, sys, threading; from rhoest.cli import main; "
+           f"main(['aggregate', '--config', sys.argv[1]]); {THREADS}")
+    out, _ = python("-c", run, str(cfg))
+    result, threads = out.rstrip().rsplit("\n", 1)
+    assert json.loads(result)
+    assert json.loads(threads) == [1, False]
 
 
 TRIPLES = [

@@ -288,6 +288,29 @@ def test_triangle_blocks_match_dense(kernel, block, case, monkeypatch):
     assert same_bits(np.diag(T_square), np.zeros(len(fam)))
 
 
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.id)
+@pytest.mark.parametrize("block", [1, 64, 4096])
+@pytest.mark.parametrize("case", [zeros_and_infinities_case, tiny_roots_case])
+def test_shared_blocks_match_one_thread_bitwise(kernel, block, case, monkeypatch):
+    """One, two or three shares of the blocks give the same bits, square and
+    not, on families with zero, infinite and tiny roots."""
+    monkeypatch.setattr(criterion, "_BLOCK_ELEMENTS", block)
+    points, marginals = case()
+    fam = DensityFamily([ProductDensity(iid=d, n=len(points)) for d in marginals])
+    S = fam.sqrt_value_matrix(Sample(points))
+    pen = np.linspace(0.0, 3.0, len(S))
+    calls = [(S, S), (S[:5], S), (S, S[3:]), (S[-1:], S[:1])]
+
+    def rows(cpus):
+        monkeypatch.setattr(criterion, "_cpus", lambda: cpus)
+        return [criterion._criterion_rows(den, num, pen[:len(num)], kernel).tobytes()
+                for den, num in calls]
+
+    one = rows(1)
+    assert rows(2) == one
+    assert rows(3) == one
+
+
 # Quadrature nodes reach psi_pair as Python floats or np.float64 roots.
 # Below about 1e-162 psi1's u*u + v*v underflows to 0 (1e-200 with 5e-324).
 # Operand types that take psi_pair's scalar path: 0-d arrays as well as floats.

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import ProductDensity, Sample
+from .densities import ProductDensity, Sample, _stacked, _stacks
 from .errors import Checked, ContractViolationError, _count, _finite, _nonnegative
 from .psi import PsiKernel, _odd_columns, kernel_constants, psi_pair
 
@@ -58,8 +58,31 @@ class DensityFamily:
         return self.entries[0].n
 
     def sqrt_value_matrix(self, X: Sample) -> np.ndarray:
-        """(|family|, n) matrix of sqrt density values at the sample."""
-        values = np.stack([e.coord_values(X) for e in self.entries])
+        """(|family|, n) matrix of sqrt density values at the sample.
+
+        The i.i.d. products whose marginal is of a stackable kind (see
+        :class:`~rhoest.densities.Density1D`) are grouped by kind.  Each
+        group is cut, in entry order, into blocks of at most
+        ``max(1, _BLOCK_ELEMENTS // n)`` entries.  A block is one marginal
+        whose parameters are (rows, 1) columns, and the ``coord_values`` of
+        its i.i.d. product, one ``pdf`` call, gives the block's rows.  Every
+        other entry gives its own row through its own ``coord_values``.  The
+        ``pdf`` of a stackable kind is elementwise, so every value has the
+        bits of the entry's own call.
+        """
+        # A non-i.i.d. product's marginal is None.
+        marginals = [e.marginal if type(e) is ProductDensity else None
+                     for e in self.entries]
+        stacks, others = _stacks(marginals)
+        values = np.empty((len(self.entries), self.n))
+        rows = max(1, _BLOCK_ELEMENTS // self.n)
+        for idx, kind, columns in stacks:
+            for lo in range(0, len(idx), rows):
+                stack = _stacked(kind, [c[lo:lo + rows, np.newaxis] for c in columns])
+                values[idx[lo:lo + rows]] = ProductDensity(
+                    iid=stack, n=self.n).coord_values(X)
+        for i in others:
+            values[i] = self.entries[i].coord_values(X)
         return np.sqrt(values, out=values)
 
 

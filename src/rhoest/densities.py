@@ -101,6 +101,13 @@ class Density1D(Checked):
     ``to_json`` and ``density_from_json`` all read it.  ``location`` names
     the parameters a translation moves, and ``_check`` tests the conditions
     that tie parameters together.
+
+    The ``pdf`` of a kind in ``_STACKABLE`` is elementwise in its parameters
+    and points: with float64 arrays as parameters, which broadcast against
+    ``x``, each value has the bits of the scalar density's ``pdf`` at its
+    point.  (m, 1) parameter columns against n points give an (m, n)
+    matrix, and length-m vectors against m points give m values.  So such a
+    ``pdf`` never branches in Python on a parameter's value.
     """
 
     kind = "abstract"
@@ -410,12 +417,14 @@ class PathologicalGaussian(Density1D):
     rules = {"theta": _finite}
 
     def _log_base_ratio(self, x):
-        expo = self.theta * x - 0.5 * self.theta**2
-        if self.theta > 0:
-            spike = np.where(x == self.theta,
-                             0.5 * self.theta**2 * np.exp(np.minimum(x * x, 700.0)),
-                             0.0)
-            expo = expo + spike
+        # theta * theta, not theta**2: Python's float ** is libm's pow, which
+        # is not always correctly rounded, and numpy squares an array.
+        sq = self.theta * self.theta
+        expo = self.theta * x - 0.5 * sq
+        spike = (x == self.theta) & (self.theta > 0)
+        if spike.any():  # x * x is theta * theta there
+            bump = 0.5 * sq * np.exp(np.minimum(sq, 700.0))
+            expo = np.where(spike, expo + bump, expo)
         return expo
 
     def pdf(self, x):
@@ -464,6 +473,50 @@ class Tabulated(Density1D):
 _DENSITY_KINDS = {cls.kind: cls for cls in (
     Gaussian, Cauchy, Laplace, Uniform, Exponential, Histogram, ExpFamily,
     PathologicalGaussian, Tabulated)}
+
+# The kinds whose pdf is elementwise in parameters and points (see Density1D).
+_STACKABLE = frozenset({Gaussian, Cauchy, Laplace, Uniform, Exponential,
+                        PathologicalGaussian})
+
+
+def _stacks(densities):
+    """The stackable densities of a list, kind by kind, and the rest.
+
+    Returns ``(stacks, others)``.  ``stacks`` holds an ``(indices, kind,
+    columns)`` triple per stackable kind, in order of first appearance: the
+    ascending indices of the densities whose class is exactly ``kind``, and
+    a float64 vector of their values per parameter, in ``rules`` order.
+    ``others`` lists the other indices, objects that are no density
+    included.  A kind with an int parameter of magnitude 2**53 or more goes
+    to ``others`` whole: Python's int arithmetic on it, such as ``b - a``,
+    is exact or raises OverflowError where float64's rounds.
+    """
+    groups, others = {}, []
+    for i, d in enumerate(densities):
+        if type(d) in _STACKABLE:
+            groups.setdefault(type(d), []).append(i)
+        else:
+            others.append(i)
+    stacks = []
+    for kind, idx in groups.items():
+        values = [[getattr(densities[i], name) for i in idx] for name in kind.rules]
+        columns = [np.array(v, dtype=float) for v in values]
+        if any(type(v[j]) is not float for c, v in zip(columns, values)
+               for j in np.flatnonzero(abs(c) >= 2**53)):
+            others += idx
+        else:
+            stacks.append((idx, kind, columns))
+    return stacks, others
+
+
+def _stacked(kind, columns):
+    """A density of ``kind`` whose parameters, in ``rules`` order, are the
+    float64 arrays ``columns``.  The rules ran when the stacked densities
+    were built, so they do not run again."""
+    stack = object.__new__(kind)
+    for name, column in zip(kind.rules, columns):
+        object.__setattr__(stack, name, column)
+    return stack
 
 
 def density_from_json(obj: dict) -> Density1D:
@@ -611,8 +664,15 @@ class ProductDensity(Checked):
                 f"got a {sample.kind} sample of n={sample.n}")
         if self.is_iid:
             return np.asarray(self.marginal.pdf(sample.points), dtype=float)
-        return np.array([float(np.asarray(self.coords[i].pdf(
-            sample.points[i:i + 1]))[0]) for i in range(self.n)])
+        # One pdf call per stackable kind, elementwise on its coordinates'
+        # points; one call per coordinate for the other kinds.
+        values = np.empty(self.n)
+        stacks, others = _stacks(self.coords)
+        for idx, kind, columns in stacks:
+            values[idx] = _stacked(kind, columns).pdf(sample.points[idx])
+        for i in others:
+            values[i] = np.asarray(self.coords[i].pdf(sample.points[i:i + 1]))[0]
+        return values
 
     def key(self):
         if self.is_iid:

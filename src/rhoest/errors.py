@@ -1,8 +1,11 @@
 """Exception hierarchy, and the input rules of every public value object.
 
 A rule takes a parameter's name and the value passed, and returns the value
-to store (a count as an int, other scalars as passed, so ``to_json`` keeps an
-int an int) or raises :class:`ContractViolationError` naming the parameter.
+to store or raises :class:`ContractViolationError` naming the parameter.  A
+scalar is stored as a Python ``int`` or ``float``: a numpy integer as an int,
+a numpy float as a float, and an int stays an int, so ``to_json`` keeps ``0``
+as ``0`` and a numpy scalar stores, hashes and computes as the Python number
+of its value.
 """
 
 import math
@@ -53,21 +56,30 @@ class Checked:
 _REAL = (int, float, np.integer, np.floating)
 
 
+def _plain(v):
+    """A real number as a Python int or float."""
+    if isinstance(v, np.floating):
+        return float(v)
+    return int(v) if isinstance(v, np.integer) else v
+
+
 def _number(name, v):
     """A real number other than NaN; infinities pass, a bool does not."""
     if isinstance(v, bool) or not isinstance(v, _REAL) or v != v:
         raise ContractViolationError(f"{name} must be a number, got {v!r}")
-    return v
+    return _plain(v)
 
 
 def _finite(name, v):
-    if not math.isfinite(_number(name, v)):
+    v = _number(name, v)
+    if not math.isfinite(v):
         raise ContractViolationError(f"{name} must be finite, got {v!r}")
     return v
 
 
 def _scale(name, v):
-    if not _finite(name, v) > 0:
+    v = _finite(name, v)
+    if not v > 0:
         raise ContractViolationError(f"{name} must be positive and finite, got {v!r}")
     return v
 
@@ -76,7 +88,7 @@ def _nonnegative(name, v):
     """A number >= 0; infinity passes, NaN and a bool do not."""
     if isinstance(v, bool) or not isinstance(v, _REAL) or not v >= 0:
         raise ContractViolationError(f"{name} must be a nonnegative number, got {v!r}")
-    return v
+    return _plain(v)
 
 
 def _integer(name, v):

@@ -295,6 +295,51 @@ class TestPathologicalGaussian:
         assert got[0] == 0.0 and np.all(got[1:] > 0.0)
 
 
+def _normal_cdf(x, mean=0.0, sd=1.0):
+    return 0.5 * (1.0 + math.erf((x - mean) / (sd * math.sqrt(2.0))))
+
+
+def _laplace_cdf(x, loc, scale):
+    z = (x - loc) / scale
+    return 0.5 * math.exp(z) if z < 0 else 1.0 - 0.5 * math.exp(-z)
+
+
+def _histogram_cdf(x, breaks, heights):
+    mass = 0.0
+    for lo, hi, h in zip(breaks[:-1], breaks[1:], heights):
+        mass += h * (min(max(x, lo), hi) - lo)
+    return mass
+
+
+# Every kind with a sampler of its own, and its closed-form CDF.
+EXACT_SAMPLERS = [
+    (Gaussian(0.5, 2.0), lambda x: _normal_cdf(x, 0.5, 2.0)),
+    (Cauchy(-1.0, 0.3), lambda x: 0.5 + math.atan((x + 1.0) / 0.3) / math.pi),
+    (Laplace(1.0, 0.7), lambda x: _laplace_cdf(x, 1.0, 0.7)),
+    (Uniform(-1.0, 3.0), lambda x: min(max((x + 1.0) / 4.0, 0.0), 1.0)),
+    (Exponential(2.0, -1.0), lambda x: max(0.0, -math.expm1(-2.0 * (x + 1.0)))),
+    (Histogram((0.0, 0.5, 2.0), (1.4, 0.2)),
+     lambda x: _histogram_cdf(x, (0.0, 0.5, 2.0), (1.4, 0.2))),
+    (PathologicalGaussian(0.75), lambda x: _normal_cdf(x, 0.75)),
+]
+
+
+@pytest.mark.parametrize("d, cdf", EXACT_SAMPLERS, ids=lambda v: getattr(v, "kind", ""))
+def test_exact_sampler_matches_its_cdf(d, cdf):
+    # Kolmogorov-Smirnov statistic of 4000 draws at a fixed seed.  Its 0.1%
+    # critical value is 1.95 / sqrt(n) = 0.031: a sampler from the right law
+    # stays below it at 999 seeds in 1000, and this seed is fixed.
+    n = 4000
+    x = np.sort(d.sample(np.random.default_rng(20160518), n))
+    assert x.shape == (n,) and np.all(np.isfinite(x))
+    lo, hi = d.support
+    assert np.all((x >= lo) & (x <= hi))
+    F = np.array([cdf(v) for v in x.tolist()])
+    steps = np.arange(n + 1) / n
+    ks = max(np.max(steps[1:] - F), np.max(F - steps[:-1]))
+    assert ks < 1.95 / math.sqrt(n)
+
+
 class TestHellinger:
     def test_identical_gaussians(self):
         assert hellinger_sq(Gaussian(0, 1), Gaussian(0, 1), QUAD) == 0.0

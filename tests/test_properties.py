@@ -18,11 +18,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rhoest import (ContractViolationError, DensityFamily, Gaussian,
-                    PathologicalGaussian, Penalty, ProductDensity, Sample,
-                    Uniform, kernel_constants, psi_pair, t_statistic, upsilon,
-                    upsilon_all)
-from rhoest import criterion
+from rhoest import (Cauchy, ContractViolationError, DensityFamily, Exponential,
+                    Gaussian, Histogram, Laplace, PathologicalGaussian, Penalty,
+                    ProductDensity, Sample, Uniform, kernel_constants, psi_pair,
+                    t_statistic, upsilon, upsilon_all)
+from rhoest import criterion, densities
 from rhoest.models import build_gaussian_location_grid
 
 KERNELS = [kernel_constants("psi1"), kernel_constants("psi2")]
@@ -354,3 +354,149 @@ class TestScalarPsiPair:
 
 def test_psi1_bounded_below_density_square_roots():
     assert abs(psi_pair(kernel_constants("psi1"), 2e-242, 5e-324)) <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# The stacked sqrt-value matrix against one coord_values call per entry
+# ---------------------------------------------------------------------------
+
+# Sample points that parameters below take exactly: x == theta, support ends.
+# 2.759**2 != 2.759 * 2.759: Python's float ** is libm's pow, numpy squares.
+STACK_POINTS = (-1.5, -0.25, 0.0, 0.5, 1.0, 2.0, 2.759, 30.0)
+
+
+class ValuesEntry:
+    """A family entry that is no ProductDensity; it counts its calls."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.n = len(self.values)
+        self.calls = 0
+
+    def coord_values(self, X):
+        self.calls += 1
+        return self.values.copy()
+
+    def key(self):
+        return ("values", id(self))
+
+
+def marginals_of_every_kind(points):
+    """Densities of every stackable kind plus a histogram, with int and float
+    parameters, extreme scales, parameters at sample points, an exponential
+    of rate 1e3, singular Gaussians with a spike at a sample point, at
+    theta <= 0 and overflowing (theta = 30), and ints past 2**53 (float64
+    rounds 2**53 + 1, and the uniform's b - a shows it)."""
+    at = st.sampled_from(points)
+    number = st.one_of(st.integers(-5, 5), st.floats(-5.0, 5.0), at)
+    scale = st.one_of(st.integers(1, 3), st.floats(0.05, 20.0),
+                      st.sampled_from([5e-324, 1e-300, 1e300]))
+    return st.one_of(
+        st.builds(Gaussian, number, scale),
+        st.builds(Cauchy, number, scale),
+        st.builds(Laplace, number, scale),
+        st.lists(at, min_size=2, max_size=2, unique=True).map(
+            lambda ab: Uniform(*sorted(ab))),
+        st.builds(Exponential, st.one_of(scale, st.just(1e3)), number),
+        st.builds(PathologicalGaussian, st.one_of(number, at)),
+        st.just(Histogram((-1.0, 0.0, 2.0), (0.5, 0.25))),
+        st.builds(Gaussian, st.sampled_from([2**53 + 1, -(2**60) - 1]), scale),
+        st.just(Uniform(-1, 2**53 + 1)))
+
+
+@st.composite
+def stacked_family(draw):
+    """A sample and a family that interleaves kinds, with a non-i.i.d.
+    product and an entry that is no ProductDensity at drawn places."""
+    extra = draw(st.lists(st.floats(-50.0, 50.0), max_size=6))
+    points = list(STACK_POINTS) + extra
+    n = len(points)
+    kinds = marginals_of_every_kind(points)
+    entries = [ProductDensity(iid=d, n=n)
+               for d in draw(st.lists(kinds, min_size=1, max_size=14))]
+    if draw(st.booleans()):
+        coords = draw(st.lists(kinds, min_size=n, max_size=n))
+        entries.insert(draw(st.integers(0, len(entries))),
+                       ProductDensity(coords=coords))
+    duck = None
+    if draw(st.booleans()):
+        duck = ValuesEntry(draw(st.lists(st.floats(0.0, 1e300),
+                                         min_size=n, max_size=n)))
+        entries.insert(draw(st.integers(0, len(entries))), duck)
+    return Sample(np.array(points)), DensityFamily(entries), duck
+
+
+@pytest.mark.parametrize("block", [1, 64, 2**16])
+@settings(max_examples=80, deadline=None)
+@given(case=stacked_family())
+@example(case=(Sample(np.array(STACK_POINTS)), DensityFamily(
+    [ProductDensity(iid=d, n=len(STACK_POINTS)) for d in (
+        Gaussian(0.5, 1.0), PathologicalGaussian(30.0), Uniform(-0.25, 1.0),
+        Gaussian(0, 5e-324), PathologicalGaussian(1.0), Exponential(1e3, 0.0),
+        Histogram((-1.0, 0.0, 2.0), (0.5, 0.25)), PathologicalGaussian(-1.5),
+        Gaussian(2**53 + 1, 1), Cauchy(-1.5, 2), PathologicalGaussian(2.759),
+        Uniform(-1, 2**53 + 1), Uniform(0, 1))]), None))
+def test_stacked_sqrt_values_match_one_call_per_entry(block, case):
+    X, fam, duck = case
+    with np.errstate(all="ignore"):
+        want = np.sqrt(np.stack([e.coord_values(X) for e in fam.entries]))
+        if duck is not None:
+            duck.calls = 0
+        with mock.patch.object(criterion, "_BLOCK_ELEMENTS", block):
+            got = fam.sqrt_value_matrix(X)
+    assert same_bits(got, want)
+    assert duck is None or duck.calls == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_non_iid_coord_values_match_one_call_per_coordinate(data):
+    points = list(STACK_POINTS) + data.draw(st.lists(st.floats(-50.0, 50.0),
+                                                     max_size=6))
+    kinds = marginals_of_every_kind(points)
+    coords = data.draw(st.lists(kinds, min_size=len(points), max_size=len(points)))
+    X = Sample(np.array(points))
+    with np.errstate(all="ignore"):
+        want = [np.asarray(d.pdf(X.points[i:i + 1]))[0] for i, d in enumerate(coords)]
+        got = ProductDensity(coords=coords).coord_values(X)
+    assert same_bits(got, want)
+
+
+def test_kinds_with_ints_past_2_53_are_not_stacked():
+    # float64 holds these ints exactly, but Python's b - a and theta * theta
+    # on them overflow a float and raise, where float64's give inf.  A
+    # float of any size stacks.
+    ds = [Uniform(-2**1023, 2**1023), Uniform(0.0, 1.0), PathologicalGaussian(2**600),
+          Gaussian(2.0**60, 1.0), Gaussian(0, 1)]
+    stacks, others = densities._stacks(ds)
+    assert others == [0, 1, 2]
+    assert [(idx, kind) for idx, kind, _ in stacks] == [([3, 4], Gaussian)]
+
+
+def test_one_pdf_call_per_kind_and_block(monkeypatch):
+    # 50 points and blocks of 256 values: 5 entries per block, so 12
+    # Gaussians take 3 calls, 5 Cauchys 1, and the histogram its own.
+    monkeypatch.setattr(criterion, "_BLOCK_ELEMENTS", 256)
+    calls = []
+
+    def counted(kind):
+        pdf = kind.pdf
+
+        def spy(self, x):  # the kind and the shape of its first parameter
+            first = getattr(self, next(iter(self.rules)))
+            calls.append((kind.__name__, np.shape(first)))
+            return pdf(self, x)
+        return spy
+
+    for kind in (Gaussian, Cauchy, Histogram):
+        monkeypatch.setattr(kind, "pdf", counted(kind))
+    X = Sample(np.linspace(-2.0, 2.0, 50))
+    marginals = [Gaussian(0.1 * i, 1.0) for i in range(12)]
+    for i, c in enumerate([Cauchy(0.2 * i, 1.0) for i in range(5)]):
+        marginals.insert(3 * i + 1, c)
+    marginals.insert(7, Histogram((-2.0, 0.0, 2.0), (0.25, 0.25)))
+    fam = DensityFamily([ProductDensity(iid=d, n=X.n) for d in marginals])
+    fam.sqrt_value_matrix(X)
+    assert sorted(calls) == sorted([("Gaussian", (5, 1)), ("Gaussian", (5, 1)),
+                                    ("Gaussian", (2, 1)), ("Cauchy", (5, 1)),
+                                    ("Histogram", (3,))])

@@ -8,6 +8,7 @@ Penalty, InnerSolverConfig, ``saddle_point(max_outer=...)`` and the density
 kinds have their own parametrized tests in the modules that test them.
 """
 
+import json
 import math
 
 import numpy as np
@@ -140,3 +141,28 @@ def test_negative_delta_is_rejected_by_the_weights_rule():
     for bad in (-800.0, -1.0):
         with pytest.raises(ContractViolationError, match="deltas"):
             select_candidate(X, ENTRIES, [bad, 5.0])
+
+
+@pytest.mark.parametrize("value, stored", [
+    (np.float32(0.1), float(np.float32(0.1))), (np.float64(0.7), 0.7),
+    (np.int64(3), 3), (np.int32(-2), -2), (3, 3), (0.5, 0.5)])
+def test_scalar_rules_store_python_numbers(value, stored):
+    # A numpy scalar is stored as the Python number of its value, and a
+    # Python int stays an int, so to_json keeps 0 as 0.
+    kept = [Gaussian(value, 2).mean, Gaussian(0, abs(value)).sd,
+            ModelDescriptor(FAM, 2.0, delta_weight=abs(value)).delta_weight]
+    assert [(type(v), v) for v in kept] == [
+        (type(stored), stored), (type(stored), abs(stored)),
+        (type(stored), abs(stored))]
+
+
+def test_float32_parameters_hash_serialize_and_evaluate_as_float64():
+    g = Gaussian(np.float32(0.1), np.float32(0.7))
+    twin = Gaussian(float(np.float32(0.1)), float(np.float32(0.7)))
+    assert g == twin and hash(g) == hash(twin)
+    assert len({g, Gaussian(0.1, 0.7)}) == 2 and g != Gaussian(0.1, 0.7)
+    assert json.loads(json.dumps(g.to_json())) == twin.to_json()
+    x = np.linspace(-3.0, 3.0, 13)
+    assert np.array_equal(g.pdf(x).view(np.int64), twin.pdf(x).view(np.int64))
+    assert json.dumps(Gaussian(np.int64(0), 1).to_json()) == \
+        '{"kind": "gaussian", "params": {"mean": 0, "sd": 1}}'

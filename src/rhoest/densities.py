@@ -102,6 +102,9 @@ class Density1D(Checked):
     the parameters a translation moves, and ``_check`` tests the conditions
     that tie parameters together.
 
+    ``sample(rng, size)`` draws from exactly the law of ``pdf``, or raises
+    :class:`ContractViolationError` for a kind without an exact sampler.
+
     The ``pdf`` of a kind in ``_STACKABLE`` is elementwise in its parameters
     and points: with float64 arrays as parameters, which broadcast against
     ``x``, each value has the bits of the scalar density's ``pdf`` at its
@@ -132,23 +135,7 @@ class Density1D(Checked):
         return (self.kind, tuple(getattr(self, name) for name in self.rules))
 
     def sample(self, rng, size):
-        # Generic inverse-CDF fallback on a dense tabulation of the support.
-        lo, hi = self._finite_window()
-        grid = np.linspace(lo, hi, 20001)
-        dens = self.pdf(grid)
-        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1])
-                                               * np.diff(grid))])
-        cdf /= cdf[-1]
-        u = rng.uniform(0.0, 1.0, size)
-        return np.interp(u, cdf, grid)
-
-    def _finite_window(self):
-        lo, hi = self.support
-        if not math.isfinite(lo):
-            lo = -40.0
-        if not math.isfinite(hi):
-            hi = 40.0
-        return lo, hi
+        raise ContractViolationError(f"density kind {self.kind!r} has no exact sampler")
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "params": self.params()}
@@ -235,11 +222,15 @@ class Uniform(Density1D):
     def _check(self):
         if not self.a < self.b:
             raise ContractViolationError("need a < b")
+        width = float(self.b) - float(self.a)
+        if not (0.0 < width < _INF and 1.0 / width < _INF):
+            raise ContractViolationError(
+                "b - a and the density 1 / (b - a) must be positive finite floats")
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        inside = (x >= self.a) & (x <= self.b)
-        return np.where(inside, 1.0 / (self.b - self.a), 0.0)
+        a, b = np.asarray(self.a, dtype=float), np.asarray(self.b, dtype=float)
+        return np.where((x >= a) & (x <= b), 1.0 / (b - a), 0.0)
 
     @property
     def support(self):
@@ -260,7 +251,9 @@ class Exponential(Density1D):
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
         t = x - self.shift
-        clipped = np.clip(t, 0.0, 700.0 / self.rate)
+        # exp(-746) is 0.0, so the upper clip changes no value; it only keeps
+        # rate * t from overflowing.
+        clipped = np.clip(t, 0.0, 746.0 / self.rate)
         return np.where(t >= 0.0, self.rate * np.exp(-self.rate * clipped), 0.0)
 
     @property
@@ -417,11 +410,13 @@ class PathologicalGaussian(Density1D):
     rules = {"theta": _finite}
 
     def _log_base_ratio(self, x):
-        # theta * theta, not theta**2: Python's float ** is libm's pow, which
-        # is not always correctly rounded, and numpy squares an array.
-        sq = self.theta * self.theta
-        expo = self.theta * x - 0.5 * sq
-        spike = (x == self.theta) & (self.theta > 0)
+        # In float64 whatever type theta came as, and theta * theta, not
+        # theta**2: Python's float ** is libm's pow, which is not always
+        # correctly rounded, and numpy squares an array.
+        theta = np.asarray(self.theta, dtype=float)
+        sq = theta * theta
+        expo = theta * x - 0.5 * sq
+        spike = (x == theta) & (theta > 0)
         if spike.any():  # x * x is theta * theta there
             bump = 0.5 * sq * np.exp(np.minimum(sq, 700.0))
             expo = np.where(spike, expo + bump, expo)
@@ -446,7 +441,8 @@ class PathologicalGaussian(Density1D):
 
 @dataclass(frozen=True, eq=False)
 class Tabulated(Density1D):
-    """Piecewise-linear density from (grid, values) tables."""
+    """Piecewise-linear density from (grid, values) tables; the trapezoid
+    mass must be one."""
 
     grid: tuple
     values: tuple
@@ -455,8 +451,13 @@ class Tabulated(Density1D):
     location = ("grid",)
 
     def _check(self):
-        if len(self.grid) != len(self.values) or len(self.grid) < 2:
+        grid, values = self.grid, self.values
+        if len(grid) != len(values) or len(grid) < 2:
             raise ContractViolationError("grid and values must match, length >= 2")
+        mass = sum(0.5 * (v1 + v2) * (g2 - g1) for v1, v2, g1, g2
+                   in zip(values[:-1], values[1:], grid[:-1], grid[1:]))
+        if not abs(mass - 1.0) <= 1e-9:
+            raise ContractViolationError(f"tabulated mass {mass} != 1")
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -468,6 +469,23 @@ class Tabulated(Density1D):
 
     def breakpoints(self):
         return self.grid
+
+    def sample(self, rng, size):
+        # A piece drawn by its trapezoid mass, then the root t in [0, 1] of
+        # its quadratic CDF, (2 a t + (b - a) t^2) / (a + b) = u, on values
+        # a, b scaled to a maximum of 1, so that a * a cannot overflow.  u is
+        # in (0, 1], so a piece that starts at 0 never meets 0 / 0.  A width
+        # rounded up can carry t = 1 past the piece's end, hence the minimum.
+        grid, values = np.asarray(self.grid), np.asarray(self.values)
+        widths = np.diff(grid)
+        masses = 0.5 * (values[:-1] + values[1:]) * widths
+        piece = rng.choice(len(masses), size=size, p=masses / masses.sum())
+        u = 1.0 - rng.uniform(0.0, 1.0, size)
+        a, b = values[piece], values[piece + 1]
+        top = np.maximum(a, b)
+        a, b = a / top, b / top
+        t = u * (a + b) / (a + np.sqrt((1.0 - u) * a * a + u * b * b))
+        return np.minimum(grid[piece] + widths[piece] * t, grid[piece + 1])
 
 
 _DENSITY_KINDS = {cls.kind: cls for cls in (
@@ -487,9 +505,7 @@ def _stacks(densities):
     ascending indices of the densities whose class is exactly ``kind``, and
     a float64 vector of their values per parameter, in ``rules`` order.
     ``others`` lists the other indices, objects that are no density
-    included.  A kind with an int parameter of magnitude 2**53 or more goes
-    to ``others`` whole: Python's int arithmetic on it, such as ``b - a``,
-    is exact or raises OverflowError where float64's rounds.
+    included.
     """
     groups, others = {}, []
     for i, d in enumerate(densities):
@@ -497,15 +513,9 @@ def _stacks(densities):
             groups.setdefault(type(d), []).append(i)
         else:
             others.append(i)
-    stacks = []
-    for kind, idx in groups.items():
-        values = [[getattr(densities[i], name) for i in idx] for name in kind.rules]
-        columns = [np.array(v, dtype=float) for v in values]
-        if any(type(v[j]) is not float for c, v in zip(columns, values)
-               for j in np.flatnonzero(abs(c) >= 2**53)):
-            others += idx
-        else:
-            stacks.append((idx, kind, columns))
+    stacks = [(idx, kind, [np.array([getattr(densities[i], name) for i in idx],
+                                    dtype=float) for name in kind.rules])
+              for kind, idx in groups.items()]
     return stacks, others
 
 

@@ -8,7 +8,7 @@ as ``0`` and a numpy scalar stores, hashes and computes as the Python number
 of its value.
 """
 
-import math
+import sys
 
 import numpy as np
 
@@ -71,8 +71,9 @@ def _number(name, v):
 
 
 def _finite(name, v):
+    """A number that is a finite float, or an int that converts to one."""
     v = _number(name, v)
-    if not math.isfinite(v):
+    if not abs(v) <= sys.float_info.max:  # exact for ints; no OverflowError
         raise ContractViolationError(f"{name} must be finite, got {v!r}")
     return v
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criterion import DensityFamily, Penalty, RhoFit, rho_estimate
-from .errors import ContractViolationError, _scale
+from .errors import ContractViolationError, _count, _scale
 from .models import ModelDescriptor
 from .psi import PsiKernel, kernel_constants
 
@@ -75,9 +75,11 @@ class ModelCollection:
 
 def penalty_for(coll: ModelCollection, entry_index: int) -> float:
     """kappa * min over containing models of [dim_bound/4.7 + weight]."""
+    size = len(coll.membership)
+    if _count("entry_index", entry_index, least=0) >= size:
+        raise ContractViolationError(
+            f"entry_index must be below the union size {size}, got {entry_index}")
     containing = coll.membership[entry_index]
-    if not containing:
-        raise ContractViolationError(f"entry {entry_index} is in no model")
     return coll.kernel.kappa * min(coll.complexity(m) for m in containing)
 
 

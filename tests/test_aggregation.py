@@ -199,8 +199,8 @@ class TestTMix:
         # one sample point, candidate values 1 and 4: psi2(sqrt(4)) = 1/3
         X = Sample(np.array([0.0]))
         from rhoest import Tabulated
-        p1 = ProductDensity(iid=Tabulated((-1.0, 0.0, 1.0), (1.0, 1.0, 1.0)), n=1)
-        p2 = ProductDensity(iid=Tabulated((-1.0, 0.0, 1.0), (4.0, 4.0, 4.0)), n=1)
+        p1 = ProductDensity(iid=Tabulated((-1.0, 0.0, 1.0), (0.0, 1.0, 0.0)), n=1)
+        p2 = ProductDensity(iid=Tabulated((-0.25, 0.0, 0.25), (0.0, 4.0, 0.0)), n=1)
         cs = CandidateSet([p1, p2], X)
         val = t_mix(cs, SimplexPoint((1.0, 0.0)), SimplexPoint((0.0, 1.0)), K2)
         assert val == pytest.approx(1 / 3, abs=1e-15)

@@ -201,6 +201,25 @@ class TestBench:
         assert out["per_replicate"] == expected
         assert len(builds) == 1 and builds[0][4] == 60
 
+    @pytest.mark.parametrize("truth, code", [
+        ({"kind": "tabulated",
+          "params": {"grid": [-1.0, 0.0, 1.0], "values": [0.0, 1.0, 0.0]}}, 0),
+        ({"kind": "exp-family",
+          "params": {"basis": ["x"], "coeffs": [-1.0], "log_norm": 0.0, "lo": 0}}, 2),
+    ], ids=["tabulated", "exp-family"])
+    def test_truth_samples_exactly_or_exits_2(self, tmp_path, capsys, truth, code):
+        cfg = write_config(tmp_path, "c.json", {
+            "scenario": {"kind": "iid", "truth": truth, "n": 20, "replications": 2},
+            "estimator": {"type": "rho_gaussian_grid", "theta_min": -1,
+                          "theta_max": 1, "step": 0.5},
+        })
+        assert main(["bench", "--config", cfg, "--seed", "5"]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert out == "" and "'exp-family' has no exact sampler" in err
+        else:
+            assert json.loads(out)["failures"] == 0
+
     def test_bad_grid_rejected_before_replicates(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {
             "scenario": {"kind": "iid",

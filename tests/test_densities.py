@@ -6,12 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from rhoest import (Cauchy, ContractViolationError, ExpFamily, Exponential,
-                    Gaussian, Histogram, Laplace, PathologicalGaussian,
+from rhoest import (Cauchy, ContractViolationError, DensityFamily, ExpFamily,
+                    Exponential, Gaussian, Histogram, Laplace, PathologicalGaussian,
                     ProductDensity, QuadratureSpec,
                     Sample, Tabulated, Uniform, density_from_json,
                     hellinger_affinity, hellinger_sq, integrate_1d,
-                    product_hellinger_sq, shifted)
+                    product_hellinger_sq, rho_estimate, shifted)
 from rhoest import densities, quadrature
 from rhoest.errors import QuadratureError
 
@@ -131,6 +131,31 @@ class TestDensityBasics:
         with pytest.raises(ContractViolationError):
             Histogram((0.0, 1.0), (0.5,))
 
+    def test_exponential_tail_is_not_clipped(self):
+        # The pdf once clipped t at 700 / rate and gave rate * e^-700 beyond.
+        got = Exponential(1.0).pdf(np.array([720.0, 800.0, 1e6]))
+        assert got[0] == pytest.approx(2.0322e-313, rel=1e-4)
+        assert got[1:].tolist() == [0.0, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for rate in (1e-300, 1.0, 1e300):
+                x = np.array([1.7e308, -1.7e308, math.inf, -math.inf])
+                assert Exponential(rate, 0.0).pdf(x).tolist() == [0.0] * 4
+
+    def test_exponential_tail_point_leaves_the_choice(self):
+        # Both densities are 0 at 900, so psi is 0 there and the estimate of
+        # {Exp(1), Exp(2)} stays Exp(1).
+        for points in ([0.5, 1.0], [0.5, 1.0, 900.0]):
+            X = Sample(np.array(points))
+            fam = DensityFamily([ProductDensity(iid=Exponential(r), n=X.n)
+                                 for r in (1.0, 2.0)])
+            assert rho_estimate(X, fam).chosen_index == 0
+
+    def test_kinds_without_an_exact_sampler_refuse(self):
+        d = ExpFamily(("x",), (-0.01,), math.log(100.0), 0.0)
+        with pytest.raises(ContractViolationError, match="'exp-family'"):
+            d.sample(np.random.default_rng(0), 5)
+
     def test_shifted_matches_translation(self):
         # Quarter steps, a = 2.5 and the parameters of EVERY_KIND are exact
         # in binary, so x + a and each moved parameter are exact and the
@@ -215,6 +240,12 @@ class TestDensityBasics:
         lambda: ExpFamily(("sin(x, x)",), (0.0,), 0.0, 0.0, 1.0),
         lambda: ExpFamily(("x.real",), (0.0,), 0.0, 0.0, 1.0),
         lambda: ExpFamily(("True * x",), (0.0,), 0.0, 0.0, 1.0),
+        lambda: Gaussian(10**400, 1.0),
+        lambda: PathologicalGaussian(-10**400),
+        lambda: Uniform(-1e308, 1e308),
+        lambda: Uniform(0.0, 5e-324),
+        lambda: Uniform(2**60, 2**60 + 1),
+        lambda: Tabulated((-1.0, 0.0, 0.5, 3.0), (0.2, 0.8, 0.1, 0.5)),
     ], ids=["tabulated-value", "histogram-height", "histogram-break",
             "histogram-infinite-break", "gaussian-nan-mean",
             "gaussian-infinite-mean", "cauchy-nan-loc", "laplace-infinite-loc",
@@ -238,7 +269,10 @@ class TestDensityBasics:
             "exp-family-basis-syntax", "exp-family-basis-not-text",
             "exp-family-basis-call-of-x", "exp-family-basis-bare-function",
             "exp-family-basis-two-arguments", "exp-family-basis-attribute",
-            "exp-family-basis-bool-constant"])
+            "exp-family-basis-bool-constant", "gaussian-huge-int-mean",
+            "pathological-huge-int-theta", "uniform-width-overflows",
+            "uniform-density-overflows", "uniform-ends-one-float",
+            "tabulated-mass-not-one"])
     def test_nan_parameters_rejected(self, make):
         with pytest.raises(ContractViolationError):
             make()
@@ -311,6 +345,25 @@ def _histogram_cdf(x, breaks, heights):
     return mass
 
 
+def _unit_mass(grid, values):
+    """The tabulated density of this shape, scaled to mass one."""
+    mass = sum(0.5 * (a + b) * (hi - lo) for a, b, lo, hi
+               in zip(values[:-1], values[1:], grid[:-1], grid[1:]))
+    return Tabulated(grid, tuple(v / mass for v in values))
+
+
+def _tabulated_cdf(x, d):
+    mass = 0.0
+    for lo, hi, a, b in zip(d.grid[:-1], d.grid[1:], d.values[:-1], d.values[1:]):
+        s = min(max(x, lo), hi) - lo
+        mass += a * s + (b - a) * s * s / (2.0 * (hi - lo))
+    return mass
+
+
+# Pieces that start at 0, a piece 1e-6 wide, a flat piece and a zero piece.
+TABLE = _unit_mass((-1.0, 0.0, 1e-6, 0.5, 1.0, 2.0, 3.0),
+                   (0.0, 1.0, 0.2, 0.2, 0.0, 0.0, 0.7))
+
 # Every kind with a sampler of its own, and its closed-form CDF.
 EXACT_SAMPLERS = [
     (Gaussian(0.5, 2.0), lambda x: _normal_cdf(x, 0.5, 2.0)),
@@ -321,6 +374,7 @@ EXACT_SAMPLERS = [
     (Histogram((0.0, 0.5, 2.0), (1.4, 0.2)),
      lambda x: _histogram_cdf(x, (0.0, 0.5, 2.0), (1.4, 0.2))),
     (PathologicalGaussian(0.75), lambda x: _normal_cdf(x, 0.75)),
+    (TABLE, lambda x: _tabulated_cdf(x, TABLE)),
 ]
 
 
@@ -338,6 +392,36 @@ def test_exact_sampler_matches_its_cdf(d, cdf):
     steps = np.arange(n + 1) / n
     ks = max(np.max(steps[1:] - F), np.max(F - steps[:-1]))
     assert ks < 1.95 / math.sqrt(n)
+
+
+class _Draws:
+    """A generator stub: piece 0 for every draw, then the given uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.array(uniforms)
+
+    def choice(self, pieces, size, p):
+        return np.zeros(size, dtype=int)
+
+    def uniform(self, lo, hi, size):
+        return self.uniforms
+
+
+def test_tabulated_draws_at_extreme_uniforms_stay_in_the_piece():
+    # On a piece whose density starts at 0, the draws at u = 0 and at the
+    # largest uniform below 1 are the piece's end and a point just inside.
+    d = Tabulated((0.0, 1.0, 2.0), (0.0, 1.0, 0.0))
+    x = d.sample(_Draws([0.0, 1.0 - 2.0**-53]), 2)
+    assert x[0] == 1.0 and 0.0 < x[1] < 1e-7
+    # A height of 1e200, whose square overflows.
+    tall = Tabulated((0.0, 1e-200, 2e-200), (0.0, 1e200, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = tall.sample(_Draws([0.5]), 1)[0]
+    assert got == pytest.approx(math.sqrt(0.5) * 1e-200, rel=1e-15)
+    # -1 + (end + 1) rounds to 2**-52, past the end of the support.
+    end = 3 * 2.0**-54
+    assert Tabulated((-1.0, end), (1.0, 1.0)).sample(_Draws([0.0]), 1)[0] == end
 
 
 class TestHellinger:

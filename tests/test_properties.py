@@ -385,8 +385,9 @@ def marginals_of_every_kind(points):
     """Densities of every stackable kind plus a histogram, with int and float
     parameters, extreme scales, parameters at sample points, an exponential
     of rate 1e3, singular Gaussians with a spike at a sample point, at
-    theta <= 0 and overflowing (theta = 30), and ints past 2**53 (float64
-    rounds 2**53 + 1, and the uniform's b - a shows it)."""
+    theta <= 0 and overflowing (theta = 30), and ints past 2**53, which
+    every kind computes with in float64 (float64 rounds 2**53 + 1, and the
+    uniform's b - a and theta * theta show it; 10**200 squared overflows)."""
     at = st.sampled_from(points)
     number = st.one_of(st.integers(-5, 5), st.floats(-5.0, 5.0), at)
     scale = st.one_of(st.integers(1, 3), st.floats(0.05, 20.0),
@@ -395,13 +396,15 @@ def marginals_of_every_kind(points):
         st.builds(Gaussian, number, scale),
         st.builds(Cauchy, number, scale),
         st.builds(Laplace, number, scale),
-        st.lists(at, min_size=2, max_size=2, unique=True).map(
+        st.lists(at, min_size=2, max_size=2, unique=True).filter(
+            lambda ab: 1.0 / abs(ab[1] - ab[0]) < math.inf).map(
             lambda ab: Uniform(*sorted(ab))),
         st.builds(Exponential, st.one_of(scale, st.just(1e3)), number),
         st.builds(PathologicalGaussian, st.one_of(number, at)),
         st.just(Histogram((-1.0, 0.0, 2.0), (0.5, 0.25))),
         st.builds(Gaussian, st.sampled_from([2**53 + 1, -(2**60) - 1]), scale),
-        st.just(Uniform(-1, 2**53 + 1)))
+        st.just(Uniform(-1, 2**53 + 1)),
+        st.builds(PathologicalGaussian, st.sampled_from([2**53 + 1, 10**200])))
 
 
 @st.composite
@@ -435,7 +438,8 @@ def stacked_family(draw):
         Gaussian(0, 5e-324), PathologicalGaussian(1.0), Exponential(1e3, 0.0),
         Histogram((-1.0, 0.0, 2.0), (0.5, 0.25)), PathologicalGaussian(-1.5),
         Gaussian(2**53 + 1, 1), Cauchy(-1.5, 2), PathologicalGaussian(2.759),
-        Uniform(-1, 2**53 + 1), Uniform(0, 1))]), None))
+        Uniform(-1, 2**53 + 1), Uniform(0, 1), PathologicalGaussian(2**53 + 1),
+        PathologicalGaussian(10**200))]), None))
 def test_stacked_sqrt_values_match_one_call_per_entry(block, case):
     X, fam, duck = case
     with np.errstate(all="ignore"):
@@ -462,15 +466,21 @@ def test_non_iid_coord_values_match_one_call_per_coordinate(data):
     assert same_bits(got, want)
 
 
-def test_kinds_with_ints_past_2_53_are_not_stacked():
-    # float64 holds these ints exactly, but Python's b - a and theta * theta
-    # on them overflow a float and raise, where float64's give inf.  A
-    # float of any size stacks.
-    ds = [Uniform(-2**1023, 2**1023), Uniform(0.0, 1.0), PathologicalGaussian(2**600),
-          Gaussian(2.0**60, 1.0), Gaussian(0, 1)]
+def test_kinds_with_ints_past_2_53_stack_with_the_entry_bits():
+    # float64 holds these ints exactly or rounds them, and every kind
+    # computes in float64, so an int stacks like the float it rounds to.
+    ds = [Uniform(-2**1022, 2**1022), Uniform(-1, 2**53 + 1),
+          PathologicalGaussian(2**600), PathologicalGaussian(10**200),
+          PathologicalGaussian(2**53 + 1), Gaussian(2**60 + 1, 1), Gaussian(0, 1)]
     stacks, others = densities._stacks(ds)
-    assert others == [0, 1, 2]
-    assert [(idx, kind) for idx, kind, _ in stacks] == [([3, 4], Gaussian)]
+    assert others == []
+    assert [(idx, kind) for idx, kind, _ in stacks] == [
+        ([0, 1], Uniform), ([2, 3, 4], PathologicalGaussian), ([5, 6], Gaussian)]
+    X = Sample(np.array([0.0, 1.0, 2.0**53, 2.0**60, 1e200, 2.0**600]))
+    fam = DensityFamily([ProductDensity(iid=d, n=X.n) for d in ds])
+    with np.errstate(all="ignore"):
+        want = np.sqrt(np.stack([e.coord_values(X) for e in fam.entries]))
+        assert same_bits(fam.sqrt_value_matrix(X), want)
 
 
 def test_one_pdf_call_per_kind_and_block(monkeypatch):

@@ -2,8 +2,9 @@
 
 Each public value object and each public function that takes a count, a
 seed, a scale, a weight, a tolerance or a density rejects a bool, NaN and a
-string there, a count or a seed also rejects a non-integral number, and a
-count also rejects 0, with ContractViolationError.
+string there, a count or a seed also rejects a non-integral number, a count
+also rejects 0, and a finite real also rejects an int too large for a
+float, with ContractViolationError.
 Penalty, InnerSolverConfig, ``saddle_point(max_outer=...)`` and the density
 kinds have their own parametrized tests in the modules that test them.
 """
@@ -99,14 +100,21 @@ OBJECTS = {
         lambda v: RegressionModel(G, [v], vc_index_f=1), LINE),
 }
 
+# The reals whose rule lets infinity pass, and with it an int too large for a
+# float.
+UNBOUNDED = {"ModelDescriptor.delta_weight", "RegressionModel.delta_weight",
+             "dimension_bound_entropy"}
+
 TABLE = {**INTEGERS, **SEEDS, **REALS, **OBJECTS}
-BAD = {"bool": True, "nan": math.nan, "string": "1", "fraction": 2.5, "zero": 0}
+BAD = {"bool": True, "nan": math.nan, "string": "1", "fraction": 2.5, "zero": 0,
+       "huge-int": 10**400}
 
 
 def bad_values(name):
     if name in INTEGERS:
-        return BAD
-    return ("bool", "nan", "string") + (("fraction",) if name in SEEDS else ())
+        return ("bool", "nan", "string", "fraction", "zero")
+    return (("bool", "nan", "string") + (("fraction",) if name in SEEDS else ())
+            + (("huge-int",) if name in REALS.keys() - UNBOUNDED else ()))
 
 
 CASES = [(name, bad) for name in TABLE for bad in bad_values(name)]

@@ -75,6 +75,13 @@ class TestPenaltyFor:
         assert penalty_for(coll, 0) == pytest.approx(
             K2.kappa * (2.0 + shift), rel=1e-14)
 
+    @pytest.mark.parametrize("index", [5, -1])
+    def test_index_outside_the_union_rejected(self, index):
+        coll = ModelCollection([grid_model(-2, 2, 1.0, 5)], K2)
+        assert len(coll.union_family) == 5
+        with pytest.raises(ContractViolationError, match="entry_index"):
+            penalty_for(coll, index)
+
     def test_monotone_in_delta(self):
         before = singleton_model(0.0, 5, dim_bound=2.0, delta=0.5)
         after = singleton_model(0.0, 5, dim_bound=2.0, delta=1.5)

@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .densities import ProductDensity, Sample, _stacked, _stacks
-from .errors import Checked, ContractViolationError, _count, _finite, _nonnegative
-from .psi import PsiKernel, _odd_columns, kernel_constants, psi_pair
+from .errors import (Checked, ContractViolationError, _count, _finite, _nonnegative,
+                     _shown)
+from .psi import PsiKernel, _settle, kernel_constants, psi_pair
 
 __all__ = ["DensityFamily", "Penalty", "RhoFit", "t_statistic", "upsilon",
            "upsilon_all", "rho_estimate"]
@@ -96,14 +97,14 @@ class Penalty(Checked):
         for idx, val in self.values.items():
             # A bool index would act as a numpy mask; a float one raises IndexError.
             _count("penalty index", idx, least=0)
-            _nonnegative(f"penalty {idx!r}", val)
+            _nonnegative(f"penalty {_shown(idx)}", val)
 
     def vector(self, size: int) -> np.ndarray:
         out = np.zeros(size)
         for idx, val in self.values.items():
             if idx not in range(size):
                 raise ContractViolationError(
-                    f"penalty index {idx!r} is outside the family of size {size}")
+                    f"penalty index {_shown(idx)} is outside the family of size {size}")
             out[idx] = val
         return out
 
@@ -182,14 +183,21 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
     larger.  Every entry sums over the last, contiguous axis, exactly as for
     a single pair, so no value depends on the block shape.
 
-    The roots are checked once per call: :func:`psi._odd_columns` rejects NaN
-    and negative roots and finds the odd columns, the sample indices where
-    some root is 0, inf, tiny or huge.  Every block's :func:`psi_pair`
-    computes only those columns again, on rescaled roots, and writes its psi
-    values into a ``(2, block)`` workspace.  The workspaces, one per share
-    (below), are allocated once per call, and each is no larger than the
-    biggest block the call can make, so a call on a single pair allocates 2n
-    values, not ``2 * _BLOCK_ELEMENTS``.
+    The roots are checked once per call by :func:`psi._settle`.  It rejects
+    NaN and negative roots and sorts the odd columns, the sample indices
+    where some root is 0, inf, tiny or huge, into settled and scaled ones.
+    A settled column holds no finite nonzero root outside the kernel's exact
+    range ([2**-450, 2**450] for psi1, [2**-540, 2**940] for psi2), and in a
+    copy of the roots made once per call its zeros and infinities become
+    stand-in roots far beyond that range, on which the plain ratio gives
+    exactly the sign rule's -1, +1 or +0.0.  Every block's :func:`psi_pair`
+    then computes only the scaled columns again, on rescaled roots, and
+    writes its psi values into a ``(2, block)`` workspace.  Zeros from
+    vanishing densities and infinities from singular ones settle, so on
+    such families the blocks usually run the plain ratio alone.  The
+    workspaces, one per share (below), are allocated once per call, and each
+    is no larger than the biggest block the call can make, so a call on a
+    single pair allocates 2n values, not ``2 * _BLOCK_ELEMENTS``.
 
     The blocks are shared out over the CPUs the process may run on
     (``os.sched_getaffinity``, so ``taskset`` restricts them).  The calling
@@ -217,7 +225,7 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
     """
     square = den_sqrt is num_sqrt
     (J, n), K = den_sqrt.shape, len(num_sqrt)
-    odd = _odd_columns(num_sqrt, den_sqrt)
+    num_sqrt, den_sqrt, scaled = _settle(kernel, num_sqrt, den_sqrt)
     pairs = max(1, _BLOCK_ELEMENTS // n)
     cols = min(K, pairs)
     blocks = []
@@ -240,7 +248,8 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
                 T[r:r + h, c:c + w] = psi_pair(
                     kernel, num_sqrt[np.newaxis, c:c + w, :],
                     den_sqrt[r:r + h, np.newaxis, :],
-                    out=work[:, :h * w * n].reshape(2, h, w, n), odd=odd).sum(axis=2)
+                    out=work[:, :h * w * n].reshape(2, h, w, n),
+                    scaled=scaled).sum(axis=2)
         except BaseException as exc:  # raised below, once every share has stopped
             errors.append(exc)
 

@@ -63,53 +63,69 @@ def _plain(v):
     return int(v) if isinstance(v, np.integer) else v
 
 
+def _overflows(v):
+    """Is v an int too large for a float?  (Exact; no OverflowError.)"""
+    return isinstance(v, int) and not abs(v) <= sys.float_info.max
+
+
+def _shown(v):
+    """``repr(v)``, or for an int too large for a float its bit length: an
+    int of more than 4300 digits has no ``repr``."""
+    if _overflows(v):
+        sign = "a negative" if v < 0 else "an"
+        return f"{sign} int of {v.bit_length()} bits, too large for a float"
+    return repr(v)
+
+
 def _number(name, v):
-    """A real number other than NaN; infinities pass, a bool does not."""
-    if isinstance(v, bool) or not isinstance(v, _REAL) or v != v:
-        raise ContractViolationError(f"{name} must be a number, got {v!r}")
+    """A real number other than NaN; infinities pass, a bool and an int too
+    large for a float do not."""
+    if isinstance(v, bool) or not isinstance(v, _REAL) or v != v or _overflows(v):
+        raise ContractViolationError(f"{name} must be a number, got {_shown(v)}")
     return _plain(v)
 
 
 def _finite(name, v):
     """A number that is a finite float, or an int that converts to one."""
     v = _number(name, v)
-    if not abs(v) <= sys.float_info.max:  # exact for ints; no OverflowError
-        raise ContractViolationError(f"{name} must be finite, got {v!r}")
+    if not abs(v) <= sys.float_info.max:
+        raise ContractViolationError(f"{name} must be finite, got {_shown(v)}")
     return v
 
 
 def _scale(name, v):
     v = _finite(name, v)
     if not v > 0:
-        raise ContractViolationError(f"{name} must be positive and finite, got {v!r}")
+        raise ContractViolationError(f"{name} must be positive and finite, got {_shown(v)}")
     return v
 
 
 def _nonnegative(name, v):
-    """A number >= 0; infinity passes, NaN and a bool do not."""
-    if isinstance(v, bool) or not isinstance(v, _REAL) or not v >= 0:
-        raise ContractViolationError(f"{name} must be a nonnegative number, got {v!r}")
+    """A number >= 0; infinity passes, NaN, a bool and an int too large for a
+    float do not."""
+    if isinstance(v, bool) or not isinstance(v, _REAL) or not v >= 0 or _overflows(v):
+        raise ContractViolationError(f"{name} must be a nonnegative number, got {_shown(v)}")
     return _plain(v)
 
 
 def _integer(name, v):
     """Any integer, as an int; a bool or a float is not one."""
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-        raise ContractViolationError(f"{name} must be an integer, got {v!r}")
+        raise ContractViolationError(f"{name} must be an integer, got {_shown(v)}")
     return int(v)
 
 
 def _count(name, v, least=1):
     """An integer >= ``least``, as an int; a bool or a float is not one."""
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
-        raise ContractViolationError(f"{name} must be an integer >= {least}, got {v!r}")
+        raise ContractViolationError(f"{name} must be an integer >= {least}, got {_shown(v)}")
     return int(v)
 
 
 def _items(name, v):
     """Any iterable but a string, as a tuple."""
     if isinstance(v, str) or not hasattr(v, "__iter__"):
-        raise ContractViolationError(f"{name} must be a list, got {v!r}")
+        raise ContractViolationError(f"{name} must be a list, got {_shown(v)}")
     return tuple(v)
 
 

@@ -114,7 +114,7 @@ def eval_psi(kernel: PsiKernel, x):
     return psi_pair(kernel, x, 1.0)
 
 
-def psi_pair(kernel: PsiKernel, num_sqrt, den_sqrt, out=None, odd=None):
+def psi_pair(kernel: PsiKernel, num_sqrt, den_sqrt, out=None, scaled=None):
     """psi(sqrt(q'/q)) from the square roots u = sqrt(q'), v = sqrt(q).
 
     ``num_sqrt`` and ``den_sqrt`` are scalars or arrays that broadcast
@@ -130,16 +130,23 @@ def psi_pair(kernel: PsiKernel, num_sqrt, den_sqrt, out=None, odd=None):
     of two that brings the larger into [0.5, 1), where no square or sum can
     under- or overflow; a pair that is still NaN (both roots 0, or one
     infinite) takes the sign of u - v.  On a pair with both roots inside
-    that range the scaling changes no bit.  So one unscaled pass of the
-    ratio, written into the optional ``(2, *shape)`` workspace ``out``, gives
-    every column but the odd ones of :func:`_odd_columns`, where some root
-    is out of range, and every pair of those is computed again on scaled
-    roots: fewer array operations than picking out the out-of-range pairs,
-    which pays only where odd columns are many and their out-of-range roots
-    few.  Without odd columns, no floating-point exception needs silencing.
-    ``odd`` passes columns the caller has already found and validated for a
-    larger array the operands are slices of; without it they are computed
-    here, and NaN or negative roots raise :class:`ContractViolationError`.
+    that range the scaling changes no bit, so one unscaled pass of the
+    ratio, written into the optional ``(2, *shape)`` workspace ``out``,
+    gives every column but the odd ones of :func:`_odd_columns`, where some
+    root is out of range.
+
+    Most odd columns need no scaling either.  :func:`_settle` finds them
+    once per call: a *settled* column holds no finite nonzero root outside
+    the kernel's exact range, [2**-450, 2**450] for psi1 and
+    [2**-540, 2**940] for psi2 (which covers the root of every positive
+    float pdf value), and the same unscaled pass on stand-in roots for its
+    zeros and infinities gives the rule's bits, with no floating-point
+    exception.  Only the pairs of the remaining *scaled* columns are
+    computed again, on scaled roots.  ``scaled`` passes such columns for
+    operands that a caller has already settled, as slices of arrays that
+    span the last axis and were settled whole; without it, the operands are
+    settled here, and NaN or negative roots raise
+    :class:`ContractViolationError`.
 
     Two scalar operands (floats, such as QUADPACK's nodes in
     :func:`check_assumption`, other numbers and 0-d arrays) skip numpy's
@@ -163,18 +170,19 @@ def psi_pair(kernel: PsiKernel, num_sqrt, den_sqrt, out=None, odd=None):
             e = math.frexp(max(u, v))[1]
             u, v = math.ldexp(u, -e), math.ldexp(v, -e)
         return kernel.ratio(u, v)
-    if odd is None:
-        odd = _odd_columns(u, v)
-    if not odd.size:  # nothing to repair, no floating-point exception to silence
-        return kernel.ratio(u, v, out)
+    su, sv = u, v
+    if scaled is None:
+        su, sv, scaled = _settle(kernel, u, v)
+    if not scaled.size:  # nothing to rescale, no floating-point exception to silence
+        return kernel.ratio(su, sv, out)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        vals = kernel.ratio(u, v, out)
-        u, v = _columns(u, odd), _columns(v, odd)
+        vals = kernel.ratio(su, sv, out)
+        u, v = _columns(u, scaled), _columns(v, scaled)
         # ldexp, since 2.0**e overflows for subnormal roots.
         e = -np.frexp(np.maximum(u, v))[1]
         got = kernel.ratio(np.ldexp(u, e), np.ldexp(v, e))
     np.putmask(got, np.isnan(got), _sign(u, v))
-    vals[..., odd] = got
+    vals[..., scaled] = got
     return vals
 
 
@@ -213,6 +221,60 @@ def _odd_columns(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     hi = np.maximum(u.max(axis=tuple(range(u.ndim - 1)), initial=0.0),
                     v.max(axis=tuple(range(v.ndim - 1)), initial=0.0))
     return np.flatnonzero((lo < _LOW_ROOT) | (hi > _HIGH_ROOT))
+
+
+# Each kernel's exact range, where one unscaled ratio pass gives the bits of
+# psi_pair's rescale, and its stand-ins for zero and infinite roots.  The
+# stand-ins lie 2**60 or more beyond the range, so against a root in it the
+# ratio is exactly -1 or +1, against each other -1 or +1, and against an
+# equal stand-in +0.0.  psi1's squares of 2**-511 and 2**511 stay normal and
+# finite, and psi2 takes no squares, so neither kernel raises a
+# floating-point exception on them.
+_EXACT = {"psi1": (2.0 ** -450, 2.0 ** 450, 2.0 ** -511, 2.0 ** 511),
+          "psi2": (2.0 ** -540, 2.0 ** 940, 2.0 ** -600, 2.0 ** 1000)}
+
+
+def _settle(kernel: PsiKernel, u: np.ndarray, v: np.ndarray):
+    """(u', v', scaled): the roots with stand-ins, and the columns to rescale.
+
+    Of the odd columns of :func:`_odd_columns` (which rejects NaN and
+    negative roots), the *scaled* ones hold a finite nonzero root outside the
+    kernel's exact range, and the others are *settled*.  u' and v' are new
+    arrays with every zero and infinite root replaced by the kernel's
+    stand-ins, so one unscaled :meth:`PsiKernel.ratio` pass on them gives
+    :func:`psi_pair`'s bits everywhere but in the scaled columns.  There an
+    operand that spans the broadcast's last axis keeps its own roots; the
+    other one may hold stand-ins.  Without settled columns, u and v are
+    returned as they are.
+    """
+    odd = _odd_columns(u, v)
+    if not odd.size:
+        return u, v, odd
+    lo, hi, zero, inf = _EXACT[kernel.id]
+
+    def outside(a):
+        # Per odd column (one, if a broadcasts along the last axis): does a
+        # finite nonzero root lie outside [lo, hi]?
+        a = _columns(a, odd)
+        out = ((a > 0.0) & (a < lo)) | ((a > hi) & (a < np.inf))
+        return out.any(axis=tuple(range(a.ndim - 1)))
+
+    scaled = odd[np.broadcast_to(outside(u) | outside(v), odd.shape)]
+    if scaled.size == odd.size:
+        return u, v, scaled
+    width = max(u.shape[-1:] + v.shape[-1:])  # the last axis of the broadcast
+
+    def stand_ins(a):
+        # The clip turns 0 and inf into the stand-ins, and moves the scaled
+        # columns' out-of-range roots too, so those columns are put back.
+        # (Into np.empty, since a 0-d clip would return a numpy scalar.)
+        s = np.clip(a, zero, inf, out=np.empty(a.shape))
+        if scaled.size and a.ndim and a.shape[-1] == width:
+            s[..., scaled] = a[..., scaled]
+        return s
+
+    su = stand_ins(u)
+    return su, su if v is u else stand_ins(v), scaled
 
 
 def _sign(u, v):

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from rhoest import (CandidateSet, ContractViolationError, DensityFamily,
-                    Gaussian, Histogram, Penalty, ProductDensity, RhoFit,
-                    Sample, SimplexPoint, criterion, kernel_constants,
-                    rho_estimate, t_mix, t_statistic, upsilon, upsilon_all)
+                    Gaussian, Histogram, PathologicalGaussian, Penalty,
+                    ProductDensity, RhoFit, Sample, SimplexPoint,
+                    build_gaussian_location_grid, build_histogram_family,
+                    criterion, kernel_constants, psi, rho_estimate, t_mix,
+                    t_statistic, upsilon, upsilon_all)
 
 K2 = kernel_constants("psi2")
 
@@ -417,3 +419,58 @@ class TestSharedBlocks:
         finally:
             child.kill()
             child.join(60)
+
+
+def bench_like_roots():
+    """The bench estimator's grid (N = 41) on 5% Cauchy draws with outliers
+    at +-1000, where every Gaussian's root underflows to 0."""
+    rng = np.random.default_rng(11)
+    x = np.where(rng.random(500) < 0.05, 10.0 * rng.standard_cauchy(500),
+                 rng.standard_normal(500))
+    x[:2] = -1000.0, 1000.0
+    return build_gaussian_location_grid(-1.0, 1.0, 0.05, 1.0, 500).family, x
+
+
+def demo_mle_like_roots():
+    """demo-mle's singular family: a theta grid plus the sample points, each
+    spiking to +inf at its own point once theta >= 2.7."""
+    x = np.concatenate([np.random.default_rng(5).normal(0.0, 1.0, 97),
+                        [2.75, 3.1, 3.6]])
+    thetas = np.unique(np.concatenate([np.arange(-30, 31) / 10.0, x]))
+    return DensityFamily([ProductDensity(iid=PathologicalGaussian(float(t)), n=100)
+                          for t in thetas]), x
+
+
+def histogram_union_roots():
+    """The union of histograms with 2, 3 and 4 pieces on [-3, 3], at points
+    drawn off the breakpoints, many of them outside [-3, 3]."""
+    n = 300
+    x = np.random.default_rng(2).normal(0.0, 2.0, n)
+    union = {e.key(): e for k in (2, 3, 4) for e in build_histogram_family(
+        [np.linspace(-3.0, 3.0, k + 1)], k, n).family.entries}
+    return DensityFamily(union.values()), x
+
+
+@pytest.mark.parametrize("case", [bench_like_roots, demo_mle_like_roots,
+                                  histogram_union_roots])
+def test_zero_and_infinite_roots_settle_before_the_blocks(case, monkeypatch):
+    """With psi2, every zero and infinite root of these families settles once
+    per call, so no block's psi_pair computes a column again."""
+    fam, x = case()
+    S = fam.sqrt_value_matrix(Sample(x))
+    assert np.any(S == 0.0) or np.any(S == np.inf)
+    assert psi._odd_columns(S, S).size
+    scaled, original = [], criterion.psi_pair
+
+    def psi_pair(*args, **kwargs):
+        scaled.append(kwargs["scaled"].size)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(criterion, "psi_pair", psi_pair)
+    want = upsilon_all(Sample(x), fam, None, K2)
+    assert scaled and not any(scaled)
+    # With every odd column scaled, the same bits.
+    monkeypatch.setattr(criterion, "psi_pair", original)
+    monkeypatch.setattr(criterion, "_settle",
+                        lambda kernel, u, v: (u, v, psi._odd_columns(u, v)))
+    assert upsilon_all(Sample(x), fam, None, K2).tobytes() == want.tobytes()

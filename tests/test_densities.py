@@ -241,7 +241,9 @@ class TestDensityBasics:
         lambda: ExpFamily(("x.real",), (0.0,), 0.0, 0.0, 1.0),
         lambda: ExpFamily(("True * x",), (0.0,), 0.0, 0.0, 1.0),
         lambda: Gaussian(10**400, 1.0),
+        lambda: Gaussian(10**5000, 1.0),
         lambda: PathologicalGaussian(-10**400),
+        lambda: ExpFamily(("x",), (0.0,), 0.0, 0, 10**400),
         lambda: Uniform(-1e308, 1e308),
         lambda: Uniform(0.0, 5e-324),
         lambda: Uniform(2**60, 2**60 + 1),
@@ -270,7 +272,8 @@ class TestDensityBasics:
             "exp-family-basis-call-of-x", "exp-family-basis-bare-function",
             "exp-family-basis-two-arguments", "exp-family-basis-attribute",
             "exp-family-basis-bool-constant", "gaussian-huge-int-mean",
-            "pathological-huge-int-theta", "uniform-width-overflows",
+            "gaussian-int-past-repr-limit", "pathological-huge-int-theta",
+            "exp-family-huge-int-end", "uniform-width-overflows",
             "uniform-density-overflows", "uniform-ends-one-float",
             "tabulated-mass-not-one"])
     def test_nan_parameters_rejected(self, make):

@@ -22,7 +22,7 @@ from rhoest import (Cauchy, ContractViolationError, DensityFamily, Exponential,
                     Gaussian, Histogram, Laplace, PathologicalGaussian, Penalty,
                     ProductDensity, Sample, Uniform, kernel_constants, psi_pair,
                     t_statistic, upsilon, upsilon_all)
-from rhoest import criterion, densities
+from rhoest import criterion, densities, psi
 from rhoest.models import build_gaussian_location_grid
 
 KERNELS = [kernel_constants("psi1"), kernel_constants("psi2")]
@@ -135,6 +135,46 @@ def root_matrices(draw):
     return den, num
 
 
+# Both kernels' exact ranges (psi1 [2**-450, 2**450], psi2 [2**-540, 2**940])
+# with the binade past each end, the stand-ins that settle 0 and inf, and
+# roots 2**50 from a stand-in, where it would no longer give exactly +-1.
+RANGE_ENDS = [2.0 ** -450, 2.0 ** -451, 2.0 ** 450, 2.0 ** 451, 2.0 ** -540,
+              2.0 ** -541, 2.0 ** 940, 2.0 ** 941]
+STAND_INS = [2.0 ** -511, 2.0 ** 511, 2.0 ** -600, 2.0 ** 1000]
+NEAR_STAND_INS = [2.0 ** -461, 2.0 ** 461, 2.0 ** -550, 2.0 ** 950]
+EDGES = RANGE_ENDS + STAND_INS + NEAR_STAND_INS
+edge_roots = st.one_of(st.sampled_from([0.0, np.inf, *EDGES]), any_roots)
+
+
+@st.composite
+def settle_matrices(draw):
+    """(den, num) root matrices whose columns are all 0, all inf, a mix of
+    0, inf and range-end or stand-in roots, or drawn from ``block_roots``."""
+    n = draw(st.integers(1, 8))
+    J, K = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    den, num = np.empty((J, n)), np.empty((K, n))
+    for col in range(n):
+        kind = draw(st.sampled_from(["zero", "inf", "mixed", "any"]))
+        if kind in ("zero", "inf"):
+            den[:, col] = num[:, col] = 0.0 if kind == "zero" else np.inf
+            continue
+        roots = edge_roots if kind == "mixed" else block_roots
+        den[:, col] = draw(hnp.arrays(float, J, elements=roots))
+        num[:, col] = draw(hnp.arrays(float, K, elements=roots))
+    return den, num
+
+
+def range_end_examples(test):
+    """An example per range end, per root one binade past it, per stand-in
+    and per root near one, each beside a zero (low roots) or an infinity
+    (high roots)."""
+    for end in EDGES:
+        odd = 0.0 if end < 1.0 else np.inf
+        mats = np.array([[odd, 1.0]]), np.array([[end, 0.5], [odd, 2.0]])
+        test = example(mats=mats, block=1)(test)
+    return test
+
+
 @st.composite
 def sample_and_family(draw, max_size=6):
     """A sample plus distinct entries with zero and infinite density values."""
@@ -234,6 +274,40 @@ class TestExactInvariants:
             assert same_bits(criterion._criterion_rows(num, num, pen, kernel),
                              np.max(T_square - pen, axis=1))
             assert same_bits(square_path_t(num, kernel), T_square)
+
+    @settings(max_examples=200, deadline=None)
+    @given(mats=settle_matrices(), block=st.integers(1, 64))
+    @range_end_examples
+    def test_settled_columns_match_oracle_bitwise(self, kernel, mats, block):
+        """psi_pair and the criterion, square and not, both ways round; a
+        floating-point warning would fail the test (the tests make them errors)."""
+        for den, num in (mats, mats[::-1]):
+            pen = np.linspace(0.0, 1.0, len(num))
+            want = psi_pair_oracle(kernel, num[np.newaxis, :, :], den[:, np.newaxis, :])
+            assert same_bits(psi_pair(kernel, num[np.newaxis, :, :],
+                                      den[:, np.newaxis, :]), want)
+            with mock.patch.object(criterion, "_BLOCK_ELEMENTS", block):
+                assert same_bits(criterion._criterion_rows(den, num, pen, kernel),
+                                 np.max(want.sum(axis=2) - pen, axis=1))
+                assert same_bits(criterion._criterion_rows(num, num, pen, kernel),
+                                 np.max(dense_t(num, kernel) - pen, axis=1))
+
+    def test_settled_and_scaled_columns(self, kernel):
+        """Zeros and infinities beside roots of the exact range settle, and
+        beside a root one binade past it, or equal to a stand-in, they scale."""
+        lo, hi, zero, inf = psi._EXACT[kernel.id]
+        u = np.array([[0.0, np.inf, 0.0, 0.0, np.inf, np.inf, 0.0, 0.0, np.inf, 1.0],
+                      [0.0, np.inf, lo, lo / 2, hi, hi * 2, zero, 0.0, inf, 2.0]])
+        v = np.array([[0.0, np.inf, 1.0, 1.0, 1.0, 1.0, 1.0, np.inf, 1.0, 1.0]])
+        su, sv, scaled = psi._settle(kernel, u, v)
+        assert scaled.tolist() == [3, 5, 6, 8]
+        # The settled columns hold stand-ins, the scaled ones their own roots.
+        assert su[:, [0, 2]].tolist() == [[zero, zero], [zero, lo]]
+        assert sv[0, [1, 7]].tolist() == [inf, inf]
+        assert same_bits(su[:, scaled], u[:, scaled])
+        assert same_bits(psi_pair(kernel, u, v), psi_pair_oracle(kernel, u, v))
+        assert same_bits(psi_pair(kernel, su, sv, scaled=scaled),
+                         psi_pair_oracle(kernel, u, v))
 
     def test_several_blocks_match_dense(self, kernel):
         n = 700

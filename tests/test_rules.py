@@ -3,8 +3,8 @@
 Each public value object and each public function that takes a count, a
 seed, a scale, a weight, a tolerance or a density rejects a bool, NaN and a
 string there, a count or a seed also rejects a non-integral number, a count
-also rejects 0, and a finite real also rejects an int too large for a
-float, with ContractViolationError.
+also rejects 0, and a real, finite or not, also rejects an int too large
+for a float, with ContractViolationError.
 Penalty, InnerSolverConfig, ``saddle_point(max_outer=...)`` and the density
 kinds have their own parametrized tests in the modules that test them.
 """
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from rhoest import (CandidateSet, ContractViolationError, DensityFamily,
-                    Gaussian, ModelDescriptor, ProductDensity, QuadratureSpec,
+                    Gaussian, ModelDescriptor, Penalty, ProductDensity, QuadratureSpec,
                     RegressionFunction, RegressionModel, Sample, Scenario,
                     SimplexPoint, build_histogram_family, contamination_bias,
                     dimension_bound_entropy, dimension_bound_finite,
@@ -100,11 +100,6 @@ OBJECTS = {
         lambda v: RegressionModel(G, [v], vc_index_f=1), LINE),
 }
 
-# The reals whose rule lets infinity pass, and with it an int too large for a
-# float.
-UNBOUNDED = {"ModelDescriptor.delta_weight", "RegressionModel.delta_weight",
-             "dimension_bound_entropy"}
-
 TABLE = {**INTEGERS, **SEEDS, **REALS, **OBJECTS}
 BAD = {"bool": True, "nan": math.nan, "string": "1", "fraction": 2.5, "zero": 0,
        "huge-int": 10**400}
@@ -114,7 +109,7 @@ def bad_values(name):
     if name in INTEGERS:
         return ("bool", "nan", "string", "fraction", "zero")
     return (("bool", "nan", "string") + (("fraction",) if name in SEEDS else ())
-            + (("huge-int",) if name in REALS.keys() - UNBOUNDED else ()))
+            + (("huge-int",) if name in REALS else ()))
 
 
 CASES = [(name, bad) for name in TABLE for bad in bad_values(name)]
@@ -126,6 +121,20 @@ def test_rule_rejects_bad_value(name, bad):
     call(good)  # so that the rejection below is the bad value's doing
     with pytest.raises(ContractViolationError):
         call(BAD[bad])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Gaussian(10**5000, 1.0),
+    lambda: Gaussian(0.0, -10**5000),
+    lambda: ProductDensity(iid=G, n=-10**5000),
+    lambda: ModelDescriptor(FAM, 2.0, delta_weight=10**5000),
+    lambda: Penalty({0: 10**5000}),
+    lambda: Penalty({10**5000: 1.0}).vector(2),
+], ids=["real", "scale", "count", "nonnegative", "penalty", "penalty-index"])
+def test_int_past_the_repr_limit_is_shown_by_bit_length(make):
+    # repr of an int of 4300 digits or more raises ValueError.
+    with pytest.raises(ContractViolationError, match=r"int of 1661\d bits"):
+        make()
 
 
 def test_negative_seed_is_masked_to_64_bits():

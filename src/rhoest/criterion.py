@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import ProductDensity, Sample, _stacked, _stacks
+from .densities import _STACKABLE, ProductDensity, Sample, _stacked, _stacks
 from .errors import (Checked, ContractViolationError, _count, _finite, _nonnegative,
                      _shown)
 from .psi import PsiKernel, _settle, kernel_constants, psi_pair
@@ -34,6 +34,14 @@ class DensityFamily:
     """A finite indexed family of densities of n observations.
 
     Each entry has ``n``, ``coord_values(X)`` and ``key()``; labels default to None.
+
+    The family holds its i.i.d. entries of a stackable kind (see
+    :class:`~rhoest.densities.Density1D`) as parameter columns, one float64
+    vector per parameter and kind, sorted out once, when it is built.
+    :meth:`iid` builds a family from such columns alone: its entries are
+    made by the kind's own constructor on first access to ``entries`` (or
+    to an entry), and ``len``, ``n`` and :meth:`sqrt_value_matrix` never
+    make them.
     """
 
     def __init__(self, entries, labels=None):
@@ -43,47 +51,99 @@ class DensityFamily:
         ns = {e.n for e in entries}
         if len(ns) != 1:
             raise ContractViolationError("entries disagree on coordinate count")
-        self.entries = entries
-        self.labels = list(labels) if labels is not None else [None] * len(entries)
-        if len(self.labels) != len(entries):
+        # A non-i.i.d. product's marginal is None.
+        self._stacks, self._others = _stacks(
+            [e.marginal if type(e) is ProductDensity else None for e in entries])
+        self._entries, self._size, self._n = entries, len(entries), ns.pop()
+        self._set_labels(labels)
+
+    @classmethod
+    def iid(cls, kind, n, labels=None, **columns):
+        """The family of i.i.d. products of ``n`` coordinates whose marginals
+        have the parameters in ``columns``: one 1-D float64 array per
+        parameter of ``kind``, entry i taking element i of each.
+
+        ``kind`` is a stackable density class whose parameters have no
+        condition tying them together (no ``_check``; so not
+        :class:`~rhoest.densities.Uniform`).  Each parameter's rule runs on
+        every element, as a Python float, so a bad value raises the
+        :class:`ContractViolationError` that the kind's constructor would.
+        """
+        if kind not in _STACKABLE or kind._check is not Checked._check:
+            raise ContractViolationError(
+                f"DensityFamily.iid takes a stackable kind with no cross-parameter "
+                f"check, got {getattr(kind, '__name__', kind)!r}")
+        if set(columns) != set(kind.rules):
+            raise ContractViolationError(
+                f"{kind.__name__} columns must be {list(kind.rules)}, got {list(columns)}")
+        stacked = []
+        for name, rule in kind.rules.items():
+            column = np.array(columns[name])
+            if column.dtype != np.float64 or column.ndim != 1:
+                raise ContractViolationError(
+                    f"{name} must be a 1-D float64 array, got {column.dtype} "
+                    f"of shape {column.shape}")
+            for v in column.tolist():
+                rule(name, v)
+            column.setflags(write=False)
+            stacked.append(column)
+        size = {len(c) for c in stacked}
+        if len(size) != 1:
+            raise ContractViolationError(f"{kind.__name__} columns differ in length")
+        fam = cls.__new__(cls)
+        fam._size, fam._n = size.pop(), _count("n", n)
+        if not fam._size:
+            raise ContractViolationError("family must contain at least one entry")
+        fam._stacks, fam._others = [(np.arange(fam._size), kind, stacked)], []
+        fam._entries = None
+        fam._set_labels(labels)
+        return fam
+
+    def _set_labels(self, labels):
+        self.labels = list(labels) if labels is not None else [None] * self._size
+        if len(self.labels) != self._size:
             raise ContractViolationError("labels and entries differ in length")
 
+    @property
+    def entries(self) -> list:
+        """The entries; a family built by :meth:`iid` makes them here, once."""
+        if self._entries is None:
+            (_, kind, columns), = self._stacks
+            self._entries = [
+                ProductDensity(iid=kind(**dict(zip(kind.rules, row))), n=self._n)
+                for row in zip(*(c.tolist() for c in columns))]
+        return self._entries
+
     def __len__(self):
-        return len(self.entries)
+        return self._size
 
     def __getitem__(self, i) -> ProductDensity:
         return self.entries[i]
 
     @property
     def n(self):
-        return self.entries[0].n
+        return self._n
 
     def sqrt_value_matrix(self, X: Sample) -> np.ndarray:
         """(|family|, n) matrix of sqrt density values at the sample.
 
-        The i.i.d. products whose marginal is of a stackable kind (see
-        :class:`~rhoest.densities.Density1D`) are grouped by kind.  Each
-        group is cut, in entry order, into blocks of at most
-        ``max(1, _BLOCK_ELEMENTS // n)`` entries.  A block is one marginal
-        whose parameters are (rows, 1) columns, and the ``coord_values`` of
-        its i.i.d. product, one ``pdf`` call, gives the block's rows.  Every
-        other entry gives its own row through its own ``coord_values``.  The
-        ``pdf`` of a stackable kind is elementwise, so every value has the
-        bits of the entry's own call.
+        Each kind's parameter columns are cut, in entry order, into blocks
+        of at most ``max(1, _BLOCK_ELEMENTS // n)`` entries.  A block is one
+        marginal whose parameters are (rows, 1) columns, and the
+        ``coord_values`` of its i.i.d. product, one ``pdf`` call, gives the
+        block's rows.  Every other entry gives its own row through its own
+        ``coord_values``.  The ``pdf`` of a stackable kind is elementwise,
+        so every value has the bits of the entry's own call.
         """
-        # A non-i.i.d. product's marginal is None.
-        marginals = [e.marginal if type(e) is ProductDensity else None
-                     for e in self.entries]
-        stacks, others = _stacks(marginals)
-        values = np.empty((len(self.entries), self.n))
-        rows = max(1, _BLOCK_ELEMENTS // self.n)
-        for idx, kind, columns in stacks:
+        values = np.empty((self._size, self._n))
+        rows = max(1, _BLOCK_ELEMENTS // self._n)
+        for idx, kind, columns in self._stacks:
             for lo in range(0, len(idx), rows):
                 stack = _stacked(kind, [c[lo:lo + rows, np.newaxis] for c in columns])
                 values[idx[lo:lo + rows]] = ProductDensity(
-                    iid=stack, n=self.n).coord_values(X)
-        for i in others:
-            values[i] = self.entries[i].coord_values(X)
+                    iid=stack, n=self._n).coord_values(X)
+        for i in self._others:
+            values[i] = self._entries[i].coord_values(X)
         return np.sqrt(values, out=values)
 
 
@@ -204,7 +264,8 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
     thread and, when there are two blocks or more and more than one CPU, one
     pooled worker thread per further CPU run the same loop, each pulling
     blocks from one shared iterator into its own workspace and writing
-    disjoint slices of T.  numpy's arithmetic and sums release the GIL, so
+    disjoint slices of T, each block's sums straight from ``np.add.reduce``
+    into its slice.  numpy's arithmetic and sums release the GIL, so
     the shares run in parallel.  A block is computed the same way whichever
     thread takes it, so T is bitwise the one-thread result.  A worker runs
     in a copy of the caller's context, so the caller's ``np.errstate``
@@ -217,11 +278,13 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
     row, and the strict lower triangle is mirrored from the upper one.  A
     band starting at row ``lo`` spans at most K - lo challengers, so its
     height is ``pairs // min(cols, K - lo)``: the bands grow taller towards
-    the bottom of the triangle.  psi is exactly antisymmetric and negating a
-    sum is exact, so a mirrored entry is bitwise the direct sum.  Mirroring
-    computes 0.0 - t, not -t, because psi of equal roots is +0.0 both ways,
-    so a zero sum is too.  Only a zero sum of -0.0 terms, which needs roots
-    near the float64 overflow limit, mirrors to a zero of the other sign.
+    the bottom of the triangle.  One masked ``np.copyto`` of 0.0 - T.T
+    under the strict lower triangle does the mirroring, with no index
+    arrays.  psi is exactly antisymmetric and negating a sum is exact, so a
+    mirrored entry is bitwise the direct sum.  Mirroring computes 0.0 - t,
+    not -t, because psi of equal roots is +0.0 both ways, so a zero sum is
+    too.  Only a zero sum of -0.0 terms, which needs roots near the float64
+    overflow limit, mirrors to a zero of the other sign.
     """
     square = den_sqrt is num_sqrt
     (J, n), K = den_sqrt.shape, len(num_sqrt)
@@ -236,7 +299,9 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
         blocks.extend((lo, min(rows, J - lo), c, min(cols, K - c))
                       for c in range(first, K, cols))
         lo += rows
-    T = np.empty((J, K))
+    # Zeros, since the mirror below reads the whole transpose: a bit
+    # pattern left in fresh memory could be a signaling NaN, which warns.
+    T = np.zeros((J, K))
 
     def share(work):
         # The loop of the calling thread and of every worker: next() on the
@@ -245,11 +310,11 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
             for r, h, c, w in pending:
                 if errors:
                     return
-                T[r:r + h, c:c + w] = psi_pair(
+                np.add.reduce(psi_pair(
                     kernel, num_sqrt[np.newaxis, c:c + w, :],
                     den_sqrt[r:r + h, np.newaxis, :],
                     out=work[:, :h * w * n].reshape(2, h, w, n),
-                    scaled=scaled).sum(axis=2)
+                    scaled=scaled), axis=2, out=T[r:r + h, c:c + w])
         except BaseException as exc:  # raised below, once every share has stopped
             errors.append(exc)
 
@@ -264,8 +329,7 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
     if errors:
         raise errors[0]
     if square:
-        lower = np.tril_indices(J, -1)
-        T[lower] = 0.0 - T.T[lower]
+        np.copyto(T, 0.0 - T.T, where=np.tri(J, k=-1, dtype=bool))
     return (T - num_pen).max(axis=1)
 
 

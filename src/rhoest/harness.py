@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .criterion import DensityFamily, rho_estimate
-from .densities import (Density1D, PathologicalGaussian, ProductDensity,
-                        Sample, _density, hellinger_sq, integrate_on_supports)
+from .densities import (Density1D, PathologicalGaussian, Sample, _density,
+                        hellinger_sq, integrate_on_supports)
 from .errors import (Checked, ContractViolationError, RhoestError, _count,
                      _finite, _integer, _number, _scale, _vector)
 from .models import _check_grid
@@ -195,12 +195,14 @@ def mle_counterexample(theta: float, n: int, reps: int, seed: int,
     maximum dominates (X_(n) - theta >= sqrt(log 4n) > |mean - theta| and the
     mean is not a sample point); maximize the singular log-likelihood over a
     theta grid augmented with the sample points and the sample mean; and fit
-    the bounded-criterion estimator over the same singular family.  The
-    likelihood maximizer lands on X_(n) whenever the event holds, while the
-    bounded criterion ignores the Lebesgue-null spikes.  Spikes that
-    overflow to +inf (at sample points beyond about 188) tie, and the
-    largest point among them wins, as it does in exact arithmetic; a regular
-    log-likelihood part that overflows raises FloatingPointError.
+    the bounded-criterion estimator over the same singular family.  That
+    family, the grid and the sample points, is one column of thetas
+    (:meth:`DensityFamily.iid`), so a replicate builds no density object
+    per entry.  The likelihood maximizer lands on X_(n) whenever the event
+    holds, while the bounded criterion ignores the Lebesgue-null spikes.
+    Spikes that overflow to +inf (at sample points beyond about 188) tie,
+    and the largest point among them wins, as it does in exact arithmetic;
+    a regular log-likelihood part that overflows raises FloatingPointError.
     ``p_event`` is 1 - Phi(sqrt(log 4n))^n, the probability at any theta that
     the maximum clears the threshold; it neglects the chance that
     |mean - theta| reaches it.  ``freq_mle_at_max`` is None when no
@@ -247,8 +249,7 @@ def mle_counterexample(theta: float, n: int, reps: int, seed: int,
             mle_at_max += 1
 
         fam_thetas = np.unique(np.concatenate([grid, x]))
-        fam = DensityFamily([ProductDensity(iid=PathologicalGaussian(float(t)), n=n)
-                             for t in fam_thetas])
+        fam = DensityFamily.iid(PathologicalGaussian, n, theta=fam_thetas)
         fit = rho_estimate(Sample(x), fam, kernel=kernel)
         rho_errors.append(abs(float(fam_thetas[fit.chosen_index]) - theta))
 

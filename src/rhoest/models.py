@@ -20,7 +20,7 @@ from .criterion import DensityFamily
 from .densities import (ExpFamily, Gaussian, Histogram, ProductDensity,
                         integrate_on_supports, product_hellinger_sq)
 from .errors import (Checked, ContractViolationError, QuadratureError, _count,
-                     _finite, _nonnegative, _scale)
+                     _finite, _nonnegative, _overflows, _scale, _shown)
 from .quadrature import QuadratureSpec
 
 __all__ = [
@@ -125,9 +125,13 @@ def eta_bar_finite(fam: DensityFamily, kernel, center_pool: DensityFamily | None
 # Builders
 # ---------------------------------------------------------------------------
 
-def _check_grid(lo: float, hi: float, step: float) -> list:
-    """lo + i * step for i < floor((hi - lo) / step + 1e-9) + 1; rejects
+def _check_grid(lo: float, hi: float, step: float,
+                names=("grid min", "grid max", "grid step")) -> list:
+    """lo + i * step for i < floor((hi - lo) / step + 1e-9) + 1, as floats.
+
+    Rejects values that are no finite numbers (under their ``names``),
     lo > hi, a step <= 0 and more than MAX_GRID_POINTS points."""
+    lo, hi, step = (float(_finite(name, v)) for name, v in zip(names, (lo, hi, step)))
     if not lo <= hi:
         raise ContractViolationError(f"grid needs min <= max, got [{lo!r}, {hi!r}]")
     if not step > 0:
@@ -156,13 +160,14 @@ def build_gaussian_location_grid(theta_min: float, theta_max: float, step: float
 
     A one-parameter exponential family, hence VC-subgraph index 3.
     """
-    if theta_min >= theta_max:
+    names = ("theta_min", "theta_max", "step")
+    if not _finite(names[0], theta_min) < _finite(names[1], theta_max):
         raise ContractViolationError("need theta_min < theta_max")
-    thetas = _check_grid(theta_min, theta_max, step)
-    entries = [ProductDensity(iid=Gaussian(t, sd), n=n) for t in thetas]
-    labels = _theta_labels(thetas)
-    return ModelDescriptor(family=DensityFamily(entries, labels=labels),
-                           dim_bound=dimension_bound_vc(3, n, c1))
+    thetas = _check_grid(theta_min, theta_max, step, names)
+    family = DensityFamily.iid(Gaussian, n, labels=_theta_labels(thetas),
+                               mean=np.array(thetas, dtype=float),
+                               sd=np.full(len(thetas), _scale("sd", sd), dtype=float))
+    return ModelDescriptor(family=family, dim_bound=dimension_bound_vc(3, n, c1))
 
 
 def build_histogram_family(breakpoint_grids, k: int, n: int,
@@ -175,7 +180,9 @@ def build_histogram_family(breakpoint_grids, k: int, n: int,
     ``mass_steps`` subdivisions.  Piecewise-constant densities with at most k
     pieces have VC-subgraph dimension 2k, hence index 2k + 1.
     """
-    _count("k", k)
+    if _overflows(2 * _count("k", k) + 1):
+        raise ContractViolationError(
+            f"k must be small enough for its VC index 2k + 1 to fit a float, got {_shown(k)}")
     _count("mass_steps", mass_steps)
     entries, labels = [], []
     seen = set()

@@ -259,7 +259,10 @@ def _settle(kernel: PsiKernel, u: np.ndarray, v: np.ndarray):
         out = ((a > 0.0) & (a < lo)) | ((a > hi) & (a < np.inf))
         return out.any(axis=tuple(range(a.ndim - 1)))
 
-    scaled = odd[np.broadcast_to(outside(u) | outside(v), odd.shape)]
+    out = outside(u)
+    if v is not u:  # the square criterion passes one matrix twice
+        out = out | outside(v)
+    scaled = odd[np.broadcast_to(out, odd.shape)]
     if scaled.size == odd.size:
         return u, v, scaled
     width = max(u.shape[-1:] + v.shape[-1:])  # the last axis of the broadcast

@@ -8,9 +8,9 @@ import time
 import numpy as np
 import pytest
 
-from rhoest import (CandidateSet, ContractViolationError, DensityFamily,
-                    Gaussian, Histogram, PathologicalGaussian, Penalty,
-                    ProductDensity, RhoFit, Sample, SimplexPoint,
+from rhoest import (CandidateSet, Cauchy, ContractViolationError, DensityFamily,
+                    Exponential, Gaussian, Histogram, Laplace, PathologicalGaussian,
+                    Penalty, ProductDensity, RhoFit, Sample, SimplexPoint, Uniform,
                     build_gaussian_location_grid, build_histogram_family,
                     criterion, kernel_constants, psi, rho_estimate, t_mix,
                     t_statistic, upsilon, upsilon_all)
@@ -474,3 +474,141 @@ def test_zero_and_infinite_roots_settle_before_the_blocks(case, monkeypatch):
     monkeypatch.setattr(criterion, "_settle",
                         lambda kernel, u, v: (u, v, psi._odd_columns(u, v)))
     assert upsilon_all(Sample(x), fam, None, K2).tobytes() == want.tobytes()
+
+
+# Sample points for the column families: Cauchy-like tails, and points at
+# which singular Gaussians spike, finitely at 0.5 and 1.5 and to +inf from
+# about 2.7 on.
+COLUMN_POINTS = np.array([-40.0, -3.0, -1.0, -0.25, 0.0, 0.5, 1.0, 1.5, 2.75,
+                          3.1, 5.0, 40.0])
+
+
+def column_cases():
+    """(kind, columns) per kind, the columns drawn once from a fixed stream."""
+    rng = np.random.default_rng(24)
+    m = 30
+    loc = rng.uniform(-4.0, 4.0, m)
+    scale = rng.uniform(0.05, 3.0, m)
+    thetas = np.unique(np.concatenate([np.arange(-30, 31) / 10.0, COLUMN_POINTS]))
+    return {
+        "gaussian": (Gaussian, {"mean": loc, "sd": scale}),
+        "cauchy": (Cauchy, {"loc": loc, "scale": scale}),
+        "laplace": (Laplace, {"loc": loc, "scale": scale}),
+        "exponential": (Exponential, {"rate": scale, "shift": loc}),
+        "pathological": (PathologicalGaussian, {"theta": thetas}),
+    }
+
+
+def listed_family(kind, n, columns, labels=None):
+    """The same family built the way the builders did before columns: one
+    checked entry per element, from Python floats."""
+    rows = zip(*(columns[name].tolist() for name in kind.rules))
+    return DensityFamily([ProductDensity(iid=kind(*row), n=n) for row in rows],
+                         labels=labels)
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestColumnFamily:
+    """``DensityFamily.iid`` against the family built from a list."""
+
+    X = Sample(COLUMN_POINTS)
+
+    @pytest.mark.parametrize("case", list(column_cases()))
+    @pytest.mark.parametrize("block", [16, 2**16])
+    def test_matches_the_listed_family_bitwise(self, case, block, monkeypatch):
+        monkeypatch.setattr(criterion, "_BLOCK_ELEMENTS", block)
+        kind, columns = column_cases()[case]
+        labels = [f"entry {i}" for i in range(len(columns[next(iter(columns))]))]
+        fam = DensityFamily.iid(kind, self.X.n, labels=labels, **columns)
+        twin = listed_family(kind, self.X.n, columns, labels)
+        S = fam.sqrt_value_matrix(self.X)
+        assert same_bits(S, twin.sqrt_value_matrix(self.X))
+        assert same_bits(S, np.sqrt(np.stack([e.coord_values(self.X)
+                                              for e in twin.entries])))
+        if case == "pathological":  # each positive point spikes its own entry
+            spikes = [S[np.flatnonzero(columns["theta"] == x)[0], j]
+                      for j, x in enumerate(COLUMN_POINTS) if x > 0]
+            assert min(spikes) > np.sqrt(Gaussian(0.0, 1.0).pdf(0.0))
+            assert np.isinf(spikes).any() and np.isfinite(spikes).any()
+        for kernel in (kernel_constants("psi1"), K2):
+            got = rho_estimate(self.X, fam, kernel=kernel)
+            want = rho_estimate(self.X, twin, kernel=kernel)
+            assert same_bits(got.trace, want.trace)
+            assert (got.chosen_index, got.admissible_set) == (
+                want.chosen_index, want.admissible_set)
+        assert [e.key() for e in fam.entries] == [e.key() for e in twin.entries]
+        assert fam.labels == twin.labels == labels
+        assert (len(fam), fam.n) == (len(twin), twin.n)
+
+    def test_len_n_and_criterion_build_no_entry(self, monkeypatch):
+        made = []
+        real = Gaussian.__post_init__
+        monkeypatch.setattr(Gaussian, "__post_init__",
+                            lambda self: made.append(self) or real(self))
+        fam = DensityFamily.iid(Gaussian, self.X.n, mean=np.linspace(-1.0, 1.0, 5),
+                                sd=np.full(5, 0.5))
+        assert (len(fam), fam.n) == (5, self.X.n)
+        fam.sqrt_value_matrix(self.X)
+        rho_estimate(self.X, fam)
+        assert made == []
+        first = fam[2]
+        assert len(made) == 5 and fam.entries[2] is first
+        assert fam.entries is fam.entries and len(made) == 5
+        assert first.marginal == Gaussian(0.0, 0.5) and type(first.marginal.mean) is float
+
+    def test_columns_are_copied(self):
+        mean = np.array([0.0, 1.0])
+        fam = DensityFamily.iid(Gaussian, 3, mean=mean, sd=np.ones(2))
+        mean[0] = 5.0
+        assert fam[0].marginal.mean == 0.0
+        assert same_bits(fam.sqrt_value_matrix(Sample(np.zeros(3)))[0],
+                         np.sqrt(Gaussian(0.0, 1.0).pdf(np.zeros(3))))
+
+    @pytest.mark.parametrize("kind, name, bad", [
+        (Gaussian, "mean", math.nan), (Gaussian, "mean", math.inf),
+        (Gaussian, "sd", math.nan), (Gaussian, "sd", math.inf),
+        (Gaussian, "sd", 0.0), (Gaussian, "sd", -1.0),
+        (Cauchy, "loc", -math.inf), (Cauchy, "scale", -0.5),
+        (Laplace, "loc", math.nan), (Laplace, "scale", 0.0),
+        (Exponential, "rate", -2.0), (Exponential, "shift", math.inf),
+        (PathologicalGaussian, "theta", math.nan),
+        (PathologicalGaussian, "theta", math.inf),
+    ])
+    def test_bad_value_is_named(self, kind, name, bad):
+        columns = {p: np.ones(3) for p in kind.rules}
+        columns[name] = np.array([1.0, bad, 1.0])
+        with pytest.raises(ContractViolationError, match=rf"^{name} must be"):
+            DensityFamily.iid(kind, 3, **columns)
+        with pytest.raises(ContractViolationError, match=rf"^{name} must be"):
+            kind(**{p: c[1] for p, c in columns.items()})
+
+    @pytest.mark.parametrize("kind, columns", [
+        (Uniform, {"a": np.zeros(2), "b": np.ones(2)}),
+        (Histogram, {"breaks": np.zeros(2), "heights": np.ones(2)}),
+        ("gaussian", {"mean": np.zeros(2), "sd": np.ones(2)}),
+    ], ids=["uniform", "histogram", "not-a-class"])
+    def test_kind_with_a_check_or_no_stack_is_refused(self, kind, columns):
+        with pytest.raises(ContractViolationError, match="stackable kind"):
+            DensityFamily.iid(kind, 3, **columns)
+
+    @pytest.mark.parametrize("call", [
+        lambda: DensityFamily.iid(Gaussian, 3, mean=np.zeros(2)),
+        lambda: DensityFamily.iid(Gaussian, 3, mean=np.zeros(2), sd=np.ones(2),
+                                  loc=np.zeros(2)),
+        lambda: DensityFamily.iid(Gaussian, 3, mean=np.zeros(2), sd=np.ones(3)),
+        lambda: DensityFamily.iid(Gaussian, 3, mean=np.zeros(0), sd=np.ones(0)),
+        lambda: DensityFamily.iid(Gaussian, 3, mean=np.zeros(2, dtype=int),
+                                  sd=np.ones(2)),
+        lambda: DensityFamily.iid(Gaussian, 3, mean=np.zeros((2, 1)),
+                                  sd=np.ones(2)),
+        lambda: DensityFamily.iid(Gaussian, 0, mean=np.zeros(2), sd=np.ones(2)),
+        lambda: DensityFamily.iid(Gaussian, 3, labels=["a"], mean=np.zeros(2),
+                                  sd=np.ones(2)),
+    ], ids=["missing", "unknown", "lengths", "empty", "int-dtype", "2-d", "n",
+            "labels"])
+    def test_malformed_columns_are_rejected(self, call):
+        with pytest.raises(ContractViolationError):
+            call()

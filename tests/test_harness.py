@@ -212,9 +212,13 @@ class TestMleCounterexample:
     def test_grid_stops_at_its_halfwidth(self, monkeypatch):
         # 6 / 0.7 = 8.6 steps; a grid that rounded them up took theta = 3.3.
         thetas = []
-        real = harness.PathologicalGaussian
-        monkeypatch.setattr(harness, "PathologicalGaussian",
-                            lambda t: thetas.append(t) or real(t))
+        real = harness.DensityFamily.iid
+
+        def spy(kind, n, **columns):  # the theta column of the singular family
+            thetas.extend(columns["theta"].tolist())
+            return real(kind, n, **columns)
+
+        monkeypatch.setattr(harness.DensityFamily, "iid", spy)
         mle_counterexample(0.0, 3, 1, seed=0, grid_step=0.7)
         assert -3.0 in thetas and max(thetas) == pytest.approx(2.6)
 

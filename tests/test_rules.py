@@ -18,7 +18,8 @@ import pytest
 from rhoest import (CandidateSet, ContractViolationError, DensityFamily,
                     Gaussian, ModelDescriptor, Penalty, ProductDensity, QuadratureSpec,
                     RegressionFunction, RegressionModel, Sample, Scenario,
-                    SimplexPoint, build_histogram_family, contamination_bias,
+                    SimplexPoint, build_gaussian_location_grid,
+                    build_histogram_family, contamination_bias,
                     dimension_bound_entropy, dimension_bound_finite,
                     dimension_bound_vc, mixture_upsilon, mle_counterexample,
                     rho_estimate, saddle_point, select_candidate,
@@ -134,6 +135,19 @@ def test_rule_rejects_bad_value(name, bad):
 def test_int_past_the_repr_limit_is_shown_by_bit_length(make):
     # repr of an int of 4300 digits or more raises ValueError.
     with pytest.raises(ContractViolationError, match=r"int of 1661\d bits"):
+        make()
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: build_gaussian_location_grid(-10**400, 1.0, 0.5, 1.0, 3), "theta_min"),
+    (lambda: build_gaussian_location_grid(-1.0, 10**400, 0.5, 1.0, 3), "theta_max"),
+    (lambda: build_gaussian_location_grid(-1.0, 1.0, 10**400, 1.0, 3), "step"),
+    (lambda: build_histogram_family([(0.0, 1.0)], 10**5000, 5), "k"),
+    (lambda: build_histogram_family([(0.0, 1.0)], 2**1023, 5), "k"),
+], ids=["grid-min", "grid-max", "grid-step", "histogram-k", "histogram-k-2**1023"])
+def test_int_too_large_for_a_float_is_blamed_on_its_parameter(make, name):
+    # Not a bare OverflowError, and not vc_index, which 2k + 1 becomes.
+    with pytest.raises(ContractViolationError, match=rf"^{name} must "):
         make()
 
 

@@ -204,23 +204,25 @@ def _odd_columns(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     squares can underflow or overflow.  Only in odd columns can
     :meth:`PsiKernel.ratio` raise a floating-point exception, return NaN or
     miss the sign rule of :func:`psi_pair`.  Each operand is reduced on its
-    own, never broadcast: first whole, which settles the common case of no
-    odd column, then over all but its last axis.  NaN or negative roots
-    raise :class:`ContractViolationError`.
+    own, never broadcast, and once when the square criterion passes one
+    matrix as both: first whole, which settles the common case of no odd
+    column, then over all but its last axis.  NaN or negative roots raise
+    :class:`ContractViolationError`.
     """
-    u_lo = np.minimum.reduce(u, axis=None, initial=np.inf)
-    v_lo = np.minimum.reduce(v, axis=None, initial=np.inf)
-    if not (u_lo >= 0.0 and v_lo >= 0.0):  # NaN fails the comparison too
+    operands = (u,) if v is u else (u, v)
+    lows = [np.minimum.reduce(a, axis=None, initial=np.inf) for a in operands]
+    if not all(lo >= 0.0 for lo in lows):  # NaN fails the comparison too
         raise ContractViolationError("density square roots must be nonnegative numbers")
-    if (u_lo >= _LOW_ROOT and v_lo >= _LOW_ROOT
-            and np.maximum.reduce(u, axis=None, initial=0.0) <= _HIGH_ROOT
-            and np.maximum.reduce(v, axis=None, initial=0.0) <= _HIGH_ROOT):
+    if (all(lo >= _LOW_ROOT for lo in lows)
+            and all(np.maximum.reduce(a, axis=None, initial=0.0) <= _HIGH_ROOT
+                    for a in operands)):
         return np.empty(0, dtype=np.intp)
-    lo = np.minimum(u.min(axis=tuple(range(u.ndim - 1)), initial=np.inf),
-                    v.min(axis=tuple(range(v.ndim - 1)), initial=np.inf))
-    hi = np.maximum(u.max(axis=tuple(range(u.ndim - 1)), initial=0.0),
-                    v.max(axis=tuple(range(v.ndim - 1)), initial=0.0))
-    return np.flatnonzero((lo < _LOW_ROOT) | (hi > _HIGH_ROOT))
+    odd = False
+    for a in operands:
+        axes = tuple(range(a.ndim - 1))
+        odd = odd | ((a.min(axis=axes, initial=np.inf) < _LOW_ROOT)
+                     | (a.max(axis=axes, initial=0.0) > _HIGH_ROOT))
+    return np.flatnonzero(odd)
 
 
 # Each kernel's exact range, where one unscaled ratio pass gives the bits of

@@ -1,7 +1,9 @@
 """Checks that need a fresh interpreter.
 
-rhoest loads scipy, for QUADPACK, on the first quadrature call, and
-nowhere else.  Its worker threads, and concurrent.futures with them, start
+rhoest loads QUADPACK, scipy's compiled module alone, on the first
+quadrature call, and no scipy module anywhere else; the scipy.integrate
+package, which would bring scipy.optimize, linalg, sparse and special with
+it, is never imported.  Its worker threads, and concurrent.futures with them, start
 on the first criterion call with more than one block and CPU.  pytest's
 ``filterwarnings`` setting imports scipy.integrate before any test runs, so
 an in-process test can neither see an eager scipy import come back nor
@@ -17,7 +19,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rhoest import QuadratureSpec, check_assumption, density_from_json, kernel_constants
+from rhoest import (Gaussian, Laplace, QuadratureSpec, check_assumption,
+                    density_from_json, hellinger_sq, kernel_constants)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -123,7 +126,8 @@ TRIPLES = [
 
 CHECK = """
 import json, sys
-from rhoest import QuadratureSpec, check_assumption, density_from_json, kernel_constants
+from rhoest import (Gaussian, Laplace, QuadratureSpec, check_assumption,
+                    density_from_json, hellinger_sq, kernel_constants)
 kernel, triple = sys.argv[1], json.loads(sys.argv[2])
 q, qp, r = (density_from_json(d) for d in triple)
 out = check_assumption(kernel_constants(kernel), q, qp, r, QuadratureSpec(abs_tol=1e-6))
@@ -150,3 +154,29 @@ def test_cauchy_affinity_loads_no_scipy():
     h2, loaded = out.splitlines()
     assert 0.0 < float(h2) < 1.0
     assert json.loads(loaded) == []
+
+
+QUADRATURE = """
+import json, math, sys
+from rhoest import (Gaussian, Laplace, QuadratureSpec, check_assumption,
+                    density_from_json, hellinger_sq, kernel_constants, quadrature)
+q, qp, r = (density_from_json(d) for d in json.loads(sys.argv[1]))
+check_assumption(kernel_constants("psi2"), q, qp, r, QuadratureSpec(abs_tol=1e-6))
+h2 = hellinger_sq(Gaussian(0.0, 1.0), Laplace(0.0, 1.0))
+heavy = sorted(m for m in sys.modules if m.split(".")[:2] in (
+    ["scipy", "integrate"], ["scipy", "optimize"], ["scipy", "linalg"],
+    ["scipy", "sparse"], ["scipy", "special"]))
+import scipy.integrate
+fn = lambda x: math.exp(-x * x)
+ours = quadrature.integrate.quad(fn, 0.0, math.inf, epsabs=1e-10, epsrel=0.0)
+theirs = scipy.integrate.quad(fn, 0.0, math.inf, epsabs=1e-10, epsrel=0.0)
+print(json.dumps([h2, heavy, ours, theirs]))
+"""
+
+
+def test_quadrature_loads_no_scipy_subpackage():
+    out, _ = python("-c", QUADRATURE, json.dumps(TRIPLES[0]))
+    h2, heavy, ours, theirs = json.loads(out)
+    assert heavy == []
+    assert h2 == hellinger_sq(Gaussian(0.0, 1.0), Laplace(0.0, 1.0))
+    assert ours == theirs

@@ -174,6 +174,20 @@ class TestPsiPair:
         with pytest.raises(ContractViolationError, match="square roots"):
             psi_pair(k, u, v)
 
+    @pytest.mark.parametrize("odd", [(), (0.0,), (math.inf,), (1e-200,), (1e200,),
+                                     (0.0, math.inf, 1e-200, 1e200)],
+                             ids=["none", "zero", "inf", "tiny", "huge", "all"])
+    def test_odd_columns_of_one_matrix_passed_twice(self, odd):
+        # The square criterion passes one matrix as both operands, which
+        # _odd_columns then reduces once.
+        S = np.random.default_rng(4).uniform(0.1, 2.0, (41, 500))
+        cols = [7, 100, 250, 499][:len(odd)]
+        S[[3, 17, 29, 40][:len(odd)], cols] = np.array(odd, dtype=float)
+        got = psi._odd_columns(S, S)
+        assert np.array_equal(got, psi._odd_columns(S, S.copy()))
+        assert got.tolist() == cols
+        assert got.dtype == np.intp
+
     @pytest.mark.parametrize("k", [PSI1, PSI2], ids=lambda k: k.id)
     def test_exact_swap_antisymmetry(self, k):
         rng = np.random.default_rng(9)

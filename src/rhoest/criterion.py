@@ -10,7 +10,10 @@ and no value depends on the block shape, and the blocks of one call are
 shared out over the CPUs the process may run on, with the bits of one
 thread.  Across the whole family (:func:`upsilon_all`) the statistic is
 antisymmetric, T(q, q') = -T(q', q), so only its upper triangle is computed
-and the lower one is mirrored.
+and the lower one is mirrored.  On a large family that triangle is first
+screened in float32 under a proven rounding bound, and only the entries that
+can be a row's maximum are summed again in float64, so every criterion value
+keeps the bits of the full float64 computation.
 """
 
 from __future__ import annotations
@@ -200,6 +203,12 @@ class RhoFit:
 # and fit benchmark ops.
 _BLOCK_ELEMENTS = 2**16
 
+# Per kernel, the float32 screen's range for the finite nonzero roots of a
+# single-precision column, and its float32 stand-ins for zero and infinite
+# roots (see _criterion_rows).
+_SCREEN = {"psi1": (2.0 ** -30, 2.0 ** 30, 2.0 ** -62, 2.0 ** 62),
+           "psi2": (2.0 ** -60, 2.0 ** 60, 2.0 ** -120, 2.0 ** 120)}
+
 # The worker threads' ThreadPoolExecutor and its size, made on the first call
 # with more than one block and CPU (concurrent.futures is imported then), and
 # dropped in a forked child, which has none of the parent's threads.
@@ -232,16 +241,72 @@ def _workers(size: int):
     return _pool
 
 
+def _plan(J: int, K: int, pairs: int, square: bool) -> list:
+    """(row, rows, column, columns) blocks of at most ``pairs`` pairs each,
+    which together cover every entry of a (J, K) matrix T once, or for a
+    square call every entry on or above the diagonal once.
+
+    A square call's blocks of a row band start at the band's first row.  A
+    band starting at row ``lo`` spans at most K - lo challengers, so its
+    height is ``pairs // min(cols, K - lo)``: the bands grow taller towards
+    the bottom of the triangle.  The entries left of the diagonal inside a
+    band are computed too, and the mirror overwrites them.
+    """
+    cols = min(K, pairs)
+    blocks, lo = [], 0
+    while lo < J:
+        first = lo if square else 0
+        rows = pairs // min(cols, K - first)
+        blocks.extend((lo, min(rows, J - lo), c, min(cols, K - c))
+                      for c in range(first, K, cols))
+        lo += rows
+    return blocks
+
+
+def _run(blocks: list, step, work: np.ndarray) -> None:
+    """``step(block, workspace)`` on every block, shared out over threads.
+
+    ``work`` holds one workspace row per share.  The calling thread and, when
+    there are two blocks or more and two rows or more, one pooled worker
+    thread per further row run the same loop, each pulling blocks from one
+    shared list iterator, so that next() hands each block to exactly one
+    share.  A worker runs in a copy of the caller's context, so the caller's
+    ``np.errstate`` holds there too.  If a share raises, the others stop
+    after their current block, and the first exception is raised once every
+    share has stopped.
+    """
+    pending, errors = iter(blocks), []
+
+    def share(row):
+        try:
+            for block in pending:
+                if errors:
+                    return
+                step(block, row)
+        except BaseException as exc:  # raised below, once every share has stopped
+            errors.append(exc)
+
+    workers = min(len(work), len(blocks)) - 1
+    shares = [_workers(workers).submit(contextvars.copy_context().run, share, work[i])
+              for i in range(1, workers + 1)]
+    share(work[0])
+    for future in shares:
+        future.result()
+    if errors:
+        raise errors[0]
+
+
 def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
                     kernel: PsiKernel) -> np.ndarray:
     """max_k [T[j, k] - num_pen[k]] for every row j.
 
     T[j, k] = sum_i psi_pair(num_sqrt[k, i], den_sqrt[j, i]); ``den_sqrt`` is
     (J, n), ``num_sqrt`` is (K, n) and ``num_pen`` is a (K,) vector or a
-    scalar.  T is filled a block of (rows, challengers) at a time, each block
-    holding at most ``_BLOCK_ELEMENTS`` psi values, or one pair's n when n is
-    larger.  Every entry sums over the last, contiguous axis, exactly as for
-    a single pair, so no value depends on the block shape.
+    scalar.  T is filled a block of (rows, challengers) at a time (see
+    :func:`_plan`), each block holding at most ``_BLOCK_ELEMENTS`` psi
+    values, or one pair's n when n is larger.  Every entry sums over the
+    last, contiguous axis, exactly as for a single pair, so no value depends
+    on the block shape.
 
     The roots are checked once per call by :func:`psi._settle`.  It rejects
     NaN and negative roots and sorts the odd columns, the sample indices
@@ -252,90 +317,185 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
     stand-in roots far beyond that range, on which the plain ratio gives
     exactly the sign rule's -1, +1 or +0.0.  Every block's :func:`psi_pair`
     then computes only the scaled columns again, on rescaled roots, and
-    writes its psi values into a ``(2, block)`` workspace.  Zeros from
-    vanishing densities and infinities from singular ones settle, so on
-    such families the blocks usually run the plain ratio alone.  The
-    workspaces, one per share (below), are allocated once per call, and each
-    is no larger than the biggest block the call can make, so a call on a
-    single pair allocates 2n values, not ``2 * _BLOCK_ELEMENTS``.
+    writes its psi values into a ``(2, block)`` workspace.  The workspaces,
+    one per share, are allocated once per call, and each is no larger than
+    the biggest block the call can make, so a call on a single pair
+    allocates 2n values, not ``2 * _BLOCK_ELEMENTS``.
 
-    The blocks are shared out over the CPUs the process may run on
-    (``os.sched_getaffinity``, so ``taskset`` restricts them).  The calling
-    thread and, when there are two blocks or more and more than one CPU, one
-    pooled worker thread per further CPU run the same loop, each pulling
-    blocks from one shared iterator into its own workspace and writing
-    disjoint slices of T, each block's sums straight from ``np.add.reduce``
-    into its slice.  numpy's arithmetic and sums release the GIL, so
-    the shares run in parallel.  A block is computed the same way whichever
-    thread takes it, so T is bitwise the one-thread result.  A worker runs
-    in a copy of the caller's context, so the caller's ``np.errstate``
-    holds there too.  If a share raises, the others stop after their
-    current block, and the first exception is raised once every share has
-    stopped.  A call with one block, or on one CPU, starts no thread.
+    The blocks are shared out by :func:`_run` over the CPUs the process may
+    run on (``os.sched_getaffinity``, so ``taskset`` restricts them), each
+    share writing disjoint entries of T, each block's sums straight from
+    ``np.add.reduce`` into its slice.  numpy's arithmetic and sums release
+    the GIL, so the shares run in parallel.  A block is computed the same way
+    whichever thread takes it, so T is bitwise the one-thread result.  A call
+    with one block, or on one CPU, starts no thread.
 
-    When both arguments are the same matrix (the all-candidates criterion), T
-    is antisymmetric: the blocks of a row band start at the band's first
-    row, and the strict lower triangle is mirrored from the upper one.  A
-    band starting at row ``lo`` spans at most K - lo challengers, so its
-    height is ``pairs // min(cols, K - lo)``: the bands grow taller towards
-    the bottom of the triangle.  One masked ``np.copyto`` of 0.0 - T.T
-    under the strict lower triangle does the mirroring, with no index
-    arrays.  psi is exactly antisymmetric and negating a sum is exact, so a
-    mirrored entry is bitwise the direct sum.  Mirroring computes 0.0 - t,
-    not -t, because psi of equal roots is +0.0 both ways, so a zero sum is
-    too.  Only a zero sum of -0.0 terms, which needs roots near the float64
-    overflow limit, mirrors to a zero of the other sign.
+    When both arguments are the same matrix (the all-candidates criterion),
+    T is antisymmetric: only the blocks on and above the diagonal are
+    computed, and one masked ``np.copyto`` of 0.0 - T.T mirrors the strict
+    lower triangle.  psi is exactly antisymmetric and negating a sum is
+    exact, so a mirrored entry is bitwise the direct sum.  Mirroring computes
+    0.0 - t, not -t, because psi of equal roots is +0.0 both ways, so a zero
+    sum is too.  Only a zero sum of -0.0 terms, which needs roots near the
+    float64 overflow limit, mirrors to a zero of the other sign.
+
+    A square call of J * n >= 2 * ``_BLOCK_ELEMENTS`` values needs only each
+    row's maximum, and computes few entries exactly.  A *single* sample
+    column is one whose roots are all 0, inf or inside the screen range of
+    ``_SCREEN`` ([2**-30, 2**30] for psi1, whose squares stay normal, and
+    [2**-60, 2**60] for psi2).  A C-contiguous float32 copy of those columns
+    holds their zeros and infinities as stand-ins (2**-62 and 2**62 for
+    psi1, 2**-120 and 2**120 for psi2), on which float32's ratio gives
+    exactly the sign rule's -1, +1 or +0.0, as float64's stand-ins do.
+
+    1. *Screen.*  Each block of :func:`_plan` sums :meth:`PsiKernel.ratio`
+       over the single columns in float32 with a float64 accumulator, and
+       adds the float64 psi_pair sums of the other columns, the scaled ones
+       among them.  A block fills the plain block's 1 MiB workspace: 2 *
+       ``_BLOCK_ELEMENTS`` values when every column is single, a float64
+       value counting as two.  The screen is mirrored and penalized like T.
+    2. *Certify.*  Row j keeps challenger k when its screened value is
+       within 2E + 2**-50 (n + 1 + P) of the row's screened maximum, with P
+       the largest finite penalty.  Every pair {j, k}, j < k, that a row
+       keeps is summed again by the float64 psi_pair over all n columns,
+       its two rows gathered into the same workspaces: the same contiguous
+       sum in the same orientation as above, mirrored as 0.0 - t.  Every other
+       entry is set to -inf, and the diagonal to its exact +0.0.  When more
+       than a quarter of the strict triangle is kept (in a family of
+       identical entries, say), T is computed in full as above instead.
+
+    The error bound E.  Let u = 2**-53 and psi_i the exact psi at the
+    float64 roots of column i.  Rounding a root to float32 is a relative
+    error of at most 2**-24, so log(u_i / v_i) moves by at most 2**-23
+    (slightly more), and psi moves by at most |dpsi/dlog x| <= 1/2 (psi2)
+    or 1/sqrt(2) (psi1) times that.  psi2's 3 float32 operations and psi1's
+    6 add a relative error of about 3 or 6 times 2**-24, to a value of at
+    most 1.  So each float32 value is within 4 * 2**-24 (psi2) or 7.5 *
+    2**-24 (psi1) of psi_i, and within 2**-21 for both.  Each float64 value,
+    in T or in the screen's other columns, is within 8u of psi_i: 16 n u at
+    most over both.  A float64 sum of n values of size at most about 1, in
+    any order, errs by at most (n - 1) u n, so T's sum, the screen's two
+    and their addition add at most 2 n**2 u + n u.  Hence, with m single
+    columns,
+
+        |screen - T| <= E = m * 2**-21 + n (n + 8) 2**-51,
+
+    about a hundred times the error seen.  Penalizing rounds each value
+    again, by at most u (n + 1 + P) for screen and T alike, and so does the
+    threshold, which the margin's 2**-50 (n + 1 + P) covers.  So every
+    entry dropped is strictly below its row's maximum, penalized and exact,
+    and every entry equal to it is computed exactly: each row maximum, the
+    sign of a zero included, is bitwise the full computation's.
     """
     square = den_sqrt is num_sqrt
     (J, n), K = den_sqrt.shape, len(num_sqrt)
+    roots = num_sqrt
     num_sqrt, den_sqrt, scaled = _settle(kernel, num_sqrt, den_sqrt)
     pairs = max(1, _BLOCK_ELEMENTS // n)
-    cols = min(K, pairs)
-    blocks = []
-    lo = 0
-    while lo < J:
-        first = lo if square else 0
-        rows = pairs // min(cols, K - first)
-        blocks.extend((lo, min(rows, J - lo), c, min(cols, K - c))
-                      for c in range(first, K, cols))
-        lo += rows
+    plain = _plan(J, K, pairs, square)
+    slots = 2 * min(pairs, J * min(K, pairs)) * n
+    screen = None
+    if square and J * n >= 2 * _BLOCK_ELEMENTS:
+        lo, hi, zero, inf = _SCREEN[kernel.id]
+        least, most = roots.min(axis=0), roots.max(axis=0)
+        fits = (least >= lo) & (most <= hi)
+        odd = np.flatnonzero(~fits & ((least == 0.0) | (most == np.inf)))
+        if odd.size:  # a column with a 0 or an inf: are its other roots in range?
+            cut = np.take(roots, odd, axis=1)
+            fits[odd] = (((cut >= lo) & (cut <= hi)) | (cut == 0.0)
+                         | (cut == np.inf)).all(axis=0)
+        single, double = np.flatnonzero(fits), np.flatnonzero(~fits)
+        m, d = single.size, double.size
+        if m:
+            weight = m + 2 * d  # float64 workspace slots per pair
+            step = max(1, 2 * _BLOCK_ELEMENTS // weight)
+            screen = _plan(J, K, step, True)
+            slots = max(slots, min(step, J * min(K, step)) * weight, 4 * n)
     # Zeros, since the mirror below reads the whole transpose: a bit
     # pattern left in fresh memory could be a signaling NaN, which warns.
     T = np.zeros((J, K))
+    work = np.empty((min(_cpus(), len(screen or plain)), slots))
 
-    def share(work):
-        # The loop of the calling thread and of every worker: next() on the
-        # one list iterator hands each block to exactly one share.
-        try:
-            for r, h, c, w in pending:
-                if errors:
-                    return
-                np.add.reduce(psi_pair(
-                    kernel, num_sqrt[np.newaxis, c:c + w, :],
-                    den_sqrt[r:r + h, np.newaxis, :],
-                    out=work[:, :h * w * n].reshape(2, h, w, n),
-                    scaled=scaled), axis=2, out=T[r:r + h, c:c + w])
-        except BaseException as exc:  # raised below, once every share has stopped
-            errors.append(exc)
+    if screen:
+        roots32 = np.take(roots, single, axis=1) if d else roots
+        roots32 = roots32.astype(np.float32, order="C")
+        np.clip(roots32, zero, inf, out=roots32)
+        roots64 = np.take(den_sqrt, double, axis=1)
+        scaled64 = np.searchsorted(double, scaled)  # the scaled columns among them
 
-    pending, errors = iter(blocks), []
-    workers = min(_cpus(), len(blocks)) - 1 if len(blocks) > 1 else 0
-    work = np.empty((workers + 1, 2, min(pairs, J * cols) * n))
-    shares = [_workers(workers).submit(contextvars.copy_context().run, share, work[i])
-              for i in range(1, workers + 1)]
-    share(work[0])
-    for future in shares:
-        future.result()
-    if errors:
-        raise errors[0]
+        def screen_step(block, work):
+            r, h, c, w = block
+            sums = T[r:r + h, c:c + w]
+            np.add.reduce(kernel.ratio(
+                roots32[np.newaxis, c:c + w], roots32[r:r + h, np.newaxis],
+                out=work[:h * w * m].view(np.float32).reshape(2, h, w, m)),
+                axis=2, dtype=np.float64, out=sums)
+            if d:
+                sums += np.add.reduce(psi_pair(
+                    kernel, roots64[np.newaxis, c:c + w], roots64[r:r + h, np.newaxis],
+                    out=work[h * w * m:h * w * weight].reshape(2, h, w, d),
+                    scaled=scaled64), axis=2)
+
+        _run(screen, screen_step, work)
+        del roots32, roots64
+        np.copyto(T, 0.0 - T.T, where=np.tri(J, k=-1, dtype=bool))
+        np.subtract(T, num_pen, out=T)
+        pen = np.asarray(num_pen, dtype=float)
+        bound = m * 2.0 ** -21 + n * (n + 8) * 2.0 ** -51
+        margin = 2.0 * bound + 2.0 ** -50 * (n + 1 + pen[np.isfinite(pen)].max(initial=0.0))
+        keep = T >= (T.max(axis=1) - margin)[:, np.newaxis]
+        a, b = np.nonzero(np.triu(keep | keep.T, 1))
+        del keep
+        if 8 * len(a) <= J * (J - 1):
+            exact, per = np.empty(len(a)), max(1, slots // (4 * n))
+
+            def certify_step(block, work):
+                lo, hi = block
+                p = (hi - lo) * n
+                u, v = work[:p].reshape(-1, n), work[p:2 * p].reshape(-1, n)
+                np.take(num_sqrt, b[lo:hi], axis=0, out=u, mode="clip")
+                np.take(den_sqrt, a[lo:hi], axis=0, out=v, mode="clip")
+                np.add.reduce(psi_pair(kernel, u, v, scaled=scaled,
+                                       out=work[2 * p:4 * p].reshape(2, -1, n)),
+                              axis=1, out=exact[lo:hi])
+
+            _run([(lo, min(lo + per, len(a))) for lo in range(0, len(a), per)],
+                 certify_step, work)
+            T.fill(-np.inf)
+            T[a, b] = exact
+            T[b, a] = 0.0 - exact
+            np.fill_diagonal(T, 0.0)
+            np.subtract(T, num_pen, out=T)
+            return T.max(axis=1)
+
+    def plain_step(block, work):
+        r, h, c, w = block
+        np.add.reduce(psi_pair(kernel, num_sqrt[np.newaxis, c:c + w, :],
+                               den_sqrt[r:r + h, np.newaxis, :],
+                               out=work[:2 * h * w * n].reshape(2, h, w, n),
+                               scaled=scaled), axis=2, out=T[r:r + h, c:c + w])
+
+    _run(plain, plain_step, work)
     if square:
         np.copyto(T, 0.0 - T.T, where=np.tri(J, k=-1, dtype=bool))
     return (T - num_pen).max(axis=1)
 
 
+def _check_call(kernel, pen=None) -> None:
+    """Reject a kernel that is not a :class:`PsiKernel` (the criterion reads
+    its ``id``) and a ``pen`` that is neither a :class:`Penalty` nor None."""
+    if not isinstance(kernel, PsiKernel):
+        raise ContractViolationError(
+            f"kernel must be a PsiKernel, got {type(kernel).__name__}")
+    if pen is not None and not isinstance(pen, Penalty):
+        raise ContractViolationError(
+            f"pen must be a Penalty or None, got {type(pen).__name__}")
+
+
 def t_statistic(X: Sample, q: ProductDensity, qp: ProductDensity,
                 kernel: PsiKernel) -> float:
     """sum_i psi(sqrt(q'_i(x_i) / q_i(x_i))), with the zero-density conventions."""
+    _check_call(kernel)
     u = np.sqrt(qp.coord_values(X))[np.newaxis, :]
     v = np.sqrt(q.coord_values(X))[np.newaxis, :]
     return float(_criterion_rows(v, u, 0.0, kernel)[0])
@@ -344,6 +504,7 @@ def t_statistic(X: Sample, q: ProductDensity, qp: ProductDensity,
 def upsilon(X: Sample, q: ProductDensity, fam: DensityFamily,
             pen: Penalty | None, kernel: PsiKernel) -> float:
     """max over challengers of [T - pen(challenger)] + pen(candidate)."""
+    _check_call(kernel, pen)
     pvec = (pen or Penalty()).vector(len(fam))
     own = next((pvec[idx] for idx, entry in enumerate(fam.entries)
                 if entry.key() == q.key()), 0.0)
@@ -354,6 +515,7 @@ def upsilon(X: Sample, q: ProductDensity, fam: DensityFamily,
 def upsilon_all(X: Sample, fam: DensityFamily, pen: Penalty | None,
                 kernel: PsiKernel) -> np.ndarray:
     """Criterion value for every entry of the family at once."""
+    _check_call(kernel, pen)
     pvec = (pen or Penalty()).vector(len(fam))
     S = fam.sqrt_value_matrix(X)
     return _criterion_rows(S, S, pvec, kernel) + pvec
@@ -371,6 +533,7 @@ def rho_estimate(X: Sample, fam: DensityFamily, pen: Penalty | None = None,
     """
     if kernel is None:
         kernel = kernel_constants()
+    _check_call(kernel, pen)
     slack = (kernel.kappa / 25.0 if slack is None
              else _nonnegative("slack", _finite("slack", slack)))
     ups = upsilon_all(X, fam, pen, kernel)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import Density1D, hellinger_sq, integrate_on_supports
-from .errors import ContractViolationError
+from .errors import ContractViolationError, _shown
 from .quadrature import QuadratureSpec
 
 __all__ = ["PsiKernel", "kernel_constants", "eval_psi", "psi_pair",
@@ -102,11 +102,10 @@ DEFAULT_KERNEL_ID = "psi2"
 
 
 def kernel_constants(kernel_id: str = DEFAULT_KERNEL_ID) -> PsiKernel:
-    try:
-        return _KERNELS[kernel_id]
-    except KeyError:
+    if not (isinstance(kernel_id, str) and kernel_id in _KERNELS):
         raise ContractViolationError(
-            f"unknown kernel {kernel_id!r}; choose from {sorted(_KERNELS)}")
+            f"unknown kernel {_shown(kernel_id)}; choose from {sorted(_KERNELS)}")
+    return _KERNELS[kernel_id]
 
 
 def eval_psi(kernel: PsiKernel, x):

@@ -4,6 +4,7 @@ import multiprocessing
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from rhoest import (CandidateSet, Cauchy, ContractViolationError, DensityFamily,
                     t_statistic, upsilon, upsilon_all)
 
 K2 = kernel_constants("psi2")
+KERNELS = [kernel_constants("psi1"), K2]
 
 
 def discrete_density(masses):
@@ -233,6 +235,44 @@ class TestRootsCheckedOncePerCall:
                     criterion._criterion_rows(den, num, 0.0, K2)
 
 
+class TestCallBoundary:
+    """The criterion's entry points take a PsiKernel and a Penalty or None."""
+
+    X = Sample(np.array([-0.3, 0.2, 0.9]))
+    FAM = DensityFamily([ProductDensity(iid=Gaussian(m, 1.0), n=3) for m in (0.0, 0.5)])
+
+    @pytest.mark.parametrize("kernel_id", [["psi2"], ("psi2",), None, 2, b"psi2",
+                                           "psi3", 10**5000], ids=lambda v: type(v).__name__)
+    def test_kernel_constants_rejects_what_names_no_kernel(self, kernel_id):
+        with pytest.raises(ContractViolationError, match="unknown kernel"):
+            kernel_constants(kernel_id)
+
+    @pytest.mark.parametrize("kernel", ["psi2", None, K2.id, K2.__dict__])
+    def test_kernel_must_be_a_psi_kernel(self, kernel):
+        X, fam = self.X, self.FAM
+        calls = [lambda: t_statistic(X, fam[0], fam[1], kernel),
+                 lambda: upsilon(X, fam[0], fam, None, kernel),
+                 lambda: upsilon_all(X, fam, None, kernel)]
+        if kernel is not None:  # rho_estimate's default kernel
+            calls.append(lambda: rho_estimate(X, fam, kernel=kernel))
+        for call in calls:
+            with pytest.raises(ContractViolationError, match="kernel must be a PsiKernel"):
+                call()
+
+    @pytest.mark.parametrize("pen", [{0: 1.0}, [1.0, 0.0], np.zeros(2), 0.0])
+    def test_penalty_must_be_a_penalty_or_none(self, pen):
+        X, fam = self.X, self.FAM
+        for call in (lambda: upsilon(X, fam[0], fam, pen, K2),
+                     lambda: upsilon_all(X, fam, pen, K2),
+                     lambda: rho_estimate(X, fam, pen=pen)):
+            with pytest.raises(ContractViolationError, match="pen must be a Penalty"):
+                call()
+
+    def test_penalty_and_default_kernel_accepted(self):
+        fit = rho_estimate(self.X, self.FAM, Penalty({1: 0.5}))
+        assert fit.trace == tuple(upsilon_all(self.X, self.FAM, Penalty({1: 0.5}), K2))
+
+
 class TestRhoEstimate:
     def test_singleton(self):
         q = ProductDensity(iid=Gaussian(0, 1), n=3)
@@ -290,7 +330,9 @@ class TestRhoEstimate:
 
 class TestSharedBlocks:
     """The blocks of one criterion call shared out over threads.  A 24-entry
-    family at n = 16 with blocks of 64 psi values makes 78 blocks."""
+    family at n = 16 with blocks of 64 psi values reaches the square
+    criterion's float32 screen: 46 screen blocks, which call no psi_pair,
+    then 12 blocks of exact pairs, which do."""
 
     S = np.sqrt(np.random.default_rng(7).uniform(0.01, 2.0, (24, 16)))
 
@@ -347,25 +389,36 @@ class TestSharedBlocks:
             criterion._criterion_rows(self.S, self.S, 0.0, K2)
         made = len(calls)
         time.sleep(0.05)
-        assert len(calls) == made < 10  # every share stopped, long before block 78
+        assert len(calls) == made < 10  # every share stopped before the last block
         monkeypatch.setattr(criterion, "psi_pair", original)
         assert criterion._criterion_rows(self.S, self.S, 0.0, K2).tobytes() == want
 
     def test_more_shares_than_cpus_switching_every_microsecond(self, monkeypatch):
         """Six shares, with the interpreter switching threads as often as it
-        can, still compute every block exactly once and give the same bits."""
-        original, blocks = criterion.psi_pair, []
+        can, still compute every block exactly once and give the same bits:
+        in a call on part of T, in a screened square call (its float32 blocks
+        and its exact pairs), and in a square call of identical entries,
+        which falls back from the screen to the full triangle."""
+        original, ratio, blocks = criterion.psi_pair, psi.PsiKernel.ratio, []
 
         def psi_pair(*args, **kwargs):
-            blocks.append((args[1].shape, args[2].shape))
+            blocks.append(("float64", args[1].shape, args[2].shape))
             return original(*args, **kwargs)
 
+        def screen_ratio(kernel, u, v, out=None):
+            if out is not None and out.dtype == np.float32:
+                blocks.append(("float32", u.shape, v.shape))
+            return ratio(kernel, u, v, out)
+
         monkeypatch.setattr(criterion, "psi_pair", psi_pair)
-        calls = [(self.S, self.S), (self.S[:5], self.S[2:])]
+        monkeypatch.setattr(psi.PsiKernel, "ratio", screen_ratio)
+        same = np.repeat(self.S[:1], len(self.S), axis=0)
+        calls = [(self.S, self.S), (self.S[:5], self.S[2:]), (same, same)]
         monkeypatch.setattr(criterion, "_cpus", lambda: 1)
         want = [criterion._criterion_rows(den, num, 0.0, K2).tobytes()
                 for den, num in calls]
         one = sorted(blocks)
+        assert {kind for kind, *_ in one} == {"float32", "float64"}
         monkeypatch.setattr(criterion, "_cpus", lambda: 6)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -419,6 +472,140 @@ class TestSharedBlocks:
         finally:
             child.kill()
             child.join(60)
+
+
+@pytest.mark.parametrize("J, K, pairs, square", [
+    (1, 1, 1, True), (7, 7, 1, True), (24, 24, 8, True), (24, 24, 64, True),
+    (24, 24, 1000, True), (5, 13, 4, False), (13, 5, 64, False), (1, 9, 2, False)])
+def test_every_plan_covers_each_entry_once(J, K, pairs, square):
+    """A plan's blocks hold at most ``pairs`` pairs each and are disjoint; they
+    cover all of T, or for a square call every entry on or above the diagonal."""
+    count = np.zeros((J, K), dtype=int)
+    for r, h, c, w in criterion._plan(J, K, pairs, square):
+        assert 0 < h * w <= pairs
+        count[r:r + h, c:c + w] += 1
+    assert count.max() == 1
+    assert np.all(np.triu(count) == np.triu(np.ones((J, K), dtype=int))
+                  if square else count == 1)
+
+
+class TestScreen:
+    """The square criterion's float32 screen and float64 certificate, forced
+    on small families by small blocks.  A 24-entry family at n = 16 reaches
+    the gate J * n >= 2 * _BLOCK_ELEMENTS for blocks of up to 192 values."""
+
+    S = TestSharedBlocks.S  # 24 distinct rows of roots in [0.1, 1.42]
+
+    @staticmethod
+    def phases(monkeypatch):
+        """The (step name, blocks) of every block run that follows."""
+        runs, original = [], criterion._run
+
+        def run(blocks, step, work):
+            runs.append((step.__name__, list(blocks)))
+            return original(blocks, step, work)
+
+        monkeypatch.setattr(criterion, "_run", run)
+        return runs
+
+    def plain(self, S, pen, kernel, monkeypatch):
+        monkeypatch.setattr(criterion, "_BLOCK_ELEMENTS", 2**20)
+        return criterion._criterion_rows(S, S, pen, kernel)
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.id)
+    @pytest.mark.parametrize("block", [1, 16, 64, 192])
+    def test_screened_call_writes_each_entry_once(self, kernel, block, monkeypatch):
+        """The screen's blocks cover the upper triangle once, the exact pairs
+        are distinct pairs j < k, summed u = S[k] against v = S[j] as the
+        plain blocks sum them, and the certificate's blocks split them."""
+        S, pen = self.S, np.linspace(0.0, 0.2, len(self.S))
+        want = self.plain(S, pen, kernel, monkeypatch)
+        monkeypatch.setattr(criterion, "_BLOCK_ELEMENTS", block)
+        runs, pairs, original = self.phases(monkeypatch), [], criterion.psi_pair
+
+        def rows(a):
+            return [int(np.flatnonzero((S == row).all(axis=1))[0]) for row in a]
+
+        def psi_pair(kernel, u, v, **kwargs):
+            if u.ndim == 2:  # the certificate's gathered (pairs, n) rows
+                pairs.extend(zip(rows(v), rows(u)))
+            return original(kernel, u, v, **kwargs)
+
+        monkeypatch.setattr(criterion, "psi_pair", psi_pair)
+        assert criterion._criterion_rows(S, S, pen, kernel).tobytes() == want.tobytes()
+        assert [name for name, _ in runs] == ["screen_step", "certify_step"]
+        count = np.zeros((len(S), len(S)), dtype=int)
+        for r, h, c, w in runs[0][1]:
+            count[r:r + h, c:c + w] += 1
+        assert count.max() == 1 and np.all(np.triu(count) == np.triu(np.ones_like(count)))
+        ranges = runs[1][1]
+        assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+        assert ranges[-1][1] == len(pairs) == len(set(pairs)) > 0
+        assert all(j < k for j, k in pairs)
+        # Few pairs: about one per row.
+        assert len(pairs) <= len(S)
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.id)
+    def test_identical_entries_fall_back_to_the_full_triangle(self, kernel, monkeypatch):
+        """Every entry of T is 0, so every pair is kept: the call computes
+        the plain triangle after the screen, with the plain engine's bits
+        and no floating-point warning."""
+        n = 16
+        fam = DensityFamily([ProductDensity(iid=Gaussian(0.0, 1.0), n=n)] * 12)
+        X = Sample(np.linspace(-9.0, 9.0, n))  # roots from 0.63 down to 1e-18
+        pen = Penalty({3: 0.25})
+        monkeypatch.setattr(criterion, "_BLOCK_ELEMENTS", 2**20)
+        want = upsilon_all(X, fam, pen, kernel)
+        monkeypatch.setattr(criterion, "_BLOCK_ELEMENTS", 32)
+        runs = self.phases(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = upsilon_all(X, fam, pen, kernel)
+        assert [name for name, _ in runs] == ["screen_step", "plain_step"]
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.id)
+    def test_gate_keeps_small_calls_on_the_plain_path(self, kernel, monkeypatch):
+        """Below J * n = 2 * _BLOCK_ELEMENTS, and on calls that are not
+        square, nothing is screened."""
+        runs = self.phases(monkeypatch)
+        S = self.S
+        monkeypatch.setattr(criterion, "_BLOCK_ELEMENTS", S.size // 2 + 1)
+        criterion._criterion_rows(S, S, 0.0, kernel)
+        monkeypatch.setattr(criterion, "_BLOCK_ELEMENTS", 1)
+        criterion._criterion_rows(S, S.copy(), 0.0, kernel)
+        criterion._criterion_rows(S[:1], S, 0.0, kernel)
+        assert [name for name, _ in runs] == ["plain_step"] * 3
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.id)
+    def test_columns_outside_the_screen_range_are_summed_in_float64(self, kernel,
+                                                                   monkeypatch):
+        """Columns with a root outside the float32 range (a settled 2**-100
+        beside a zero, a scaled 2**-600) join the screen's float64 sums; a
+        column of zeros and one of infinities take float32 stand-ins."""
+        S = self.S.copy()
+        S[3, 1], S[5, 1] = 2.0 ** -100, 0.0
+        S[7, 4] = 2.0 ** -600
+        S[:, 6], S[:, 9] = 0.0, np.inf
+        S[2, 11] = 2.0 ** 40
+        pen = np.linspace(0.0, 0.5, len(S))
+        want = self.plain(S, pen, kernel, monkeypatch)
+        monkeypatch.setattr(criterion, "_BLOCK_ELEMENTS", 64)
+        seen, original = [], criterion.psi_pair
+
+        def psi_pair(kernel, u, v, **kwargs):
+            seen.append((u.shape[-1], kwargs["scaled"].tolist()))
+            return original(kernel, u, v, **kwargs)
+
+        monkeypatch.setattr(criterion, "psi_pair", psi_pair)
+        runs = self.phases(monkeypatch)
+        got = criterion._criterion_rows(S, S, pen, kernel)
+        assert got.tobytes() == want.tobytes()
+        assert runs[0][0] == "screen_step"
+        # psi2's range holds 2**40; psi1's does not.
+        double = [1, 4, 11] if kernel.id == "psi1" else [1, 4]
+        assert (len(double), [double.index(4)]) in seen
+        assert (16, [4]) in seen  # the certificate's pairs span every column
 
 
 def bench_like_roots():

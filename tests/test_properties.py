@@ -7,6 +7,7 @@ conventions.  Every comparison is exact equality, because the engine sums
 each entry in the same index order.
 """
 
+import inspect
 import itertools
 import math
 import warnings
@@ -383,6 +384,131 @@ def test_shared_blocks_match_one_thread_bitwise(kernel, block, case, monkeypatch
     one = rows(1)
     assert rows(2) == one
     assert rows(3) == one
+
+
+# ---------------------------------------------------------------------------
+# The square criterion's float32 screen and float64 certificate
+# ---------------------------------------------------------------------------
+
+# The float32 screen's range ends (psi1 [2**-30, 2**30], psi2 [2**-60,
+# 2**60]), the binade past each, its stand-ins, and roots outside both
+# kernels' exact ranges, which the criterion rescales.
+SCREEN_EDGES = [2.0 ** -30, 2.0 ** 30, 2.0 ** -31, 2.0 ** 31, 2.0 ** -60,
+                2.0 ** 60, 2.0 ** -61, 2.0 ** 61, 2.0 ** -62, 2.0 ** 62,
+                2.0 ** -120, 2.0 ** 120]
+SCALED_ROOTS = [5e-324, 2.0 ** -600, 2.0 ** 1000]
+screen_roots = st.one_of(
+    st.sampled_from([0.0, np.inf, *SCREEN_EDGES, *SCALED_ROOTS]),
+    st.builds(math.ldexp, st.floats(0.5, 1.0), st.integers(-64, 64)))
+
+
+@st.composite
+def screen_case(draw):
+    """(S, pen): the roots of a square criterion call and its penalties.
+
+    The rows are Gaussian location-grid roots exp(-(x - theta)**2 / 4) at
+    drawn points, so that rows have close rivals.  Some columns are then all
+    0, all inf, or redrawn from ``screen_roots``; some rows repeat others
+    (ties); the rows are shuffled.  The penalties are none, drawn, or partly
+    infinite.
+    """
+    J, n = draw(st.integers(2, 24)), draw(st.integers(1, 10))
+    thetas = draw(hnp.arrays(float, (J, 1), elements=st.floats(-2.0, 2.0)))
+    x = draw(hnp.arrays(float, n, elements=st.floats(-3.0, 3.0)))
+    S = np.exp(-(x - thetas) ** 2 / 4.0)
+    for col in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        kind = draw(st.sampled_from(["zero", "inf", "edges"]))
+        S[:, col] = (draw(hnp.arrays(float, J, elements=screen_roots)) if kind == "edges"
+                     else 0.0 if kind == "zero" else np.inf)
+    for _ in range(draw(st.integers(0, 3))):
+        S[draw(st.integers(0, J - 1))] = S[draw(st.integers(0, J - 1))]
+    S = S[draw(st.permutations(range(J)))]
+    pen = draw(st.one_of(st.just(0.0), hnp.arrays(float, J, elements=st.one_of(
+        st.floats(0.0, 2.0), st.just(np.inf)))))
+    return S, pen
+
+
+def screened_call(S, pen, kernel, block):
+    """The rows of the square call on S with blocks of ``block`` values, and
+    T as its screen left it (None when nothing was screened)."""
+    screens, run = [], criterion._run
+
+    def spy(blocks, step, work):
+        run(blocks, step, work)
+        if step.__name__ == "screen_step":
+            screens.append(inspect.getclosurevars(step).nonlocals["T"].copy())
+
+    with mock.patch.object(criterion, "_run", spy), \
+            mock.patch.object(criterion, "_BLOCK_ELEMENTS", block):
+        rows = criterion._criterion_rows(S, S, pen, kernel)
+    return rows, (screens[0] if screens else None)
+
+
+def single_columns(S, kernel):
+    """How many columns the screen sums in float32."""
+    lo, hi = criterion._SCREEN[kernel.id][:2]
+    return int((((S >= lo) & (S <= hi)) | (S == 0.0) | (S == np.inf)).all(axis=0).sum())
+
+
+GRID_EXAMPLE = (np.exp(-(np.linspace(-3.0, 3.0, 9) - np.linspace(-2.0, 2.0, 17)[:, None])
+                       ** 2 / 4.0), 0.0)
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.id)
+class TestScreen:
+    @settings(max_examples=150, deadline=None)
+    @given(case=screen_case(), data=st.data())
+    @example(case=GRID_EXAMPLE, data=None)
+    def test_screened_rows_match_the_plain_engine_bitwise(self, kernel, case, data):
+        """Forced by small blocks, a screened call gives the plain engine's
+        rows, the sign of zero included, and the dense T's."""
+        S, pen = case
+        block = 1 if data is None else data.draw(st.integers(1, S.size // 2))
+        got, screen = screened_call(S, pen, kernel, block)
+        assert (screen is None) == (single_columns(S, kernel) == 0)
+        with mock.patch.object(criterion, "_BLOCK_ELEMENTS", S.size):  # below the gate
+            want = criterion._criterion_rows(S, S, pen, kernel)
+        assert same_bits(got, want)
+        assert same_bits(got, np.max(dense_t(S, kernel) - pen, axis=1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=screen_case(), data=st.data())
+    @example(case=GRID_EXAMPLE, data=None)
+    def test_screen_within_its_error_bound(self, kernel, case, data):
+        """|screen - T| <= E = m 2**-21 + n (n + 8) 2**-51 on every entry on
+        and above the diagonal, with m the float32 columns."""
+        S, _ = case
+        J, n = S.shape
+        block = 1 if data is None else data.draw(st.integers(1, S.size // 2))
+        _, screen = screened_call(S, 0.0, kernel, block)
+        single = single_columns(S, kernel)
+        if screen is None:
+            assert single == 0
+            return
+        bound = single * 2.0 ** -21 + n * (n + 8) * 2.0 ** -51
+        upper = np.triu_indices(J)
+        assert np.all(np.abs(screen[upper] - dense_t(S, kernel)[upper]) <= bound)
+        assert same_bits(np.diag(screen), np.zeros(J))
+
+    def test_near_tie_that_the_screen_orders_wrongly(self, kernel):
+        """Penalties that leave row 0 two challengers whose exact values lie
+        half their screening errors apart, in the order the screen reverses:
+        the row still gets its exact maximum."""
+        S = GRID_EXAMPLE[0]
+        _, screen = screened_call(S, 0.0, kernel, 1)
+        exact = dense_t(S, kernel)
+        err = screen[0] - exact[0]
+        k1, k2 = 1 + np.argsort(err[1:])[[0, -1]]
+        assert err[k1] < err[k2]
+        # Exactly k1 wins by (err[k2] - err[k1]) / 2; the screen says k2 does.
+        pen = np.full(len(S), np.inf)
+        pen[k2] = 20.0
+        pen[k1] = 20.0 + exact[0, k1] - exact[0, k2] - (err[k2] - err[k1]) / 2.0
+        assert exact[0, k1] - pen[k1] > exact[0, k2] - pen[k2]
+        assert screen[0, k1] - pen[k1] < screen[0, k2] - pen[k2]
+        got, _ = screened_call(S, pen, kernel, 1)
+        assert same_bits(got, np.max(exact - pen, axis=1))
+        assert got[0] == exact[0, k1] - pen[k1]
 
 
 # Quadrature nodes reach psi_pair as Python floats or np.float64 roots.

@@ -152,7 +152,12 @@ class DensityFamily:
 
 @dataclass(frozen=True)
 class Penalty(Checked):
-    """Per-entry nonnegative penalties, default all-zero."""
+    """Per-entry nonnegative penalties, default all-zero.
+
+    An entry may be +inf, which makes its criterion value inf, but at least
+    one entry of the family must be finite: the criterion subtracts every
+    challenger's penalty, and with none finite no value is a number.
+    """
 
     values: dict = field(default_factory=dict)
 
@@ -169,6 +174,9 @@ class Penalty(Checked):
                 raise ContractViolationError(
                     f"penalty index {_shown(idx)} is outside the family of size {size}")
             out[idx] = val
+        if not np.isfinite(out).any():
+            raise ContractViolationError(
+                f"every penalty of the family of size {size} is infinite")
         return out
 
 
@@ -202,12 +210,6 @@ class RhoFit:
 # 2 MiB L2 cache; on a 2-vCPU Xeon, 2**16 beat 2**15 on the bench, demo-mle
 # and fit benchmark ops.
 _BLOCK_ELEMENTS = 2**16
-
-# Per kernel, the float32 screen's range for the finite nonzero roots of a
-# single-precision column, and its float32 stand-ins for zero and infinite
-# roots (see _criterion_rows).
-_SCREEN = {"psi1": (2.0 ** -30, 2.0 ** 30, 2.0 ** -62, 2.0 ** 62),
-           "psi2": (2.0 ** -60, 2.0 ** 60, 2.0 ** -120, 2.0 ** 120)}
 
 # The worker threads' ThreadPoolExecutor and its size, made on the first call
 # with more than one block and CPU (concurrent.futures is imported then), and
@@ -308,19 +310,20 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
     last, contiguous axis, exactly as for a single pair, so no value depends
     on the block shape.
 
-    The roots are checked once per call by :func:`psi._settle`.  It rejects
-    NaN and negative roots and sorts the odd columns, the sample indices
-    where some root is 0, inf, tiny or huge, into settled and scaled ones.
-    A settled column holds no finite nonzero root outside the kernel's exact
-    range ([2**-450, 2**450] for psi1, [2**-540, 2**940] for psi2), and in a
-    copy of the roots made once per call its zeros and infinities become
-    stand-in roots far beyond that range, on which the plain ratio gives
-    exactly the sign rule's -1, +1 or +0.0.  Every block's :func:`psi_pair`
-    then computes only the scaled columns again, on rescaled roots, and
-    writes its psi values into a ``(2, block)`` workspace.  The workspaces,
-    one per share, are allocated once per call, and each is no larger than
-    the biggest block the call can make, so a call on a single pair
-    allocates 2n values, not ``2 * _BLOCK_ELEMENTS``.
+    The roots are checked once per call by :func:`psi._settle`, against the
+    kernel's float64 row of ``psi._ROOTS``.  It rejects NaN and negative
+    roots and sorts the odd columns, the sample indices where some root is
+    outside the row's exact range ([2**-450, 2**450] for psi1,
+    [2**-540, 2**940] for psi2), into settled and scaled ones.  A settled
+    column holds no finite nonzero root outside that range, and in a copy of
+    the roots made once per call its zeros and infinities become the row's
+    stand-in roots, on which the plain ratio gives exactly the sign rule's
+    -1, +1 or +0.0.  Every block's :func:`psi_pair` then computes only the
+    scaled columns again, on rescaled roots, and writes its psi values into
+    a ``(2, block)`` workspace.  The workspaces, one per share, are
+    allocated once per call, and each is no larger than the biggest block
+    the call can make, so a call on a single pair allocates 2n values, not
+    ``2 * _BLOCK_ELEMENTS``.
 
     The blocks are shared out by :func:`_run` over the CPUs the process may
     run on (``os.sched_getaffinity``, so ``taskset`` restricts them), each
@@ -340,20 +343,23 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
     float64 overflow limit, mirrors to a zero of the other sign.
 
     A square call of J * n >= 2 * ``_BLOCK_ELEMENTS`` values needs only each
-    row's maximum, and computes few entries exactly.  A *single* sample
-    column is one whose roots are all 0, inf or inside the screen range of
-    ``_SCREEN`` ([2**-30, 2**30] for psi1, whose squares stay normal, and
-    [2**-60, 2**60] for psi2).  A C-contiguous float32 copy of those columns
-    holds their zeros and infinities as stand-ins (2**-62 and 2**62 for
+    row's maximum, and computes few entries exactly.  The same
+    :func:`psi._settle`, against the kernel's float32 row ([2**-30, 2**30]
+    for psi1, whose squares stay normal, and [2**-60, 2**60] for psi2),
+    splits the sample columns: its scaled columns are the *double* ones,
+    and the others, whose roots are all 0, inf or inside that range, are
+    *single*.  A C-contiguous float32 copy of the single columns holds
+    their zeros and infinities as the row's stand-ins (2**-62 and 2**62 for
     psi1, 2**-120 and 2**120 for psi2), on which float32's ratio gives
     exactly the sign rule's -1, +1 or +0.0, as float64's stand-ins do.
 
     1. *Screen.*  Each block of :func:`_plan` sums :meth:`PsiKernel.ratio`
        over the single columns in float32 with a float64 accumulator, and
-       adds the float64 psi_pair sums of the other columns, the scaled ones
-       among them.  A block fills the plain block's 1 MiB workspace: 2 *
-       ``_BLOCK_ELEMENTS`` values when every column is single, a float64
-       value counting as two.  The screen is mirrored and penalized like T.
+       adds the float64 psi_pair sums of the double columns, among them
+       the ones that psi_pair rescales.  A block fills the plain block's 1 MiB
+       workspace: 2 * ``_BLOCK_ELEMENTS`` values when every column is
+       single, a float64 value counting as two.  The screen is mirrored and
+       penalized like T.
     2. *Certify.*  Row j keeps challenger k when its screened value is
        within 2E + 2**-50 (n + 1 + P) of the row's screened maximum, with P
        the largest finite penalty.  Every pair {j, k}, j < k, that a row
@@ -396,16 +402,8 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
     slots = 2 * min(pairs, J * min(K, pairs)) * n
     screen = None
     if square and J * n >= 2 * _BLOCK_ELEMENTS:
-        lo, hi, zero, inf = _SCREEN[kernel.id]
-        least, most = roots.min(axis=0), roots.max(axis=0)
-        fits = (least >= lo) & (most <= hi)
-        odd = np.flatnonzero(~fits & ((least == 0.0) | (most == np.inf)))
-        if odd.size:  # a column with a 0 or an inf: are its other roots in range?
-            cut = np.take(roots, odd, axis=1)
-            fits[odd] = (((cut >= lo) & (cut <= hi)) | (cut == 0.0)
-                         | (cut == np.inf)).all(axis=0)
-        single, double = np.flatnonzero(fits), np.flatnonzero(~fits)
-        m, d = single.size, double.size
+        roots32, _, double = _settle(kernel, roots, roots, np.float32)
+        m, d = n - double.size, double.size
         if m:
             weight = m + 2 * d  # float64 workspace slots per pair
             step = max(1, 2 * _BLOCK_ELEMENTS // weight)
@@ -417,9 +415,9 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
     work = np.empty((min(_cpus(), len(screen or plain)), slots))
 
     if screen:
-        roots32 = np.take(roots, single, axis=1) if d else roots
-        roots32 = roots32.astype(np.float32, order="C")
-        np.clip(roots32, zero, inf, out=roots32)
+        if d:
+            roots32 = np.delete(roots32, double, axis=1)
+        roots32 = np.ascontiguousarray(roots32, dtype=np.float32)
         roots64 = np.take(den_sqrt, double, axis=1)
         scaled64 = np.searchsorted(double, scaled)  # the scaled columns among them
 
@@ -506,8 +504,10 @@ def upsilon(X: Sample, q: ProductDensity, fam: DensityFamily,
     """max over challengers of [T - pen(challenger)] + pen(candidate)."""
     _check_call(kernel, pen)
     pvec = (pen or Penalty()).vector(len(fam))
-    own = next((pvec[idx] for idx, entry in enumerate(fam.entries)
-                if entry.key() == q.key()), 0.0)
+    # When every penalty is +0.0 (by its bits, so a -0.0 is still looked
+    # up), so is q's own, and an iid family is spared making its entries.
+    own = 0.0 if not pvec.view(np.int64).any() else next(
+        (pvec[idx] for idx, entry in enumerate(fam.entries) if entry.key() == q.key()), 0.0)
     v = np.sqrt(q.coord_values(X))[np.newaxis, :]
     return float(_criterion_rows(v, fam.sqrt_value_matrix(X), pvec, kernel)[0] + own)
 

@@ -34,10 +34,15 @@ class PsiKernel:
     a2_sq: float
 
     def __post_init__(self):
+        if not (isinstance(self.id, str) and self.id in ("psi1", "psi2")):
+            raise ContractViolationError(f"kernel id must be psi1 or psi2, got {_shown(self.id)}")
         if not (self.a0 >= 1.0 >= self.a1 > 0.0):
             raise ContractViolationError("need a0 >= 1 >= a1 > 0")
         if not self.a2_sq >= max(1.0, 6.0 * self.a1):
             raise ContractViolationError("need a2^2 >= max(1, 6 a1)")
+        # The float64 range of _ROOTS, which psi_pair's scalar path reads on
+        # every quadrature node: an attribute, not a lookup per call.
+        object.__setattr__(self, "_exact", _ROOTS[self.id, np.float64][:2])
 
     @property
     def a2(self) -> float:
@@ -93,6 +98,20 @@ class PsiKernel:
         return -4.0 * v / (u + v) ** 3
 
 
+# Per kernel and precision: the range [lo, hi] of finite nonzero roots on
+# which one unscaled ratio pass gives psi_pair's bits, and the stand-ins for
+# zero and infinite roots.  The stand-ins lie a factor of 2**32 or more
+# beyond the range, so in that precision the ratio of a stand-in is exactly
+# -1 or +1 against a root in the range or the other stand-in, and +0.0
+# against an equal one, with no floating-point exception: psi1's squares of
+# the stand-ins stay normal and finite, and psi2 takes no squares.  The
+# float64 rows serve psi_pair, the float32 rows the criterion's screen.
+_ROOTS = {("psi1", np.float64): (2.0 ** -450, 2.0 ** 450, 2.0 ** -511, 2.0 ** 511),
+          ("psi2", np.float64): (2.0 ** -540, 2.0 ** 940, 2.0 ** -600, 2.0 ** 1000),
+          ("psi1", np.float32): (2.0 ** -30, 2.0 ** 30, 2.0 ** -62, 2.0 ** 62),
+          ("psi2", np.float32): (2.0 ** -60, 2.0 ** 60, 2.0 ** -120, 2.0 ** 120)}
+
+
 _KERNELS = {
     "psi1": PsiKernel("psi1", a0=4.97, a1=0.083, a2_sq=3.0 + 2.0 * math.sqrt(2.0)),
     "psi2": PsiKernel("psi2", a0=4.0, a1=3.0 / 8.0, a2_sq=3.0 * math.sqrt(2.0)),
@@ -124,34 +143,34 @@ def psi_pair(kernel: PsiKernel, num_sqrt, den_sqrt, out=None, scaled=None):
     0/a and a/inf -> psi(0) = -1; infinite roots come from singular density
     representations, where only the comparison of u and v matters.
 
-    One rule gives them all.  A pair with a root outside [2**-500, 2**500]
-    is computed by :meth:`PsiKernel.ratio` on both roots scaled by the power
-    of two that brings the larger into [0.5, 1), where no square or sum can
-    under- or overflow; a pair that is still NaN (both roots 0, or one
-    infinite) takes the sign of u - v.  On a pair with both roots inside
-    that range the scaling changes no bit, so one unscaled pass of the
-    ratio, written into the optional ``(2, *shape)`` workspace ``out``,
-    gives every column but the odd ones of :func:`_odd_columns`, where some
-    root is out of range.
+    One rule gives them all.  A pair is computed by :meth:`PsiKernel.ratio`
+    on both roots scaled by the power of two that brings the larger into
+    [0.5, 1), where no square or sum can under- or overflow; a pair that is
+    still NaN (both roots 0, or one infinite) takes the sign of u - v.  The
+    kernel's float64 row of :data:`_ROOTS` gives its exact range,
+    [2**-450, 2**450] for psi1 and [2**-540, 2**940] for psi2 (which covers
+    the root of every positive float pdf value): on a pair with both roots
+    inside it the scaling changes no bit, so one unscaled pass of the ratio,
+    written into the optional ``(2, *shape)`` workspace ``out``, gives every
+    column but the odd ones, where some root is outside the range.
 
     Most odd columns need no scaling either.  :func:`_settle` finds them
     once per call: a *settled* column holds no finite nonzero root outside
-    the kernel's exact range, [2**-450, 2**450] for psi1 and
-    [2**-540, 2**940] for psi2 (which covers the root of every positive
-    float pdf value), and the same unscaled pass on stand-in roots for its
-    zeros and infinities gives the rule's bits, with no floating-point
-    exception.  Only the pairs of the remaining *scaled* columns are
-    computed again, on scaled roots.  ``scaled`` passes such columns for
-    operands that a caller has already settled, as slices of arrays that
-    span the last axis and were settled whole; without it, the operands are
-    settled here, and NaN or negative roots raise
+    the exact range, and the same unscaled pass on the row's stand-in roots
+    for its zeros and infinities gives the rule's bits, with no
+    floating-point exception.  Only the pairs of the remaining *scaled*
+    columns are computed again, on scaled roots.  ``scaled`` passes such
+    columns for operands that a caller has already settled, as slices of
+    arrays that span the last axis and were settled whole; without it, the
+    operands are settled here, and NaN or negative roots raise
     :class:`ContractViolationError`.
 
     Two scalar operands (floats, such as QUADPACK's nodes in
     :func:`check_assumption`, other numbers and 0-d arrays) skip numpy's
     array path and give the same bits: equal, zero and infinite roots take
-    the sign of u - v, and every other pair is scaled by the same rule and
-    calls the same :meth:`PsiKernel.ratio` on Python floats.
+    the sign of u - v, and every other pair calls the same
+    :meth:`PsiKernel.ratio` on Python floats, scaled by the same rule when a
+    root lies outside the kernel's exact range.
     """
     scalar = isinstance(num_sqrt, float) and isinstance(den_sqrt, float)
     if not scalar:
@@ -165,7 +184,8 @@ def psi_pair(kernel: PsiKernel, num_sqrt, den_sqrt, out=None, scaled=None):
                 "density square roots must be nonnegative numbers")
         if u == v or u == 0.0 or v == 0.0 or u == math.inf or v == math.inf:
             return _sign(u, v)
-        if not (_LOW_ROOT <= u <= _HIGH_ROOT and _LOW_ROOT <= v <= _HIGH_ROOT):
+        lo, hi = kernel._exact
+        if not (lo <= u <= hi and lo <= v <= hi):
             e = math.frexp(max(u, v))[1]
             u, v = math.ldexp(u, -e), math.ldexp(v, -e)
         return kernel.ratio(u, v)
@@ -190,68 +210,43 @@ def _columns(a, cols):
     return a if a.ndim == 0 or a.shape[-1] == 1 else a[..., cols]
 
 
-# Roots outside [2**-500, 2**500] are odd: 0, inf, and those whose squares
-# can lose precision or vanish (below about 2**-511) or overflow in psi1's
-# u*u + v*v.
-_LOW_ROOT, _HIGH_ROOT = 2.0 ** -500, 2.0 ** 500
+def _settle(kernel: PsiKernel, u: np.ndarray, v: np.ndarray, dtype=np.float64):
+    """(u', v', scaled): the roots with stand-ins, and the columns to rescale.
 
+    The one classifier of roots, against the ``(kernel.id, dtype)`` row of
+    :data:`_ROOTS`.  NaN and negative roots raise
+    :class:`ContractViolationError`.  A column (a last-axis index of the
+    broadcast of u and v) is *odd* when it holds a root outside the row's
+    [lo, hi]: 0, inf, or a finite root too small or too large.  An odd
+    column is *scaled* when one of its finite nonzero roots is outside
+    [lo, hi], and *settled* otherwise.  Each operand is reduced on its own,
+    never broadcast, and once when the square criterion passes one matrix
+    as both: first whole, which settles the common case of no odd column,
+    then over all but its last axis.
 
-def _odd_columns(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Last-axis indices of the broadcast of u and v where a root is odd.
-
-    A root is odd when it is 0, inf, or so small or large that psi1's
-    squares can underflow or overflow.  Only in odd columns can
-    :meth:`PsiKernel.ratio` raise a floating-point exception, return NaN or
-    miss the sign rule of :func:`psi_pair`.  Each operand is reduced on its
-    own, never broadcast, and once when the square criterion passes one
-    matrix as both: first whole, which settles the common case of no odd
-    column, then over all but its last axis.  NaN or negative roots raise
-    :class:`ContractViolationError`.
+    Without settled columns, u and v are returned as they are.  Otherwise u'
+    and v' are new ``dtype`` arrays with every zero and infinite root
+    replaced by the row's stand-ins, so one unscaled :meth:`PsiKernel.ratio`
+    pass on them gives :func:`psi_pair`'s bits everywhere but in the scaled
+    columns.  There a float64 operand that spans the broadcast's last axis
+    keeps its own roots, for psi_pair to rescale, and the other one may hold
+    stand-ins; a float32 copy, whose scaled columns the screen sums in
+    float64 instead, holds them clipped to its stand-ins.
     """
+    lo, hi, zero, inf = _ROOTS[kernel.id, dtype]
     operands = (u,) if v is u else (u, v)
     lows = [np.minimum.reduce(a, axis=None, initial=np.inf) for a in operands]
-    if not all(lo >= 0.0 for lo in lows):  # NaN fails the comparison too
+    if not all(low >= 0.0 for low in lows):  # NaN fails the comparison too
         raise ContractViolationError("density square roots must be nonnegative numbers")
-    if (all(lo >= _LOW_ROOT for lo in lows)
-            and all(np.maximum.reduce(a, axis=None, initial=0.0) <= _HIGH_ROOT
-                    for a in operands)):
-        return np.empty(0, dtype=np.intp)
+    if min(lows) >= lo and max(np.maximum.reduce(a, axis=None, initial=0.0)
+                               for a in operands) <= hi:
+        return u, v, np.empty(0, dtype=np.intp)
     odd = False
     for a in operands:
         axes = tuple(range(a.ndim - 1))
-        odd = odd | ((a.min(axis=axes, initial=np.inf) < _LOW_ROOT)
-                     | (a.max(axis=axes, initial=0.0) > _HIGH_ROOT))
-    return np.flatnonzero(odd)
-
-
-# Each kernel's exact range, where one unscaled ratio pass gives the bits of
-# psi_pair's rescale, and its stand-ins for zero and infinite roots.  The
-# stand-ins lie 2**60 or more beyond the range, so against a root in it the
-# ratio is exactly -1 or +1, against each other -1 or +1, and against an
-# equal stand-in +0.0.  psi1's squares of 2**-511 and 2**511 stay normal and
-# finite, and psi2 takes no squares, so neither kernel raises a
-# floating-point exception on them.
-_EXACT = {"psi1": (2.0 ** -450, 2.0 ** 450, 2.0 ** -511, 2.0 ** 511),
-          "psi2": (2.0 ** -540, 2.0 ** 940, 2.0 ** -600, 2.0 ** 1000)}
-
-
-def _settle(kernel: PsiKernel, u: np.ndarray, v: np.ndarray):
-    """(u', v', scaled): the roots with stand-ins, and the columns to rescale.
-
-    Of the odd columns of :func:`_odd_columns` (which rejects NaN and
-    negative roots), the *scaled* ones hold a finite nonzero root outside the
-    kernel's exact range, and the others are *settled*.  u' and v' are new
-    arrays with every zero and infinite root replaced by the kernel's
-    stand-ins, so one unscaled :meth:`PsiKernel.ratio` pass on them gives
-    :func:`psi_pair`'s bits everywhere but in the scaled columns.  There an
-    operand that spans the broadcast's last axis keeps its own roots; the
-    other one may hold stand-ins.  Without settled columns, u and v are
-    returned as they are.
-    """
-    odd = _odd_columns(u, v)
-    if not odd.size:
-        return u, v, odd
-    lo, hi, zero, inf = _EXACT[kernel.id]
+        odd = odd | ((a.min(axis=axes, initial=np.inf) < lo)
+                     | (a.max(axis=axes, initial=0.0) > hi))
+    odd = np.flatnonzero(odd)
 
     def outside(a):
         # Per odd column (one, if a broadcasts along the last axis): does a
@@ -270,10 +265,11 @@ def _settle(kernel: PsiKernel, u: np.ndarray, v: np.ndarray):
 
     def stand_ins(a):
         # The clip turns 0 and inf into the stand-ins, and moves the scaled
-        # columns' out-of-range roots too, so those columns are put back.
-        # (Into np.empty, since a 0-d clip would return a numpy scalar.)
-        s = np.clip(a, zero, inf, out=np.empty(a.shape))
-        if scaled.size and a.ndim and a.shape[-1] == width:
+        # columns' out-of-range roots too, so a float64 copy puts those
+        # columns back.  (Into np.empty, since a 0-d clip would return a
+        # numpy scalar.)
+        s = np.clip(a, zero, inf, out=np.empty(a.shape, dtype))
+        if dtype is np.float64 and scaled.size and a.ndim and a.shape[-1] == width:
             s[..., scaled] = a[..., scaled]
         return s
 

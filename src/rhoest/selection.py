@@ -9,13 +9,9 @@ the union.  Model selection reads off which models contain the chosen entry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-import numpy as np
-
-from .criterion import DensityFamily, Penalty, RhoFit, rho_estimate
+from .criterion import DensityFamily, Penalty, rho_estimate
 from .errors import ContractViolationError, _count, _scale
-from .models import ModelDescriptor
 from .psi import PsiKernel, kernel_constants
 
 __all__ = ["ModelCollection", "penalty_for", "select", "risk_bound_report",

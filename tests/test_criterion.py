@@ -154,6 +154,23 @@ class TestPenalty:
         assert pen.vector(3).tolist() == [0.5, 2.0, math.inf]
         assert Penalty({1: 0.0}).vector(3).tolist() == [0.0, 0.0, 0.0]
 
+    def test_every_entry_infinite_rejected(self):
+        """With no finite penalty no criterion value is a number: the call is
+        rejected, not left to fail RhoFit's invariant.  One infinite entry
+        stays legal, and its criterion value is inf."""
+        fam = DensityFamily([ProductDensity(iid=Gaussian(m, 1.0), n=3)
+                             for m in (0.0, 1.0)])
+        X = Sample(np.array([0.0, 0.5, 1.0]))
+        pen = Penalty({0: math.inf, 1: math.inf})
+        for call in (lambda: upsilon(X, fam[0], fam, pen, K2),
+                     lambda: upsilon_all(X, fam, pen, K2),
+                     lambda: rho_estimate(X, fam, pen)):
+            with pytest.raises(ContractViolationError, match="every penalty"):
+                call()
+        fit = rho_estimate(X, fam, Penalty({0: math.inf}))
+        assert fit.trace[0] == math.inf and fit.chosen_index == 1
+        assert upsilon(X, fam[0], fam, Penalty({0: math.inf}), K2) == math.inf
+
 
 class FixedValues:
     """A family entry whose density values at every sample are given."""
@@ -646,7 +663,7 @@ def test_zero_and_infinite_roots_settle_before_the_blocks(case, monkeypatch):
     fam, x = case()
     S = fam.sqrt_value_matrix(Sample(x))
     assert np.any(S == 0.0) or np.any(S == np.inf)
-    assert psi._odd_columns(S, S).size
+    assert odd_columns(K2, S, S).size
     scaled, original = [], criterion.psi_pair
 
     def psi_pair(*args, **kwargs):
@@ -658,9 +675,17 @@ def test_zero_and_infinite_roots_settle_before_the_blocks(case, monkeypatch):
     assert scaled and not any(scaled)
     # With every odd column scaled, the same bits.
     monkeypatch.setattr(criterion, "psi_pair", original)
-    monkeypatch.setattr(criterion, "_settle",
-                        lambda kernel, u, v: (u, v, psi._odd_columns(u, v)))
+    monkeypatch.setattr(criterion, "_settle", lambda kernel, u, v, dtype=np.float64:
+                        (u, v, odd_columns(kernel, u, v, dtype)))
     assert upsilon_all(Sample(x), fam, None, K2).tobytes() == want.tobytes()
+
+
+def odd_columns(kernel, u, v, dtype=np.float64):
+    """The columns of (J, n) roots u and v with a root outside the exact range
+    of the kernel's row in ``psi._ROOTS``: 0, inf, tiny or huge."""
+    lo, hi = psi._ROOTS[kernel.id, dtype][:2]
+    return np.flatnonzero(((u < lo) | (u > hi)).any(axis=0)
+                          | ((v < lo) | (v > hi)).any(axis=0))
 
 
 # Sample points for the column families: Cauchy-like tails, and points at
@@ -745,6 +770,25 @@ class TestColumnFamily:
         assert len(made) == 5 and fam.entries[2] is first
         assert fam.entries is fam.entries and len(made) == 5
         assert first.marginal == Gaussian(0.0, 0.5) and type(first.marginal.mean) is float
+
+    def test_upsilon_without_penalties_builds_no_entry(self, monkeypatch):
+        """upsilon looks up the candidate's own penalty among the entries only
+        when some penalty is not +0.0."""
+        made = []
+        real = Gaussian.__post_init__
+        monkeypatch.setattr(Gaussian, "__post_init__",
+                            lambda self: made.append(self) or real(self))
+        columns = {"mean": np.linspace(-1.0, 1.0, 5), "sd": np.full(5, 0.5)}
+        fam = DensityFamily.iid(Gaussian, self.X.n, **columns)
+        q = ProductDensity(iid=Gaussian(0.0, 0.5), n=self.X.n)
+        pen = Penalty({2: 0.5})
+        want = upsilon(self.X, q, listed_family(Gaussian, self.X.n, columns), pen, K2)
+        made.clear()
+        got = [upsilon(self.X, q, fam, p, K2) for p in (None, Penalty(), Penalty({1: 0.0}))]
+        assert made == [] and got[1:] == got[:2]
+        # q is entry 2: its own penalty is found among the entries, made now.
+        assert upsilon(self.X, q, fam, pen, K2) == want
+        assert len(made) == 5
 
     def test_columns_are_copied(self):
         mean = np.array([0.0, 1.0])

@@ -296,7 +296,7 @@ class TestExactInvariants:
     def test_settled_and_scaled_columns(self, kernel):
         """Zeros and infinities beside roots of the exact range settle, and
         beside a root one binade past it, or equal to a stand-in, they scale."""
-        lo, hi, zero, inf = psi._EXACT[kernel.id]
+        lo, hi, zero, inf = psi._ROOTS[kernel.id, np.float64]
         u = np.array([[0.0, np.inf, 0.0, 0.0, np.inf, np.inf, 0.0, 0.0, np.inf, 1.0],
                       [0.0, np.inf, lo, lo / 2, hi, hi * 2, zero, 0.0, inf, 2.0]])
         v = np.array([[0.0, np.inf, 1.0, 1.0, 1.0, 1.0, 1.0, np.inf, 1.0, 1.0]])
@@ -446,7 +446,7 @@ def screened_call(S, pen, kernel, block):
 
 def single_columns(S, kernel):
     """How many columns the screen sums in float32."""
-    lo, hi = criterion._SCREEN[kernel.id][:2]
+    lo, hi = psi._ROOTS[kernel.id, np.float32][:2]
     return int((((S >= lo) & (S <= hi)) | (S == 0.0) | (S == np.inf)).all(axis=0).sum())
 
 
@@ -550,6 +550,25 @@ class TestScalarPsiPair:
                                                   ((good, bad), (bad, good))):
             with pytest.raises(ContractViolationError, match="square roots"):
                 psi_pair(kernel, ta(a), tb(b))
+
+    def test_float_operands_at_the_exact_range_ends(self, kernel):
+        """Roots at both kernels' float64 range ends, one binade past each,
+        and in psi1's band (2**450, 2**500] and its mirror [2**-500, 2**-450),
+        where the scalar path rescales psi1's pairs and keeps psi2's: every
+        pair of them, beside 0, inf and ordinary roots, gives the array
+        path's bits and the oracle's."""
+        ends = [e for lo, hi, _, _ in (psi._ROOTS[k.id, np.float64] for k in KERNELS)
+                for e in (lo, lo / 2.0, hi, hi * 2.0)]
+        band = [2.0 ** 451, 1.5 * 2.0 ** 475, 2.0 ** 500, 2.0 ** -451,
+                1.5 * 2.0 ** -475, 2.0 ** -500]
+        roots = ends + band + [0.0, 0.5, 1.0, 3.0, np.inf]
+        u, v = (np.array(pair) for pair in zip(*itertools.product(roots, repeat=2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            want = psi_pair(kernel, u, v)
+            got = [psi_pair(kernel, a, b) for a, b in zip(u.tolist(), v.tolist())]
+        assert same_bits(want, psi_pair_oracle(kernel, u, v))
+        assert same_bits(got, want)
 
 
 def test_psi1_bounded_below_density_square_roots():

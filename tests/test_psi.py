@@ -80,6 +80,13 @@ class TestConstants:
         with pytest.raises(ContractViolationError):
             kernel_constants("psi3")
 
+    @pytest.mark.parametrize("kernel_id", ["psi3", "", None, 1, np.array(["psi1"])])
+    def test_kernel_of_unknown_id_rejected(self, kernel_id):
+        # Only psi1 and psi2 have a ratio and a row of root ranges.
+        with pytest.raises(ContractViolationError, match="kernel id"):
+            psi.PsiKernel(kernel_id, a0=4.0, a1=0.375, a2_sq=4.25)
+        assert psi.PsiKernel("psi2", a0=4.0, a1=0.375, a2_sq=4.25)._exact == PSI2._exact
+
 
 class TestEvalPsi:
     def test_point_values(self):
@@ -179,14 +186,23 @@ class TestPsiPair:
                              ids=["none", "zero", "inf", "tiny", "huge", "all"])
     def test_odd_columns_of_one_matrix_passed_twice(self, odd):
         # The square criterion passes one matrix as both operands, which
-        # _odd_columns then reduces once.
+        # _settle then reduces, and copies, once.  Zeros and infinities
+        # settle; a finite root outside the kernel's exact range scales its
+        # column (1e200 is inside psi2's range).
         S = np.random.default_rng(4).uniform(0.1, 2.0, (41, 500))
         cols = [7, 100, 250, 499][:len(odd)]
         S[[3, 17, 29, 40][:len(odd)], cols] = np.array(odd, dtype=float)
-        got = psi._odd_columns(S, S)
-        assert np.array_equal(got, psi._odd_columns(S, S.copy()))
-        assert got.tolist() == cols
-        assert got.dtype == np.intp
+        for k in (PSI1, PSI2):
+            lo, hi = psi._ROOTS[k.id, np.float64][:2]
+            su, sv, scaled = psi._settle(k, S, S)
+            tu, tv, want = psi._settle(k, S, S.copy())
+            assert sv is su
+            assert np.array_equal(scaled, want) and scaled.dtype == np.intp
+            assert su.tobytes() == tu.tobytes() == tv.tobytes()
+            assert scaled.tolist() == [c for c, x in zip(cols, odd)
+                                       if 0.0 < x < lo or hi < x < math.inf]
+            assert np.flatnonzero((su != S).any(axis=0)).tolist() == [
+                c for c, x in zip(cols, odd) if x in (0.0, math.inf)]
 
     @pytest.mark.parametrize("k", [PSI1, PSI2], ids=lambda k: k.id)
     def test_exact_swap_antisymmetry(self, k):

@@ -10,10 +10,11 @@ and no value depends on the block shape, and the blocks of one call are
 shared out over the CPUs the process may run on, with the bits of one
 thread.  Across the whole family (:func:`upsilon_all`) the statistic is
 antisymmetric, T(q, q') = -T(q', q), so only its upper triangle is computed
-and the lower one is mirrored.  On a large family that triangle is first
-screened in float32 under a proven rounding bound, and only the entries that
-can be a row's maximum are summed again in float64, so every criterion value
-keeps the bits of the full float64 computation.
+and the lower one is mirrored.  Every call fills its entries in one block
+pass; on a large family that pass sums most sample columns in float32, a
+screen under a proven rounding bound, and one certificate then sums again in
+float64 only the entries that can be a row's maximum, in place, so every
+criterion value keeps the bits of the full float64 computation.
 """
 
 from __future__ import annotations
@@ -304,11 +305,10 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
 
     T[j, k] = sum_i psi_pair(num_sqrt[k, i], den_sqrt[j, i]); ``den_sqrt`` is
     (J, n), ``num_sqrt`` is (K, n) and ``num_pen`` is a (K,) vector or a
-    scalar.  T is filled a block of (rows, challengers) at a time (see
-    :func:`_plan`), each block holding at most ``_BLOCK_ELEMENTS`` psi
-    values, or one pair's n when n is larger.  Every entry sums over the
-    last, contiguous axis, exactly as for a single pair, so no value depends
-    on the block shape.
+    scalar.  T is filled in one block pass: a block of (rows, challengers)
+    at a time (see :func:`_plan`), each entry summed over the last,
+    contiguous axis, exactly as for a single pair, so no value depends on
+    the block shape.
 
     The roots are checked once per call by :func:`psi._settle`, against the
     kernel's float64 row of ``psi._ROOTS``.  It rejects NaN and negative
@@ -319,19 +319,28 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
     the roots made once per call its zeros and infinities become the row's
     stand-in roots, on which the plain ratio gives exactly the sign rule's
     -1, +1 or +0.0.  Every block's :func:`psi_pair` then computes only the
-    scaled columns again, on rescaled roots, and writes its psi values into
-    a ``(2, block)`` workspace.  The workspaces, one per share, are
-    allocated once per call, and each is no larger than the biggest block
-    the call can make, so a call on a single pair allocates 2n values, not
-    ``2 * _BLOCK_ELEMENTS``.
+    scaled columns again, on rescaled roots.
+
+    A block sums m *single* columns in float32 and d = n - m *double* ones
+    in float64; m > 0 only in a screened call (below), and every other call
+    is the pass with m = 0.  A pair takes weight = m + 2d float64 workspace
+    slots (a single column's two float32 values fill one, a double column's
+    two float64 values two), and a block at most ``pairs = 2 *
+    _BLOCK_ELEMENTS // weight`` pairs, or one pair when weight is larger:
+    with m = 0, ``_BLOCK_ELEMENTS // n`` pairs of n psi values, in a
+    ``(2, block)`` workspace.  The
+    workspaces, one per share, are allocated once per call, and each is no
+    larger than the biggest block the call can make, so a call on a single
+    pair allocates 2n values, not ``2 * _BLOCK_ELEMENTS``.  A block with
+    m = 0 sums straight from ``np.add.reduce`` into its slice of T, so a
+    zero sum keeps its sign.
 
     The blocks are shared out by :func:`_run` over the CPUs the process may
     run on (``os.sched_getaffinity``, so ``taskset`` restricts them), each
-    share writing disjoint entries of T, each block's sums straight from
-    ``np.add.reduce`` into its slice.  numpy's arithmetic and sums release
-    the GIL, so the shares run in parallel.  A block is computed the same way
-    whichever thread takes it, so T is bitwise the one-thread result.  A call
-    with one block, or on one CPU, starts no thread.
+    share writing disjoint entries of T.  numpy's arithmetic and sums
+    release the GIL, so the shares run in parallel.  A block is computed the
+    same way whichever thread takes it, so T is bitwise the one-thread
+    result.  A call with one block, or on one CPU, starts no thread.
 
     When both arguments are the same matrix (the all-candidates criterion),
     T is antisymmetric: only the blocks on and above the diagonal are
@@ -340,35 +349,45 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
     exact, so a mirrored entry is bitwise the direct sum.  Mirroring computes
     0.0 - t, not -t, because psi of equal roots is +0.0 both ways, so a zero
     sum is too.  Only a zero sum of -0.0 terms, which needs roots near the
-    float64 overflow limit, mirrors to a zero of the other sign.
+    float64 overflow limit, mirrors to a zero of the other sign.  The
+    penalties are then subtracted from T in place, and a call with m = 0
+    returns the row maxima.
 
     A square call of J * n >= 2 * ``_BLOCK_ELEMENTS`` values needs only each
     row's maximum, and computes few entries exactly.  The same
     :func:`psi._settle`, against the kernel's float32 row ([2**-30, 2**30]
     for psi1, whose squares stay normal, and [2**-60, 2**60] for psi2),
-    splits the sample columns: its scaled columns are the *double* ones,
-    and the others, whose roots are all 0, inf or inside that range, are
-    *single*.  A C-contiguous float32 copy of the single columns holds
-    their zeros and infinities as the row's stand-ins (2**-62 and 2**62 for
-    psi1, 2**-120 and 2**120 for psi2), on which float32's ratio gives
-    exactly the sign rule's -1, +1 or +0.0, as float64's stand-ins do.
+    splits the sample columns: its scaled columns are the double ones, and
+    the others, whose roots are all 0, inf or inside that range, are
+    single.  A C-contiguous float32 copy of the single columns holds their
+    zeros and infinities as the row's stand-ins (2**-62 and 2**62 for psi1,
+    2**-120 and 2**120 for psi2), on which float32's ratio gives exactly
+    the sign rule's -1, +1 or +0.0, as float64's stand-ins do.
 
-    1. *Screen.*  Each block of :func:`_plan` sums :meth:`PsiKernel.ratio`
-       over the single columns in float32 with a float64 accumulator, and
-       adds the float64 psi_pair sums of the double columns, among them
-       the ones that psi_pair rescales.  A block fills the plain block's 1 MiB
-       workspace: 2 * ``_BLOCK_ELEMENTS`` values when every column is
-       single, a float64 value counting as two.  The screen is mirrored and
-       penalized like T.
+    1. *Screen.*  The block pass sums :meth:`PsiKernel.ratio` over the
+       single columns in float32 with a float64 accumulator, and adds the
+       float64 psi_pair sums of the double columns, among them the ones
+       that psi_pair rescales.  The screen is mirrored and penalized as
+       above.  On and above the diagonal it is within E (below) of T.
     2. *Certify.*  Row j keeps challenger k when its screened value is
-       within 2E + 2**-50 (n + 1 + P) of the row's screened maximum, with P
-       the largest finite penalty.  Every pair {j, k}, j < k, that a row
-       keeps is summed again by the float64 psi_pair over all n columns,
-       its two rows gathered into the same workspaces: the same contiguous
-       sum in the same orientation as above, mirrored as 0.0 - t.  Every other
-       entry is set to -inf, and the diagonal to its exact +0.0.  When more
-       than a quarter of the strict triangle is kept (in a family of
-       identical entries, say), T is computed in full as above instead.
+       within the margin 2E + 2**-50 (n + 1 + P) of the row's screened
+       maximum, with P the largest finite penalty.  Every pair {j, k},
+       j < k, that either row keeps is summed again by the float64
+       psi_pair over all n columns, its two rows gathered into the same
+       workspaces: the same contiguous sum in the same orientation as above.
+       Its exact value t is written in place over the penalized screen, as
+       t - pen[k] at (j, k) and (0.0 - t) - pen[j] at (k, j).  However many
+       pairs are kept (every one, in a family of identical entries), only
+       they are summed.
+
+    The in-place argument.  A dropped entry's screened value is below its
+    row's screened maximum by more than the margin.  That maximum's entry
+    is kept, and its exact value, now in T, is within E plus a penalty's
+    rounding of the maximum.  So every dropped entry stays strictly below
+    the row's exact maximum, and the row maximum of T is the one the full
+    computation gives.  The diagonal needs no exact sum: psi of equal roots
+    is +0.0 in float32 as in float64, so its screened value is already the
+    exact +0.0 - pen[j].
 
     The error bound E.  Let u = 2**-53 and psi_i the exact psi at the
     float64 roots of column i.  Rounding a root to float32 is a relative
@@ -397,86 +416,79 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
     (J, n), K = den_sqrt.shape, len(num_sqrt)
     roots = num_sqrt
     num_sqrt, den_sqrt, scaled = _settle(kernel, num_sqrt, den_sqrt)
-    pairs = max(1, _BLOCK_ELEMENTS // n)
-    plain = _plan(J, K, pairs, square)
-    slots = 2 * min(pairs, J * min(K, pairs)) * n
-    screen = None
+    # The block pass sums the m float32 columns of roots32 and the d float64
+    # columns of num64 and den64; only a screened call has m > 0.
+    num64, den64, scaled64, roots32, m = num_sqrt, den_sqrt, scaled, None, 0
     if square and J * n >= 2 * _BLOCK_ELEMENTS:
-        roots32, _, double = _settle(kernel, roots, roots, np.float32)
-        m, d = n - double.size, double.size
+        single, _, double = _settle(kernel, roots, roots, np.float32)
+        m = n - double.size
         if m:
-            weight = m + 2 * d  # float64 workspace slots per pair
-            step = max(1, 2 * _BLOCK_ELEMENTS // weight)
-            screen = _plan(J, K, step, True)
-            slots = max(slots, min(step, J * min(K, step)) * weight, 4 * n)
+            if double.size:
+                single = np.delete(single, double, axis=1)
+                num64 = den64 = np.take(den_sqrt, double, axis=1)
+                scaled64 = np.searchsorted(double, scaled)  # the scaled columns among them
+            roots32 = np.ascontiguousarray(single, dtype=np.float32)
+        del single
+    d = n - m
+    weight = m + 2 * d  # float64 workspace slots per pair
+    pairs = max(1, 2 * _BLOCK_ELEMENTS // weight)
+    blocks = _plan(J, K, pairs, square)
+    slots = min(pairs, J * min(K, pairs)) * weight
+    if m:
+        slots = max(slots, 4 * n)  # a certified pair's two rows and psi values
     # Zeros, since the mirror below reads the whole transpose: a bit
     # pattern left in fresh memory could be a signaling NaN, which warns.
     T = np.zeros((J, K))
-    work = np.empty((min(_cpus(), len(screen or plain)), slots))
+    work = np.empty((min(_cpus(), len(blocks)), slots))
 
-    if screen:
-        if d:
-            roots32 = np.delete(roots32, double, axis=1)
-        roots32 = np.ascontiguousarray(roots32, dtype=np.float32)
-        roots64 = np.take(den_sqrt, double, axis=1)
-        scaled64 = np.searchsorted(double, scaled)  # the scaled columns among them
-
-        def screen_step(block, work):
-            r, h, c, w = block
-            sums = T[r:r + h, c:c + w]
+    def block_step(block, work):
+        r, h, c, w = block
+        sums = T[r:r + h, c:c + w]
+        if m:
             np.add.reduce(kernel.ratio(
                 roots32[np.newaxis, c:c + w], roots32[r:r + h, np.newaxis],
                 out=work[:h * w * m].view(np.float32).reshape(2, h, w, m)),
                 axis=2, dtype=np.float64, out=sums)
-            if d:
-                sums += np.add.reduce(psi_pair(
-                    kernel, roots64[np.newaxis, c:c + w], roots64[r:r + h, np.newaxis],
-                    out=work[h * w * m:h * w * weight].reshape(2, h, w, d),
-                    scaled=scaled64), axis=2)
+        if d:
+            vals = psi_pair(kernel, num64[np.newaxis, c:c + w], den64[r:r + h, np.newaxis],
+                            out=work[h * w * m:h * w * weight].reshape(2, h, w, d),
+                            scaled=scaled64)
+            if m:
+                sums += np.add.reduce(vals, axis=2)
+            else:  # straight into T, so a -0.0 sum keeps its sign
+                np.add.reduce(vals, axis=2, out=sums)
 
-        _run(screen, screen_step, work)
-        del roots32, roots64
-        np.copyto(T, 0.0 - T.T, where=np.tri(J, k=-1, dtype=bool))
-        np.subtract(T, num_pen, out=T)
-        pen = np.asarray(num_pen, dtype=float)
-        bound = m * 2.0 ** -21 + n * (n + 8) * 2.0 ** -51
-        margin = 2.0 * bound + 2.0 ** -50 * (n + 1 + pen[np.isfinite(pen)].max(initial=0.0))
-        keep = T >= (T.max(axis=1) - margin)[:, np.newaxis]
-        a, b = np.nonzero(np.triu(keep | keep.T, 1))
-        del keep
-        if 8 * len(a) <= J * (J - 1):
-            exact, per = np.empty(len(a)), max(1, slots // (4 * n))
-
-            def certify_step(block, work):
-                lo, hi = block
-                p = (hi - lo) * n
-                u, v = work[:p].reshape(-1, n), work[p:2 * p].reshape(-1, n)
-                np.take(num_sqrt, b[lo:hi], axis=0, out=u, mode="clip")
-                np.take(den_sqrt, a[lo:hi], axis=0, out=v, mode="clip")
-                np.add.reduce(psi_pair(kernel, u, v, scaled=scaled,
-                                       out=work[2 * p:4 * p].reshape(2, -1, n)),
-                              axis=1, out=exact[lo:hi])
-
-            _run([(lo, min(lo + per, len(a))) for lo in range(0, len(a), per)],
-                 certify_step, work)
-            T.fill(-np.inf)
-            T[a, b] = exact
-            T[b, a] = 0.0 - exact
-            np.fill_diagonal(T, 0.0)
-            np.subtract(T, num_pen, out=T)
-            return T.max(axis=1)
-
-    def plain_step(block, work):
-        r, h, c, w = block
-        np.add.reduce(psi_pair(kernel, num_sqrt[np.newaxis, c:c + w, :],
-                               den_sqrt[r:r + h, np.newaxis, :],
-                               out=work[:2 * h * w * n].reshape(2, h, w, n),
-                               scaled=scaled), axis=2, out=T[r:r + h, c:c + w])
-
-    _run(plain, plain_step, work)
+    _run(blocks, block_step, work)
+    del roots32, num64, den64
     if square:
         np.copyto(T, 0.0 - T.T, where=np.tri(J, k=-1, dtype=bool))
-    return (T - num_pen).max(axis=1)
+    np.subtract(T, num_pen, out=T)
+    if not m:
+        return T.max(axis=1)
+
+    pen = np.broadcast_to(np.asarray(num_pen, dtype=float), K)
+    bound = m * 2.0 ** -21 + n * (n + 8) * 2.0 ** -51
+    margin = 2.0 * bound + 2.0 ** -50 * (n + 1 + pen[np.isfinite(pen)].max(initial=0.0))
+    keep = T >= (T.max(axis=1) - margin)[:, np.newaxis]
+    a, b = np.nonzero(np.triu(keep | keep.T, 1))
+    del keep
+    exact, per = np.empty(len(a)), slots // (4 * n)
+
+    def certify_step(block, work):
+        lo, hi = block
+        p = (hi - lo) * n
+        u, v = work[:p].reshape(-1, n), work[p:2 * p].reshape(-1, n)
+        np.take(num_sqrt, b[lo:hi], axis=0, out=u, mode="clip")
+        np.take(den_sqrt, a[lo:hi], axis=0, out=v, mode="clip")
+        np.add.reduce(psi_pair(kernel, u, v, scaled=scaled,
+                               out=work[2 * p:4 * p].reshape(2, -1, n)),
+                      axis=1, out=exact[lo:hi])
+
+    _run([(lo, min(lo + per, len(a))) for lo in range(0, len(a), per)],
+         certify_step, work)
+    T[a, b] = exact - pen[b]
+    T[b, a] = (0.0 - exact) - pen[a]
+    return T.max(axis=1)
 
 
 def _check_call(kernel, pen=None) -> None:

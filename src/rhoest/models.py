@@ -35,7 +35,8 @@ __all__ = [
 ]
 
 DEFAULT_C1 = 1.0
-# Largest location grid: at 2**16 points the N x N criterion matrix is 32 GiB.
+# Largest location grid or histogram family: at 2**16 entries the N x N
+# criterion matrix is 32 GiB.
 MAX_GRID_POINTS = 2**16
 
 
@@ -178,20 +179,28 @@ def build_histogram_family(breakpoint_grids, k: int, n: int,
     Each element of ``breakpoint_grids`` is one increasing breakpoint
     sequence (at most k pieces); piece masses run over a simplex lattice with
     ``mass_steps`` subdivisions.  Piecewise-constant densities with at most k
-    pieces have VC-subgraph dimension 2k, hence index 2k + 1.
+    pieces have VC-subgraph dimension 2k, hence index 2k + 1.  The lattices
+    of all grids together may hold at most ``MAX_GRID_POINTS`` points; the
+    count is checked before any lattice is enumerated.
     """
     if _overflows(2 * _count("k", k) + 1):
         raise ContractViolationError(
             f"k must be small enough for its VC index 2k + 1 to fit a float, got {_shown(k)}")
-    _count("mass_steps", mass_steps)
-    entries, labels = [], []
-    seen = set()
-    for breaks in breakpoint_grids:
-        breaks = tuple(float(b) for b in breaks)
+    mass_steps = _count("mass_steps", mass_steps)
+    grids = [tuple(float(b) for b in breaks) for breaks in breakpoint_grids]
+    for breaks in grids:
         pieces = len(breaks) - 1
         if not 1 <= pieces <= k:
             raise ContractViolationError(
                 f"breakpoints {breaks} define {pieces} pieces, not 1 to k = {k}")
+    if sum(math.comb(mass_steps + len(b) - 2, len(b) - 2) for b in grids) > MAX_GRID_POINTS:
+        raise ContractViolationError(
+            f"histogram family at mass_steps = {mass_steps} makes more than "
+            f"{MAX_GRID_POINTS} lattice points")
+    entries, labels = [], []
+    seen = set()
+    for breaks in grids:
+        pieces = len(breaks) - 1
         widths = np.diff(breaks)
         for row in simplex_grid_array(pieces, mass_steps)[::-1]:
             masses = tuple(row.tolist())

@@ -663,6 +663,19 @@ class TestConfigShapes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
 
+    def test_oversized_histogram_family_exits_2(self, tmp_path, capsys,
+                                               gaussian_sample):
+        """400 mass steps over 3 pieces make 80,601 lattice points: exit 2
+        with one error line, before the criterion's N x N matrix is sized."""
+        cfg = write_config(tmp_path, "c.json", {
+            "sample": gaussian_sample,
+            "family": {"type": "histogram", "k": 3,
+                       "breakpoint_grids": [[-3, -1, 1, 3]], "mass_steps": 400}})
+        assert main(["fit", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: histogram family at mass_steps = 400 makes more than 65536 lattice points\n"
+
     @pytest.mark.parametrize("outliers", [
         {"outlier_indices": [1.5], "outlier_points": [3.0]},
         {"outlier_indices": ["a"], "outlier_points": [3.0]},

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import multiprocessing
@@ -415,7 +416,7 @@ class TestSharedBlocks:
         can, still compute every block exactly once and give the same bits:
         in a call on part of T, in a screened square call (its float32 blocks
         and its exact pairs), and in a square call of identical entries,
-        which falls back from the screen to the full triangle."""
+        whose screen keeps every pair j < k for the certificate."""
         original, ratio, blocks = criterion.psi_pair, psi.PsiKernel.ratio, []
 
         def psi_pair(*args, **kwargs):
@@ -515,11 +516,14 @@ class TestScreen:
 
     @staticmethod
     def phases(monkeypatch):
-        """The (step name, blocks) of every block run that follows."""
+        """The (step name, blocks, step's closure) of every block run that
+        follows.  The block pass's closure holds its float32 column count
+        ``m``, the certificate's its pairs ``a`` and ``b``."""
         runs, original = [], criterion._run
 
         def run(blocks, step, work):
-            runs.append((step.__name__, list(blocks)))
+            runs.append((step.__name__, list(blocks),
+                         inspect.getclosurevars(step).nonlocals))
             return original(blocks, step, work)
 
         monkeypatch.setattr(criterion, "_run", run)
@@ -550,7 +554,8 @@ class TestScreen:
 
         monkeypatch.setattr(criterion, "psi_pair", psi_pair)
         assert criterion._criterion_rows(S, S, pen, kernel).tobytes() == want.tobytes()
-        assert [name for name, _ in runs] == ["screen_step", "certify_step"]
+        assert [name for name, *_ in runs] == ["block_step", "certify_step"]
+        assert runs[0][2]["m"] == S.shape[1]  # every column in the float32 range
         count = np.zeros((len(S), len(S)), dtype=int)
         for r, h, c, w in runs[0][1]:
             count[r:r + h, c:c + w] += 1
@@ -563,13 +568,13 @@ class TestScreen:
         assert len(pairs) <= len(S)
 
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.id)
-    def test_identical_entries_fall_back_to_the_full_triangle(self, kernel, monkeypatch):
-        """Every entry of T is 0, so every pair is kept: the call computes
-        the plain triangle after the screen, with the plain engine's bits
-        and no floating-point warning."""
-        n = 16
-        fam = DensityFamily([ProductDensity(iid=Gaussian(0.0, 1.0), n=n)] * 12)
-        X = Sample(np.linspace(-9.0, 9.0, n))  # roots from 0.63 down to 1e-18
+    def test_identical_entries_certify_every_pair_once(self, kernel, monkeypatch):
+        """Every entry of T is 0, so every pair is kept: the certificate sums
+        each pair j < k exactly once, and the call keeps the unscreened
+        call's bits with no floating-point warning."""
+        n, J = 16, 12
+        fam = DensityFamily([ProductDensity(iid=Gaussian(0.0, 1.0), n=n)] * J)
+        X = Sample(np.linspace(-9.0, 9.0, n))  # roots from 0.63 down to 1e-9
         pen = Penalty({3: 0.25})
         monkeypatch.setattr(criterion, "_BLOCK_ELEMENTS", 2**20)
         want = upsilon_all(X, fam, pen, kernel)
@@ -578,8 +583,14 @@ class TestScreen:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = upsilon_all(X, fam, pen, kernel)
-        assert [name for name, _ in runs] == ["screen_step", "plain_step"]
         assert got.tobytes() == want.tobytes()
+        assert [name for name, *_ in runs] == ["block_step", "certify_step"]
+        assert runs[0][2]["m"] == n  # every column screened in float32
+        _, ranges, closure = runs[1]
+        pairs = list(zip(closure["a"].tolist(), closure["b"].tolist()))
+        assert sorted(pairs) == list(itertools.combinations(range(J), 2))
+        assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+        assert ranges[-1][1] == len(pairs)
 
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.id)
     def test_gate_keeps_small_calls_on_the_plain_path(self, kernel, monkeypatch):
@@ -592,7 +603,7 @@ class TestScreen:
         monkeypatch.setattr(criterion, "_BLOCK_ELEMENTS", 1)
         criterion._criterion_rows(S, S.copy(), 0.0, kernel)
         criterion._criterion_rows(S[:1], S, 0.0, kernel)
-        assert [name for name, _ in runs] == ["plain_step"] * 3
+        assert [(name, closure["m"]) for name, _, closure in runs] == [("block_step", 0)] * 3
 
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.id)
     def test_columns_outside_the_screen_range_are_summed_in_float64(self, kernel,
@@ -618,9 +629,9 @@ class TestScreen:
         runs = self.phases(monkeypatch)
         got = criterion._criterion_rows(S, S, pen, kernel)
         assert got.tobytes() == want.tobytes()
-        assert runs[0][0] == "screen_step"
         # psi2's range holds 2**40; psi1's does not.
         double = [1, 4, 11] if kernel.id == "psi1" else [1, 4]
+        assert runs[0][0] == "block_step" and runs[0][2]["m"] == 16 - len(double)
         assert (len(double), [double.index(4)]) in seen
         assert (16, [4]) in seen  # the certificate's pairs span every column
 

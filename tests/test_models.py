@@ -9,6 +9,7 @@ from rhoest import (ContractViolationError, DensityFamily, Gaussian,
                     dimension_bound_entropy, dimension_bound_finite,
                     dimension_bound_vc, eta_bar_finite, integrate_1d,
                     kernel_constants)
+from rhoest import models
 from rhoest.models import _theta_labels
 
 QUAD = QuadratureSpec(abs_tol=1e-9)
@@ -152,6 +153,36 @@ class TestHistogramFamily:
             "breaks=(0.0, 1.0, 2.0) masses=(0.5, 0.5)",
             "breaks=(0.0, 1.0, 2.0) masses=(0.0, 1.0)",
         ]
+
+    @pytest.mark.parametrize("grids, steps", [
+        ([(-3.0, -1.0, 1.0, 3.0)], 400),  # comb(402, 2) = 80,601 points
+        ([(0.0, 1.0, 2.0)] * 2, 40_000),  # 40,001 points per grid
+        ([(0.0, 1.0, 2.0), (0.0, 1.0)], 2**16),  # 65,537 points and 1
+    ])
+    def test_oversized_family_rejected_before_enumerating(self, grids, steps,
+                                                          monkeypatch):
+        """More than MAX_GRID_POINTS lattice points over all grids together
+        is rejected before any lattice is enumerated."""
+        calls = []
+        monkeypatch.setattr(models, "simplex_grid_array",
+                            lambda *args: calls.append(args))
+        with pytest.raises(ContractViolationError, match="more than 65536 lattice points"):
+            build_histogram_family(grids, k=3, n=5, mass_steps=steps)
+        assert calls == []
+
+    def test_family_of_max_grid_points_is_enumerated(self, monkeypatch):
+        """Exactly MAX_GRID_POINTS lattice points pass the check."""
+        calls = []
+
+        def lattice(pieces, steps):
+            calls.append((pieces, steps))
+            return np.empty((0, pieces))
+
+        monkeypatch.setattr(models, "simplex_grid_array", lattice)
+        with pytest.raises(ContractViolationError, match="histogram family is empty"):
+            build_histogram_family([(0.0, 1.0, 2.0)], k=2, n=5,
+                                   mass_steps=models.MAX_GRID_POINTS - 1)
+        assert calls == [(2, models.MAX_GRID_POINTS - 1)]
 
     @pytest.mark.parametrize("grids, steps", [([(0.0,)], 4), ([(0.0, 1.0)], 0)])
     def test_degenerate_lattice_rejected(self, grids, steps):

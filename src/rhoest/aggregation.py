@@ -130,12 +130,6 @@ class InnerSolverConfig(Checked):
     rules = {"tol": _scale, "max_iter": _count}
 
 
-def _mix_gradient_wrt_m(kernel, m, d_sqrt):
-    # d/dm of psi(sqrt(m)/v) with v = d_sqrt, expressed through u = sqrt(m).
-    u = np.sqrt(m)
-    return kernel.ratio_du(u, d_sqrt) / (2.0 * u)
-
-
 def _mix_derivatives(kernel, m, d_sqrt):
     """phi'(m) and phi''(m) of phi(m) = psi(sqrt(m)/v), v = d_sqrt, from one sqrt."""
     u = np.sqrt(m)
@@ -161,7 +155,7 @@ def _line_search(kernel, m, m_end, d_sqrt, grad_m, hess_m):
             raise SolverError(f"line-search derivative is {value} at step {s}")
         return value
 
-    if slope(1.0, _mix_gradient_wrt_m(kernel, m_end, d_sqrt)) >= 0.0:
+    if slope(1.0, _mix_derivatives(kernel, m_end, d_sqrt)[0]) >= 0.0:
         return 1.0
     s, lo, hi, step, before = 0.0, 0.0, 1.0, 1.0, 1.0
     g, h = slope(s, grad_m), float(np.dot(hess_m, m_dir * m_dir))

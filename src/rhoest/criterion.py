@@ -207,6 +207,10 @@ class RhoFit:
         }
 
 
+# Most entries upsilon_all takes: its N x N float64 matrix of pairwise
+# statistics is then 512 MiB.
+_MAX_FAMILY = 2**13
+
 # psi values per block.  The two workspace rows (1 MiB together) fit in a
 # 2 MiB L2 cache; on a 2-vCPU Xeon, 2**16 beat 2**15 on the bench, demo-mle
 # and fit benchmark ops.
@@ -526,8 +530,16 @@ def upsilon(X: Sample, q: ProductDensity, fam: DensityFamily,
 
 def upsilon_all(X: Sample, fam: DensityFamily, pen: Penalty | None,
                 kernel: PsiKernel) -> np.ndarray:
-    """Criterion value for every entry of the family at once."""
+    """Criterion value for every entry of the family at once.
+
+    The family may hold at most ``_MAX_FAMILY`` (8192) entries, checked
+    before any density is evaluated.
+    """
     _check_call(kernel, pen)
+    if len(fam) > _MAX_FAMILY:
+        raise ContractViolationError(
+            f"family of {len(fam)} entries is too large for the criterion, which "
+            f"compares every pair: at most {_MAX_FAMILY} entries")
     pvec = (pen or Penalty()).vector(len(fam))
     S = fam.sqrt_value_matrix(X)
     return _criterion_rows(S, S, pvec, kernel) + pvec

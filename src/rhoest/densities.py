@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -81,14 +82,24 @@ class Sample:
 # One-dimensional densities
 # ---------------------------------------------------------------------------
 
-def _float_or_array(x):
-    """``x`` itself when it is a float, else ``np.asarray(x, dtype=float)``.
+def _float_or_array(pdf):
+    """``pdf`` on a Python float as it is, on anything else as a float64
+    array with overflow ignored.
 
     QUADPACK calls an integrand with one float node at a time.  A pdf made of
     arithmetic and numpy ufuncs gives the same bits on the float as on a 0-d
-    array, without the cost of building one.
+    array, without the cost of building one, and a float overflows to inf
+    with no warning.  On an array, a point or parameter so far out that
+    x - loc, the division by the scale or z * z overflows already gets the
+    density's limit there, 0.0; ignoring the overflow changes no value.
     """
-    return x if isinstance(x, float) else np.asarray(x, dtype=float)
+    @functools.wraps(pdf)
+    def wrapped(self, x):
+        if type(x) is float:
+            return pdf(self, x)
+        with np.errstate(over="ignore"):
+            return pdf(self, np.asarray(x, dtype=float))
+    return wrapped
 
 
 class Density1D(Checked):
@@ -166,8 +177,8 @@ class Gaussian(Density1D):
     rules = {"mean": _finite, "sd": _scale}
     location = ("mean",)
 
+    @_float_or_array
     def pdf(self, x):
-        x = _float_or_array(x)
         z = (x - self.mean) / self.sd
         return np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
 
@@ -183,8 +194,8 @@ class Cauchy(Density1D):
     rules = {"loc": _finite, "scale": _scale}
     location = ("loc",)
 
+    @_float_or_array
     def pdf(self, x):
-        x = _float_or_array(x)
         z = (x - self.loc) / self.scale
         return 1.0 / (math.pi * self.scale * (1.0 + z * z))
 
@@ -200,8 +211,8 @@ class Laplace(Density1D):
     rules = {"loc": _finite, "scale": _scale}
     location = ("loc",)
 
+    @_float_or_array
     def pdf(self, x):
-        x = _float_or_array(x)
         return np.exp(-abs(x - self.loc) / self.scale) / (2.0 * self.scale)
 
     def breakpoints(self):
@@ -248,8 +259,8 @@ class Exponential(Density1D):
     rules = {"rate": _scale, "shift": _finite}
     location = ("shift",)
 
+    @_float_or_array
     def pdf(self, x):
-        x = np.asarray(x, dtype=float)
         t = x - self.shift
         # exp(-746) is 0.0, so the upper clip changes no value; it only keeps
         # rate * t from overflowing.
@@ -424,8 +435,8 @@ class PathologicalGaussian(Density1D):
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        phi = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
         with np.errstate(over="ignore", invalid="ignore"):
+            phi = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
             expo = self._log_base_ratio(x)
             ratio = np.exp(expo)
             vals = ratio * phi

@@ -35,8 +35,9 @@ __all__ = [
 ]
 
 DEFAULT_C1 = 1.0
-# Largest location grid or histogram family: at 2**16 entries the N x N
-# criterion matrix is 32 GiB.
+# Most points of a location grid, or lattice points of a histogram family,
+# that a builder enumerates.  It guards enumeration only: the criterion
+# takes at most criterion._MAX_FAMILY entries.
 MAX_GRID_POINTS = 2**16
 
 

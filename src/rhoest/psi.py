@@ -162,8 +162,8 @@ def psi_pair(kernel: PsiKernel, num_sqrt, den_sqrt, out=None, scaled=None):
     columns are computed again, on scaled roots.  ``scaled`` passes such
     columns for operands that a caller has already settled, as slices of
     arrays that span the last axis and were settled whole; without it, the
-    operands are settled here, and NaN or negative roots raise
-    :class:`ContractViolationError`.
+    operands are broadcast together and settled here, and NaN or negative
+    roots raise :class:`ContractViolationError`.
 
     Two scalar operands (floats, such as QUADPACK's nodes in
     :func:`check_assumption`, other numbers and 0-d arrays) skip numpy's
@@ -191,12 +191,13 @@ def psi_pair(kernel: PsiKernel, num_sqrt, den_sqrt, out=None, scaled=None):
         return kernel.ratio(u, v)
     su, sv = u, v
     if scaled is None:
+        u, v = np.broadcast_arrays(u, v)
         su, sv, scaled = _settle(kernel, u, v)
     if not scaled.size:  # nothing to rescale, no floating-point exception to silence
         return kernel.ratio(su, sv, out)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         vals = kernel.ratio(su, sv, out)
-        u, v = _columns(u, scaled), _columns(v, scaled)
+        u, v = u[..., scaled], v[..., scaled]
         # ldexp, since 2.0**e overflows for subnormal roots.
         e = -np.frexp(np.maximum(u, v))[1]
         got = kernel.ratio(np.ldexp(u, e), np.ldexp(v, e))
@@ -205,32 +206,28 @@ def psi_pair(kernel: PsiKernel, num_sqrt, den_sqrt, out=None, scaled=None):
     return vals
 
 
-def _columns(a, cols):
-    """a's last-axis columns ``cols``; an axis of 1 (or none) broadcasts as is."""
-    return a if a.ndim == 0 or a.shape[-1] == 1 else a[..., cols]
-
-
 def _settle(kernel: PsiKernel, u: np.ndarray, v: np.ndarray, dtype=np.float64):
     """(u', v', scaled): the roots with stand-ins, and the columns to rescale.
 
     The one classifier of roots, against the ``(kernel.id, dtype)`` row of
-    :data:`_ROOTS`.  NaN and negative roots raise
-    :class:`ContractViolationError`.  A column (a last-axis index of the
-    broadcast of u and v) is *odd* when it holds a root outside the row's
+    :data:`_ROOTS`.  u and v are arrays of at least one axis whose last
+    axes have the same length: the criterion's (K, n) and (J, n) root
+    matrices, or :func:`psi_pair`'s operands broadcast together.  NaN and
+    negative roots raise :class:`ContractViolationError`.  A column (a
+    last-axis index) is *odd* when it holds a root outside the row's
     [lo, hi]: 0, inf, or a finite root too small or too large.  An odd
     column is *scaled* when one of its finite nonzero roots is outside
     [lo, hi], and *settled* otherwise.  Each operand is reduced on its own,
-    never broadcast, and once when the square criterion passes one matrix
-    as both: first whole, which settles the common case of no odd column,
-    then over all but its last axis.
+    and once when the square criterion passes one matrix as both: first
+    whole, which settles the common case of no odd column, then over all
+    but its last axis.
 
     Without settled columns, u and v are returned as they are.  Otherwise u'
     and v' are new ``dtype`` arrays with every zero and infinite root
     replaced by the row's stand-ins, so one unscaled :meth:`PsiKernel.ratio`
     pass on them gives :func:`psi_pair`'s bits everywhere but in the scaled
-    columns.  There a float64 operand that spans the broadcast's last axis
-    keeps its own roots, for psi_pair to rescale, and the other one may hold
-    stand-ins; a float32 copy, whose scaled columns the screen sums in
+    columns.  There a float64 copy keeps its own roots, for psi_pair to
+    rescale; a float32 copy, whose scaled columns the screen sums in
     float64 instead, holds them clipped to its stand-ins.
     """
     lo, hi, zero, inf = _ROOTS[kernel.id, dtype]
@@ -249,27 +246,24 @@ def _settle(kernel: PsiKernel, u: np.ndarray, v: np.ndarray, dtype=np.float64):
     odd = np.flatnonzero(odd)
 
     def outside(a):
-        # Per odd column (one, if a broadcasts along the last axis): does a
-        # finite nonzero root lie outside [lo, hi]?
-        a = _columns(a, odd)
+        # Per odd column: does a finite nonzero root lie outside [lo, hi]?
+        a = a[..., odd]
         out = ((a > 0.0) & (a < lo)) | ((a > hi) & (a < np.inf))
         return out.any(axis=tuple(range(a.ndim - 1)))
 
     out = outside(u)
     if v is not u:  # the square criterion passes one matrix twice
         out = out | outside(v)
-    scaled = odd[np.broadcast_to(out, odd.shape)]
+    scaled = odd[out]
     if scaled.size == odd.size:
         return u, v, scaled
-    width = max(u.shape[-1:] + v.shape[-1:])  # the last axis of the broadcast
 
     def stand_ins(a):
         # The clip turns 0 and inf into the stand-ins, and moves the scaled
         # columns' out-of-range roots too, so a float64 copy puts those
-        # columns back.  (Into np.empty, since a 0-d clip would return a
-        # numpy scalar.)
+        # columns back.
         s = np.clip(a, zero, inf, out=np.empty(a.shape, dtype))
-        if dtype is np.float64 and scaled.size and a.ndim and a.shape[-1] == width:
+        if dtype is np.float64 and scaled.size:
             s[..., scaled] = a[..., scaled]
         return s
 

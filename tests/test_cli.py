@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from rhoest import SolverError, aggregation, cli
+from rhoest import SolverError, aggregation, cli, criterion
 from rhoest.cli import main
 
 
@@ -54,6 +54,38 @@ class TestFit:
         assert code == 0
         assert out["chosen_index"] == 0
 
+    def test_family_over_the_criterion_cap_exits_2(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # 40,001 grid points pass the grid's enumeration cap, but the N x N
+        # criterion matrix would take 12.8 GB; no density is evaluated.
+        def never(*args):
+            raise AssertionError("sqrt_value_matrix ran on an over-cap family")
+
+        monkeypatch.setattr(criterion.DensityFamily, "sqrt_value_matrix", never)
+        cfg = write_config(tmp_path, "c.json", {
+            "sample": [-0.4, 0.1, 0.3, 0.9, 1.2],
+            "family": {"type": "gaussian_location_grid", "theta_min": -4,
+                       "theta_max": 4, "step": 0.0002}})
+        assert main(["fit", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "error: family of 40001 entries is too large for the criterion, "
+            "which compares every pair: at most 8192 entries\n")
+
+    @pytest.mark.parametrize("kind", ["gaussian", "cauchy", "laplace"])
+    def test_far_sample_points_fit_without_warning(self, tmp_path, capsys, kind):
+        # The densities underflow to 0.0 at +-1e200 through an overflow of
+        # z * z or x - loc, which must not warn (warnings are errors here).
+        params = {"mean": 0.0, "sd": 1.0} if kind == "gaussian" else {
+            "loc": 0.0, "scale": 1.0}
+        cfg = write_config(tmp_path, "c.json", {
+            "sample": [-0.4, 1e200, 0.3, -1e200, 1.7e308, -1.7e308, 0.9],
+            "family": {"type": "explicit", "densities": [
+                {"kind": kind, "params": params},
+                {"kind": "gaussian", "params": {"mean": 1.0, "sd": 2.0}}]}})
+        code, out = run(capsys, ["fit", "--config", cfg])
+        assert code == 0 and len(out["trace"]) == 2
+
     def test_out_file(self, tmp_path, gaussian_sample):
         cfg = write_config(tmp_path, "c.json", {
             "sample": gaussian_sample,
@@ -79,6 +111,18 @@ class TestSelect:
         code, out = run(capsys, ["select", "--config", cfg])
         assert code == 0
         assert out["selected_models"]
+
+    def test_union_over_the_criterion_cap_exits_2(self, tmp_path, capsys):
+        # Three grids of 3201 points each: none is over the cap, their
+        # union of 9603 entries is.
+        cfg = write_config(tmp_path, "c.json", {
+            "sample": [-0.4, 0.1, 0.3, 0.9, 1.2],
+            "models": [{"family": {"type": "gaussian_location_grid", "theta_min": -4,
+                                   "theta_max": 4, "step": 0.0025, "sd": sd}}
+                       for sd in (0.8, 1.0, 1.25)]})
+        assert main(["select", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "family of 9603 entries is too large" in err
 
     def test_negative_delta_rejected(self, tmp_path, capsys, gaussian_sample):
         # exp(1e-13) passes the weight budget's 1e-12 tolerance, so only the

@@ -292,6 +292,22 @@ class TestDensityBasics:
         with pytest.raises(ContractViolationError, match="bad density spec"):
             density_from_json({"kind": "histogram", "params": {"breaks": [0, 1]}})
 
+    @pytest.mark.parametrize("d, far", [
+        *((d, [1e200, -1e200, 1.7e308, -1.7e308]) for d in EVERY_KIND),
+        *((d, [1e200, 1.7e308]) for d in (
+            Gaussian(-1.7e308, 1.0), Cauchy(-1.7e308, 1e-300),
+            Laplace(-1.7e308, 0.5), Exponential(1.0, -1.7e308)))],
+        ids=lambda p: repr(p) if isinstance(p, densities.Density1D) else "")
+    def test_far_points_give_zero_without_warning(self, d, far):
+        # z * z, or x - loc far from an extreme location, overflows there:
+        # the density is already 0.0, and no RuntimeWarning may leak.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert np.asarray(d.pdf(np.array(far))).tolist() == [0.0] * len(far)
+            for x in far:
+                for node in (x, np.float64(x), [x]):
+                    assert np.asarray(d.pdf(node)).tolist() in (0.0, [0.0])
+
     @pytest.mark.parametrize("d", EVERY_KIND, ids=lambda d: d.kind)
     def test_pdf_of_a_float_keeps_the_array_bits(self, d):
         for x in probe_points(d):

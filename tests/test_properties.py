@@ -310,6 +310,29 @@ class TestExactInvariants:
         assert same_bits(psi_pair(kernel, su, sv, scaled=scaled),
                          psi_pair_oracle(kernel, u, v))
 
+    @pytest.mark.parametrize("operand", ["0-d", "(h, 1)"])
+    def test_broadcast_operand_beside_odd_columns(self, kernel, operand):
+        """A 0-d operand, or an (h, 1) one, against a matrix with columns of
+        0, inf, 2**-500, 2**500, both of them, and roots a binade past the
+        kernel's exact range beside 0 and inf: psi_pair broadcasts the two
+        and gives the oracle's bits, both ways round, with no warning."""
+        lo, hi = psi._ROOTS[kernel.id, np.float64][:2]
+        odd = [0.0, np.inf, 2.0 ** -500, 2.0 ** 500, lo / 2.0, hi * 2.0]
+        columns = [[0.0] * 6, [np.inf] * 6, [2.0 ** -500] * 6, [2.0 ** 500] * 6,
+                   [2.0 ** -500, 2.0 ** 500] * 3, [lo / 2.0, 0.0] * 3,
+                   [hi * 2.0, np.inf] * 3, [0.0, np.inf, 1.0] * 2,
+                   [0.5, 1.0, 2.0] * 2]
+        M = np.array(columns).T
+        if operand == "0-d":
+            others = [np.array(x) for x in odd + [1.0]]
+        else:
+            others = [np.array(odd)[:, np.newaxis], np.array(odd[::-1])[:, np.newaxis]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for a in others:
+                for u, v in ((a, M), (M, a)):
+                    assert same_bits(psi_pair(kernel, u, v), psi_pair_oracle(kernel, u, v))
+
     def test_several_blocks_match_dense(self, kernel):
         n = 700
         fam = build_gaussian_location_grid(-2.0, 1.9, 0.1, 1.0, n).family

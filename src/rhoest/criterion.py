@@ -34,10 +34,28 @@ __all__ = ["DensityFamily", "Penalty", "RhoFit", "t_statistic", "upsilon",
            "upsilon_all", "rho_estimate"]
 
 
+# Most entries of a family: upsilon_all's N x N float64 matrix of pairwise
+# statistics is then 512 MiB.
+_MAX_FAMILY = 2**13
+
+
+def _check_size(size: int) -> None:
+    """Reject a family of no entry or of more than ``_MAX_FAMILY``."""
+    if not size:
+        raise ContractViolationError("family must contain at least one entry")
+    if size > _MAX_FAMILY:
+        raise ContractViolationError(
+            f"family of {size} entries is too large for the criterion, which "
+            f"compares every pair: at most {_MAX_FAMILY} entries")
+
+
 class DensityFamily:
     """A finite indexed family of densities of n observations.
 
     Each entry has ``n``, ``coord_values(X)`` and ``key()``; labels default to None.
+    A family holds 1 to ``_MAX_FAMILY`` (8192) entries, since the criterion
+    compares every pair; both constructors check the count before they
+    build any parameter column.
 
     The family holds its i.i.d. entries of a stackable kind (see
     :class:`~rhoest.densities.Density1D`) as parameter columns, one float64
@@ -50,8 +68,7 @@ class DensityFamily:
 
     def __init__(self, entries, labels=None):
         entries = list(entries)
-        if not entries:
-            raise ContractViolationError("family must contain at least one entry")
+        _check_size(len(entries))
         ns = {e.n for e in entries}
         if len(ns) != 1:
             raise ContractViolationError("entries disagree on coordinate count")
@@ -87,6 +104,7 @@ class DensityFamily:
                 raise ContractViolationError(
                     f"{name} must be a 1-D float64 array, got {column.dtype} "
                     f"of shape {column.shape}")
+            _check_size(len(column))
             for v in column.tolist():
                 rule(name, v)
             column.setflags(write=False)
@@ -96,8 +114,6 @@ class DensityFamily:
             raise ContractViolationError(f"{kind.__name__} columns differ in length")
         fam = cls.__new__(cls)
         fam._size, fam._n = size.pop(), _count("n", n)
-        if not fam._size:
-            raise ContractViolationError("family must contain at least one entry")
         fam._stacks, fam._others = [(np.arange(fam._size), kind, stacked)], []
         fam._entries = None
         fam._set_labels(labels)
@@ -206,10 +222,6 @@ class RhoFit:
             "trace": list(self.trace),
         }
 
-
-# Most entries upsilon_all takes: its N x N float64 matrix of pairwise
-# statistics is then 512 MiB.
-_MAX_FAMILY = 2**13
 
 # psi values per block.  The two workspace rows (1 MiB together) fit in a
 # 2 MiB L2 cache; on a 2-vCPU Xeon, 2**16 beat 2**15 on the bench, demo-mle
@@ -532,14 +544,10 @@ def upsilon_all(X: Sample, fam: DensityFamily, pen: Penalty | None,
                 kernel: PsiKernel) -> np.ndarray:
     """Criterion value for every entry of the family at once.
 
-    The family may hold at most ``_MAX_FAMILY`` (8192) entries, checked
-    before any density is evaluated.
+    The family holds at most ``_MAX_FAMILY`` (8192) entries, a limit that
+    :class:`DensityFamily` checks when the family is built.
     """
     _check_call(kernel, pen)
-    if len(fam) > _MAX_FAMILY:
-        raise ContractViolationError(
-            f"family of {len(fam)} entries is too large for the criterion, which "
-            f"compares every pair: at most {_MAX_FAMILY} entries")
     pvec = (pen or Penalty()).vector(len(fam))
     S = fam.sqrt_value_matrix(X)
     return _criterion_rows(S, S, pvec, kernel) + pvec

@@ -405,6 +405,20 @@ class ExpFamily(Density1D):
         return (self.lo, self.hi)
 
 
+def _spike_log(theta):
+    """The singular Gaussian's extra log-density at x == theta > 0,
+    (theta^2 / 2) exp(min(theta^2, 700)); +inf from theta of about 188 up.
+
+    In float64 whatever type theta came as, and theta * theta, not theta**2:
+    Python's float ** is libm's pow, which is not always correctly rounded,
+    and numpy squares an array.
+    """
+    theta = np.asarray(theta, dtype=float)
+    sq = theta * theta
+    with np.errstate(over="ignore"):
+        return 0.5 * sq * np.exp(np.minimum(sq, 700.0))
+
+
 @dataclass(frozen=True, eq=False)
 class PathologicalGaussian(Density1D):
     """N(theta, 1) with a deliberately singular density version.
@@ -413,38 +427,24 @@ class PathologicalGaussian(Density1D):
     factor exp[(theta^2/2) exp(x^2)] on the single point x == theta (for
     theta > 0).  The point mass is Lebesgue-null, so the probability is still
     N(theta, 1); only likelihood-style computations see the spike, and only
-    when evaluated at a floating-point input exactly equal to theta.
+    when evaluated at a floating-point input exactly equal to theta.  Off
+    its spike the pdf is ``Gaussian(theta, 1).pdf``, bit for bit.
     """
 
     theta: float
     kind = "pathological-gaussian"
     rules = {"theta": _finite}
 
-    def _log_base_ratio(self, x):
-        # In float64 whatever type theta came as, and theta * theta, not
-        # theta**2: Python's float ** is libm's pow, which is not always
-        # correctly rounded, and numpy squares an array.
-        theta = np.asarray(self.theta, dtype=float)
-        sq = theta * theta
-        expo = theta * x - 0.5 * sq
-        spike = (x == theta) & (theta > 0)
-        if spike.any():  # x * x is theta * theta there
-            bump = 0.5 * sq * np.exp(np.minimum(sq, 700.0))
-            expo = np.where(spike, expo + bump, expo)
-        return expo
-
     def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            phi = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-            expo = self._log_base_ratio(x)
-            ratio = np.exp(expo)
-            vals = ratio * phi
-            over = np.isinf(ratio)
-            if over.any():  # where phi underflows to 0, inf * 0 is NaN
-                vals = np.where(over, np.exp(expo - 0.5 * x * x)
-                                / math.sqrt(2.0 * math.pi), vals)
-        return vals
+        # x - theta and z * z overflow as Gaussian's do, and exp of a spike
+        # does from theta of about 2.36.
+        with np.errstate(over="ignore"):
+            z = np.asarray(x, dtype=float) - self.theta
+            expo = -0.5 * z * z
+            spike = (z == 0) & (self.theta > 0)
+            if spike.any():
+                expo = np.where(spike, _spike_log(self.theta), expo)
+            return np.exp(expo) / math.sqrt(2.0 * math.pi)
 
     def sample(self, rng, size):
         return rng.normal(self.theta, 1.0, size)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .criterion import DensityFamily, rho_estimate
 from .densities import (Density1D, PathologicalGaussian, Sample, _density,
-                        hellinger_sq, integrate_on_supports)
+                        _spike_log, hellinger_sq, integrate_on_supports)
 from .errors import (Checked, ContractViolationError, RhoestError, _count,
                      _finite, _integer, _number, _scale, _vector)
 from .models import _check_grid
@@ -239,9 +239,7 @@ def mle_counterexample(theta: float, n: int, reps: int, seed: int,
         pos_sample = x[x > 0]
         if pos_sample.size:
             idx = np.searchsorted(cands, pos_sample)
-            with np.errstate(over="ignore"):  # +inf from x of about 188 up
-                spikes[idx] += 0.5 * pos_sample**2 * np.exp(np.minimum(
-                    pos_sample**2, 700.0))
+            spikes[idx] += _spike_log(pos_sample)
         ll = ll + spikes
         # The spike grows with x, so of tied infinite spikes the last wins.
         mle = float(cands[len(ll) - 1 - np.argmax(ll[::-1])])

@@ -19,8 +19,8 @@ from .aggregation import simplex_grid_array
 from .criterion import DensityFamily
 from .densities import (ExpFamily, Gaussian, Histogram, ProductDensity,
                         integrate_on_supports, product_hellinger_sq)
-from .errors import (Checked, ContractViolationError, QuadratureError, _count,
-                     _finite, _nonnegative, _overflows, _scale, _shown)
+from .errors import (Checked, ContractViolationError, _count, _finite,
+                     _nonnegative, _overflows, _scale, _shown)
 from .quadrature import QuadratureSpec
 
 __all__ = [
@@ -36,8 +36,9 @@ __all__ = [
 
 DEFAULT_C1 = 1.0
 # Most points of a location grid, or lattice points of a histogram family,
-# that a builder enumerates.  It guards enumeration only: the criterion
-# takes at most criterion._MAX_FAMILY entries.
+# that a builder enumerates.  It guards enumeration only: DensityFamily,
+# which the builder then makes, refuses more than criterion._MAX_FAMILY
+# entries.
 MAX_GRID_POINTS = 2**16
 
 
@@ -234,12 +235,10 @@ def build_exp_family_grid(basis, coefficient_grid, lo: float, hi: float, n: int,
         unnormalized = ExpFamily(basis, coeffs, 0.0, lo, hi)
         coeffs = unnormalized.coeffs
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                z = integrate_on_supports(
-                    lambda x: np.exp(np.minimum(unnormalized.log_pdf(x), 700.0)),
-                    (unnormalized,), quad=quad)
-        except (QuadratureError, ArithmeticError):
+            z = integrate_on_supports(
+                lambda x: np.exp(np.minimum(unnormalized.log_pdf(x), 700.0)),
+                (unnormalized,), quad=quad)
+        except ArithmeticError:
             z = float("inf")
         if not (math.isfinite(z) and 0 < z < 1e300):
             rejected.append(coeffs)

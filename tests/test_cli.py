@@ -72,12 +72,33 @@ class TestFit:
             "error: family of 40001 entries is too large for the criterion, "
             "which compares every pair: at most 8192 entries\n")
 
-    @pytest.mark.parametrize("kind", ["gaussian", "cauchy", "laplace"])
+    def test_bench_grid_over_the_criterion_cap_exits_2(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # The same 40,001-point grid as bench's estimator is refused when it
+        # is built, before any replicate is drawn or fitted.
+        fits = []
+        monkeypatch.setattr(cli, "rho_estimate", lambda *a, **k: fits.append(a))
+        cfg = write_config(tmp_path, "c.json", {
+            "scenario": {"kind": "iid", "n": 5, "replications": 2,
+                         "truth": {"kind": "gaussian", "params": {"mean": 0.0, "sd": 1.0}}},
+            "estimator": {"type": "rho_gaussian_grid", "theta_min": -4,
+                          "theta_max": 4, "step": 0.0002}})
+        assert main(["bench", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "error: family of 40001 entries is too large for the criterion, "
+            "which compares every pair: at most 8192 entries\n")
+        assert fits == []
+
+    @pytest.mark.parametrize("kind", ["gaussian", "cauchy", "laplace",
+                                      "pathological-gaussian"])
     def test_far_sample_points_fit_without_warning(self, tmp_path, capsys, kind):
         # The densities underflow to 0.0 at +-1e200 through an overflow of
-        # z * z or x - loc, which must not warn (warnings are errors here).
-        params = {"mean": 0.0, "sd": 1.0} if kind == "gaussian" else {
-            "loc": 0.0, "scale": 1.0}
+        # z * z or x - loc, which must not warn (warnings are errors here);
+        # the singular Gaussian at theta = 1e300 is 0.0 at every point.
+        params = {"gaussian": {"mean": 0.0, "sd": 1.0},
+                  "pathological-gaussian": {"theta": 1e300}}.get(
+                      kind, {"loc": 0.0, "scale": 1.0})
         cfg = write_config(tmp_path, "c.json", {
             "sample": [-0.4, 1e200, 0.3, -1e200, 1.7e308, -1.7e308, 0.9],
             "family": {"type": "explicit", "densities": [
@@ -312,8 +333,8 @@ class TestDemoMle:
         assert len(out["rho_errors"]) == 4
 
     def test_far_theta(self, tmp_path, capsys):
-        # Near x = 40 the base ratio exp(40 x - 800) overflows while the
-        # Gaussian factor underflows; the density is their finite product.
+        # Near x = 40 the density is finite, in one exponent, and the
+        # spikes of the singular family are infinite.
         cfg = write_config(tmp_path, "c.json", {"theta": 40, "n": 5, "reps": 1})
         code, out = run(capsys, ["demo-mle", "--config", cfg, "--seed", "1"])
         assert code == 0

@@ -293,10 +293,12 @@ class TestDensityBasics:
             density_from_json({"kind": "histogram", "params": {"breaks": [0, 1]}})
 
     @pytest.mark.parametrize("d, far", [
-        *((d, [1e200, -1e200, 1.7e308, -1.7e308]) for d in EVERY_KIND),
+        *((d, [1e200, -1e200, 1.7e308, -1.7e308])
+          for d in (*EVERY_KIND, PathologicalGaussian(1e300))),
         *((d, [1e200, 1.7e308]) for d in (
             Gaussian(-1.7e308, 1.0), Cauchy(-1.7e308, 1e-300),
-            Laplace(-1.7e308, 0.5), Exponential(1.0, -1.7e308)))],
+            Laplace(-1.7e308, 0.5), Exponential(1.0, -1.7e308),
+            PathologicalGaussian(-1.7e308)))],
         ids=lambda p: repr(p) if isinstance(p, densities.Density1D) else "")
     def test_far_points_give_zero_without_warning(self, d, far):
         # z * z, or x - loc far from an extreme location, overflows there:
@@ -317,12 +319,23 @@ class TestDensityBasics:
                     assert same_bits(d.pdf(node), want), (node, d.pdf(node), want)
 
 
+def assert_plain_gaussian(theta, x):
+    """Off its spike, PathologicalGaussian(theta).pdf is Gaussian(theta, 1.0).pdf
+    bit for bit: on the array ``x``, on each of its points as a float, and
+    on a stacked column of thetas (theta, -theta, 2 theta)."""
+    d, g = PathologicalGaussian(theta), Gaussian(theta, 1.0)
+    assert same_bits(d.pdf(x), g.pdf(x))
+    for v in x.tolist():
+        assert same_bits(d.pdf(v), g.pdf(v)), v
+    column = theta * np.array([[1.0], [-1.0], [2.0]])
+    stack = densities._stacked(PathologicalGaussian, [column])
+    plain = densities._stacked(Gaussian, [column, np.ones_like(column)])
+    assert same_bits(stack.pdf(x), plain.pdf(x))
+
+
 class TestPathologicalGaussian:
     def test_probability_is_plain_gaussian_off_spike(self):
-        d = PathologicalGaussian(1.5)
-        g = Gaussian(1.5, 1.0)
-        x = np.array([-2.0, 0.0, 1.499999, 2.0])
-        assert np.allclose(d.pdf(x), g.pdf(x))
+        assert_plain_gaussian(1.5, np.array([-2.0, 0.0, 1.499999, 2.0]))
 
     def test_spike_activates_on_exact_equality(self):
         d = PathologicalGaussian(1.5)
@@ -336,15 +349,15 @@ class TestPathologicalGaussian:
             float(g.pdf(np.array([-0.5]))[0]))
 
     def test_far_theta_off_spike(self):
-        # The base ratio exp(40 x - 800) overflows and the Gaussian factor
-        # underflows near x = 40; their product is computed in one exponent.
-        d, g = PathologicalGaussian(40.0), Gaussian(40.0, 1.0)
+        # Near x = 40 the density is exp(-z^2 / 2) / sqrt(2 pi) in one
+        # exponent, with nothing that over- or underflows on the way.
+        d = PathologicalGaussian(40.0)
         x = np.array([0.0, 38.0, 39.75, 40.5, 42.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             got = d.pdf(x)
             assert d.pdf(40.0) == math.inf
-        assert np.allclose(got, g.pdf(x), rtol=1e-12, atol=0.0)
+            assert_plain_gaussian(40.0, x)
         assert got[0] == 0.0 and np.all(got[1:] > 0.0)
 
 

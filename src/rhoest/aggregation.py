@@ -24,13 +24,18 @@ from .criterion import DensityFamily, Penalty, RhoFit, _criterion_rows, rho_esti
 from .densities import Sample
 from .errors import (Checked, ContractViolationError, DegenerateCandidatesError,
                      SolverError, _count, _number, _scale, _weights)
-from .psi import PsiKernel, kernel_constants
+from .psi import PsiKernel, _check_kernel, kernel_constants
 
 __all__ = ["SimplexPoint", "CandidateSet", "InnerSolverConfig",
            "select_candidate", "t_mix", "inner_argmax", "saddle_point",
            "simplex_grid", "simplex_grid_array", "mixture_upsilon"]
 
 CONDITION_NUMBER_THRESHOLD = 1e10
+# Most points of a simplex lattice that simplex_grid_array enumerates, an
+# array of at most 2**18 x size floats; 4 weights at 100 steps make
+# 176,851.  A histogram builder refuses more than models.MAX_GRID_POINTS
+# lattice points over all its grids before it enumerates any.
+_MAX_LATTICE = 2**18
 # Tolerance of the line-search step s in [0, 1]: float precision at s = 1,
 # for a step that changes the mixture by as much as the mixture itself.
 _STEP_XTOL = 1e-15
@@ -54,6 +59,15 @@ class SimplexPoint(Checked):
         w = [0.0] * size
         w[j] = 1.0
         return SimplexPoint(tuple(w))
+
+
+def _weights_of(cs, point, name):
+    """The weights of ``point`` as an array, if it is a :class:`SimplexPoint`
+    with one weight per candidate of ``cs``."""
+    if not (isinstance(point, SimplexPoint) and len(point.weights) == cs.size):
+        raise ContractViolationError(
+            f"{name} must be a SimplexPoint of {cs.size} weights, one per candidate")
+    return point.as_array()
 
 
 class CandidateSet:
@@ -95,7 +109,7 @@ def select_candidate(X: Sample, candidates, deltas,
     Penalties are kappa * delta_j; the weights must be finite, nonnegative
     and satisfy sum exp(-delta_j) <= 1.
     """
-    kernel = kernel or kernel_constants()
+    kernel = _check_kernel(kernel or kernel_constants())
     candidates = list(candidates)
     deltas = _weights("deltas", deltas)
     if len(deltas) != len(candidates):
@@ -111,9 +125,9 @@ def t_mix(cs: CandidateSet, alpha: SimplexPoint, beta: SimplexPoint,
           kernel: PsiKernel | None = None) -> float:
     """sum_i psi(sqrt(mix_beta(X_i) / mix_alpha(X_i))) over the sample of ``cs``;
     antisymmetric in (alpha, beta)."""
-    kernel = kernel or kernel_constants()
-    num = beta.as_array() @ cs.values
-    den = alpha.as_array() @ cs.values
+    kernel = _check_kernel(kernel or kernel_constants())
+    num = _weights_of(cs, beta, "beta") @ cs.values
+    den = _weights_of(cs, alpha, "alpha") @ cs.values
     if np.any(den <= 0.0) or np.any(num < 0.0):
         raise ContractViolationError("mixture density vanished at a sample point")
     return float(_criterion_rows(np.sqrt(den)[np.newaxis, :],
@@ -228,10 +242,10 @@ def inner_argmax(cs: CandidateSet, alpha: SimplexPoint,
     in :func:`_line_search`.  Stops when the Frank-Wolfe gap, which bounds
     max t(alpha, .) - t(alpha, beta) from above, drops below ``inner.tol``.
     """
-    kernel = kernel or kernel_constants()
+    kernel = _check_kernel(kernel or kernel_constants())
     inner = inner or InnerSolverConfig()
     P = cs.values
-    beta = alpha.as_array().copy()
+    beta = _weights_of(cs, alpha, "alpha").copy()
     m = beta @ P
     d_sqrt = np.sqrt(m)
     for _ in range(inner.max_iter):
@@ -265,7 +279,7 @@ def saddle_point(cs: CandidateSet, kernel: PsiKernel | None = None,
     on numerically dependent candidates; exhaustion of ``max_outer`` is
     reported, never silently truncated.
     """
-    kernel = kernel or kernel_constants()
+    kernel = _check_kernel(kernel or kernel_constants())
     if not 0.0 < _number("eps", eps) <= 1.0:
         raise ContractViolationError("eps must lie in (0, 1]")
     _count("max_outer", max_outer)
@@ -301,11 +315,23 @@ def simplex_grid(size: int, steps: int):
     return (SimplexPoint(tuple(row)) for row in simplex_grid_array(size, steps))
 
 
+def _lattice_size(size: int, steps: int) -> int:
+    """The number of points of ``simplex_grid_array(size, steps)``."""
+    return math.comb(steps + size - 1, size - 1)
+
+
 def simplex_grid_array(size: int, steps: int) -> np.ndarray:
-    """The lattice of :func:`simplex_grid` as rows, in lexicographic cut order."""
+    """The lattice of :func:`simplex_grid` as rows, in lexicographic cut order.
+
+    A lattice of more than ``_MAX_LATTICE`` points is refused before any
+    point is enumerated."""
     _count("steps", steps)
     if _count("size", size) == 1:
         return np.ones((1, 1))
+    if _lattice_size(size, steps) > _MAX_LATTICE:
+        raise ContractViolationError(
+            f"simplex lattice of {size} weights at {steps} steps has more than "
+            f"{_MAX_LATTICE} points")
     cuts = np.fromiter(
         itertools.chain.from_iterable(
             itertools.combinations(range(steps + size - 1), size - 1)),
@@ -318,7 +344,7 @@ def simplex_grid_array(size: int, steps: int) -> np.ndarray:
 def mixture_upsilon(cs: CandidateSet, alpha: SimplexPoint, grid_steps: int,
                     kernel: PsiKernel | None = None) -> float:
     """Criterion value of the alpha-mixture against a simplex-lattice family."""
-    kernel = kernel or kernel_constants()
+    kernel = _check_kernel(kernel or kernel_constants())
+    den_sqrt = np.sqrt(_weights_of(cs, alpha, "alpha") @ cs.values)[np.newaxis, :]
     G = simplex_grid_array(cs.size, grid_steps)
-    den_sqrt = np.sqrt(alpha.as_array() @ cs.values)[np.newaxis, :]
     return float(_criterion_rows(den_sqrt, np.sqrt(G @ cs.values), 0.0, kernel)[0])

@@ -28,7 +28,7 @@ import numpy as np
 from .densities import _STACKABLE, ProductDensity, Sample, _stacked, _stacks
 from .errors import (Checked, ContractViolationError, _count, _finite, _nonnegative,
                      _shown)
-from .psi import PsiKernel, _settle, kernel_constants, psi_pair
+from .psi import PsiKernel, _check_kernel, _settle, kernel_constants, psi_pair
 
 __all__ = ["DensityFamily", "Penalty", "RhoFit", "t_statistic", "upsilon",
            "upsilon_all", "rho_estimate"]
@@ -510,9 +510,7 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
 def _check_call(kernel, pen=None) -> None:
     """Reject a kernel that is not a :class:`PsiKernel` (the criterion reads
     its ``id``) and a ``pen`` that is neither a :class:`Penalty` nor None."""
-    if not isinstance(kernel, PsiKernel):
-        raise ContractViolationError(
-            f"kernel must be a PsiKernel, got {type(kernel).__name__}")
+    _check_kernel(kernel)
     if pen is not None and not isinstance(pen, Penalty):
         raise ContractViolationError(
             f"pen must be a Penalty or None, got {type(pen).__name__}")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 
@@ -82,33 +81,13 @@ class Sample:
 # One-dimensional densities
 # ---------------------------------------------------------------------------
 
-def _float_or_array(pdf):
-    """``pdf`` on a Python float as it is, on anything else as a float64
-    array with overflow ignored.
-
-    QUADPACK calls an integrand with one float node at a time.  A pdf made of
-    arithmetic and numpy ufuncs gives the same bits on the float as on a 0-d
-    array, without the cost of building one, and a float overflows to inf
-    with no warning.  On an array, a point or parameter so far out that
-    x - loc, the division by the scale or z * z overflows already gets the
-    density's limit there, 0.0; ignoring the overflow changes no value.
-    """
-    @functools.wraps(pdf)
-    def wrapped(self, x):
-        if type(x) is float:
-            return pdf(self, x)
-        with np.errstate(over="ignore"):
-            return pdf(self, np.asarray(x, dtype=float))
-    return wrapped
-
-
 class Density1D(Checked):
     """Base class: a nonnegative density on the line.
 
-    Subclasses are frozen dataclasses that provide ``pdf`` (vectorized), a
-    support interval and the interior kink locations used to guide
-    quadrature.  ``rules`` maps every parameter, in field order, to the rule
-    from :mod:`rhoest.errors` that checks it; ``params``, ``key``,
+    Subclasses are frozen dataclasses that provide ``_pdf``, the density's
+    formula, a support interval and the interior kink locations used to
+    guide quadrature.  ``rules`` maps every parameter, in field order, to
+    the rule from :mod:`rhoest.errors` that checks it; ``params``, ``key``,
     ``to_json`` and ``density_from_json`` all read it.  ``location`` names
     the parameters a translation moves, and ``_check`` tests the conditions
     that tie parameters together.
@@ -122,12 +101,29 @@ class Density1D(Checked):
     point.  (m, 1) parameter columns against n points give an (m, n)
     matrix, and length-m vectors against m points give m values.  So such a
     ``pdf`` never branches in Python on a parameter's value.
+
+    ``pdf`` owns the conversion of the point, so ``_pdf`` holds only the
+    formula.  A Python float, QUADPACK's node, goes to ``_pdf`` as it is:
+    arithmetic and numpy ufuncs give the same bits on it as on a 0-d array,
+    without the cost of building one, and float arithmetic overflows to inf
+    with no warning.  Anything else goes as a float64 array under
+    ``np.errstate(over="ignore")``: a point or parameter so far out that
+    x - loc, a division by the scale or z * z overflows already gets the
+    density's limit there, 0.0.  A numpy exp overflows on a float too, so
+    the singular Gaussian's spike and the exponential family's exp keep
+    their own ``errstate``.
     """
 
     kind = "abstract"
     location = ()
 
     def pdf(self, x):
+        if type(x) is float:
+            return self._pdf(x)
+        with np.errstate(over="ignore"):
+            return self._pdf(np.asarray(x, dtype=float))
+
+    def _pdf(self, x):
         raise NotImplementedError
 
     @property
@@ -177,8 +173,7 @@ class Gaussian(Density1D):
     rules = {"mean": _finite, "sd": _scale}
     location = ("mean",)
 
-    @_float_or_array
-    def pdf(self, x):
+    def _pdf(self, x):
         z = (x - self.mean) / self.sd
         return np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
 
@@ -194,8 +189,7 @@ class Cauchy(Density1D):
     rules = {"loc": _finite, "scale": _scale}
     location = ("loc",)
 
-    @_float_or_array
-    def pdf(self, x):
+    def _pdf(self, x):
         z = (x - self.loc) / self.scale
         return 1.0 / (math.pi * self.scale * (1.0 + z * z))
 
@@ -211,8 +205,7 @@ class Laplace(Density1D):
     rules = {"loc": _finite, "scale": _scale}
     location = ("loc",)
 
-    @_float_or_array
-    def pdf(self, x):
+    def _pdf(self, x):
         return np.exp(-abs(x - self.loc) / self.scale) / (2.0 * self.scale)
 
     def breakpoints(self):
@@ -238,8 +231,7 @@ class Uniform(Density1D):
             raise ContractViolationError(
                 "b - a and the density 1 / (b - a) must be positive finite floats")
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
+    def _pdf(self, x):
         a, b = np.asarray(self.a, dtype=float), np.asarray(self.b, dtype=float)
         return np.where((x >= a) & (x <= b), 1.0 / (b - a), 0.0)
 
@@ -259,8 +251,7 @@ class Exponential(Density1D):
     rules = {"rate": _scale, "shift": _finite}
     location = ("shift",)
 
-    @_float_or_array
-    def pdf(self, x):
+    def _pdf(self, x):
         t = x - self.shift
         # exp(-746) is 0.0, so the upper clip changes no value; it only keeps
         # rate * t from overflowing.
@@ -296,8 +287,7 @@ class Histogram(Density1D):
         if not abs(mass - 1.0) <= 1e-9:
             raise ContractViolationError(f"histogram mass {mass} != 1")
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
+    def _pdf(self, x):
         idx = np.searchsorted(self.breaks, x, side="right") - 1
         idx = np.clip(idx, 0, len(self.heights) - 1)
         vals = np.asarray(self.heights)[idx]
@@ -393,8 +383,7 @@ class ExpFamily(Density1D):
             acc = acc + c * fn(x)
         return acc
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
+    def _pdf(self, x):
         inside = (x >= self.lo) & (x <= self.hi)
         with np.errstate(over="ignore"):
             vals = np.exp(self.log_pdf(x))
@@ -435,14 +424,13 @@ class PathologicalGaussian(Density1D):
     kind = "pathological-gaussian"
     rules = {"theta": _finite}
 
-    def pdf(self, x):
-        # x - theta and z * z overflow as Gaussian's do, and exp of a spike
-        # does from theta of about 2.36.
+    def _pdf(self, x):
+        # exp of a spike overflows from theta of about 2.36, on a float too.
         with np.errstate(over="ignore"):
-            z = np.asarray(x, dtype=float) - self.theta
+            z = x - self.theta
             expo = -0.5 * z * z
             spike = (z == 0) & (self.theta > 0)
-            if spike.any():
+            if np.any(spike):
                 expo = np.where(spike, _spike_log(self.theta), expo)
             return np.exp(expo) / math.sqrt(2.0 * math.pi)
 
@@ -470,8 +458,7 @@ class Tabulated(Density1D):
         if not abs(mass - 1.0) <= 1e-9:
             raise ContractViolationError(f"tabulated mass {mass} != 1")
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
+    def _pdf(self, x):
         return np.interp(x, self.grid, self.values, left=0.0, right=0.0)
 
     @property

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import simplex_grid_array
+from .aggregation import _lattice_size, simplex_grid_array
 from .criterion import DensityFamily
 from .densities import (ExpFamily, Gaussian, Histogram, ProductDensity,
                         integrate_on_supports, product_hellinger_sq)
@@ -195,7 +195,7 @@ def build_histogram_family(breakpoint_grids, k: int, n: int,
         if not 1 <= pieces <= k:
             raise ContractViolationError(
                 f"breakpoints {breaks} define {pieces} pieces, not 1 to k = {k}")
-    if sum(math.comb(mass_steps + len(b) - 2, len(b) - 2) for b in grids) > MAX_GRID_POINTS:
+    if sum(_lattice_size(len(b) - 1, mass_steps) for b in grids) > MAX_GRID_POINTS:
         raise ContractViolationError(
             f"histogram family at mass_steps = {mass_steps} makes more than "
             f"{MAX_GRID_POINTS} lattice points")

@@ -120,6 +120,15 @@ _KERNELS = {
 DEFAULT_KERNEL_ID = "psi2"
 
 
+def _check_kernel(kernel) -> PsiKernel:
+    """``kernel``, if it is a :class:`PsiKernel`: the one check of a kernel
+    argument, made where a public function takes it."""
+    if not isinstance(kernel, PsiKernel):
+        raise ContractViolationError(
+            f"kernel must be a PsiKernel, got {type(kernel).__name__}")
+    return kernel
+
+
 def kernel_constants(kernel_id: str = DEFAULT_KERNEL_ID) -> PsiKernel:
     if not (isinstance(kernel_id, str) and kernel_id in _KERNELS):
         raise ContractViolationError(
@@ -289,11 +298,12 @@ def check_assumption(kernel: PsiKernel, q: Density1D, qp: Density1D,
     Both left-hand integrals run over R's support with the same kinks, so
     QUADPACK asks them for nearly the same nodes: each distinct node's psi
     and R values are computed once per call and read by both integrands.
-    QUADPACK passes one float node at a time, and the Gaussian, Laplace and
-    Cauchy pdfs and :func:`psi_pair` take their float paths on it, with the
-    same bits as on arrays.  Returns the four sides; ``pass`` requires
-    lhs <= rhs + tolerance for both.
+    QUADPACK passes one float node at a time, and every kind's pdf and
+    :func:`psi_pair` take their float paths on it, with the same bits as on
+    arrays.  Returns the four sides; ``pass`` requires lhs <= rhs +
+    tolerance for both.
     """
+    _check_kernel(kernel)
     quad = quad or QuadratureSpec(abs_tol=1e-10)
     h2_rq = hellinger_sq(r, q, quad)
     h2_rqp = hellinger_sq(r, qp, quad)

@@ -36,13 +36,26 @@ PAIR_VC_FACTOR = 9.41
 
 @dataclass(frozen=True)
 class RegressionFunction:
-    """A labelled, vectorized map w -> g(w)."""
+    """A labelled, vectorized map w -> g(w).
+
+    g(w) must broadcast to the shape of w, so a scalar is a constant g.
+    Non-finite values pass: a slope so steep that g(w) overflows to inf
+    gives density 0 there.
+    """
 
     fn: callable
     label: str
 
     def __call__(self, w):
-        return np.asarray(self.fn(np.asarray(w, dtype=float)), dtype=float)
+        w = np.asarray(w, dtype=float)
+        g = np.asarray(self.fn(w), dtype=float)
+        try:
+            np.broadcast_to(g, w.shape)
+        except ValueError:
+            raise ContractViolationError(
+                f"regression function {self.label!r} maps w of shape {w.shape} "
+                f"to shape {g.shape}") from None
+        return g
 
 
 def _functions(name, v):

@@ -132,6 +132,66 @@ class TestSimplexPoint:
         assert np.allclose(arr.sum(axis=1), 1.0)
 
 
+class TestSimplexLattice:
+    def test_lattice_size_counts_the_points(self):
+        for size in range(1, 6):
+            for steps in range(1, 8):
+                assert (len(simplex_grid_array(size, steps))
+                        == aggregation._lattice_size(size, steps))
+
+    def test_lattice_of_the_cap_is_enumerated(self):
+        assert aggregation._lattice_size(2, 2**18 - 1) == aggregation._MAX_LATTICE
+        assert simplex_grid_array(2, 2**18 - 1).shape == (2**18, 2)
+
+    @pytest.mark.parametrize("size, steps", [(2, 2**18), (6, 29), (6, 200)])
+    def test_lattice_over_the_cap_refused_before_enumerating(self, size, steps,
+                                                             monkeypatch):
+        """C(steps + size - 1, size - 1) points: 262,145, 278,256 and
+        2,872,408,791."""
+        def enumerate_(*args):
+            raise AssertionError("the lattice was enumerated")
+
+        monkeypatch.setattr(aggregation.itertools, "combinations", enumerate_)
+        X = Sample(np.array([-1.0, 0.0, 0.5, 2.0]))
+        cs = gaussian_candidates(range(size), X)
+        alpha = SimplexPoint.vertex(0, size)
+        for call in (lambda: simplex_grid_array(size, steps),
+                     lambda: simplex_grid(size, steps),
+                     lambda: mixture_upsilon(cs, alpha, steps, K2)):
+            with pytest.raises(ContractViolationError, match="more than 262144 points"):
+                call()
+
+
+class TestArgumentChecks:
+    X = Sample(np.array([-1.0, 0.0, 0.5, 2.0]))
+
+    @pytest.mark.parametrize("weights", [(0.5, 0.5), (0.25, 0.25, 0.25, 0.25)])
+    def test_point_of_another_length_rejected(self, weights):
+        cs = gaussian_candidates([-1, 0, 1], self.X)
+        good, bad = SimplexPoint((0.2, 0.5, 0.3)), SimplexPoint(weights)
+        for call in (lambda: t_mix(cs, bad, good, K2),
+                     lambda: t_mix(cs, good, bad, K2),
+                     lambda: inner_argmax(cs, bad, K2),
+                     lambda: mixture_upsilon(cs, bad, 4, K2)):
+            with pytest.raises(ContractViolationError, match="SimplexPoint of 3 weights"):
+                call()
+
+    @pytest.mark.parametrize("kernel", ["psi2", K2.__dict__])
+    def test_kernel_must_be_a_psi_kernel(self, kernel):
+        cs = gaussian_candidates([-1, 0, 1], self.X)
+        one = gaussian_candidates([0], self.X)  # saddle_point's early return
+        a = SimplexPoint((0.2, 0.5, 0.3))
+        entries = [ProductDensity(iid=Gaussian(0, 1), n=self.X.n)]
+        for call in (lambda: select_candidate(self.X, entries, [1.0], kernel),
+                     lambda: t_mix(cs, a, a, kernel),
+                     lambda: inner_argmax(cs, a, kernel),
+                     lambda: saddle_point(cs, kernel),
+                     lambda: saddle_point(one, kernel),
+                     lambda: mixture_upsilon(cs, a, 4, kernel)):
+            with pytest.raises(ContractViolationError, match="kernel must be a PsiKernel"):
+                call()
+
+
 class TestCandidateSet:
     def test_positive_values_required(self):
         X = Sample(np.array([0.0, 10.0]))

@@ -11,6 +11,7 @@ import inspect
 import itertools
 import math
 import warnings
+from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
@@ -19,10 +20,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rhoest import (Cauchy, ContractViolationError, DensityFamily, Exponential,
-                    Gaussian, Histogram, Laplace, PathologicalGaussian, Penalty,
-                    ProductDensity, Sample, Uniform, kernel_constants, psi_pair,
-                    t_statistic, upsilon, upsilon_all)
+from rhoest import (Cauchy, ContractViolationError, Density1D, DensityFamily,
+                    Exponential, Gaussian, Histogram, Laplace, PathologicalGaussian,
+                    Penalty, ProductDensity, Sample, Tabulated, Uniform,
+                    kernel_constants, psi_pair, rho_estimate, t_statistic, upsilon,
+                    upsilon_all)
 from rhoest import criterion, densities, psi
 from rhoest.models import build_gaussian_location_grid
 
@@ -758,3 +760,164 @@ def test_one_pdf_call_per_kind_and_block(monkeypatch):
     assert sorted(calls) == sorted([("Gaussian", (5, 1)), ("Gaussian", (5, 1)),
                                     ("Gaussian", (2, 1)), ("Cauchy", (5, 1)),
                                     ("Histogram", (3,))])
+
+
+# ---------------------------------------------------------------------------
+# Invariance under the dominating measure and the version of a density
+# ---------------------------------------------------------------------------
+
+def normal_exponents(S, e):
+    """The exponents ``e``, one per column of S, clipped so that every finite
+    nonzero root of column i times 2**e[i] is normal.  A column whose roots
+    span more binades than that (a subnormal beside 2**1000) gets the
+    largest exponent that keeps it finite, which loses no bit either."""
+    finite = (S > 0.0) & (S < np.inf)
+    k = np.frexp(S)[1]  # a finite nonzero root lies in [2**(k - 1), 2**k)
+    low = np.where(finite, -1021 - k, -2000).max(axis=0)
+    high = np.where(finite, 1024 - k, 2000).min(axis=0)
+    return np.clip(e, low, high)
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.id)
+class TestDominatingMeasure:
+    @settings(max_examples=150, deadline=None)
+    @given(case=screen_case(), data=st.data())
+    def test_criterion_rows_keep_their_bits(self, kernel, case, data):
+        """Every density at x_i times 4**e_i, its root times 2**e_i: the rows
+        of a screened and a plain square call, and of a call on fewer rows,
+        keep their bits.  The exponents reach every binade of normal roots,
+        so columns move in and out of the exact and float32 ranges."""
+        S, pen = case
+        e = data.draw(hnp.arrays(np.int64, S.shape[1], elements=st.integers(-1100, 1100)))
+        e = normal_exponents(S, e)
+        moved = np.ldexp(S, e)
+        assert same_bits(np.ldexp(moved, -e), S)  # no root lost a bit
+        block = data.draw(st.integers(1, S.size // 2))
+        rows = data.draw(st.integers(1, len(S)))
+
+        def calls(M):
+            with mock.patch.object(criterion, "_BLOCK_ELEMENTS", S.size):
+                plain = criterion._criterion_rows(M, M, pen, kernel)
+                fewer = criterion._criterion_rows(M[:rows], M, pen, kernel)
+            return screened_call(M, pen, kernel, block)[0], plain, fewer
+
+        for got, want in zip(calls(moved), calls(S)):
+            assert got.tobytes() == want.tobytes()
+
+
+def same_fits(X, families, pen, kernel, block):
+    """The families' sqrt-value matrices have the same bits; so then do
+    ``upsilon_all``'s values, and ``rho_estimate`` makes the same RhoFit."""
+    S = families[0].sqrt_value_matrix(X)
+    for fam in families[1:]:
+        assert same_bits(fam.sqrt_value_matrix(X), S)
+    with mock.patch.object(criterion, "_BLOCK_ELEMENTS", block):
+        ups = [upsilon_all(X, fam, pen, kernel).tobytes() for fam in families]
+        fits = [rho_estimate(X, fam, pen, kernel) for fam in families]
+    assert all(u == ups[0] for u in ups)
+    assert all(fit == fits[0] for fit in fits)
+
+
+def drawn_penalty(data, size):
+    values = data.draw(st.lists(st.floats(0.0, 5.0), min_size=size, max_size=size))
+    return Penalty(dict(enumerate(values)))
+
+
+# A block of one value screens every call of two or more entries; 2**16
+# leaves these small calls plain.
+SCREENED_OR_PLAIN = pytest.mark.parametrize("block", [1, 2**16],
+                                            ids=["screened", "plain"])
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.id)
+@SCREENED_OR_PLAIN
+class TestVersionOfADensity:
+    @PROPERTY
+    @given(data=st.data())
+    def test_uniform_histogram_and_flat_tabulated(self, kernel, block, data):
+        """Uniform(a, b), the one-piece histogram and the flat tabulated
+        density on [a, b], beside Gaussians, at points that include a and b."""
+        ends = data.draw(st.lists(
+            st.tuples(st.floats(-3.0, 3.0), st.floats(0.1, 4.0)).map(
+                lambda aw: (aw[0], aw[0] + aw[1])),
+            min_size=1, max_size=4, unique=True))
+        points = [x for ab in ends for x in ab]
+        points += data.draw(st.lists(st.floats(-8.0, 8.0), max_size=12))
+        X = Sample(np.array(points))
+        versions = [
+            [Uniform(a, b) for a, b in ends],
+            [Histogram((a, b), (1.0 / (b - a),)) for a, b in ends],
+            [Tabulated((a, b), (1.0 / (b - a),) * 2) for a, b in ends]]
+        others = [Gaussian(m, 1.0) for m in data.draw(
+            st.lists(st.floats(-3.0, 3.0), max_size=3, unique=True))]
+        families = [DensityFamily([ProductDensity(iid=d, n=X.n)
+                                   for d in version + others])
+                    for version in versions]
+        same_fits(X, families, drawn_penalty(data, len(families[0])), kernel, block)
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_iid_product_and_its_coordinates(self, kernel, block, data):
+        """ProductDensity(iid=m, n=n) and ProductDensity(coords=[m] * n), for
+        densities of every kind that the family stacks, and histograms."""
+        points = list(STACK_POINTS) + data.draw(st.lists(st.floats(-50.0, 50.0),
+                                                         max_size=6))
+        X = Sample(np.array(points))
+        marginals = data.draw(st.lists(marginals_of_every_kind(points),
+                                       min_size=1, max_size=5,
+                                       unique_by=lambda d: d.key()))
+        families = [DensityFamily([ProductDensity(iid=m, n=X.n) for m in marginals]),
+                    DensityFamily([ProductDensity(coords=[m] * X.n) for m in marginals])]
+        with np.errstate(all="ignore"):  # as the stacked-values tests above
+            same_fits(X, families, drawn_penalty(data, len(marginals)), kernel, block)
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_singular_gaussian_off_its_spike(self, kernel, block, data):
+        """PathologicalGaussian(theta) and Gaussian(theta, 1) on a sample
+        without the point theta, beside Gaussians of other sds."""
+        thetas = data.draw(st.lists(st.one_of(
+            st.floats(-5.0, 5.0), st.integers(-5, 5),
+            st.sampled_from([30.0, 200.0, 1e300, -1.7e308])),
+            min_size=1, max_size=4, unique=True))
+        points = data.draw(st.lists(st.one_of(
+            st.floats(-8.0, 8.0), st.sampled_from([1e200, -1e200, 1.7e308])),
+            min_size=1, max_size=15).filter(
+            lambda xs: not set(xs) & set(map(float, thetas))))
+        X = Sample(np.array(points))
+        others = [Gaussian(0.5, 2.0), Gaussian(-1.0, 0.5)]
+        families = [DensityFamily([ProductDensity(iid=d, n=X.n)
+                                   for d in [kind(t) for t in thetas] + others])
+                    for kind in (PathologicalGaussian, lambda t: Gaussian(t, 1.0))]
+        same_fits(X, families, drawn_penalty(data, len(families[0])), kernel, block)
+
+
+@dataclass(frozen=True, eq=False)
+class FormulaOnly(Density1D):
+    """A kind that defines its formula alone and records the points it gets."""
+
+    kind = "formula-only"
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "seen", [])
+
+    def _pdf(self, x):
+        self.seen.append(x)
+        return np.exp(-x * x * 1e300)  # x * x overflows at 1e200
+
+
+def test_subclass_defining_only_the_formula_gets_a_float_or_a_float64_array():
+    d = FormulaOnly()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        node = 1e200
+        assert d.pdf(node) == 0.0
+        assert d.seen.pop() is node
+        for x in ([1e200, 0.5], [1, 2], (0.0,), np.float64(1e200),
+                  np.array([0.5], dtype=np.float32), 7):
+            values = d.pdf(x)
+            seen = d.seen.pop()
+            assert type(seen) is np.ndarray and seen.dtype == np.float64
+            assert seen.tolist() == np.asarray(x, dtype=float).tolist()
+            assert np.shape(values) == seen.shape

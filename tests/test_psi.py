@@ -237,6 +237,12 @@ class TestCheckAssumption:
         assert rep["lhs_esp"] == pytest.approx(0.0, abs=1e-9)
         assert rep["rhs_esp"] == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("kernel", ["psi2", None])
+    def test_kernel_must_be_a_psi_kernel(self, kernel):
+        with pytest.raises(ContractViolationError, match="kernel must be a PsiKernel"):
+            check_assumption(kernel, Gaussian(0, 1), Gaussian(1, 1), Gaussian(0, 1),
+                             self.QUAD)
+
     def test_signed_expectation(self):
         rep = check_assumption(PSI2, Gaussian(0, 1), Gaussian(2, 1),
                                Gaussian(0, 1), self.QUAD)

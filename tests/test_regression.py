@@ -111,6 +111,29 @@ class TestBuild:
                             mode_multiplier=2.0)
 
 
+class TestRegressionFunction:
+    W = np.linspace(-1.0, 1.0, 5)
+
+    @pytest.mark.parametrize("fn", [lambda w: w[:, None],
+                                    lambda w: np.array([1.0, 2.0])])
+    def test_value_of_another_shape_rejected(self, fn):
+        g = RegressionFunction(fn, label="bad g")
+        with pytest.raises(ContractViolationError, match="'bad g' maps w of shape"):
+            g(self.W)
+        model = RegressionModel(Gaussian(0, 1), [g], vc_index_f=1)
+        coll = build_regression_family([model], n=5)
+        X = Sample(np.column_stack([self.W, self.W]), kind="pair")
+        with pytest.raises(ContractViolationError, match="'bad g'"):
+            fit_regression(X, coll)
+
+    def test_scalar_and_non_finite_values_pass(self):
+        assert RegressionFunction(lambda w: 2.0, label="constant")(self.W) == 2.0
+        steep = RegressionFunction(lambda w: 1e308 * w * 10.0, label="steep")
+        with np.errstate(over="ignore"):
+            values = steep(self.W)
+        assert values.tolist() == [-np.inf, -np.inf, 0.0, np.inf, np.inf]
+
+
 class TestFit:
     def test_degenerate_single_entry(self):
         g0 = RegressionFunction(lambda w: np.zeros_like(w), label="zero")

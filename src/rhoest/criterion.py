@@ -375,16 +375,27 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
     for psi1, whose squares stay normal, and [2**-60, 2**60] for psi2),
     splits the sample columns: its scaled columns are the double ones, and
     the others, whose roots are all 0, inf or inside that range, are
-    single.  A C-contiguous float32 copy of the single columns holds their
-    zeros and infinities as the row's stand-ins (2**-62 and 2**62 for psi1,
-    2**-120 and 2**120 for psi2), on which float32's ratio gives exactly
-    the sign rule's -1, +1 or +0.0, as float64's stand-ins do.
+    single.  :meth:`PsiKernel.screen_operands` makes, once per call, a
+    float32 copy of the single columns (and, for psi1, their float32
+    squares, N * m * 4 bytes more) whose zeros and infinities are the
+    row's stand-ins (2**-62 and 2**62 for psi1, 2**-120 and 2**120 for
+    psi2).  On a stand-in, psi1's screened value is exactly the sign rule's
+    -1, +1 or +0.0, as on float64's stand-ins, and psi2's is too or lies
+    within 2**-59 of -1.
 
-    1. *Screen.*  The block pass sums :meth:`PsiKernel.ratio` over the
-       single columns in float32 with a float64 accumulator, and adds the
-       float64 psi_pair sums of the double columns, among them the ones
-       that psi_pair rescales.  The screen is mirrored and penalized as
-       above.  On and above the diagonal it is within E (below) of T.
+    1. *Screen.*  The block pass sums psi over the single columns in
+       float32 with a float64 accumulator, by
+       :meth:`PsiKernel.screen_sums`: psi1 as (u - v) / sqrt(u*u + v*v) on
+       the squares made once, in four float32 passes and the sum, and psi2
+       as 2 sum(t) - m with t = u / (u + v), in two float32 passes and the
+       sum, then one map of each float64 sum.  A term t underflows to its
+       exact limit 0 where a zero's stand-in meets a large root, so the
+       pass runs under ``np.errstate(under="ignore")``, whatever the
+       caller's errstate, and raises no floating-point exception.  The
+       block pass adds the float64 psi_pair sums of the double columns,
+       among them the ones that psi_pair rescales.  The screen is mirrored
+       and penalized as above.  On and above the diagonal it is within E
+       (below) of T.
     2. *Certify.*  Row j keeps challenger k when its screened value is
        within the margin 2E + 2**-50 (n + 1 + P) of the row's screened
        maximum, with P the largest finite penalty.  Every pair {j, k},
@@ -401,23 +412,35 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
     is kept, and its exact value, now in T, is within E plus a penalty's
     rounding of the maximum.  So every dropped entry stays strictly below
     the row's exact maximum, and the row maximum of T is the one the full
-    computation gives.  The diagonal needs no exact sum: psi of equal roots
-    is +0.0 in float32 as in float64, so its screened value is already the
-    exact +0.0 - pen[j].
+    computation gives.  The diagonal needs no exact sum: psi1 of equal
+    roots is +0.0 in float32 as in float64, and each psi2 term of equal
+    roots is exactly 0.5, so 2 sum(t) - m is +0.0 too, and the diagonal's
+    screened value is already the exact +0.0 - pen[j].
 
     The error bound E.  Let u = 2**-53 and psi_i the exact psi at the
     float64 roots of column i.  Rounding a root to float32 is a relative
     error of at most 2**-24, so log(u_i / v_i) moves by at most 2**-23
     (slightly more), and psi moves by at most |dpsi/dlog x| <= 1/2 (psi2)
-    or 1/sqrt(2) (psi1) times that.  psi2's 3 float32 operations and psi1's
-    6 add a relative error of about 3 or 6 times 2**-24, to a value of at
-    most 1.  So each float32 value is within 4 * 2**-24 (psi2) or 7.5 *
-    2**-24 (psi1) of psi_i, and within 2**-21 for both.  Each float64 value,
-    in T or in the screen's other columns, is within 8u of psi_i: 16 n u at
-    most over both.  A float64 sum of n values of size at most about 1, in
-    any order, errs by at most (n - 1) u n, so T's sum, the screen's two
-    and their addition add at most 2 n**2 u + n u.  Hence, with m single
-    columns,
+    or 1/sqrt(2) (psi1) times that.  psi1's 6 float32 operations (the
+    square made once per call among them) add a relative error of about 6
+    * 2**-24 to a value of at most 1, so each psi1 value is within 7.5 *
+    2**-24 of psi_i.  psi2's term t = u / (u + v) = (1 + psi) / 2 lies in
+    [0, 1] and moves by half as much as psi, 2**-25, at the float32 roots;
+    its 2 float32 operations add a relative error of about 2 * 2**-24.  So
+    t is within 2**-23 + 2**-25 of (1 + psi_i) / 2, and 2t - 1, since
+    doubling is exact, within 2**-22 + 2**-24 = 5 * 2**-24 of psi_i.  Both
+    kernels' values are within 2**-21 per column.  Each float64 value, in T
+    or in the screen's other columns, is within 8u of psi_i: 16 n u at most
+    over both.  A float64 sum of k values of size at most 1, in any order,
+    errs by at most (k - 1) u k (recursive summation; Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 4.2).  So T's sum
+    adds at most n**2 u, and the screen's sum of its d double columns d**2
+    u.  Its sum of the m single columns adds m**2 u for psi1, and for psi2,
+    whose sum of terms t in [0, 1] is doubled and then less m, 2 m**2 u for
+    the doubled sum and m u for the subtraction.  Adding the screen's two
+    sums adds n u.  Since 2 m**2 + d**2 <= 2 n**2, the sums add at most 3
+    n**2 u + 2 n u in all, inside the 4 n**2 u + 16 n u that E leaves
+    beside the 16 n u of the values.  Hence, with m single columns,
 
         |screen - T| <= E = m * 2**-21 + n (n + 8) 2**-51,
 
@@ -432,9 +455,9 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
     (J, n), K = den_sqrt.shape, len(num_sqrt)
     roots = num_sqrt
     num_sqrt, den_sqrt, scaled = _settle(kernel, num_sqrt, den_sqrt)
-    # The block pass sums the m float32 columns of roots32 and the d float64
+    # The block pass sums the m float32 columns of ops32 and the d float64
     # columns of num64 and den64; only a screened call has m > 0.
-    num64, den64, scaled64, roots32, m = num_sqrt, den_sqrt, scaled, None, 0
+    num64, den64, scaled64, ops32, m = num_sqrt, den_sqrt, scaled, None, 0
     if square and J * n >= 2 * _BLOCK_ELEMENTS:
         single, _, double = _settle(kernel, roots, roots, np.float32)
         m = n - double.size
@@ -443,7 +466,7 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
                 single = np.delete(single, double, axis=1)
                 num64 = den64 = np.take(den_sqrt, double, axis=1)
                 scaled64 = np.searchsorted(double, scaled)  # the scaled columns among them
-            roots32 = np.ascontiguousarray(single, dtype=np.float32)
+            ops32 = kernel.screen_operands(single)
         del single
     d = n - m
     weight = m + 2 * d  # float64 workspace slots per pair
@@ -461,10 +484,8 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
         r, h, c, w = block
         sums = T[r:r + h, c:c + w]
         if m:
-            np.add.reduce(kernel.ratio(
-                roots32[np.newaxis, c:c + w], roots32[r:r + h, np.newaxis],
-                out=work[:h * w * m].view(np.float32).reshape(2, h, w, m)),
-                axis=2, dtype=np.float64, out=sums)
+            kernel.screen_sums(ops32[:, np.newaxis, c:c + w], ops32[:, r:r + h, np.newaxis],
+                               work[:h * w * m].view(np.float32).reshape(2, h, w, m), sums)
         if d:
             vals = psi_pair(kernel, num64[np.newaxis, c:c + w], den64[r:r + h, np.newaxis],
                             out=work[h * w * m:h * w * weight].reshape(2, h, w, d),
@@ -474,8 +495,10 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
             else:  # straight into T, so a -0.0 sum keeps its sign
                 np.add.reduce(vals, axis=2, out=sums)
 
-    _run(blocks, block_step, work)
-    del roots32, num64, den64
+    # psi2's float32 terms underflow to 0 on stand-ins (PsiKernel.screen_sums).
+    with np.errstate(under="ignore"):
+        _run(blocks, block_step, work)
+    del ops32, num64, den64
     if square:
         np.copyto(T, 0.0 - T.T, where=np.tri(J, k=-1, dtype=bool))
     np.subtract(T, num_pen, out=T)

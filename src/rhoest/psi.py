@@ -85,6 +85,43 @@ class PsiKernel:
         np.subtract(u, v, out=num)
         return np.divide(num, den, out=num)
 
+    def screen_operands(self, roots):
+        """The float32 operands of :meth:`screen_sums` for an (N, m) root
+        matrix: a (k, N, m) array holding the roots rounded to float32 and,
+        for psi1, their float32 squares, made once here, not per block."""
+        ops = np.empty((1 + (self.id == "psi1"), *roots.shape), np.float32)
+        ops[0] = roots
+        if self.id == "psi1":
+            np.multiply(ops[0], ops[0], out=ops[1])
+        return ops
+
+    def screen_sums(self, u, v, work, sums):
+        """Write into ``sums`` the float64 sums over the last axis of psi on
+        the float32 operands ``u`` and ``v`` of :meth:`screen_operands`,
+        sliced and broadcasting to (k, h, w, m); ``work`` is a float32
+        (2, h, w, m) workspace and ``sums`` an (h, w) float64 array.
+
+        psi1 sums (u - v) / sqrt(u*u + v*v) over the squares made once, in
+        the bits of :meth:`ratio`.  psi2 sums t = u / (u + v) in [0, 1] and
+        then takes 2 * sum - m, since psi2 = 2t - 1: one pass fewer per
+        value, and doubling is exact.  On a stand-in t can underflow
+        towards its limit 0 (see ``_ROOTS``), so the caller runs this under
+        ``np.errstate(under="ignore")``.
+        """
+        if self.id == "psi1":
+            num, den = work
+            np.subtract(u[0], v[0], out=num)
+            np.add(u[1], v[1], out=den)
+            np.sqrt(den, out=den)
+            np.add.reduce(np.divide(num, den, out=num), axis=-1, dtype=np.float64,
+                          out=sums)
+            return
+        t = work[0]
+        np.add(u[0], v[0], out=t)
+        np.add.reduce(np.divide(u[0], t, out=t), axis=-1, dtype=np.float64, out=sums)
+        np.multiply(sums, 2.0, out=sums)
+        np.subtract(sums, t.shape[-1], out=sums)
+
     def ratio_du(self, u, v):
         """d/du of :meth:`ratio` for u, v > 0."""
         if self.id == "psi1":
@@ -106,6 +143,11 @@ class PsiKernel:
 # against an equal one, with no floating-point exception: psi1's squares of
 # the stand-ins stay normal and finite, and psi2 takes no squares.  The
 # float64 rows serve psi_pair, the float32 rows the criterion's screen.
+# The screen's psi2 sums the term u / (u + v) instead (see
+# PsiKernel.screen_sums), which on a stand-in is exactly 0, 1/2 or 1, or
+# within 2**-60 of 0.  It can underflow towards its limit 0, where a zero's
+# stand-in meets a root above 2**6 or an infinity's stand-in one below
+# 2**-6, and the screen silences that exception alone.
 _ROOTS = {("psi1", np.float64): (2.0 ** -450, 2.0 ** 450, 2.0 ** -511, 2.0 ** 511),
           ("psi2", np.float64): (2.0 ** -540, 2.0 ** 940, 2.0 ** -600, 2.0 ** 1000),
           ("psi1", np.float32): (2.0 ** -30, 2.0 ** 30, 2.0 ** -62, 2.0 ** 62),
@@ -172,7 +214,8 @@ def psi_pair(kernel: PsiKernel, num_sqrt, den_sqrt, out=None, scaled=None):
     columns for operands that a caller has already settled, as slices of
     arrays that span the last axis and were settled whole; without it, the
     operands are broadcast together and settled here, and NaN or negative
-    roots raise :class:`ContractViolationError`.
+    roots raise :class:`ContractViolationError`, as does a ``kernel`` that
+    is not a :class:`PsiKernel` (a caller passing ``scaled`` checked both).
 
     Two scalar operands (floats, such as QUADPACK's nodes in
     :func:`check_assumption`, other numbers and 0-d arrays) skip numpy's
@@ -181,6 +224,9 @@ def psi_pair(kernel: PsiKernel, num_sqrt, den_sqrt, out=None, scaled=None):
     :meth:`PsiKernel.ratio` on Python floats, scaled by the same rule when a
     root lies outside the kernel's exact range.
     """
+    # The test inline, since quadrature calls the scalar path once per node.
+    if scaled is None and not isinstance(kernel, PsiKernel):
+        _check_kernel(kernel)
     scalar = isinstance(num_sqrt, float) and isinstance(den_sqrt, float)
     if not scalar:
         u, v = np.asarray(num_sqrt, dtype=float), np.asarray(den_sqrt, dtype=float)

@@ -48,14 +48,27 @@ class RegressionFunction:
 
     def __call__(self, w):
         w = np.asarray(w, dtype=float)
-        g = np.asarray(self.fn(w), dtype=float)
-        try:
-            np.broadcast_to(g, w.shape)
-        except ValueError:
-            raise ContractViolationError(
-                f"regression function {self.label!r} maps w of shape {w.shape} "
-                f"to shape {g.shape}") from None
-        return g
+        return _values_at(f"regression function {self.label!r}", self.fn, w)
+
+
+def _values_at(name, g, w):
+    """g(w) as a float array that broadcasts to the shape of ``w``, or a
+    :class:`ContractViolationError` naming g as ``name``."""
+    try:
+        values = g(w)
+    except ContractViolationError as exc:  # a RegressionFunction's own check
+        raise ContractViolationError(f"{name}: {exc}") from None
+    try:
+        values = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ContractViolationError(
+            f"{name} maps w to {type(values).__name__} values, not numbers") from None
+    try:
+        np.broadcast_to(values, w.shape)
+    except ValueError:
+        raise ContractViolationError(
+            f"{name} maps w of shape {w.shape} to shape {values.shape}") from None
+    return values
 
 
 def _functions(name, v):
@@ -151,14 +164,16 @@ def d_s_loss(s: Density1D, g, gp, w_sample, quad: QuadratureSpec | None = None) 
 
     The empirical design points stand in for the (unknown) design
     distribution.  By translation invariance only the shift g(w) - gp(w)
-    matters at each design point.
+    matters at each design point.  g and gp are callables, such as
+    :class:`RegressionFunction`, whose values must be numbers that broadcast
+    to the shape of w, as a :class:`RegressionFunction`'s must.
     """
     w = np.asarray(w_sample, dtype=float)
     if w.size == 0:
         raise ContractViolationError("need at least one design point")
-    shifts = np.asarray(g(w), dtype=float) - np.asarray(gp(w), dtype=float)
+    shifts = np.broadcast_to(_values_at("g", g, w) - _values_at("gp", gp, w), w.shape)
     vals = [0.0 if c == 0.0 else hellinger_sq(shifted(s, c), s, quad)
-            for c in shifts]
+            for c in shifts.flat]
     return float(np.mean(vals))
 
 

@@ -417,19 +417,18 @@ class TestSharedBlocks:
         in a call on part of T, in a screened square call (its float32 blocks
         and its exact pairs), and in a square call of identical entries,
         whose screen keeps every pair j < k for the certificate."""
-        original, ratio, blocks = criterion.psi_pair, psi.PsiKernel.ratio, []
+        original, screen_sums, blocks = criterion.psi_pair, psi.PsiKernel.screen_sums, []
 
         def psi_pair(*args, **kwargs):
             blocks.append(("float64", args[1].shape, args[2].shape))
             return original(*args, **kwargs)
 
-        def screen_ratio(kernel, u, v, out=None):
-            if out is not None and out.dtype == np.float32:
-                blocks.append(("float32", u.shape, v.shape))
-            return ratio(kernel, u, v, out)
+        def float32_block(kernel, u, v, work, sums):
+            blocks.append(("float32", u.shape, v.shape))
+            return screen_sums(kernel, u, v, work, sums)
 
         monkeypatch.setattr(criterion, "psi_pair", psi_pair)
-        monkeypatch.setattr(psi.PsiKernel, "ratio", screen_ratio)
+        monkeypatch.setattr(psi.PsiKernel, "screen_sums", float32_block)
         same = np.repeat(self.S[:1], len(self.S), axis=0)
         calls = [(self.S, self.S), (self.S[:5], self.S[2:]), (same, same)]
         monkeypatch.setattr(criterion, "_cpus", lambda: 1)
@@ -634,6 +633,25 @@ class TestScreen:
         assert runs[0][0] == "block_step" and runs[0][2]["m"] == 16 - len(double)
         assert (len(double), [double.index(4)]) in seen
         assert (16, [4]) in seen  # the certificate's pairs span every column
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.id)
+    def test_stand_ins_raise_no_floating_point_exception(self, kernel, monkeypatch):
+        """A column holding 0, inf, 2**59 and 2**-59: under a caller's
+        np.errstate(all="raise"), in the caller and its worker, the screened
+        call raises nothing and keeps the plain call's bits.  psi2 screens
+        the column in float32, where 0's stand-in over 2**59 underflows."""
+        S = self.S.copy()
+        S[:, 0] = np.resize([0.0, np.inf, 2.0 ** 59, 2.0 ** -59], len(S))
+        pen = np.linspace(0.0, 0.5, len(S))
+        want = self.plain(S, pen, kernel, monkeypatch)
+        monkeypatch.setattr(criterion, "_BLOCK_ELEMENTS", 64)
+        monkeypatch.setattr(criterion, "_cpus", lambda: 2)
+        runs = self.phases(monkeypatch)
+        with np.errstate(all="raise"):
+            got = criterion._criterion_rows(S, S, pen, kernel)
+        assert got.tobytes() == want.tobytes()
+        # psi1's float32 range ends at 2**30, psi2's at 2**60.
+        assert runs[0][2]["m"] == (15 if kernel.id == "psi1" else 16)
 
 
 def bench_like_roots():

@@ -892,6 +892,51 @@ class TestVersionOfADensity:
         same_fits(X, families, drawn_penalty(data, len(families[0])), kernel, block)
 
 
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.id)
+@SCREENED_OR_PLAIN
+class TestSpikeOnASamplePoint:
+    @PROPERTY
+    @given(data=st.data())
+    def test_upsilon_moves_by_at_most_two_per_spike(self, kernel, block, data):
+        """The paper's point against the MLE: s entries Gaussian(theta, 1),
+        each centred on its own sample point theta >= 0.5, become
+        PathologicalGaussian(theta), which spikes there (to +inf from theta
+        of about 2.36).  That changes s roots, in s columns; |psi| <= 1, so
+        each T entry moves by at most 2 per column and each criterion value
+        by at most 2s.  An entry admissible before is then within slack + 4s
+        of the new minimum.  Both bounds carry the rounding term written out
+        below, and the penalties and slack are drawn."""
+        points = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=14,
+                                    unique=True).map(lambda xs: xs + [0.75, 3.0]).filter(
+            lambda xs: len(set(xs)) == len(xs)))
+        X = Sample(np.array(points))
+        thetas = data.draw(st.lists(st.sampled_from([x for x in points if x >= 0.5]),
+                                    min_size=1, unique=True))
+        others = [Gaussian(m, sd) for m, sd in data.draw(st.lists(
+            st.tuples(st.floats(-3.0, 3.0), st.floats(0.5, 2.0)), max_size=5))]
+        before, after = (DensityFamily([ProductDensity(iid=d, n=X.n) for d in
+                                        [kind(t) for t in thetas] + others])
+                         for kind in (lambda t: Gaussian(t, 1.0), PathologicalGaussian))
+        s, n = len(thetas), X.n
+        moved = before.sqrt_value_matrix(X) != after.sqrt_value_matrix(X)
+        assert moved.sum() == moved.any(axis=0).sum() == s  # s roots, in s columns
+        pen = drawn_penalty(data, len(before))
+        slack = data.draw(st.floats(0.0, 2.0))
+        with mock.patch.object(criterion, "_BLOCK_ELEMENTS", block):
+            old, new = (rho_estimate(X, fam, pen, kernel, slack) for fam in (before, after))
+        # Each computed criterion value is within delta of its exact value:
+        # n (n + 8) u for T (the bound E's float64 part), then u (n + P) for
+        # subtracting a penalty and u (n + 2P) for adding one, u = 2**-53.
+        P = max(pen.values.values())
+        delta = (n * (n + 8) + 2 * n + 3 * P) * 2.0 ** -53
+        moves = np.abs(np.subtract(new.trace, old.trace))
+        assert np.all(moves <= 2 * s + 2 * delta)
+        # The admissibility threshold min + slack is rounded once more.
+        threshold = (new.upsilon_min + slack + 4 * s + 4 * delta
+                     + (abs(old.upsilon_min) + slack) * 2.0 ** -52)
+        assert all(new.trace[j] <= threshold for j in old.admissible_set)
+
+
 @dataclass(frozen=True, eq=False)
 class FormulaOnly(Density1D):
     """A kind that defines its formula alone and records the points it gets."""

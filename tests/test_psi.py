@@ -103,6 +103,17 @@ class TestEvalPsi:
         with pytest.raises(ContractViolationError):
             eval_psi(PSI2, float("nan"))
 
+    @pytest.mark.parametrize("kernel", ["psi2", None, PSI2.__dict__])
+    def test_kernel_must_be_a_psi_kernel(self, kernel):
+        """Equal roots, which never read the kernel, and both operand paths."""
+        calls = [lambda: eval_psi(kernel, 1.0), lambda: eval_psi(kernel, 3.0),
+                 lambda: psi_pair(kernel, 1.0, 2.0), lambda: psi_pair(kernel, 2.0, 2.0),
+                 lambda: psi_pair(kernel, np.ones(3), np.ones(3)),
+                 lambda: psi_pair(kernel, np.array([0.0, 1.0]), 2.0)]
+        for call in calls:
+            with pytest.raises(ContractViolationError, match="kernel must be a PsiKernel"):
+                call()
+
     @pytest.mark.parametrize("k", [PSI1, PSI2], ids=lambda k: k.id)
     def test_antisymmetry_under_inversion(self, k):
         x = np.logspace(-6, 6, 1000)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -126,6 +127,12 @@ class TestRegressionFunction:
         with pytest.raises(ContractViolationError, match="'bad g'"):
             fit_regression(X, coll)
 
+    @pytest.mark.parametrize("value", ["1.5x", object(), {"w": 1.0}])
+    def test_value_that_is_not_a_number_rejected(self, value):
+        g = RegressionFunction(lambda w: value, label="bad g")
+        with pytest.raises(ContractViolationError, match="'bad g' maps w to .* not numbers"):
+            g(self.W)
+
     def test_scalar_and_non_finite_values_pass(self):
         assert RegressionFunction(lambda w: 2.0, label="constant")(self.W) == 2.0
         steep = RegressionFunction(lambda w: 1e308 * w * 10.0, label="steep")
@@ -167,6 +174,25 @@ class TestFit:
 
 
 class TestDsLoss:
+    W = np.linspace(-1, 1, 5)
+
+    @pytest.mark.parametrize("bad, message", [
+        (lambda w: w[:, None], " maps w of shape (5,) to shape (5, 1)"),
+        (lambda w: np.array([1.0, 2.0]), " maps w of shape (5,) to shape (2,)"),
+        (lambda w: "w", " maps w to str values, not numbers"),
+        (RegressionFunction(lambda w: "w", label="text"),
+         ": regression function 'text' maps w to str values, not numbers")])
+    def test_operand_values_checked_at_entry(self, bad, message):
+        good = lambda w: 0.5 * w
+        for name, g, gp in (("g", bad, good), ("gp", good, bad)):
+            with pytest.raises(ContractViolationError, match=re.escape(name + message)):
+                d_s_loss(Gaussian(0, 1), g, gp, self.W, QUAD)
+
+    def test_constant_functions(self):
+        got = d_s_loss(Gaussian(0, 1), lambda w: 0.0, lambda w: 0.8, self.W, QUAD)
+        assert got == d_s_loss(Gaussian(0, 1), lambda w: np.zeros_like(w),
+                               lambda w: np.full_like(w, 0.8), self.W, QUAD)
+
     def test_equal_functions(self):
         g = lambda w: w
         assert d_s_loss(Gaussian(0, 1), g, g, np.linspace(-1, 1, 5), QUAD) == 0.0

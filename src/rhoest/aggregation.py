@@ -61,6 +61,13 @@ class SimplexPoint(Checked):
         return SimplexPoint(tuple(w))
 
 
+def _candidates(cs) -> None:
+    """Reject a ``cs`` that is not a :class:`CandidateSet`: the one check of
+    a candidate-set argument, made where a public function takes it."""
+    if not isinstance(cs, CandidateSet):
+        raise ContractViolationError(f"cs must be a CandidateSet, got {type(cs).__name__}")
+
+
 def _weights_of(cs, point, name):
     """The weights of ``point`` as an array, if it is a :class:`SimplexPoint`
     with one weight per candidate of ``cs``."""
@@ -125,6 +132,7 @@ def t_mix(cs: CandidateSet, alpha: SimplexPoint, beta: SimplexPoint,
           kernel: PsiKernel | None = None) -> float:
     """sum_i psi(sqrt(mix_beta(X_i) / mix_alpha(X_i))) over the sample of ``cs``;
     antisymmetric in (alpha, beta)."""
+    _candidates(cs)
     kernel = _check_kernel(kernel or kernel_constants())
     num = _weights_of(cs, beta, "beta") @ cs.values
     den = _weights_of(cs, alpha, "alpha") @ cs.values
@@ -242,6 +250,7 @@ def inner_argmax(cs: CandidateSet, alpha: SimplexPoint,
     in :func:`_line_search`.  Stops when the Frank-Wolfe gap, which bounds
     max t(alpha, .) - t(alpha, beta) from above, drops below ``inner.tol``.
     """
+    _candidates(cs)
     kernel = _check_kernel(kernel or kernel_constants())
     inner = inner or InnerSolverConfig()
     P = cs.values
@@ -279,6 +288,7 @@ def saddle_point(cs: CandidateSet, kernel: PsiKernel | None = None,
     on numerically dependent candidates; exhaustion of ``max_outer`` is
     reported, never silently truncated.
     """
+    _candidates(cs)
     kernel = _check_kernel(kernel or kernel_constants())
     if not 0.0 < _number("eps", eps) <= 1.0:
         raise ContractViolationError("eps must lie in (0, 1]")
@@ -344,6 +354,7 @@ def simplex_grid_array(size: int, steps: int) -> np.ndarray:
 def mixture_upsilon(cs: CandidateSet, alpha: SimplexPoint, grid_steps: int,
                     kernel: PsiKernel | None = None) -> float:
     """Criterion value of the alpha-mixture against a simplex-lattice family."""
+    _candidates(cs)
     kernel = _check_kernel(kernel or kernel_constants())
     den_sqrt = np.sqrt(_weights_of(cs, alpha, "alpha") @ cs.values)[np.newaxis, :]
     G = simplex_grid_array(cs.size, grid_steps)

@@ -337,11 +337,12 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
     -1, +1 or +0.0.  Every block's :func:`psi_pair` then computes only the
     scaled columns again, on rescaled roots.
 
-    A block sums m *single* columns in float32 and d = n - m *double* ones
-    in float64; m > 0 only in a screened call (below), and every other call
-    is the pass with m = 0.  A pair takes weight = m + 2d float64 workspace
-    slots (a single column's two float32 values fill one, a double column's
-    two float64 values two), and a block at most ``pairs = 2 *
+    A block sums m *single* columns in float32, padded to m' >= m, and
+    d = n - m *double* ones in float64; m > 0 only in a screened call
+    (below), and every other call is the pass with m = m' = 0.  A pair takes
+    weight = m' + 2d float64 workspace slots (a single column's two float32
+    values fill one, a double column's two float64 values two), and a
+    block at most ``pairs = 2 *
     _BLOCK_ELEMENTS // weight`` pairs, or one pair when weight is larger:
     with m = 0, ``_BLOCK_ELEMENTS // n`` pairs of n psi values, in a
     ``(2, block)`` workspace.  The
@@ -376,26 +377,29 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
     splits the sample columns: its scaled columns are the double ones, and
     the others, whose roots are all 0, inf or inside that range, are
     single.  :meth:`PsiKernel.screen_operands` makes, once per call, a
-    float32 copy of the single columns (and, for psi1, their float32
-    squares, N * m * 4 bytes more) whose zeros and infinities are the
-    row's stand-ins (2**-62 and 2**62 for psi1, 2**-120 and 2**120 for
-    psi2).  On a stand-in, psi1's screened value is exactly the sign rule's
+    float32 copy of the single columns, padded with columns of 1.0 to
+    m' = 16 ceil(m / 16) (and, for psi1, their float32 squares, N * m' * 4
+    bytes more), whose zeros and infinities are the row's stand-ins
+    (2**-62 and 2**62 for psi1, 2**-120 and 2**120 for psi2).  On a
+    stand-in, psi1's screened value is exactly the sign rule's
     -1, +1 or +0.0, as on float64's stand-ins, and psi2's is too or lies
     within 2**-59 of -1.
 
-    1. *Screen.*  The block pass sums psi over the single columns in
-       float32 with a float64 accumulator, by
-       :meth:`PsiKernel.screen_sums`: psi1 as (u - v) / sqrt(u*u + v*v) on
-       the squares made once, in four float32 passes and the sum, and psi2
-       as 2 sum(t) - m with t = u / (u + v), in two float32 passes and the
-       sum, then one map of each float64 sum.  A term t underflows to its
-       exact limit 0 where a zero's stand-in meets a large root, so the
-       pass runs under ``np.errstate(under="ignore")``, whatever the
-       caller's errstate, and raises no floating-point exception.  The
-       block pass adds the float64 psi_pair sums of the double columns,
-       among them the ones that psi_pair rescales.  The screen is mirrored
-       and penalized as above.  On and above the diagonal it is within E
-       (below) of T.
+    1. *Screen.*  The block pass sums psi over the m' padded single
+       columns in float32, by :meth:`PsiKernel.screen_sums`: psi1 as
+       (u - v) / sqrt(u*u + v*v) on the squares made once, in four float32
+       passes, and psi2 as 2 sum(t) - m' with t = u / (u + v), in two
+       float32 passes.  Each sums its terms sixteen at a time in float32,
+       by one BLAS matrix-vector product, and the m' / 16 run sums in
+       float64; psi2 then maps each float64 sum once.  A pad adds psi1's
+       +0.0, or psi2's 1/2 that its share of m' cancels.  A term t
+       underflows to its exact limit 0 where a zero's stand-in meets a
+       large root, so the pass runs under ``np.errstate(under="ignore")``,
+       whatever the caller's errstate, and raises no floating-point
+       exception.  The block pass adds the float64 psi_pair sums of the
+       double columns, among them the ones that psi_pair rescales.  The
+       screen is mirrored and penalized as above.  On and above the
+       diagonal it is within E (below) of T.
     2. *Certify.*  Row j keeps challenger k when its screened value is
        within the margin 2E + 2**-50 (n + 1 + P) of the row's screened
        maximum, with P the largest finite penalty.  Every pair {j, k},
@@ -413,36 +417,50 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
     rounding of the maximum.  So every dropped entry stays strictly below
     the row's exact maximum, and the row maximum of T is the one the full
     computation gives.  The diagonal needs no exact sum: psi1 of equal
-    roots is +0.0 in float32 as in float64, and each psi2 term of equal
-    roots is exactly 0.5, so 2 sum(t) - m is +0.0 too, and the diagonal's
-    screened value is already the exact +0.0 - pen[j].
+    roots is +0.0 in float32 as in float64, and so is any sum of such
+    values; each psi2 term of equal roots is exactly 0.5, so each run sums
+    to exactly 8 in any order, the run sums to exactly m' / 2, and
+    2 sum(t) - m' is +0.0 too.  So the diagonal's screened value is already
+    the exact +0.0 - pen[j].
 
     The error bound E.  Let u = 2**-53 and psi_i the exact psi at the
     float64 roots of column i.  Rounding a root to float32 is a relative
     error of at most 2**-24, so log(u_i / v_i) moves by at most 2**-23
     (slightly more), and psi moves by at most |dpsi/dlog x| <= 1/2 (psi2)
     or 1/sqrt(2) (psi1) times that.  psi1's 6 float32 operations (the
-    square made once per call among them) add a relative error of about 6
-    * 2**-24 to a value of at most 1, so each psi1 value is within 7.5 *
-    2**-24 of psi_i.  psi2's term t = u / (u + v) = (1 + psi) / 2 lies in
-    [0, 1] and moves by half as much as psi, 2**-25, at the float32 roots;
-    its 2 float32 operations add a relative error of about 2 * 2**-24.  So
-    t is within 2**-23 + 2**-25 of (1 + psi_i) / 2, and 2t - 1, since
-    doubling is exact, within 2**-22 + 2**-24 = 5 * 2**-24 of psi_i.  Both
-    kernels' values are within 2**-21 per column.  Each float64 value, in T
-    or in the screen's other columns, is within 8u of psi_i: 16 n u at most
-    over both.  A float64 sum of k values of size at most 1, in any order,
-    errs by at most (k - 1) u k (recursive summation; Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., section 4.2).  So T's sum
-    adds at most n**2 u, and the screen's sum of its d double columns d**2
-    u.  Its sum of the m single columns adds m**2 u for psi1, and for psi2,
-    whose sum of terms t in [0, 1] is doubled and then less m, 2 m**2 u for
-    the doubled sum and m u for the subtraction.  Adding the screen's two
-    sums adds n u.  Since 2 m**2 + d**2 <= 2 n**2, the sums add at most 3
-    n**2 u + 2 n u in all, inside the 4 n**2 u + 16 n u that E leaves
-    beside the 16 n u of the values.  Hence, with m single columns,
+    square made once per call among them) add a relative error of about
+    6 * 2**-24 to a value of at most 1, so each psi1 term is within
+    7.5 * 2**-24 of psi_i.  psi2's term t = u / (u + v) = (1 + psi) / 2
+    lies in [0, 1] and moves by half as much as psi, 2**-25, at the float32
+    roots; its 2 float32 operations add a relative error of about
+    2 * 2**-24.  So t is within 2**-23 + 2**-25 of (1 + psi_i) / 2.  A term
+    that underflows errs by at most 2**-126 more, whether it is rounded to
+    a subnormal or flushed to zero, and a pad's term is exact.
 
-        |screen - T| <= E = m * 2**-21 + n (n + 8) 2**-51,
+    A sum of k values, in any order, errs by at most
+    gamma_(k-1) = (k - 1) u' / (1 - (k - 1) u') times the sum of their
+    magnitudes, with u' the unit roundoff (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., section 4.2).  So the float32 sum of
+    a run of 16 terms of magnitude at most 1, in whatever order BLAS adds
+    them, errs by under 15.001 * 2**-24 per column, a pad included.  Hence
+    psi1's run sums are within 22.6 * 2**-24 per column of the sum of the
+    psi_i, and psi2's run sums, doubled (which is exact) and less m',
+    within 2 (2**-23 + 2**-25 + 15.001 * 2**-24) < 35.01 * 2**-24: for both
+    kernels, within 5 * 2**-21 = 40 * 2**-24 per padded column.
+
+    Each float64 value, in T or in the screen's other columns, is within
+    8u of psi_i: 16 n u at most over both.  T's float64 sum adds at most
+    n**2 u, and the screen's sum of its d double columns d**2 u.  Its
+    float64 sum of the m' / 16 run sums, each at most 16 (and a little) in
+    magnitude, adds m'**2 u / 16 for psi1; for psi2, whose sum is doubled
+    and then less m', it adds m'**2 u / 8 for the doubled sum and m' u for
+    the subtraction.  Adding the screen's two sums adds n u.  With
+    n' = m' + d >= n, so that m'**2 / 8 + d**2 <= n'**2, the sums add at
+    most 2 n'**2 u + 2 n' u in all, inside the 4 n'**2 u + 16 n' u that E
+    leaves beside the 16 n' u of the values.  Hence, with m single columns
+    padded to m',
+
+        |screen - T| <= E = 5 m' 2**-21 + n' (n' + 8) 2**-51,
 
     about a hundred times the error seen.  Penalizing rounds each value
     again, by at most u (n + 1 + P) for screen and T alike, and so does the
@@ -469,7 +487,8 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
             ops32 = kernel.screen_operands(single)
         del single
     d = n - m
-    weight = m + 2 * d  # float64 workspace slots per pair
+    mp = ops32.shape[-1] if m else 0  # m' >= m: the single columns padded
+    weight = mp + 2 * d  # float64 workspace slots per pair
     pairs = max(1, 2 * _BLOCK_ELEMENTS // weight)
     blocks = _plan(J, K, pairs, square)
     slots = min(pairs, J * min(K, pairs)) * weight
@@ -485,10 +504,10 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
         sums = T[r:r + h, c:c + w]
         if m:
             kernel.screen_sums(ops32[:, np.newaxis, c:c + w], ops32[:, r:r + h, np.newaxis],
-                               work[:h * w * m].view(np.float32).reshape(2, h, w, m), sums)
+                               work[:h * w * mp].view(np.float32).reshape(2, h, w, mp), sums)
         if d:
             vals = psi_pair(kernel, num64[np.newaxis, c:c + w], den64[r:r + h, np.newaxis],
-                            out=work[h * w * m:h * w * weight].reshape(2, h, w, d),
+                            out=work[h * w * mp:h * w * weight].reshape(2, h, w, d),
                             scaled=scaled64)
             if m:
                 sums += np.add.reduce(vals, axis=2)
@@ -506,7 +525,7 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
         return T.max(axis=1)
 
     pen = np.broadcast_to(np.asarray(num_pen, dtype=float), K)
-    bound = m * 2.0 ** -21 + n * (n + 8) * 2.0 ** -51
+    bound = mp * 5 * 2.0 ** -21 + (mp + d) * (mp + d + 8) * 2.0 ** -51
     margin = 2.0 * bound + 2.0 ** -50 * (n + 1 + pen[np.isfinite(pen)].max(initial=0.0))
     keep = T >= (T.max(axis=1) - margin)[:, np.newaxis]
     a, b = np.nonzero(np.triu(keep | keep.T, 1))

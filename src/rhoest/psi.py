@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import Density1D, hellinger_sq, integrate_on_supports
+from .densities import Density1D, _density, hellinger_sq, integrate_on_supports
 from .errors import ContractViolationError, _shown
 from .quadrature import QuadratureSpec
 
@@ -87,10 +87,16 @@ class PsiKernel:
 
     def screen_operands(self, roots):
         """The float32 operands of :meth:`screen_sums` for an (N, m) root
-        matrix: a (k, N, m) array holding the roots rounded to float32 and,
-        for psi1, their float32 squares, made once here, not per block."""
-        ops = np.empty((1 + (self.id == "psi1"), *roots.shape), np.float32)
-        ops[0] = roots
+        matrix: a (k, N, m') array, m' = ``_CHUNK`` * ceil(m / ``_CHUNK``),
+        holding the roots rounded to float32 and, for psi1, their float32
+        squares, made once here, not per block.  Its last m' - m columns
+        pad the roots with 1.0, where every pair's psi1 value is exactly
+        +0.0 and psi2's term is exactly 1/2, so they change no sum."""
+        m = roots.shape[-1]
+        ops = np.empty((1 + (self.id == "psi1"), *roots.shape[:-1],
+                        -(-m // _CHUNK) * _CHUNK), np.float32)
+        ops[0, ..., :m] = roots
+        ops[0, ..., m:] = 1.0
         if self.id == "psi1":
             np.multiply(ops[0], ops[0], out=ops[1])
         return ops
@@ -98,14 +104,19 @@ class PsiKernel:
     def screen_sums(self, u, v, work, sums):
         """Write into ``sums`` the float64 sums over the last axis of psi on
         the float32 operands ``u`` and ``v`` of :meth:`screen_operands`,
-        sliced and broadcasting to (k, h, w, m); ``work`` is a float32
-        (2, h, w, m) workspace and ``sums`` an (h, w) float64 array.
+        sliced and broadcasting to (k, h, w, m'); ``work`` is a C-contiguous
+        float32 (2, h, w, m') workspace and ``sums`` an (h, w) float64 array.
 
         psi1 sums (u - v) / sqrt(u*u + v*v) over the squares made once, in
         the bits of :meth:`ratio`.  psi2 sums t = u / (u + v) in [0, 1] and
-        then takes 2 * sum - m, since psi2 = 2t - 1: one pass fewer per
-        value, and doubling is exact.  On a stand-in t can underflow
-        towards its limit 0 (see ``_ROOTS``), so the caller runs this under
+        then takes 2 * sum - m', since psi2 = 2t - 1: one pass fewer per
+        value, and doubling is exact; a padded column's t of 1/2 cancels its
+        share of m'.  Both sum their float32 terms in two steps: each run of
+        ``_CHUNK`` adjacent terms in float32, by one matrix-vector product
+        with a vector of ones (a BLAS call that releases the GIL, into the
+        workspace row that the terms no longer need), and then those
+        partial sums in float64.  On a stand-in t can underflow towards its
+        limit 0 (see ``_ROOTS``), so the caller runs this under
         ``np.errstate(under="ignore")``.
         """
         if self.id == "psi1":
@@ -113,12 +124,11 @@ class PsiKernel:
             np.subtract(u[0], v[0], out=num)
             np.add(u[1], v[1], out=den)
             np.sqrt(den, out=den)
-            np.add.reduce(np.divide(num, den, out=num), axis=-1, dtype=np.float64,
-                          out=sums)
+            _chunk_sums(np.divide(num, den, out=num), den, sums)
             return
         t = work[0]
         np.add(u[0], v[0], out=t)
-        np.add.reduce(np.divide(u[0], t, out=t), axis=-1, dtype=np.float64, out=sums)
+        _chunk_sums(np.divide(u[0], t, out=t), work[1], sums)
         np.multiply(sums, 2.0, out=sums)
         np.subtract(sums, t.shape[-1], out=sums)
 
@@ -133,6 +143,25 @@ class PsiKernel:
         if self.id == "psi1":
             return v * (v * v - 2.0 * u * u - 3.0 * u * v) / np.power(u * u + v * v, 2.5)
         return -4.0 * v / (u + v) ** 3
+
+
+# The screen's float32 run length: PsiKernel.screen_sums sums each run of
+# _CHUNK adjacent terms in float32, against _ONES, before the float64 sum.
+_CHUNK = 16
+_ONES = np.ones(_CHUNK, np.float32)
+_ONES.setflags(write=False)
+
+
+def _chunk_sums(terms, partials, sums):
+    """Write into ``sums`` the float64 sums over the last axis of the
+    C-contiguous float32 ``terms``, whose length is a multiple of ``_CHUNK``:
+    each run of ``_CHUNK`` terms summed in float32 into ``partials``, a
+    float32 array of at least ``terms.size // _CHUNK`` contiguous values
+    that does not overlap ``terms``, then the runs' sums in float64."""
+    runs = partials.reshape(-1)[:terms.size // _CHUNK]
+    np.dot(terms.reshape(-1, _CHUNK), _ONES, out=runs)
+    np.add.reduce(runs.reshape(*terms.shape[:-1], -1), axis=-1, dtype=np.float64,
+                  out=sums)
 
 
 # Per kernel and precision: the range [lo, hi] of finite nonzero roots on
@@ -350,6 +379,8 @@ def check_assumption(kernel: PsiKernel, q: Density1D, qp: Density1D,
     tolerance for both.
     """
     _check_kernel(kernel)
+    for name, d in (("q", q), ("qp", qp), ("r", r)):
+        _density(name, d)
     quad = quad or QuadratureSpec(abs_tol=1e-10)
     h2_rq = hellinger_sq(r, q, quad)
     h2_rqp = hellinger_sq(r, qp, quad)

@@ -38,9 +38,10 @@ PAIR_VC_FACTOR = 9.41
 class RegressionFunction:
     """A labelled, vectorized map w -> g(w).
 
-    g(w) must broadcast to the shape of w, so a scalar is a constant g.
-    Non-finite values pass: a slope so steep that g(w) overflows to inf
-    gives density 0 there.
+    g(w) must be numbers that broadcast to the shape of w, so a scalar is
+    a constant g.  NaN (and None, which numpy reads as NaN) is refused;
+    infinite values pass: a slope so steep that g(w) overflows to inf gives
+    density 0 there.
     """
 
     fn: callable
@@ -52,8 +53,8 @@ class RegressionFunction:
 
 
 def _values_at(name, g, w):
-    """g(w) as a float array that broadcasts to the shape of ``w``, or a
-    :class:`ContractViolationError` naming g as ``name``."""
+    """g(w) as a float array with no NaN that broadcasts to the shape of
+    ``w``, or a :class:`ContractViolationError` naming g as ``name``."""
     try:
         values = g(w)
     except ContractViolationError as exc:  # a RegressionFunction's own check
@@ -68,6 +69,8 @@ def _values_at(name, g, w):
     except ValueError:
         raise ContractViolationError(
             f"{name} maps w of shape {w.shape} to shape {values.shape}") from None
+    if np.isnan(values).any():
+        raise ContractViolationError(f"{name} maps w to NaN (or None) values")
     return values
 
 
@@ -165,15 +168,24 @@ def d_s_loss(s: Density1D, g, gp, w_sample, quad: QuadratureSpec | None = None) 
     The empirical design points stand in for the (unknown) design
     distribution.  By translation invariance only the shift g(w) - gp(w)
     matters at each design point.  g and gp are callables, such as
-    :class:`RegressionFunction`, whose values must be numbers that broadcast
-    to the shape of w, as a :class:`RegressionFunction`'s must.
+    :class:`RegressionFunction`, whose values must be numbers, not NaN, that
+    broadcast to the shape of w, as a :class:`RegressionFunction`'s must.
+    An infinite shift moves the error density off any overlap, a loss of
+    h^2 = 1 there; g and gp infinite with the same sign leave no shift, and
+    raise :class:`ContractViolationError`.
     """
     w = np.asarray(w_sample, dtype=float)
     if w.size == 0:
         raise ContractViolationError("need at least one design point")
-    shifts = np.broadcast_to(_values_at("g", g, w) - _values_at("gp", gp, w), w.shape)
-    vals = [0.0 if c == 0.0 else hellinger_sq(shifted(s, c), s, quad)
-            for c in shifts.flat]
+    g_w, gp_w = _values_at("g", g, w), _values_at("gp", gp, w)
+    with np.errstate(invalid="ignore"):  # inf - inf, refused below
+        shifts = np.broadcast_to(g_w - gp_w, w.shape)
+    if np.isnan(shifts).any():
+        raise ContractViolationError(
+            "g - gp is NaN at a design point, where g and gp are infinite "
+            "with the same sign")
+    vals = [0.0 if c == 0.0 else 1.0 if math.isinf(c)
+            else hellinger_sq(shifted(s, c), s, quad) for c in shifts.flat]
     return float(np.mean(vals))
 
 

@@ -192,6 +192,19 @@ class TestArgumentChecks:
                 call()
 
 
+    @pytest.mark.parametrize("bad", [[1, 2], None, "cs"])
+    def test_candidate_set_must_be_a_candidate_set(self, bad):
+        cs = gaussian_candidates([-1, 0, 1], self.X)
+        a = SimplexPoint((0.2, 0.5, 0.3))
+        for call in (lambda: t_mix(bad, a, a, K2),
+                     lambda: t_mix(cs.values, a, a, K2),
+                     lambda: inner_argmax(bad, a, K2),
+                     lambda: saddle_point(bad, K2),
+                     lambda: mixture_upsilon(bad, a, 4, K2)):
+            with pytest.raises(ContractViolationError, match="cs must be a CandidateSet"):
+                call()
+
+
 class TestCandidateSet:
     def test_positive_values_required(self):
         X = Sample(np.array([0.0, 10.0]))

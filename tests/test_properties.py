@@ -437,7 +437,10 @@ def screen_case(draw):
     (ties); the rows are shuffled.  The penalties are none, drawn, or partly
     infinite.
     """
-    J, n = draw(st.integers(2, 24)), draw(st.integers(1, 10))
+    # Besides small n, widths whose float32 columns can fill the screen's
+    # runs of psi._CHUNK = 16 but one, exactly, or leave one over.
+    J = draw(st.integers(2, 24))
+    n = draw(st.one_of(st.integers(1, 10), st.sampled_from([15, 16, 17, 31, 32, 33])))
     thetas = draw(hnp.arrays(float, (J, 1), elements=st.floats(-2.0, 2.0)))
     x = draw(hnp.arrays(float, n, elements=st.floats(-3.0, 3.0)))
     S = np.exp(-(x - thetas) ** 2 / 4.0)
@@ -484,6 +487,19 @@ TIE_EXAMPLE = (np.repeat(GRID_EXAMPLE[0][[4, 12]], [7, 5], axis=0),
                np.where(np.isin(np.arange(12), [1, 9]), np.inf, 0.0))
 
 
+def stand_in_example(n):
+    """A 17-row grid case of n columns, the first all 0 and the second all
+    inf, so that all n are float32 columns beside stand-ins."""
+    S = np.exp(-(np.linspace(-3.0, 3.0, n) - np.linspace(-2.0, 2.0, 17)[:, None]) ** 2 / 4.0)
+    S[:, :2] = 0.0, np.inf
+    return S, 0.0
+
+
+def padded(m):
+    """m', the m float32 columns padded to whole runs of psi._CHUNK."""
+    return -(-m // psi._CHUNK) * psi._CHUNK
+
+
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.id)
 class TestScreen:
     @settings(max_examples=150, deadline=None)
@@ -505,9 +521,13 @@ class TestScreen:
     @settings(max_examples=150, deadline=None)
     @given(case=screen_case(), data=st.data())
     @example(case=GRID_EXAMPLE, data=None)
+    @example(case=stand_in_example(17), data=None)
+    @example(case=stand_in_example(31), data=None)
+    @example(case=stand_in_example(32), data=None)
     def test_screen_within_its_error_bound(self, kernel, case, data):
-        """|screen - T| <= E = m 2**-21 + n (n + 8) 2**-51 on every entry on
-        and above the diagonal, with m the float32 columns."""
+        """|screen - T| <= E = 5 m' 2**-21 + n' (n' + 8) 2**-51 on every
+        entry on and above the diagonal, with m the float32 columns, m'
+        them padded to whole runs and n' = m' + n - m."""
         S, _ = case
         J, n = S.shape
         block = 1 if data is None else data.draw(st.integers(1, S.size // 2))
@@ -516,10 +536,40 @@ class TestScreen:
         if screen is None:
             assert single == 0
             return
-        bound = single * 2.0 ** -21 + n * (n + 8) * 2.0 ** -51
+        mp = padded(single)
+        bound = mp * 5 * 2.0 ** -21 + (mp + n - single) * (mp + n - single + 8) * 2.0 ** -51
         upper = np.triu_indices(J)
         assert np.all(np.abs(screen[upper] - dense_t(S, kernel)[upper]) <= bound)
         assert same_bits(np.diag(screen), np.zeros(J))
+
+    @pytest.mark.parametrize("m", [1, 15, 16, 17, 2000])
+    def test_screen_sums_within_their_share_of_the_bound(self, kernel, m):
+        """On a block of 3 rows and 7 challengers, over m float32 columns
+        beside stand-ins and a workspace left full of NaN, screen_sums is
+        within 5 m' 2**-21 of the float64 sums of psi on the same float32
+        roots, and exactly +0.0 on pairs of equal rows."""
+        rng = np.random.default_rng(m)
+        roots = np.exp(-rng.uniform(0.0, 8.0, (12, m)))
+        roots[4, :] = roots[3, :]
+        roots[5, ::2] = psi._ROOTS[kernel.id, np.float32][2:][rng.integers(0, 2)]
+        ops = kernel.screen_operands(roots)
+        mp = padded(m)
+        assert ops.shape == (1 + (kernel.id == "psi1"), 12, mp)
+        assert same_bits(ops[0, :, :m], roots.astype(np.float32))
+        assert np.all(ops[..., m:] == 1.0)
+        r, h, c, w = 2, 3, 1, 7
+        work = np.full((2, h, w, mp), np.nan, np.float32)
+        sums = np.full((h, w), np.nan)
+        with np.errstate(under="ignore"):
+            kernel.screen_sums(ops[:, np.newaxis, c:c + w], ops[:, r:r + h, np.newaxis],
+                               work, sums)
+        u = ops[0, :, :m].astype(float)
+        want = psi_pair_oracle(kernel, u[np.newaxis, c:c + w],
+                               u[r:r + h, np.newaxis]).sum(axis=2)
+        assert np.all(np.abs(sums - want) <= mp * 5 * 2.0 ** -21)
+        equal = (u[r:r + h, np.newaxis] == u[np.newaxis, c:c + w]).all(axis=2)
+        assert equal.sum() == 5  # rows 2, 3 and 4 each, and rows 3 and 4 both ways
+        assert same_bits(sums[equal], np.zeros(5))
 
     def test_near_tie_that_the_screen_orders_wrongly(self, kernel):
         """Penalties that leave row 0 two challengers whose exact values lie

@@ -254,6 +254,13 @@ class TestCheckAssumption:
             check_assumption(kernel, Gaussian(0, 1), Gaussian(1, 1), Gaussian(0, 1),
                              self.QUAD)
 
+    @pytest.mark.parametrize("bad", ["g", None, 1.0])
+    def test_densities_must_be_densities(self, bad):
+        g = Gaussian(0, 1)
+        for name, args in (("q", (bad, g, g)), ("qp", (g, bad, g)), ("r", (g, g, bad))):
+            with pytest.raises(ContractViolationError, match=f"^{name} must be a Density1D"):
+                check_assumption(PSI2, *args, self.QUAD)
+
     def test_signed_expectation(self):
         rep = check_assumption(PSI2, Gaussian(0, 1), Gaussian(2, 1),
                                Gaussian(0, 1), self.QUAD)

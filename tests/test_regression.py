@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,17 @@ class TestRegressionFunction:
         with pytest.raises(ContractViolationError, match="'bad g' maps w to .* not numbers"):
             g(self.W)
 
+    @pytest.mark.parametrize("fn", [lambda w: None, lambda w: np.where(w > 0, np.nan, w)])
+    def test_nan_values_rejected_by_name(self, fn):
+        g = RegressionFunction(fn, label="none g")
+        with pytest.raises(ContractViolationError, match="'none g' maps w to NaN"):
+            g(self.W)
+        model = RegressionModel(Gaussian(0, 1), [g], vc_index_f=1)
+        coll = build_regression_family([model], n=5)
+        X = Sample(np.column_stack([self.W, self.W]), kind="pair")
+        with pytest.raises(ContractViolationError, match="'none g' maps w to NaN"):
+            fit_regression(X, coll)
+
     def test_scalar_and_non_finite_values_pass(self):
         assert RegressionFunction(lambda w: 2.0, label="constant")(self.W) == 2.0
         steep = RegressionFunction(lambda w: 1e308 * w * 10.0, label="steep")
@@ -185,6 +197,32 @@ class TestDsLoss:
     def test_operand_values_checked_at_entry(self, bad, message):
         good = lambda w: 0.5 * w
         for name, g, gp in (("g", bad, good), ("gp", good, bad)):
+            with pytest.raises(ContractViolationError, match=re.escape(name + message)):
+                d_s_loss(Gaussian(0, 1), g, gp, self.W, QUAD)
+
+    def test_infinite_shift_is_a_loss_of_one(self):
+        far = lambda w: np.where(w > 0.0, np.inf, np.where(w < -0.6, -np.inf, 0.0))
+        zero = lambda w: np.zeros_like(w)
+        # Shifts -inf, 0, 0, +inf, +inf at the five design points.
+        assert d_s_loss(Gaussian(0, 1), far, zero, self.W, QUAD) == 3.0 / 5.0
+        assert d_s_loss(Gaussian(0, 1), zero, far, self.W, QUAD) == 3.0 / 5.0
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_equal_infinities_leave_no_shift(self, sign):
+        inf = lambda w: np.full_like(w, sign * np.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolationError, match=re.escape("g - gp is NaN")):
+                d_s_loss(Gaussian(0, 1), inf, inf, self.W, QUAD)
+
+    @pytest.mark.parametrize("nan, message", [
+        (lambda w: np.full_like(w, np.nan), " maps w to NaN"),
+        (lambda w: None, " maps w to NaN"),
+        (RegressionFunction(lambda w: None, label="none"),
+         ": regression function 'none' maps w to NaN")])
+    def test_nan_values_name_their_function(self, nan, message):
+        good = lambda w: 0.5 * w
+        for name, g, gp in (("g", nan, good), ("gp", good, nan)):
             with pytest.raises(ContractViolationError, match=re.escape(name + message)):
                 d_s_loss(Gaussian(0, 1), g, gp, self.W, QUAD)
 

@@ -491,6 +491,8 @@ _DENSITY_KINDS = {cls.kind: cls for cls in (
     PathologicalGaussian, Tabulated)}
 
 # The kinds whose pdf is elementwise in parameters and points (see Density1D).
+# Each of their rules is _finite or _scale, which accept an interval of floats
+# and refuse NaN, so DensityFamily.iid checks a column by its two ends.
 _STACKABLE = frozenset({Gaussian, Cauchy, Laplace, Uniform, Exponential,
                         PathologicalGaussian})
 

@@ -14,8 +14,8 @@ from rhoest import (CandidateSet, Cauchy, ContractViolationError, DensityFamily,
                     Exponential, Gaussian, Histogram, Laplace, PathologicalGaussian,
                     Penalty, ProductDensity, RhoFit, Sample, SimplexPoint, Uniform,
                     build_gaussian_location_grid, build_histogram_family,
-                    criterion, kernel_constants, psi, rho_estimate, t_mix,
-                    t_statistic, upsilon, upsilon_all)
+                    criterion, densities, errors, kernel_constants, psi,
+                    rho_estimate, t_mix, t_statistic, upsilon, upsilon_all)
 
 K2 = kernel_constants("psi2")
 KERNELS = [kernel_constants("psi1"), K2]
@@ -509,7 +509,7 @@ def test_every_plan_covers_each_entry_once(J, K, pairs, square):
 class TestScreen:
     """The square criterion's float32 screen and float64 certificate, forced
     on small families by small blocks.  A 24-entry family at n = 16 reaches
-    the gate J * n >= 2 * _BLOCK_ELEMENTS for blocks of up to 192 values."""
+    the gate J * J * n >= 32 * _BLOCK_ELEMENTS for blocks of up to 288 values."""
 
     S = TestSharedBlocks.S  # 24 distinct rows of roots in [0.1, 1.42]
 
@@ -593,16 +593,35 @@ class TestScreen:
 
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.id)
     def test_gate_keeps_small_calls_on_the_plain_path(self, kernel, monkeypatch):
-        """Below J * n = 2 * _BLOCK_ELEMENTS, and on calls that are not
+        """Below J * J * n = 32 * _BLOCK_ELEMENTS, and on calls that are not
         square, nothing is screened."""
         runs = self.phases(monkeypatch)
         S = self.S
-        monkeypatch.setattr(criterion, "_BLOCK_ELEMENTS", S.size // 2 + 1)
+        monkeypatch.setattr(criterion, "_BLOCK_ELEMENTS", len(S) * S.size // 32 + 1)
         criterion._criterion_rows(S, S, 0.0, kernel)
         monkeypatch.setattr(criterion, "_BLOCK_ELEMENTS", 1)
         criterion._criterion_rows(S, S.copy(), 0.0, kernel)
         criterion._criterion_rows(S[:1], S, 0.0, kernel)
         assert [(name, closure["m"]) for name, _, closure in runs] == [("block_step", 0)] * 3
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.id)
+    def test_gate_counts_pair_values(self, kernel, monkeypatch):
+        """At the real block size the gate is J * J * n >= 2**21 pair
+        values: demo-mle's 161 entries at n = 100 are screened; bench's 41
+        at n = 500, tiny calls and calls that are not square are not."""
+        assert 32 * criterion._BLOCK_ELEMENTS == 2**21
+        rng = np.random.default_rng(7)
+        runs = self.phases(monkeypatch)
+        screened = []
+        for J, n, square in ((161, 100, True), (41, 500, True), (2, 5, True),
+                             (10, 50, True), (161, 100, False)):
+            S = rng.uniform(0.1, 1.4, (J, n))
+            criterion._criterion_rows(S, S if square else S.copy(), 0.0, kernel)
+            screened.append(runs[-1][0] == "certify_step")
+        criterion._criterion_rows(S[:1], S, 0.0, kernel)
+        assert screened == [True, False, False, False, False]
+        assert [closure["m"] for name, _, closure in runs if name == "block_step"] == [
+            100, 0, 0, 0, 0, 0]
 
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.id)
     def test_columns_outside_the_screen_range_are_summed_in_float64(self, kernel,
@@ -844,6 +863,49 @@ class TestColumnFamily:
             DensityFamily.iid(kind, 3, **columns)
         with pytest.raises(ContractViolationError, match=rf"^{name} must be"):
             kind(**{p: c[1] for p, c in columns.items()})
+
+    @pytest.mark.parametrize("where", [0, 80, 160], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("kind, name, bad", [
+        (Gaussian, "mean", math.nan), (Gaussian, "mean", math.inf),
+        (Gaussian, "mean", -math.inf), (Gaussian, "sd", math.nan),
+        (Gaussian, "sd", math.inf), (Gaussian, "sd", 0.0), (Gaussian, "sd", -0.0),
+        (Gaussian, "sd", -1.5), (Exponential, "rate", -math.inf),
+        (PathologicalGaussian, "theta", math.nan),
+    ])
+    def test_bad_value_raises_the_per_element_message(self, kind, name, bad, where):
+        """A column checked by its ends raises, wherever the bad value lies,
+        the message of the rule on every element in turn: the first bad one's."""
+        def loop_message(column):
+            for v in column.tolist():
+                try:
+                    kind.rules[name](name, v)
+                except ContractViolationError as exc:
+                    return str(exc)
+
+        columns = {p: np.linspace(0.5, 2.0, 161) for p in kind.rules}
+        columns[name][where] = bad
+        # A NaN after the bad value, or before it when it is last.
+        for other in (None, 0 if where == 160 else 160):
+            if other is not None:
+                columns[name][other] = math.nan
+            with pytest.raises(ContractViolationError) as got:
+                DensityFamily.iid(kind, 3, **columns)
+            assert str(got.value) == loop_message(columns[name])
+
+    def test_good_column_runs_each_rule_at_most_twice(self, monkeypatch):
+        calls = []
+        for name, rule in Gaussian.rules.items():
+            monkeypatch.setitem(Gaussian.rules, name, lambda name, v, rule=rule:
+                                calls.append(name) or rule(name, v))
+        DensityFamily.iid(Gaussian, 3, mean=np.linspace(-3.0, 3.0, 161),
+                          sd=np.linspace(0.1, 2.0, 161))
+        assert 0 < calls.count("mean") <= 2 and 0 < calls.count("sd") <= 2
+
+    def test_stackable_rules_accept_intervals(self):
+        """DensityFamily.iid checks a column by its ends, which is sound for
+        rules that accept an interval and refuse NaN."""
+        for kind in densities._STACKABLE:
+            assert set(kind.rules.values()) <= {errors._finite, errors._scale}, kind
 
     @pytest.mark.parametrize("kind, columns", [
         (Uniform, {"a": np.zeros(2), "b": np.ones(2)}),

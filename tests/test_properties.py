@@ -458,8 +458,13 @@ def screen_case(draw):
 
 def screened_call(S, pen, kernel, block):
     """The rows of the square call on S with blocks of ``block`` values, and
-    T as its screen left it (None when nothing was screened)."""
+    T as its screen left it (None when nothing was screened).
+
+    ``_BLOCK_ELEMENTS`` is ``block`` or, where the screen's gate
+    J * J * n >= 32 * _BLOCK_ELEMENTS needs it, the largest smaller value
+    that passes the gate: 0, one pair per block, when J * J * n < 32."""
     screens, run = [], criterion._run
+    block = min(block, len(S) * S.size // 32)
 
     def spy(blocks, step, work):
         run(blocks, step, work)
@@ -570,6 +575,58 @@ class TestScreen:
         equal = (u[r:r + h, np.newaxis] == u[np.newaxis, c:c + w]).all(axis=2)
         assert equal.sum() == 5  # rows 2, 3 and 4 each, and rows 3 and 4 both ways
         assert same_bits(sums[equal], np.zeros(5))
+
+    def test_margin_holds_against_screen_errors_of_nine_tenths_of_e(self, kernel):
+        """Near ties on a location grid whose step puts neighbours E / 2
+        apart, all 40 columns in float32: every screened sum above the
+        diagonal is moved by 0.9 E, each row's exact maximum down and its
+        other entries up (a mirrored entry moves the other way), and the
+        diagonal is left exact.  Every row's exact maximum is then its entry
+        for the last row, whose own screen drops the rows far from it, and
+        such a row screens its maximum 1.3 E below the runner-up; yet every
+        row keeps the plain engine's bits."""
+        x = np.linspace(-2.5, 3.5, 40)
+        mp = padded(len(x))
+        bound = mp * 5 * 2.0 ** -21 + mp * (mp + 8) * 2.0 ** -51
+
+        def grid(step):
+            return np.exp(-(x - step * np.arange(24)[:, np.newaxis]) ** 2 / 4.0)
+
+        S = grid(0.5 * bound * 1e-6 / dense_t(grid(1e-6), kernel)[0, 1])
+        J, n = S.shape
+        assert single_columns(S, kernel) == n
+        exact = dense_t(S, kernel)
+        best = np.argmax(exact, axis=1)
+        assert np.all(best == J - 1)
+        j, k = np.triu_indices(J, 1)
+        # Moving (j, k), j < k, moves the mirrored (k, j) the other way.
+        push = np.zeros((J, J))
+        push[j, k] = np.where((best[j] != k) | (best[k] == j), 0.9, -0.9) * bound
+        ops, operands, sums_of = [], psi.PsiKernel.screen_operands, psi.PsiKernel.screen_sums
+
+        def screen_operands(self, roots):
+            ops.append(operands(self, roots))
+            return ops[-1]
+
+        def screen_sums(self, u, v, work, sums):
+            sums_of(self, u, v, work, sums)
+            row = ops[0].strides[1]
+            r = (v.ctypes.data - ops[0].ctypes.data) // row
+            c = (u.ctypes.data - ops[0].ctypes.data) // row
+            sums += push[r:r + sums.shape[0], c:c + sums.shape[1]]
+
+        with mock.patch.object(psi.PsiKernel, "screen_operands", screen_operands), \
+                mock.patch.object(psi.PsiKernel, "screen_sums", screen_sums):
+            got, screen = screened_call(S, 0.0, kernel, 1)
+        upper = np.triu_indices(J)
+        assert np.all(np.abs(screen[upper] - exact[upper]) <= bound)
+        assert np.abs(screen - exact).max() > 0.85 * bound
+        assert same_bits(np.diag(screen), np.zeros(J))
+        assert np.any(np.argmax(screen, axis=1) != best)
+        with mock.patch.object(criterion, "_BLOCK_ELEMENTS", S.size):  # below the gate
+            want = criterion._criterion_rows(S, S, 0.0, kernel)
+        assert same_bits(got, want)
+        assert same_bits(got, np.max(exact, axis=1))
 
     def test_near_tie_that_the_screen_orders_wrongly(self, kernel):
         """Penalties that leave row 0 two challengers whose exact values lie

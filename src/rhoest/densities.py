@@ -622,6 +622,8 @@ def hellinger_affinity(p, q, quad=None, method="auto"):
     measure on their common support; ``method="quadrature"`` always
     integrates.
     """
+    _density("p", p)
+    _density("q", q)
     if method not in ("auto", "quadrature"):
         raise ContractViolationError(f"unknown method {method!r}")
     rho = _closed_form_affinity(p, q) if method == "auto" else None

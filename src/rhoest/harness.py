@@ -152,12 +152,20 @@ def mc_risk(scenario: Scenario, estimator, truth_for_loss: Density1D,
     whose fit raises a package or arithmetic error are dropped from the
     statistics and counted in ``failures``; any other exception propagates.
     """
+    _density("truth_for_loss", truth_for_loss)
     losses = []
     failures = 0
     for r in range(scenario.replications):
         sample = _draw(scenario, replicate_rng(scenario.seed, r))
         try:
             estimate = estimator(sample)
+        except (RhoestError, ArithmeticError):
+            failures += 1
+            continue
+        # Checked outside the try: a non-density estimate is the caller's
+        # error, not a failed replicate.
+        _density("estimate", estimate)
+        try:
             losses.append(float(hellinger_sq(truth_for_loss, estimate, quad)))
         except (RhoestError, ArithmeticError):
             failures += 1
@@ -171,6 +179,8 @@ def contamination_bias(center: Density1D, contaminant: Density1D, eps: float,
     Bounded by eps whatever the contaminating distribution; the analytic
     check behind the contamination scenarios.
     """
+    _density("center", center)
+    _density("contaminant", contaminant)
     if not 0.0 <= _number("eps", eps) <= 1.0:
         raise ContractViolationError("eps must lie in [0, 1]")
     if eps == 0.0:
@@ -187,18 +197,18 @@ def contamination_bias(center: Density1D, contaminant: Density1D, eps: float,
 
 
 def mle_counterexample(theta: float, n: int, reps: int, seed: int,
-                       grid_step: float = 0.1, grid_halfwidth: float = 3.0,
+                       grid_step: float = 0.1,
                        kernel: PsiKernel | None = None) -> dict:
     """Likelihood blow-up demonstration on the singular Gaussian representation.
 
     Per replicate of i.i.d. N(theta, 1): check the event that the sample
     maximum dominates (X_(n) - theta >= sqrt(log 4n) > |mean - theta| and the
     mean is not a sample point); maximize the singular log-likelihood over a
-    theta grid augmented with the sample points and the sample mean; and fit
-    the bounded-criterion estimator over the same singular family.  That
-    family, the grid and the sample points, is one column of thetas
-    (:meth:`DensityFamily.iid`), so a replicate builds no density object
-    per entry.  The likelihood maximizer lands on X_(n) whenever the event
+    grid of theta +- 3 at ``grid_step``, augmented with the sample points and
+    the sample mean; and fit the bounded-criterion estimator over the same
+    singular family.  That family, the grid and the sample points, is one
+    column of thetas (:meth:`DensityFamily.iid`), so a replicate builds no
+    density object per entry.  The likelihood maximizer lands on X_(n) whenever the event
     holds, while the bounded criterion ignores the Lebesgue-null spikes.
     Spikes that overflow to +inf (at sample points beyond about 188) tie,
     and the largest point among them wins, as it does in exact arithmetic;
@@ -211,9 +221,8 @@ def mle_counterexample(theta: float, n: int, reps: int, seed: int,
     _count("n", n, least=3)
     _count("reps", reps)
     seed = _integer("seed", seed)
-    grid = _check_grid(
-        _finite("theta", theta) - _scale("grid_halfwidth", grid_halfwidth),
-        theta + grid_halfwidth, _scale("grid_step", grid_step))
+    grid = _check_grid(_finite("theta", theta) - 3.0, theta + 3.0,
+                       _scale("grid_step", grid_step))
     kernel = kernel or kernel_constants()
 
     events = 0

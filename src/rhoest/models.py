@@ -21,6 +21,7 @@ from .densities import (ExpFamily, Gaussian, Histogram, ProductDensity,
                         integrate_on_supports, product_hellinger_sq)
 from .errors import (Checked, ContractViolationError, _count, _finite,
                      _nonnegative, _overflows, _scale, _shown)
+from .psi import _check_kernel
 from .quadrature import QuadratureSpec
 
 __all__ = [
@@ -96,6 +97,7 @@ def eta_bar_finite(fam: DensityFamily, kernel, center_pool: DensityFamily | None
     sup{z > 0 : sqrt(H(z/beta)) > z / x0}, located exactly on the plateaus of
     the step function H, and never exceeding 3 sqrt(log(2 |family|)).
     """
+    kernel = _check_kernel(kernel)
     center_pool = center_pool or fam
     beta = kernel.beta
     x0 = math.sqrt(2.0) * (math.sqrt(1.0 + beta / kernel.a2) + 1.0)

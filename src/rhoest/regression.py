@@ -19,7 +19,7 @@ import numpy as np
 from .criterion import DensityFamily, RhoFit
 from .densities import Density1D, Sample, _density, hellinger_sq, shifted
 from .errors import (Checked, ContractViolationError, _count, _items,
-                     _nonnegative, _scale)
+                     _nonnegative, _scale, _vector)
 from .models import ModelDescriptor, dimension_bound_vc
 from .psi import PsiKernel, kernel_constants
 from .quadrature import QuadratureSpec
@@ -174,6 +174,7 @@ def d_s_loss(s: Density1D, g, gp, w_sample, quad: QuadratureSpec | None = None) 
     h^2 = 1 there; g and gp infinite with the same sign leave no shift, and
     raise :class:`ContractViolationError`.
     """
+    _density("s", s)
     w = np.asarray(w_sample, dtype=float)
     if w.size == 0:
         raise ContractViolationError("need at least one design point")
@@ -189,21 +190,21 @@ def d_s_loss(s: Density1D, g, gp, w_sample, quad: QuadratureSpec | None = None) 
     return float(np.mean(vals))
 
 
-def check_identifiability(candidates_r, shift_grid, quad=None,
-                          ceiling: float = 50.0) -> dict:
+def check_identifiability(candidates_r, shift_grid, quad=None) -> dict:
     """Estimate the translation-identifiability constant for each pair.
 
     A(r, r') compares h(R, R') to the best shifted match
     min over the grid of h(R_a, R'); identical densities report A = 1 by
-    convention.  Pairs whose estimate exceeds ``ceiling`` are flagged.
+    convention.  Pairs whose estimate exceeds the ceiling of 50 are flagged.
     """
-    shift_grid = sorted(float(a) for a in shift_grid)
+    shift_grid = sorted(_vector("shift_grid", shift_grid))
     if not shift_grid or any(abs(a + b) > 1e-12 for a, b in
                              zip(shift_grid, reversed(shift_grid))):
         raise ContractViolationError("shift grid must be finite and symmetric about 0")
+    ceiling = 50.0
     pairs = {}
     flagged = []
-    rs = list(candidates_r)
+    rs = [_density("candidates_r", r) for r in candidates_r]
     for i, r in enumerate(rs):
         for j, rp in enumerate(rs):
             if j <= i:

@@ -12,7 +12,7 @@ import math
 
 from .criterion import DensityFamily, Penalty, rho_estimate
 from .errors import ContractViolationError, _count, _scale
-from .psi import PsiKernel, kernel_constants
+from .psi import PsiKernel, _check_kernel, kernel_constants
 
 __all__ = ["ModelCollection", "penalty_for", "select", "risk_bound_report",
            "uniform_weights"]
@@ -41,7 +41,7 @@ class ModelCollection:
         if len(ns) != 1:
             raise ContractViolationError("models disagree on sample shape")
         self.models = models
-        self.kernel = kernel or kernel_constants()
+        self.kernel = _check_kernel(kernel or kernel_constants())
         self._build_union()
 
     def _build_union(self):

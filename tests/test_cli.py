@@ -755,5 +755,65 @@ class TestConfigShapes:
         assert "outlier" in capsys.readouterr().err
 
 
+HISTOGRAMS = {"sample": [-4.2, -2.5, -0.7, 0.4, 1.1, 2.9, 3.6, 5.0],
+              "models": [{"family": {"type": "histogram", "k": 2,
+                                     "breakpoint_grids": [[-3, 0, 3]]}},
+                         {"family": {"type": "histogram", "k": 3,
+                                     "breakpoint_grids": [[-3, -1, 1, 3]]}}]}
+SCREEN_SAMPLE = np.random.default_rng(26).normal(0.5, 1.0, 1000)
+SCREEN_SAMPLE[:8] = -1000.0, 1000.0, -12.0, 12.5, -15.0, 15.5, -40.0, 40.0
+
+# Runs whose criterion meets zero or infinite roots, which it settles into
+# stand-in roots and runs without np.errstate: each must exit 0 with strict
+# JSON and no RuntimeWarning (an error under this suite's filters).
+# name -> (command and options, config, check on the output)
+EDGE_RUNS = {
+    # Every kind that the sqrt-value matrix evaluates in one pdf call per
+    # kind, interleaved with a histogram, which it evaluates entry by entry;
+    # the uniform misses two sample points and the singular Gaussian is
+    # centred on one.
+    "fit-explicit": (["fit"], {"sample": [-0.4, 0.1, 0.3, 0.9, 1.2], "family": {
+        "type": "explicit", "densities": [
+            {"kind": "gaussian", "params": {"mean": 0, "sd": 1}},
+            {"kind": "histogram", "params": {"breaks": [-1, 0, 1, 2],
+                                             "heights": [0.25, 0.5, 0.25]}},
+            {"kind": "cauchy", "params": {"loc": 0.5, "scale": 1.0}},
+            {"kind": "laplace", "params": {"loc": 0.3, "scale": 0.5}},
+            {"kind": "uniform", "params": {"a": 0, "b": 1}},
+            {"kind": "exponential", "params": {"rate": 2.0, "shift": -1}},
+            {"kind": "pathological-gaussian", "params": {"theta": 0.9}},
+            {"kind": "gaussian", "params": {"mean": 0.5, "sd": 0.5}}]}},
+        lambda out: len(out["trace"]) == 8),
+    # 140 entries at n = 1000 reach the float32 screen, and every pair ties:
+    # the certificate sums all 9730 pairs j < k.
+    "fit-identical": (["fit"], {"sample": SCREEN_SAMPLE.tolist(), "family": {
+        "type": "explicit", "densities": [TWO_GAUSSIANS[0]] * 140}},
+        lambda out: len(out["trace"]) == 140 and len(set(out["trace"])) == 1),
+    # Outliers at +-1000 make sample columns where every grid density is 0.
+    "bench-outliers": (["bench", "--seed", "1"], {
+        "scenario": {**SCENARIO, "kind": "outliers", "n": 30, "replications": 3,
+                     "outlier_indices": [0, 1], "outlier_points": [-1000.0, 1000.0]},
+        "estimator": {**GRID, "type": "rho_gaussian_grid", "step": 0.25}},
+        lambda out: out["failures"] == 0 and len(out["per_replicate"]) == 3),
+    # Histogram models vanish at the sample points outside their breakpoints
+    # and in their empty pieces.
+    **{f"select-histograms-{psi}": (["select", "--psi", psi], HISTOGRAMS,
+                                    lambda out: out["selected_models"])
+       for psi in ("psi1", "psi2")},
+    # At n = 5, seed 1, the singular family meets infinite densities.
+    **{f"demo-mle-{psi}": (["demo-mle", "--seed", "1", "--psi", psi],
+                           {"theta": 0.0, "n": 5, "reps": 20},
+                           lambda out: len(out["rho_errors"]) == 20)
+       for psi in ("psi1", "psi2")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_RUNS))
+def test_edge_run_exits_0(tmp_path, capsys, name):
+    args, config, check = EDGE_RUNS[name]
+    code, out = run(capsys, [*args, "--config", write_config(tmp_path, "c.json", config)])
+    assert code == 0 and check(out)
+
+
 def test_parser_is_built_once():
     assert cli._build_parser() is cli._build_parser()

@@ -7,7 +7,9 @@ it, is never imported.  Its worker threads, and concurrent.futures with them, st
 on the first criterion call with more than one block and CPU.  pytest's
 ``filterwarnings`` setting imports scipy.integrate before any test runs, so
 an in-process test can neither see an eager scipy import come back nor
-exercise a first load.  These tests run each check in a subprocess.
+exercise a first load.  A run pinned to one CPU, or with BLAS on one
+thread, needs a process of its own too.  These tests run each check in a
+subprocess.
 """
 
 import json
@@ -29,10 +31,11 @@ SCIPY_MODULES = ("print(json.dumps(sorted(m for m in sys.modules "
                  "if m.split('.')[0] == 'scipy')))")
 
 
-def python(*args, cwd=None):
-    """Run a fresh interpreter with src/ on the path; returns (stdout, stderr)."""
+def python(*args, cwd=None, env=None):
+    """Run a fresh interpreter with src/ on the path and RuntimeWarnings
+    errors, as here; returns (stdout, stderr)."""
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ,
+    env = {**os.environ, **(env or {}), "PYTHONWARNINGS": "error::RuntimeWarning",
            "PYTHONPATH": os.pathsep.join([str(SRC), path] if path else [str(SRC)])}
     proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env=env, cwd=cwd, timeout=300, check=False)
@@ -157,12 +160,14 @@ def test_cauchy_affinity_loads_no_scipy():
 
 
 QUADRATURE = """
-import json, math, sys
+import json, math, os, sys
 from rhoest import (Gaussian, Laplace, QuadratureSpec, check_assumption,
                     density_from_json, hellinger_sq, kernel_constants, quadrature)
+from rhoest.cli import main
 q, qp, r = (density_from_json(d) for d in json.loads(sys.argv[1]))
 check_assumption(kernel_constants("psi2"), q, qp, r, QuadratureSpec(abs_tol=1e-6))
 h2 = hellinger_sq(Gaussian(0.0, 1.0), Laplace(0.0, 1.0))
+code = main(["bench", "--config", sys.argv[2], "--seed", "1", "--out", os.devnull])
 heavy = sorted(m for m in sys.modules if m.split(".")[:2] in (
     ["scipy", "integrate"], ["scipy", "optimize"], ["scipy", "linalg"],
     ["scipy", "sparse"], ["scipy", "special"]))
@@ -170,13 +175,64 @@ import scipy.integrate
 fn = lambda x: math.exp(-x * x)
 ours = quadrature.integrate.quad(fn, 0.0, math.inf, epsabs=1e-10, epsrel=0.0)
 theirs = scipy.integrate.quad(fn, 0.0, math.inf, epsabs=1e-10, epsrel=0.0)
-print(json.dumps([h2, heavy, ours, theirs]))
+print(json.dumps([h2, heavy, ours, theirs, code]))
 """
 
 
-def test_quadrature_loads_no_scipy_subpackage():
-    out, _ = python("-c", QUADRATURE, json.dumps(TRIPLES[0]))
-    h2, heavy, ours, theirs = json.loads(out)
-    assert heavy == []
+def test_quadrature_loads_no_scipy_subpackage(tmp_path):
+    # The bench's loss against a histogram takes QUADPACK's float nodes to a
+    # kind that once converted each node to an array.
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({**TINY["bench"], "truth_for_loss": {
+        "kind": "histogram", "params": {"breaks": [-2, 0, 1, 2],
+                                        "heights": [0.25, 0.3, 0.2]}}}))
+    out, _ = python("-c", QUADRATURE, json.dumps(TRIPLES[0]), str(cfg))
+    h2, heavy, ours, theirs, code = json.loads(out)
+    assert heavy == [] and code == 0
     assert h2 == hellinger_sq(Gaussian(0.0, 1.0), Laplace(0.0, 1.0))
     assert ours == theirs
+
+
+# Five runs that reach the float32 screen of the square criterion
+# (N * N * n >= 2**21): fit on a 161-point grid under each kernel, select on
+# a union of 243 entries, and demo-mle at n = 100 under each kernel.  The
+# sample's points at +-1000 (every density 0), near +-12 and +-15 (roots
+# outside the float32 ranges, summed in float64) and at +-40 (psi1's
+# rescale) reach every path of the screen and its certificate, and so do
+# demo-mle's infinite spike roots and its finite ones below float32's range.
+SCREENED = """
+import json, os, sys
+if sys.argv[1] == "one-cpu":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from rhoest.cli import main
+for argv in json.loads(sys.argv[2]):
+    if main(argv):
+        sys.exit(f"{argv} failed")
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs os.sched_setaffinity")
+def test_screened_runs_print_the_same_bytes_on_any_thread_split(tmp_path):
+    # The criterion shares its blocks out over the CPUs the process may run
+    # on, and its screen's BLAS sums run with BLAS threaded or not; every
+    # split must print the one-thread bytes.
+    x = np.random.default_rng(26).normal(0.5, 1.0, 1000)
+    x[:8] = -1000.0, 1000.0, -12.0, 12.5, -15.0, 15.5, -40.0, 40.0
+    grid = {"type": "gaussian_location_grid", "step": 0.05}
+    fit, select, mle = (tmp_path / f"{name}.json" for name in ("fit", "select", "mle"))
+    fit.write_text(json.dumps(
+        {"sample": x.tolist(), "family": {**grid, "theta_min": -4, "theta_max": 4}}))
+    select.write_text(json.dumps({"sample": x.tolist(), "models": [
+        {"family": {**grid, "theta_min": -2, "theta_max": 2, "sd": sd}}
+        for sd in (0.8, 1.0, 1.25)]}))
+    mle.write_text(json.dumps({"theta": 0.0, "n": 100, "reps": 10}))
+    runs = [["select", "--config", str(select)]]
+    for psi in ("psi1", "psi2"):
+        runs += [["fit", "--config", str(fit), "--psi", psi],
+                 ["demo-mle", "--config", str(mle), "--seed", "4", "--psi", psi]]
+    all_cpus, _ = python("-c", SCREENED, "all-cpus", json.dumps(runs))
+    assert python("-c", SCREENED, "one-cpu", json.dumps(runs))[0] == all_cpus
+    assert python("-c", SCREENED, "all-cpus", json.dumps(runs),
+                  env={"OPENBLAS_NUM_THREADS": "1"})[0] == all_cpus
+    assert all_cpus.count('"chosen_label": "theta=0.5"') == 3  # fits and select

@@ -280,6 +280,11 @@ class TestIdentifiability:
                                     self.GRID, QUAD)
         assert out["pairs"][(0, 1)] == pytest.approx(1.0, abs=1e-6)
 
+    def test_pair_matched_by_a_shift_is_flagged(self):
+        # Gaussian(0, 1) shifted by 1 is Gaussian(1, 1): A is infinite.
+        out = check_identifiability([Gaussian(0, 1), Gaussian(1, 1)], self.GRID, QUAD)
+        assert out["flagged"] == [(0, 1)] and out["ceiling"] == 50.0
+
     def test_uniform_pair_finite(self):
         out = check_identifiability([Uniform(0, 1), Uniform(0, 2)],
                                     self.GRID, QUAD)

@@ -1,10 +1,10 @@
 """The shared input rules of ``rhoest.errors`` at every public boundary.
 
 Each public value object and each public function that takes a count, a
-seed, a scale, a weight, a tolerance or a density rejects a bool, NaN and a
-string there, a count or a seed also rejects a non-integral number, a count
-also rejects 0, and a real, finite or not, also rejects an int too large
-for a float, with ContractViolationError.
+seed, a scale, a weight, a tolerance, a density or a kernel rejects a bool,
+NaN and a string there, a count or a seed also rejects a non-integral
+number, a count also rejects 0, and a real, finite or not, also rejects an
+int too large for a float, with ContractViolationError.
 Penalty, InnerSolverConfig, ``saddle_point(max_outer=...)`` and the density
 kinds have their own parametrized tests in the modules that test them.
 """
@@ -16,14 +16,16 @@ import numpy as np
 import pytest
 
 from rhoest import (CandidateSet, ContractViolationError, DensityFamily,
-                    Gaussian, ModelDescriptor, Penalty, ProductDensity, QuadratureSpec,
-                    RegressionFunction, RegressionModel, Sample, Scenario,
-                    SimplexPoint, build_gaussian_location_grid,
-                    build_histogram_family, contamination_bias,
+                    Gaussian, ModelCollection, ModelDescriptor, Penalty,
+                    ProductDensity, QuadratureSpec, RegressionFunction,
+                    RegressionModel, Sample, Scenario, SimplexPoint,
+                    build_gaussian_location_grid, build_histogram_family,
+                    check_identifiability, contamination_bias, d_s_loss,
                     dimension_bound_entropy, dimension_bound_finite,
-                    dimension_bound_vc, mixture_upsilon, mle_counterexample,
-                    rho_estimate, saddle_point, select_candidate,
-                    simplex_grid, simulate)
+                    dimension_bound_vc, eta_bar_finite, hellinger_sq,
+                    kernel_constants, mc_risk, mixture_upsilon,
+                    mle_counterexample, rho_estimate, saddle_point,
+                    select_candidate, simplex_grid, simulate)
 
 G = Gaussian(0.0, 1.0)
 X = Sample(np.array([0.0, 0.5, 1.0]))
@@ -90,7 +92,7 @@ REALS = {
     "contamination_bias.eps": (lambda v: contamination_bias(G, G, v), 0.5),
 }
 
-# The same for parameters that take a density or a regression function.
+# The same for parameters that take a density, a function or a kernel.
 OBJECTS = {
     "Scenario.truth": (lambda v: scenario(truth=v), G),
     "Scenario.contaminant": (
@@ -99,6 +101,20 @@ OBJECTS = {
         lambda v: RegressionModel(v, [LINE], vc_index_f=1), G),
     "RegressionModel.functions": (
         lambda v: RegressionModel(G, [v], vc_index_f=1), LINE),
+    "hellinger_sq.p": (lambda v: hellinger_sq(v, G), G),
+    "hellinger_sq.q": (lambda v: hellinger_sq(G, v), G),
+    "contamination_bias.center": (lambda v: contamination_bias(v, G, 0.5), G),
+    "contamination_bias.contaminant": (lambda v: contamination_bias(G, v, 0.5), G),
+    "d_s_loss.s": (lambda v: d_s_loss(v, LINE, LINE, [0.0, 1.0]), G),
+    "check_identifiability.candidates_r": (
+        lambda v: check_identifiability([G, v], [-1.0, 0.0, 1.0]), G),
+    # A non-density estimate is the caller's error, not a failed replicate.
+    "mc_risk.estimate": (lambda v: mc_risk(scenario(), lambda x: v, G), G),
+    "mc_risk.truth_for_loss": (lambda v: mc_risk(scenario(), lambda x: G, v), G),
+    "eta_bar_finite.kernel": (lambda v: eta_bar_finite(FAM, v), kernel_constants()),
+    "ModelCollection.kernel": (
+        lambda v: ModelCollection([ModelDescriptor(FAM, 2.0)], v).penalty(),
+        kernel_constants()),
 }
 
 TABLE = {**INTEGERS, **SEEDS, **REALS, **OBJECTS}
@@ -149,6 +165,13 @@ def test_int_too_large_for_a_float_is_blamed_on_its_parameter(make, name):
     # Not a bare OverflowError, and not vc_index, which 2k + 1 becomes.
     with pytest.raises(ContractViolationError, match=rf"^{name} must "):
         make()
+
+
+@pytest.mark.parametrize("grid", [[-math.inf, 0.0, math.inf], ["a"]])
+def test_shift_grid_is_checked_by_the_vector_rule(grid):
+    # Not a shifted candidate's "mean must be finite", nor a bare ValueError.
+    with pytest.raises(ContractViolationError, match="^shift_grid must be"):
+        check_identifiability([G, Gaussian(0.0, 2.0)], grid)
 
 
 def test_negative_seed_is_masked_to_64_bits():

@@ -23,8 +23,8 @@ import numpy as np
 from .criterion import DensityFamily, Penalty, RhoFit, _criterion_rows, rho_estimate
 from .densities import Sample
 from .errors import (Checked, ContractViolationError, DegenerateCandidatesError,
-                     SolverError, _count, _number, _scale, _weights)
-from .psi import PsiKernel, _check_kernel, kernel_constants
+                     SolverError, _count, _instance, _number, _scale, _weights)
+from .psi import DEFAULT_KERNEL, PsiKernel
 
 __all__ = ["SimplexPoint", "CandidateSet", "InnerSolverConfig",
            "select_candidate", "t_mix", "inner_argmax", "saddle_point",
@@ -61,13 +61,6 @@ class SimplexPoint(Checked):
         return SimplexPoint(tuple(w))
 
 
-def _candidates(cs) -> None:
-    """Reject a ``cs`` that is not a :class:`CandidateSet`: the one check of
-    a candidate-set argument, made where a public function takes it."""
-    if not isinstance(cs, CandidateSet):
-        raise ContractViolationError(f"cs must be a CandidateSet, got {type(cs).__name__}")
-
-
 def _weights_of(cs, point, name):
     """The weights of ``point`` as an array, if it is a :class:`SimplexPoint`
     with one weight per candidate of ``cs``."""
@@ -88,6 +81,7 @@ class CandidateSet:
     """
 
     def __init__(self, densities, sample: Sample):
+        _instance("sample", sample, Sample)
         densities = list(densities)
         if not densities:
             raise ContractViolationError("need at least one candidate")
@@ -116,7 +110,7 @@ def select_candidate(X: Sample, candidates, deltas,
     Penalties are kappa * delta_j; the weights must be finite, nonnegative
     and satisfy sum exp(-delta_j) <= 1.
     """
-    kernel = _check_kernel(kernel or kernel_constants())
+    kernel = _instance("kernel", kernel, PsiKernel, DEFAULT_KERNEL)
     candidates = list(candidates)
     deltas = _weights("deltas", deltas)
     if len(deltas) != len(candidates):
@@ -132,8 +126,8 @@ def t_mix(cs: CandidateSet, alpha: SimplexPoint, beta: SimplexPoint,
           kernel: PsiKernel | None = None) -> float:
     """sum_i psi(sqrt(mix_beta(X_i) / mix_alpha(X_i))) over the sample of ``cs``;
     antisymmetric in (alpha, beta)."""
-    _candidates(cs)
-    kernel = _check_kernel(kernel or kernel_constants())
+    _instance("cs", cs, CandidateSet)
+    kernel = _instance("kernel", kernel, PsiKernel, DEFAULT_KERNEL)
     num = _weights_of(cs, beta, "beta") @ cs.values
     den = _weights_of(cs, alpha, "alpha") @ cs.values
     if np.any(den <= 0.0) or np.any(num < 0.0):
@@ -150,6 +144,9 @@ class InnerSolverConfig(Checked):
     tol: float = 1e-8
     max_iter: int = 5000
     rules = {"tol": _scale, "max_iter": _count}
+
+
+_DEFAULT_INNER = InnerSolverConfig()
 
 
 def _mix_derivatives(kernel, m, d_sqrt):
@@ -250,9 +247,9 @@ def inner_argmax(cs: CandidateSet, alpha: SimplexPoint,
     in :func:`_line_search`.  Stops when the Frank-Wolfe gap, which bounds
     max t(alpha, .) - t(alpha, beta) from above, drops below ``inner.tol``.
     """
-    _candidates(cs)
-    kernel = _check_kernel(kernel or kernel_constants())
-    inner = inner or InnerSolverConfig()
+    _instance("cs", cs, CandidateSet)
+    kernel = _instance("kernel", kernel, PsiKernel, DEFAULT_KERNEL)
+    inner = _instance("inner", inner, InnerSolverConfig, _DEFAULT_INNER)
     P = cs.values
     beta = _weights_of(cs, alpha, "alpha").copy()
     m = beta @ P
@@ -288,8 +285,9 @@ def saddle_point(cs: CandidateSet, kernel: PsiKernel | None = None,
     on numerically dependent candidates; exhaustion of ``max_outer`` is
     reported, never silently truncated.
     """
-    _candidates(cs)
-    kernel = _check_kernel(kernel or kernel_constants())
+    _instance("cs", cs, CandidateSet)
+    kernel = _instance("kernel", kernel, PsiKernel, DEFAULT_KERNEL)
+    inner = _instance("inner", inner, InnerSolverConfig, _DEFAULT_INNER)
     if not 0.0 < _number("eps", eps) <= 1.0:
         raise ContractViolationError("eps must lie in (0, 1]")
     _count("max_outer", max_outer)
@@ -354,8 +352,8 @@ def simplex_grid_array(size: int, steps: int) -> np.ndarray:
 def mixture_upsilon(cs: CandidateSet, alpha: SimplexPoint, grid_steps: int,
                     kernel: PsiKernel | None = None) -> float:
     """Criterion value of the alpha-mixture against a simplex-lattice family."""
-    _candidates(cs)
-    kernel = _check_kernel(kernel or kernel_constants())
+    _instance("cs", cs, CandidateSet)
+    kernel = _instance("kernel", kernel, PsiKernel, DEFAULT_KERNEL)
     den_sqrt = np.sqrt(_weights_of(cs, alpha, "alpha") @ cs.values)[np.newaxis, :]
     G = simplex_grid_array(cs.size, grid_steps)
     return float(_criterion_rows(den_sqrt, np.sqrt(G @ cs.values), 0.0, kernel)[0])

@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .densities import _STACKABLE, ProductDensity, Sample, _stacked, _stacks
-from .errors import (Checked, ContractViolationError, _count, _finite, _nonnegative,
-                     _shown)
-from .psi import PsiKernel, _check_kernel, _settle, kernel_constants, psi_pair
+from .errors import (Checked, ContractViolationError, _count, _finite, _instance,
+                     _nonnegative, _shown)
+from .psi import DEFAULT_KERNEL, PsiKernel, _settle, psi_pair
 
 __all__ = ["DensityFamily", "Penalty", "RhoFit", "t_statistic", "upsilon",
            "upsilon_all", "rho_estimate"]
@@ -564,19 +564,14 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
     return T.max(axis=1)
 
 
-def _check_call(kernel, pen=None) -> None:
-    """Reject a kernel that is not a :class:`PsiKernel` (the criterion reads
-    its ``id``) and a ``pen`` that is neither a :class:`Penalty` nor None."""
-    _check_kernel(kernel)
-    if pen is not None and not isinstance(pen, Penalty):
-        raise ContractViolationError(
-            f"pen must be a Penalty or None, got {type(pen).__name__}")
+_NO_PENALTY = Penalty()  # the penalty of a pen of None: zero for every entry
 
 
 def t_statistic(X: Sample, q: ProductDensity, qp: ProductDensity,
                 kernel: PsiKernel) -> float:
     """sum_i psi(sqrt(q'_i(x_i) / q_i(x_i))), with the zero-density conventions."""
-    _check_call(kernel)
+    _instance("X", X, Sample)
+    _instance("kernel", kernel, PsiKernel)
     u = np.sqrt(qp.coord_values(X))[np.newaxis, :]
     v = np.sqrt(q.coord_values(X))[np.newaxis, :]
     return float(_criterion_rows(v, u, 0.0, kernel)[0])
@@ -585,8 +580,10 @@ def t_statistic(X: Sample, q: ProductDensity, qp: ProductDensity,
 def upsilon(X: Sample, q: ProductDensity, fam: DensityFamily,
             pen: Penalty | None, kernel: PsiKernel) -> float:
     """max over challengers of [T - pen(challenger)] + pen(candidate)."""
-    _check_call(kernel, pen)
-    pvec = (pen or Penalty()).vector(len(fam))
+    _instance("X", X, Sample)
+    _instance("fam", fam, DensityFamily)
+    _instance("kernel", kernel, PsiKernel)
+    pvec = _instance("pen", pen, Penalty, _NO_PENALTY).vector(len(fam))
     # When every penalty is +0.0 (by its bits, so a -0.0 is still looked
     # up), so is q's own, and an iid family is spared making its entries.
     own = 0.0 if not pvec.view(np.int64).any() else next(
@@ -602,8 +599,10 @@ def upsilon_all(X: Sample, fam: DensityFamily, pen: Penalty | None,
     The family holds at most ``_MAX_FAMILY`` (8192) entries, a limit that
     :class:`DensityFamily` checks when the family is built.
     """
-    _check_call(kernel, pen)
-    pvec = (pen or Penalty()).vector(len(fam))
+    _instance("X", X, Sample)
+    _instance("fam", fam, DensityFamily)
+    _instance("kernel", kernel, PsiKernel)
+    pvec = _instance("pen", pen, Penalty, _NO_PENALTY).vector(len(fam))
     S = fam.sqrt_value_matrix(X)
     return _criterion_rows(S, S, pvec, kernel) + pvec
 
@@ -618,9 +617,7 @@ def rho_estimate(X: Sample, fam: DensityFamily, pen: Penalty | None = None,
     admissible entry with the smallest criterion value (ties broken by
     smallest index, for reproducibility).
     """
-    if kernel is None:
-        kernel = kernel_constants()
-    _check_call(kernel, pen)
+    kernel = _instance("kernel", kernel, PsiKernel, DEFAULT_KERNEL)
     slack = (kernel.kappa / 25.0 if slack is None
              else _nonnegative("slack", _finite("slack", slack)))
     ups = upsilon_all(X, fam, pen, kernel)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (Checked, ContractViolationError, _count, _finite, _grid,
-                     _items, _number, _scale, _vector, _weights)
-from .quadrature import integrate_1d
+                     _instance, _items, _number, _scale, _vector, _weights)
+from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate_1d
 
 __all__ = [
     "Sample",
@@ -160,9 +160,7 @@ class Density1D(Checked):
 
 def _density(name, v):
     """The rule of a parameter that takes a :class:`Density1D`."""
-    if not isinstance(v, Density1D):
-        raise ContractViolationError(f"{name} must be a Density1D, got {v!r}")
-    return v
+    return _instance(name, v, Density1D)
 
 
 @dataclass(frozen=True, eq=False)
@@ -624,6 +622,7 @@ def hellinger_affinity(p, q, quad=None, method="auto"):
     """
     _density("p", p)
     _density("q", q)
+    quad = _instance("quad", quad, QuadratureSpec, DEFAULT_QUAD)
     if method not in ("auto", "quadrature"):
         raise ContractViolationError(f"unknown method {method!r}")
     rho = _closed_form_affinity(p, q) if method == "auto" else None
@@ -699,8 +698,8 @@ class ProductDensity(Checked):
 
 def product_hellinger_sq(P: ProductDensity, Q: ProductDensity, quad=None):
     """Sum of coordinate h^2; n * h^2 for a pair of i.i.d. products."""
-    if not (isinstance(P, ProductDensity) and isinstance(Q, ProductDensity)):
-        raise ContractViolationError("product_hellinger_sq takes two ProductDensity")
+    _instance("P", P, ProductDensity)
+    _instance("Q", Q, ProductDensity)
     if P.n != Q.n:
         raise ContractViolationError(f"coordinate counts differ: {P.n} != {Q.n}")
     if P.is_iid and Q.is_iid:

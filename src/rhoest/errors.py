@@ -1,4 +1,4 @@
-"""Exception hierarchy, and the input rules of every public value object.
+"""Exception hierarchy, and the input rules of public value objects and arguments.
 
 A rule takes a parameter's name and the value passed, and returns the value
 to store or raises :class:`ContractViolationError` naming the parameter.  A
@@ -120,6 +120,16 @@ def _count(name, v, least=1):
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
         raise ContractViolationError(f"{name} must be an integer >= {least}, got {_shown(v)}")
     return int(v)
+
+
+def _instance(name, v, cls, default=None):
+    """The rule of an object argument: ``v`` if it is a ``cls``, ``default``
+    for None where the parameter has one; anything else, 0 or "" too, fails."""
+    if isinstance(v, cls):
+        return v
+    if v is None and default is not None:
+        return default
+    raise ContractViolationError(f"{name} must be a {cls.__name__}, got {type(v).__name__}")
 
 
 def _items(name, v):

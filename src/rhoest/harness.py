@@ -21,10 +21,10 @@ from .criterion import DensityFamily, rho_estimate
 from .densities import (Density1D, PathologicalGaussian, Sample, _density,
                         _spike_log, hellinger_sq, integrate_on_supports)
 from .errors import (Checked, ContractViolationError, RhoestError, _count,
-                     _finite, _integer, _number, _scale, _vector)
+                     _finite, _instance, _integer, _number, _scale, _vector)
 from .models import _check_grid
-from .psi import PsiKernel, kernel_constants
-from .quadrature import QuadratureSpec
+from .psi import DEFAULT_KERNEL, PsiKernel
+from .quadrature import DEFAULT_QUAD, QuadratureSpec
 
 __all__ = ["Scenario", "RiskReport", "simulate", "mc_risk",
            "contamination_bias", "mle_counterexample", "export"]
@@ -103,6 +103,7 @@ def _draw(scenario: Scenario, rng: np.random.Generator) -> Sample:
 
 def simulate(scenario: Scenario) -> list:
     """All replicate samples of a scenario, in replicate order."""
+    _instance("scenario", scenario, Scenario)
     return [_draw(scenario, replicate_rng(scenario.seed, r))
             for r in range(scenario.replications)]
 
@@ -116,7 +117,6 @@ class RiskReport:
     median_h2: float | None
     stderr: float | None
     per_replicate: tuple
-    bound_reference: float | None = None
     failures: int = 0
 
     def to_json(self):
@@ -125,34 +125,21 @@ class RiskReport:
             "median_h2": self.median_h2,
             "stderr": self.stderr,
             "per_replicate": list(self.per_replicate),
-            "bound_reference": self.bound_reference,
             "failures": self.failures,
         }
 
 
-def _summarize(losses, failures, bound_reference) -> RiskReport:
-    if losses:
-        mean = statistics.fmean(losses)
-        med = statistics.median(losses)
-        sd = statistics.stdev(losses) if len(losses) > 1 else 0.0
-        err = sd / math.sqrt(len(losses))
-    else:
-        mean = med = err = None
-    return RiskReport(mean_h2=mean, median_h2=med, stderr=err,
-                      per_replicate=tuple(losses),
-                      bound_reference=bound_reference, failures=failures)
-
-
 def mc_risk(scenario: Scenario, estimator, truth_for_loss: Density1D,
-            quad: QuadratureSpec | None = None,
-            bound_reference: float | None = None) -> RiskReport:
+            quad: QuadratureSpec | None = None) -> RiskReport:
     """Replicate loop: simulate, fit, score h^2 against the loss reference.
 
     ``estimator`` maps a Sample to an estimated 1-D density.  Replicates
     whose fit raises a package or arithmetic error are dropped from the
     statistics and counted in ``failures``; any other exception propagates.
     """
+    _instance("scenario", scenario, Scenario)
     _density("truth_for_loss", truth_for_loss)
+    quad = _instance("quad", quad, QuadratureSpec, DEFAULT_QUAD)
     losses = []
     failures = 0
     for r in range(scenario.replications):
@@ -162,14 +149,18 @@ def mc_risk(scenario: Scenario, estimator, truth_for_loss: Density1D,
         except (RhoestError, ArithmeticError):
             failures += 1
             continue
-        # Checked outside the try: a non-density estimate is the caller's
-        # error, not a failed replicate.
+        # Checked outside the try, as the arguments were: a non-density
+        # estimate is the caller's error, not a failed replicate.
         _density("estimate", estimate)
         try:
             losses.append(float(hellinger_sq(truth_for_loss, estimate, quad)))
         except (RhoestError, ArithmeticError):
             failures += 1
-    return _summarize(losses, failures, bound_reference)
+    if not losses:
+        return RiskReport(None, None, None, (), failures)
+    err = statistics.stdev(losses) / math.sqrt(len(losses)) if len(losses) > 1 else 0.0
+    return RiskReport(mean_h2=statistics.fmean(losses), median_h2=statistics.median(losses),
+                      stderr=err, per_replicate=tuple(losses), failures=failures)
 
 
 def contamination_bias(center: Density1D, contaminant: Density1D, eps: float,
@@ -181,6 +172,7 @@ def contamination_bias(center: Density1D, contaminant: Density1D, eps: float,
     """
     _density("center", center)
     _density("contaminant", contaminant)
+    quad = _instance("quad", quad, QuadratureSpec, DEFAULT_QUAD)
     if not 0.0 <= _number("eps", eps) <= 1.0:
         raise ContractViolationError("eps must lie in [0, 1]")
     if eps == 0.0:
@@ -223,7 +215,7 @@ def mle_counterexample(theta: float, n: int, reps: int, seed: int,
     seed = _integer("seed", seed)
     grid = _check_grid(_finite("theta", theta) - 3.0, theta + 3.0,
                        _scale("grid_step", grid_step))
-    kernel = kernel or kernel_constants()
+    kernel = _instance("kernel", kernel, PsiKernel, DEFAULT_KERNEL)
 
     events = 0
     mle_at_max = 0
@@ -294,6 +286,7 @@ def export(report: RiskReport, fmt: str, path: str) -> None:
     point-decimal numbers and LF line endings.  A NaN or infinity in a JSON
     report raises FloatingPointError.
     """
+    _instance("report", report, RiskReport)
     if fmt == "json":
         text = _json_text(report.to_json())
     elif fmt == "csv":

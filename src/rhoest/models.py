@@ -19,10 +19,10 @@ from .aggregation import _lattice_size, simplex_grid_array
 from .criterion import DensityFamily
 from .densities import (ExpFamily, Gaussian, Histogram, ProductDensity,
                         integrate_on_supports, product_hellinger_sq)
-from .errors import (Checked, ContractViolationError, _count, _finite,
+from .errors import (Checked, ContractViolationError, _count, _finite, _instance,
                      _nonnegative, _overflows, _scale, _shown)
-from .psi import _check_kernel
-from .quadrature import QuadratureSpec
+from .psi import PsiKernel
+from .quadrature import FINE_QUAD, QuadratureSpec
 
 __all__ = [
     "ModelDescriptor",
@@ -97,8 +97,9 @@ def eta_bar_finite(fam: DensityFamily, kernel, center_pool: DensityFamily | None
     sup{z > 0 : sqrt(H(z/beta)) > z / x0}, located exactly on the plateaus of
     the step function H, and never exceeding 3 sqrt(log(2 |family|)).
     """
-    kernel = _check_kernel(kernel)
-    center_pool = center_pool or fam
+    _instance("fam", fam, DensityFamily)
+    _instance("kernel", kernel, PsiKernel)
+    center_pool = _instance("center_pool", center_pool, DensityFamily, fam)
     beta = kernel.beta
     x0 = math.sqrt(2.0) * (math.sqrt(1.0 + beta / kernel.a2) + 1.0)
 
@@ -230,7 +231,7 @@ def build_exp_family_grid(basis, coefficient_grid, lo: float, hi: float, n: int,
     in the descriptor labels.  An exponential family on J basis functions is
     VC-subgraph with index at most J + 2.
     """
-    quad = quad or QuadratureSpec(abs_tol=1e-10)
+    quad = _instance("quad", quad, QuadratureSpec, FINE_QUAD)
     basis = tuple(basis)
     entries, labels, rejected = [], [], []
     for coeffs in coefficient_grid:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import Density1D, _density, hellinger_sq, integrate_on_supports
-from .errors import ContractViolationError, _shown
-from .quadrature import QuadratureSpec
+from .errors import ContractViolationError, _instance, _shown
+from .quadrature import FINE_QUAD, QuadratureSpec
 
 __all__ = ["PsiKernel", "kernel_constants", "eval_psi", "psi_pair",
            "check_assumption"]
@@ -189,15 +189,7 @@ _KERNELS = {
 }
 
 DEFAULT_KERNEL_ID = "psi2"
-
-
-def _check_kernel(kernel) -> PsiKernel:
-    """``kernel``, if it is a :class:`PsiKernel`: the one check of a kernel
-    argument, made where a public function takes it."""
-    if not isinstance(kernel, PsiKernel):
-        raise ContractViolationError(
-            f"kernel must be a PsiKernel, got {type(kernel).__name__}")
-    return kernel
+DEFAULT_KERNEL = _KERNELS[DEFAULT_KERNEL_ID]  # of every kernel argument with a default
 
 
 def kernel_constants(kernel_id: str = DEFAULT_KERNEL_ID) -> PsiKernel:
@@ -255,7 +247,7 @@ def psi_pair(kernel: PsiKernel, num_sqrt, den_sqrt, out=None, scaled=None):
     """
     # The test inline, since quadrature calls the scalar path once per node.
     if scaled is None and not isinstance(kernel, PsiKernel):
-        _check_kernel(kernel)
+        _instance("kernel", kernel, PsiKernel)
     scalar = isinstance(num_sqrt, float) and isinstance(den_sqrt, float)
     if not scalar:
         u, v = np.asarray(num_sqrt, dtype=float), np.asarray(den_sqrt, dtype=float)
@@ -378,10 +370,10 @@ def check_assumption(kernel: PsiKernel, q: Density1D, qp: Density1D,
     arrays.  Returns the four sides; ``pass`` requires lhs <= rhs +
     tolerance for both.
     """
-    _check_kernel(kernel)
+    _instance("kernel", kernel, PsiKernel)
     for name, d in (("q", q), ("qp", qp), ("r", r)):
         _density(name, d)
-    quad = quad or QuadratureSpec(abs_tol=1e-10)
+    quad = _instance("quad", quad, QuadratureSpec, FINE_QUAD)
     h2_rq = hellinger_sq(r, q, quad)
     h2_rqp = hellinger_sq(r, qp, quad)
 

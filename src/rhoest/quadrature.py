@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Checked, ContractViolationError, QuadratureError, _count, _scale
+from .errors import Checked, ContractViolationError, QuadratureError, _count, _instance, _scale
 
 __all__ = ["QuadratureSpec", "integrate_1d"]
 
@@ -37,6 +37,11 @@ class QuadratureSpec(Checked):
     abs_tol: float = 1e-9
     max_subdivisions: int = 2**20
     rules = {"abs_tol": _scale, "max_subdivisions": _count}
+
+
+# The defaults of ``quad`` and ``spec`` arguments; check_assumption and
+# build_exp_family_grid take the finer one.
+DEFAULT_QUAD, FINE_QUAD = QuadratureSpec(), QuadratureSpec(abs_tol=1e-10)
 
 
 def __getattr__(name):
@@ -142,7 +147,7 @@ def integrate_1d(fn, lo, hi, spec=None, points=()):
     0.0 raises :class:`QuadratureError` before any QUADPACK call.  A NaN
     bound or kink raises :class:`ContractViolationError`.
     """
-    spec = spec or QuadratureSpec()
+    spec = _instance("spec", spec, QuadratureSpec, DEFAULT_QUAD)
     points = tuple(points)
     if any(math.isnan(x) for x in (lo, hi, *points)):
         raise ContractViolationError(

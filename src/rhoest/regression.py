@@ -18,11 +18,11 @@ import numpy as np
 
 from .criterion import DensityFamily, RhoFit
 from .densities import Density1D, Sample, _density, hellinger_sq, shifted
-from .errors import (Checked, ContractViolationError, _count, _items,
+from .errors import (Checked, ContractViolationError, _count, _instance, _items,
                      _nonnegative, _scale, _vector)
 from .models import ModelDescriptor, dimension_bound_vc
-from .psi import PsiKernel, kernel_constants
-from .quadrature import QuadratureSpec
+from .psi import PsiKernel
+from .quadrature import DEFAULT_QUAD, QuadratureSpec
 from .selection import ModelCollection, select
 
 __all__ = ["RegressionFunction", "RegressionModel", "RegressionFit",
@@ -131,8 +131,7 @@ class RegressionFit:
 
 def build_regression_family(models, n: int, kernel: PsiKernel | None = None,
                             c1: float = 1.0) -> ModelCollection:
-    """Assemble the weighted collection of translation models."""
-    kernel = kernel or kernel_constants()
+    """Assemble the weighted collection of translation models under ``kernel``."""
     descriptors = []
     for model in models:
         entries = [_TranslationEntry(model.error_density, g, n)
@@ -165,9 +164,9 @@ def fit_regression(X: Sample, coll: ModelCollection,
 def d_s_loss(s: Density1D, g, gp, w_sample, quad: QuadratureSpec | None = None) -> float:
     """Squared regression loss: design-averaged h^2 between translated errors.
 
-    The empirical design points stand in for the (unknown) design
-    distribution.  By translation invariance only the shift g(w) - gp(w)
-    matters at each design point.  g and gp are callables, such as
+    The empirical design points, finite numbers, stand in for the (unknown)
+    design distribution.  By translation invariance only the shift
+    g(w) - gp(w) matters at each design point.  g and gp are callables, such as
     :class:`RegressionFunction`, whose values must be numbers, not NaN, that
     broadcast to the shape of w, as a :class:`RegressionFunction`'s must.
     An infinite shift moves the error density off any overlap, a loss of
@@ -175,7 +174,8 @@ def d_s_loss(s: Density1D, g, gp, w_sample, quad: QuadratureSpec | None = None) 
     raise :class:`ContractViolationError`.
     """
     _density("s", s)
-    w = np.asarray(w_sample, dtype=float)
+    w = np.array(_vector("w_sample", w_sample))
+    quad = _instance("quad", quad, QuadratureSpec, DEFAULT_QUAD)
     if w.size == 0:
         raise ContractViolationError("need at least one design point")
     g_w, gp_w = _values_at("g", g, w), _values_at("gp", gp, w)
@@ -197,6 +197,7 @@ def check_identifiability(candidates_r, shift_grid, quad=None) -> dict:
     min over the grid of h(R_a, R'); identical densities report A = 1 by
     convention.  Pairs whose estimate exceeds the ceiling of 50 are flagged.
     """
+    quad = _instance("quad", quad, QuadratureSpec, DEFAULT_QUAD)
     shift_grid = sorted(_vector("shift_grid", shift_grid))
     if not shift_grid or any(abs(a + b) > 1e-12 for a, b in
                              zip(shift_grid, reversed(shift_grid))):

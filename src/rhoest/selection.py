@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 
 from .criterion import DensityFamily, Penalty, rho_estimate
-from .errors import ContractViolationError, _count, _scale
-from .psi import PsiKernel, _check_kernel, kernel_constants
+from .errors import ContractViolationError, _count, _instance, _scale
+from .psi import DEFAULT_KERNEL, PsiKernel
 
 __all__ = ["ModelCollection", "penalty_for", "select", "risk_bound_report",
            "uniform_weights"]
@@ -41,7 +41,7 @@ class ModelCollection:
         if len(ns) != 1:
             raise ContractViolationError("models disagree on sample shape")
         self.models = models
-        self.kernel = _check_kernel(kernel or kernel_constants())
+        self.kernel = _instance("kernel", kernel, PsiKernel, DEFAULT_KERNEL)
         self._build_union()
 
     def _build_union(self):
@@ -71,6 +71,7 @@ class ModelCollection:
 
 def penalty_for(coll: ModelCollection, entry_index: int) -> float:
     """kappa * min over containing models of [dim_bound/4.7 + weight]."""
+    _instance("coll", coll, ModelCollection)
     size = len(coll.membership)
     if _count("entry_index", entry_index, least=0) >= size:
         raise ContractViolationError(
@@ -85,6 +86,7 @@ def select(X, coll: ModelCollection, slack_multiplier: float = 1.0) -> dict:
     ``selected_models`` lists every model containing the chosen entry, in
     increasing complexity order (smallest-complexity selection rule).
     """
+    _instance("coll", coll, ModelCollection)
     fit = rho_estimate(X, coll.union_family, coll.penalty(), coll.kernel,
                        slack=slack_multiplier * coll.kernel.kappa / 25.0)
     containing = list(coll.membership[fit.chosen_index])
@@ -99,6 +101,7 @@ def risk_bound_report(coll: ModelCollection, m_idx: int, xi: float) -> float:
     gamma times the (usually unknowable) squared bias when a truth density
     is available.
     """
+    _instance("coll", coll, ModelCollection)
     _scale("xi", xi)
     k = coll.kernel
     return (4.0 * k.kappa / k.a1) * (coll.complexity(m_idx) + 1.5 + xi)

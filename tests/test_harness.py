@@ -242,15 +242,14 @@ class TestExport:
         assert lines[1] == "0,0.33333333333333331"
 
     def test_json_round_trip(self, tmp_path):
-        report = RiskReport(0.25, 0.2, 0.01, (0.1, 0.4), bound_reference=3.5,
-                            failures=1)
+        report = RiskReport(0.25, 0.2, 0.01, (0.1, 0.4), failures=1)
         path = tmp_path / "out.json"
         export(report, "json", str(path))
         back = json.loads(path.read_text())
         assert RiskReport(
             mean_h2=back["mean_h2"], median_h2=back["median_h2"],
             stderr=back["stderr"], per_replicate=tuple(back["per_replicate"]),
-            bound_reference=back["bound_reference"], failures=back["failures"],
+            failures=back["failures"],
         ) == report
 
     def test_deterministic_bytes(self, tmp_path):

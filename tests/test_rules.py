@@ -7,25 +7,41 @@ number, a count also rejects 0, and a real, finite or not, also rejects an
 int too large for a float, with ContractViolationError.
 Penalty, InnerSolverConfig, ``saddle_point(max_outer=...)`` and the density
 kinds have their own parametrized tests in the modules that test them.
+
+An object argument (a kernel, a quadrature spec, a solver config, a
+penalty, a candidate set, a family, a sample, a collection, a scenario or
+a report) must be of its type; None gives the default of a parameter that
+has one, and anything else, a falsy 0 too, is refused with a
+ContractViolationError that names the parameter.
 """
 
+import ast
+import inspect
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rhoest
 from rhoest import (CandidateSet, ContractViolationError, DensityFamily,
-                    Gaussian, ModelCollection, ModelDescriptor, Penalty,
-                    ProductDensity, QuadratureSpec, RegressionFunction,
-                    RegressionModel, Sample, Scenario, SimplexPoint,
+                    Gaussian, InnerSolverConfig, Laplace, ModelCollection,
+                    ModelDescriptor, Penalty, ProductDensity, QuadratureSpec,
+                    RegressionFunction, RegressionModel, RiskReport, Sample,
+                    Scenario, SimplexPoint, build_exp_family_grid,
                     build_gaussian_location_grid, build_histogram_family,
+                    build_regression_family, check_assumption,
                     check_identifiability, contamination_bias, d_s_loss,
                     dimension_bound_entropy, dimension_bound_finite,
-                    dimension_bound_vc, eta_bar_finite, hellinger_sq,
-                    kernel_constants, mc_risk, mixture_upsilon,
-                    mle_counterexample, rho_estimate, saddle_point,
-                    select_candidate, simplex_grid, simulate)
+                    dimension_bound_vc, eta_bar_finite, eval_psi, export,
+                    fit_regression, hellinger_affinity, hellinger_sq,
+                    inner_argmax, integrate_1d, kernel_constants, mc_risk,
+                    mixture_upsilon, mle_counterexample, penalty_for,
+                    product_hellinger_sq, psi_pair, rho_estimate,
+                    risk_bound_report, saddle_point, select, select_candidate,
+                    simplex_grid, simulate, t_mix, t_statistic, upsilon,
+                    upsilon_all)
 
 G = Gaussian(0.0, 1.0)
 X = Sample(np.array([0.0, 0.5, 1.0]))
@@ -220,3 +236,158 @@ def test_float32_parameters_hash_serialize_and_evaluate_as_float64():
     assert np.array_equal(g.pdf(x).view(np.int64), twin.pdf(x).view(np.int64))
     assert json.dumps(Gaussian(np.int64(0), 1).to_json()) == \
         '{"kind": "gaussian", "params": {"mean": 0, "sd": 1}}'
+
+
+@pytest.mark.parametrize("w", [["a"], [0.0, math.inf], [math.nan]])
+def test_design_points_are_checked_by_the_vector_rule(w):
+    # Not a bare ValueError from numpy's float conversion.
+    with pytest.raises(ContractViolationError, match="^w_sample must be"):
+        d_s_loss(G, LINE, LINE, w)
+
+
+K = kernel_constants()
+HALF = SimplexPoint((0.5, 0.5))
+ONE = CandidateSet(ENTRIES[:1], X)  # saddle_point's early return
+
+# Every object parameter that a public callable takes under one of these
+# names, as "callable.parameter" -> the call with the value.  Where a call
+# can leave the value unread (a closed form, eps = 0, one candidate, zero
+# shifts, an empty range), the table makes that call, so the argument must
+# be checked at entry.
+OBJECT_NAMES = {"kernel", "quad", "spec", "inner", "pen", "cs", "center_pool"}
+OBJECT_ARGUMENTS = {
+    "ModelCollection.kernel": lambda v: ModelCollection([ModelDescriptor(FAM, 2.0)], v),
+    "build_exp_family_grid.quad": lambda v: build_exp_family_grid(
+        ("x",), [(0.0,)], 0.0, 1.0, 3, quad=v),
+    "build_regression_family.kernel": lambda v: build_regression_family(
+        [RegressionModel(G, [LINE], vc_index_f=1)], 3, v),
+    "check_assumption.kernel": lambda v: check_assumption(v, G, G, G),
+    "check_assumption.quad": lambda v: check_assumption(K, G, G, G, v),
+    "check_identifiability.quad": lambda v: check_identifiability([G], [0.0], v),
+    "contamination_bias.quad": lambda v: contamination_bias(G, G, 0.0, v),
+    "d_s_loss.quad": lambda v: d_s_loss(G, LINE, LINE, [0.0, 1.0], v),
+    "eta_bar_finite.kernel": lambda v: eta_bar_finite(FAM, v),
+    "eta_bar_finite.center_pool": lambda v: eta_bar_finite(FAM, K, v),
+    "eta_bar_finite.quad": lambda v: eta_bar_finite(FAM, K, quad=v),
+    "eval_psi.kernel": lambda v: eval_psi(v, 1.0),
+    "hellinger_affinity.quad": lambda v: hellinger_affinity(G, G, v),
+    "hellinger_sq.quad": lambda v: hellinger_sq(G, G, v),
+    "inner_argmax.cs": lambda v: inner_argmax(v, HALF),
+    "inner_argmax.kernel": lambda v: inner_argmax(CS, HALF, v),
+    "inner_argmax.inner": lambda v: inner_argmax(CS, HALF, K, v),
+    "integrate_1d.spec": lambda v: integrate_1d(np.exp, 0.0, 0.0, v),
+    "mc_risk.quad": lambda v: mc_risk(scenario(), lambda x: G, G, v),
+    "mixture_upsilon.cs": lambda v: mixture_upsilon(v, HALF, 2),
+    "mixture_upsilon.kernel": lambda v: mixture_upsilon(CS, HALF, 2, v),
+    "mle_counterexample.kernel": lambda v: mle_counterexample(0.0, 5, 1, 0, kernel=v),
+    "product_hellinger_sq.quad": lambda v: product_hellinger_sq(ENTRIES[0], ENTRIES[0], v),
+    "psi_pair.kernel": lambda v: psi_pair(v, 1.0, 1.0),
+    "rho_estimate.pen": lambda v: rho_estimate(X, FAM, v),
+    "rho_estimate.kernel": lambda v: rho_estimate(X, FAM, kernel=v),
+    "saddle_point.cs": lambda v: saddle_point(v),
+    "saddle_point.kernel": lambda v: saddle_point(ONE, v),
+    "saddle_point.inner": lambda v: saddle_point(ONE, inner=v),
+    "select_candidate.kernel": lambda v: select_candidate(X, ENTRIES, [1.0, 1.0], v),
+    "t_mix.cs": lambda v: t_mix(v, HALF, HALF),
+    "t_mix.kernel": lambda v: t_mix(CS, HALF, HALF, v),
+    "t_statistic.kernel": lambda v: t_statistic(X, ENTRIES[0], ENTRIES[1], v),
+    "upsilon.pen": lambda v: upsilon(X, ENTRIES[0], FAM, v, K),
+    "upsilon.kernel": lambda v: upsilon(X, ENTRIES[0], FAM, None, v),
+    "upsilon_all.pen": lambda v: upsilon_all(X, FAM, v, K),
+    "upsilon_all.kernel": lambda v: upsilon_all(X, FAM, None, v),
+}
+# A good value for each parameter with no default; upsilon's ``pen`` has
+# none, but takes None.
+REQUIRED = {"kernel": K, "cs": CS}
+
+
+def test_object_argument_table_is_complete():
+    # A new public function with such a parameter cannot skip the table.
+    public = [getattr(rhoest, name) for name in dir(rhoest) if not name.startswith("_")]
+    found = {f"{f.__name__}.{p}" for f in public
+             if callable(f) and not (isinstance(f, type) and issubclass(f, Exception))
+             for p in inspect.signature(f).parameters if p in OBJECT_NAMES}
+    assert found == set(OBJECT_ARGUMENTS)
+
+
+@pytest.mark.parametrize("bad", [0, "x"], ids=["zero", "string"])
+@pytest.mark.parametrize("slot", sorted(OBJECT_ARGUMENTS))
+def test_object_argument_rejects_a_non_instance(slot, bad):
+    func, param = slot.split(".")
+    default = inspect.signature(getattr(rhoest, func)).parameters[param].default
+    call = OBJECT_ARGUMENTS[slot]
+    # The good value first, so that the rejection below is the bad value's doing.
+    call(REQUIRED.get(param) if default is inspect.Parameter.empty else None)
+    with pytest.raises(ContractViolationError, match=f"^{param} must be a "):
+        call(bad)
+
+
+@pytest.mark.parametrize("default, explicit", [
+    (lambda: mle_counterexample(0.0, 5, 2, 0),
+     lambda: mle_counterexample(0.0, 5, 2, 0, kernel=kernel_constants("psi2"))),
+    (lambda: rho_estimate(X, FAM),
+     lambda: rho_estimate(X, FAM, Penalty(), kernel_constants("psi2"))),
+    (lambda: t_mix(CS, HALF, SimplexPoint((0.2, 0.8))),
+     lambda: t_mix(CS, HALF, SimplexPoint((0.2, 0.8)), kernel_constants("psi2"))),
+    (lambda: inner_argmax(CS, HALF),
+     lambda: inner_argmax(CS, HALF, kernel_constants("psi2"), InnerSolverConfig())),
+    (lambda: hellinger_sq(G, Laplace(0.0, 1.0)),
+     lambda: hellinger_sq(G, Laplace(0.0, 1.0), QuadratureSpec())),
+], ids=["mle_counterexample", "rho_estimate", "t_mix", "inner_argmax", "hellinger_sq"])
+def test_none_gives_the_explicit_default_bit_for_bit(default, explicit):
+    assert repr(default()) == repr(explicit())
+
+
+@pytest.mark.parametrize("name, call", [
+    ("fam", lambda p: rho_estimate(X, "x")),
+    ("fam", lambda p: upsilon_all(X, 0, None, K)),
+    ("X", lambda p: rho_estimate([0.1] * 3, FAM)),
+    ("sample", lambda p: CandidateSet(ENTRIES, [0.1] * 3)),
+    ("coll", lambda p: select(X, "x")),
+    ("coll", lambda p: fit_regression(X, 0)),
+    ("coll", lambda p: penalty_for("x", 0)),
+    ("coll", lambda p: risk_bound_report("x", 0, 1.0)),
+    ("scenario", lambda p: mc_risk("x", lambda x: G, G)),
+    ("scenario", lambda p: simulate("x")),
+    ("report", lambda p: export("x", "json", str(p / "out.json"))),
+    ("fam", lambda p: eta_bar_finite("x", K)),
+], ids=["rho_estimate", "upsilon_all", "rho_estimate-X", "CandidateSet",
+        "select", "fit_regression", "penalty_for", "risk_bound_report",
+        "mc_risk", "simulate", "export", "eta_bar_finite"])
+def test_required_object_argument_is_named(name, call, tmp_path):
+    with pytest.raises(ContractViolationError, match=f"^{name} must be a "):
+        call(tmp_path)
+    assert not (tmp_path / "out.json").exists()
+
+
+def _falsy_defaults(tree):
+    """``param or <call or name>`` inside a function that takes ``param``."""
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = fn.args
+        params = {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                  *filter(None, (a.vararg, a.kwarg)))}
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or)
+                    and isinstance(node.values[0], ast.Name)
+                    and node.values[0].id in params
+                    and any(isinstance(v, (ast.Call, ast.Name)) for v in node.values[1:])):
+                yield node.lineno, ast.unparse(node)
+
+
+def test_no_falsy_default_idiom_in_the_package():
+    # ``kernel or kernel_constants()`` runs the default on kernel=0: an
+    # omitted object argument is None, and _instance turns it into the default.
+    src = Path(rhoest.__file__).parent
+    found = [f"{path.name}:{line}: {text}" for path in sorted(src.glob("*.py"))
+             for line, text in _falsy_defaults(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_the_lint_sees_the_idiom():
+    tree = ast.parse("def f(kernel=None, fam=None, pool=None, coords=None):\n"
+                     "    g = globals().get('x') or h()\n"
+                     "    return (kernel or make(), pool or fam, coords or ())\n")
+    assert [text for _, text in _falsy_defaults(tree)] == [
+        "kernel or make()", "pool or fam"]

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criterion import DensityFamily, Penalty, RhoFit, _criterion_rows, rho_estimate
+from .criterion import DensityFamily, Penalty, RhoFit, _criterion_rows, _entry, rho_estimate
 from .densities import Sample
 from .errors import (Checked, ContractViolationError, DegenerateCandidatesError,
-                     SolverError, _count, _instance, _number, _scale, _weights)
+                     SolverError, _count, _each, _instance, _number, _scale, _weights)
 from .psi import DEFAULT_KERNEL, PsiKernel
 
 __all__ = ["SimplexPoint", "CandidateSet", "InnerSolverConfig",
@@ -33,8 +33,7 @@ __all__ = ["SimplexPoint", "CandidateSet", "InnerSolverConfig",
 CONDITION_NUMBER_THRESHOLD = 1e10
 # Most points of a simplex lattice that simplex_grid_array enumerates, an
 # array of at most 2**18 x size floats; 4 weights at 100 steps make
-# 176,851.  A histogram builder refuses more than models.MAX_GRID_POINTS
-# lattice points over all its grids before it enumerates any.
+# 176,851.
 _MAX_LATTICE = 2**18
 # Tolerance of the line-search step s in [0, 1]: float precision at s = 1,
 # for a step that changes the mixture by as much as the mixture itself.
@@ -82,9 +81,7 @@ class CandidateSet:
 
     def __init__(self, densities, sample: Sample):
         _instance("sample", sample, Sample)
-        densities = list(densities)
-        if not densities:
-            raise ContractViolationError("need at least one candidate")
+        densities = _each("densities", densities, _entry, least=1)
         values = np.stack([d.coord_values(sample) for d in densities])
         if np.any(values <= 0.0) or not np.all(np.isfinite(values)):
             raise ContractViolationError(
@@ -111,7 +108,7 @@ def select_candidate(X: Sample, candidates, deltas,
     and satisfy sum exp(-delta_j) <= 1.
     """
     kernel = _instance("kernel", kernel, PsiKernel, DEFAULT_KERNEL)
-    candidates = list(candidates)
+    candidates = _each("candidates", candidates, _entry, least=1)
     deltas = _weights("deltas", deltas)
     if len(deltas) != len(candidates):
         raise ContractViolationError("one weight per candidate required")

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .densities import _STACKABLE, ProductDensity, Sample, _stacked, _stacks
-from .errors import (Checked, ContractViolationError, _count, _finite, _instance,
-                     _nonnegative, _shown)
+from .errors import (Checked, ContractViolationError, _count, _each, _finite, _index,
+                     _instance, _items, _nonnegative, _of, _shown)
 from .psi import DEFAULT_KERNEL, PsiKernel, _settle, psi_pair
 
 __all__ = ["DensityFamily", "Penalty", "RhoFit", "t_statistic", "upsilon",
@@ -49,6 +49,14 @@ def _check_size(size: int) -> None:
             f"compares every pair: at most {_MAX_FAMILY} entries")
 
 
+def _entry(name, v):
+    """The rule of a family entry: an object with ``n``, ``coord_values(X)``
+    and ``key()``, as a :class:`ProductDensity` or a regression entry has."""
+    if not (hasattr(v, "n") and hasattr(v, "coord_values") and hasattr(v, "key")):
+        raise ContractViolationError(f"{name} must be a family entry, got {type(v).__name__}")
+    return v
+
+
 class DensityFamily:
     """A finite indexed family of densities of n observations.
 
@@ -67,7 +75,7 @@ class DensityFamily:
     """
 
     def __init__(self, entries, labels=None):
-        entries = list(entries)
+        entries = list(_each("entries", entries, _entry, least=1))
         _check_size(len(entries))
         ns = {e.n for e in entries}
         if len(ns) != 1:
@@ -128,7 +136,7 @@ class DensityFamily:
         return fam
 
     def _set_labels(self, labels):
-        self.labels = list(labels) if labels is not None else [None] * self._size
+        self.labels = [None] * self._size if labels is None else list(_items("labels", labels))
         if len(self.labels) != self._size:
             raise ContractViolationError("labels and entries differ in length")
 
@@ -185,6 +193,7 @@ class Penalty(Checked):
     """
 
     values: dict = field(default_factory=dict)
+    rules = {"values": _of(dict)}
 
     def _check(self):
         for idx, val in self.values.items():
@@ -195,10 +204,7 @@ class Penalty(Checked):
     def vector(self, size: int) -> np.ndarray:
         out = np.zeros(size)
         for idx, val in self.values.items():
-            if idx not in range(size):
-                raise ContractViolationError(
-                    f"penalty index {_shown(idx)} is outside the family of size {size}")
-            out[idx] = val
+            out[_index("penalty index", idx, size)] = val
         if not np.isfinite(out).any():
             raise ContractViolationError(
                 f"every penalty of the family of size {size} is infinite")
@@ -571,6 +577,8 @@ def t_statistic(X: Sample, q: ProductDensity, qp: ProductDensity,
                 kernel: PsiKernel) -> float:
     """sum_i psi(sqrt(q'_i(x_i) / q_i(x_i))), with the zero-density conventions."""
     _instance("X", X, Sample)
+    _entry("q", q)
+    _entry("qp", qp)
     _instance("kernel", kernel, PsiKernel)
     u = np.sqrt(qp.coord_values(X))[np.newaxis, :]
     v = np.sqrt(q.coord_values(X))[np.newaxis, :]
@@ -581,6 +589,7 @@ def upsilon(X: Sample, q: ProductDensity, fam: DensityFamily,
             pen: Penalty | None, kernel: PsiKernel) -> float:
     """max over challengers of [T - pen(challenger)] + pen(candidate)."""
     _instance("X", X, Sample)
+    _entry("q", q)
     _instance("fam", fam, DensityFamily)
     _instance("kernel", kernel, PsiKernel)
     pvec = _instance("pen", pen, Penalty, _NO_PENALTY).vector(len(fam))

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (Checked, ContractViolationError, _count, _finite, _grid,
-                     _instance, _items, _number, _scale, _vector, _weights)
+from .errors import (Checked, ContractViolationError, _count, _each, _finite, _grid,
+                     _instance, _items, _number, _of, _scale, _vector, _weights)
 from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate_1d
 
 __all__ = [
@@ -158,9 +158,7 @@ class Density1D(Checked):
         return f"{type(self).__name__}({args})"
 
 
-def _density(name, v):
-    """The rule of a parameter that takes a :class:`Density1D`."""
-    return _instance(name, v, Density1D)
+_density = _of(Density1D)  # the rule of a parameter that takes a Density1D
 
 
 @dataclass(frozen=True, eq=False)
@@ -651,14 +649,10 @@ class ProductDensity(Checked):
     def __init__(self, coords=None, *, iid=None, n=None):
         if iid is not None and coords is not None:
             raise ContractViolationError("pass either coords or iid, not both")
-        self.marginal = iid
-        self.coords = None if iid is not None else _items("coords", coords or ())
+        self.marginal = iid if iid is None else _density("iid", iid)
+        self.coords = None if iid is not None else _each("coords", coords, _density)
         self.n = n if iid is not None else len(self.coords)
         self.__post_init__()
-
-    def _check(self):
-        for d in self.coords or [self.marginal]:
-            _density("product coordinate", d)
 
     @property
     def is_iid(self):

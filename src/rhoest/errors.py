@@ -132,11 +132,38 @@ def _instance(name, v, cls, default=None):
     raise ContractViolationError(f"{name} must be a {cls.__name__}, got {type(v).__name__}")
 
 
+def _of(cls):
+    """The rule of an argument that must be a ``cls``, as :func:`_instance`."""
+    return lambda name, v: _instance(name, v, cls)
+
+
 def _items(name, v):
     """Any iterable but a string, as a tuple."""
     if isinstance(v, str) or not hasattr(v, "__iter__"):
         raise ContractViolationError(f"{name} must be a list, got {_shown(v)}")
     return tuple(v)
+
+
+def _each(name, v, rule, least=0):
+    """Any iterable but a string of at least ``least`` items, as a tuple of
+    ``rule(name, item)``; only when an item fails does the rule run again,
+    item by item, so that the message names the first bad one ``name[i]``."""
+    v = _items(name, v)
+    if len(v) < least:
+        raise ContractViolationError(f"{name} must hold >= {least} items, got {len(v)}")
+    try:
+        return tuple(rule(name, x) for x in v)
+    except ContractViolationError:
+        for i, x in enumerate(v):
+            rule(f"{name}[{i}]", x)
+        raise
+
+
+def _index(name, v, size):
+    """An int in ``range(size)``; a bool, a float and a negative int fail."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < size:
+        raise ContractViolationError(f"{name} must be an integer in [0, {size}), got {_shown(v)}")
+    return int(v)
 
 
 def _vector(name, v):

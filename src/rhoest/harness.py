@@ -287,6 +287,8 @@ def export(report: RiskReport, fmt: str, path: str) -> None:
     report raises FloatingPointError.
     """
     _instance("report", report, RiskReport)
+    if not (isinstance(path, str) or hasattr(path, "__fspath__")):  # open() takes an int fd
+        raise ContractViolationError(f"path must be a str or PathLike, got {type(path).__name__}")
     if fmt == "json":
         text = _json_text(report.to_json())
     elif fmt == "csv":

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregation import _lattice_size, simplex_grid_array
-from .criterion import DensityFamily
+from .criterion import _MAX_FAMILY, DensityFamily
 from .densities import (ExpFamily, Gaussian, Histogram, ProductDensity,
                         integrate_on_supports, product_hellinger_sq)
-from .errors import (Checked, ContractViolationError, _count, _finite, _instance,
-                     _nonnegative, _overflows, _scale, _shown)
+from .errors import (Checked, ContractViolationError, _count, _each, _finite, _grid,
+                     _instance, _items, _nonnegative, _of, _overflows, _scale, _shown, _vector)
 from .psi import PsiKernel
 from .quadrature import FINE_QUAD, QuadratureSpec
 
@@ -36,11 +36,6 @@ __all__ = [
 ]
 
 DEFAULT_C1 = 1.0
-# Most points of a location grid, or lattice points of a histogram family,
-# that a builder enumerates.  It guards enumeration only: DensityFamily,
-# which the builder then makes, refuses more than criterion._MAX_FAMILY
-# entries.
-MAX_GRID_POINTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -51,7 +46,7 @@ class ModelDescriptor(Checked):
     family: DensityFamily
     dim_bound: float
     delta_weight: float = 0.0
-    rules = {"dim_bound": _finite, "delta_weight": _nonnegative}
+    rules = {"family": _of(DensityFamily), "dim_bound": _finite, "delta_weight": _nonnegative}
 
     def _check(self):
         if self.dim_bound < 1.0:
@@ -136,17 +131,17 @@ def _check_grid(lo: float, hi: float, step: float,
     """lo + i * step for i < floor((hi - lo) / step + 1e-9) + 1, as floats.
 
     Rejects values that are no finite numbers (under their ``names``),
-    lo > hi, a step <= 0 and more than MAX_GRID_POINTS points."""
+    lo > hi, a step <= 0 and more points than a family may hold entries."""
     lo, hi, step = (float(_finite(name, v)) for name, v in zip(names, (lo, hi, step)))
     if not lo <= hi:
         raise ContractViolationError(f"grid needs min <= max, got [{lo!r}, {hi!r}]")
     if not step > 0:
         raise ContractViolationError(f"grid step must be > 0, got {step!r}")
-    if not (hi - lo) / step < MAX_GRID_POINTS:
+    span = (hi - lo) / step + 1e-9  # inf when hi - lo overflows
+    if not span < _MAX_FAMILY:
         raise ContractViolationError(f"grid step {step!r} on [{lo!r}, {hi!r}] "
-                                     f"makes more than {MAX_GRID_POINTS} points")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return [lo + i * step for i in range(count)]
+                                     f"makes more than {_MAX_FAMILY} points")
+    return [lo + i * step for i in range(int(span) + 1)]
 
 
 def _theta_labels(thetas) -> list:
@@ -184,40 +179,32 @@ def build_histogram_family(breakpoint_grids, k: int, n: int,
     Each element of ``breakpoint_grids`` is one increasing breakpoint
     sequence (at most k pieces); piece masses run over a simplex lattice with
     ``mass_steps`` subdivisions.  Piecewise-constant densities with at most k
-    pieces have VC-subgraph dimension 2k, hence index 2k + 1.  The lattices
-    of all grids together may hold at most ``MAX_GRID_POINTS`` points; the
-    count is checked before any lattice is enumerated.
+    pieces have VC-subgraph dimension 2k, hence index 2k + 1.  Each lattice
+    point of each distinct grid is one family entry; their count is checked
+    against the family's limit before any lattice is enumerated.
     """
     if _overflows(2 * _count("k", k) + 1):
         raise ContractViolationError(
             f"k must be small enough for its VC index 2k + 1 to fit a float, got {_shown(k)}")
     mass_steps = _count("mass_steps", mass_steps)
-    grids = [tuple(float(b) for b in breaks) for breaks in breakpoint_grids]
+    grids = dict.fromkeys(_each("breakpoint_grids", breakpoint_grids, _grid, least=1))
     for breaks in grids:
         pieces = len(breaks) - 1
         if not 1 <= pieces <= k:
             raise ContractViolationError(
                 f"breakpoints {breaks} define {pieces} pieces, not 1 to k = {k}")
-    if sum(_lattice_size(len(b) - 1, mass_steps) for b in grids) > MAX_GRID_POINTS:
+    if sum(_lattice_size(len(b) - 1, mass_steps) for b in grids) > _MAX_FAMILY:
         raise ContractViolationError(
             f"histogram family at mass_steps = {mass_steps} makes more than "
-            f"{MAX_GRID_POINTS} lattice points")
+            f"{_MAX_FAMILY} lattice points")
     entries, labels = [], []
-    seen = set()
     for breaks in grids:
-        pieces = len(breaks) - 1
         widths = np.diff(breaks)
-        for row in simplex_grid_array(pieces, mass_steps)[::-1]:
+        for row in simplex_grid_array(len(breaks) - 1, mass_steps)[::-1]:
             masses = tuple(row.tolist())
             heights = tuple(m / w for m, w in zip(masses, widths))
-            hist = Histogram(breaks, heights)
-            if hist.key() in seen:
-                continue
-            seen.add(hist.key())
-            entries.append(ProductDensity(iid=hist, n=n))
+            entries.append(ProductDensity(iid=Histogram(breaks, heights), n=n))
             labels.append(f"breaks={breaks} masses={masses}")
-    if not entries:
-        raise ContractViolationError("histogram family is empty")
     return ModelDescriptor(family=DensityFamily(entries, labels=labels),
                            dim_bound=dimension_bound_vc(2 * k + 1, n, c1))
 
@@ -232,11 +219,10 @@ def build_exp_family_grid(basis, coefficient_grid, lo: float, hi: float, n: int,
     VC-subgraph with index at most J + 2.
     """
     quad = _instance("quad", quad, QuadratureSpec, FINE_QUAD)
-    basis = tuple(basis)
+    basis = _items("basis", basis)
     entries, labels, rejected = [], [], []
-    for coeffs in coefficient_grid:
+    for coeffs in _each("coefficient_grid", coefficient_grid, _vector):
         unnormalized = ExpFamily(basis, coeffs, 0.0, lo, hi)
-        coeffs = unnormalized.coeffs
         try:
             z = integrate_on_supports(
                 lambda x: np.exp(np.minimum(unnormalized.log_pdf(x), 700.0)),

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Checked, ContractViolationError, QuadratureError, _count, _instance, _scale
+from .errors import Checked, QuadratureError, _count, _each, _instance, _number, _scale
 
 __all__ = ["QuadratureSpec", "integrate_1d"]
 
@@ -144,15 +144,11 @@ def integrate_1d(fn, lo, hi, spec=None, points=()):
     ``spec.abs_tol`` at the full subdivision budget, and at once when the
     value or its error estimate is NaN.  QUADPACK's warnings are not emitted.
     The tolerance is shared equally by the segments; a share that rounds to
-    0.0 raises :class:`QuadratureError` before any QUADPACK call.  A NaN
-    bound or kink raises :class:`ContractViolationError`.
+    0.0 raises :class:`QuadratureError` before any QUADPACK call.  A bound
+    or a kink that is no number, NaN too, raises :class:`ContractViolationError`.
     """
     spec = _instance("spec", spec, QuadratureSpec, DEFAULT_QUAD)
-    points = tuple(points)
-    if any(math.isnan(x) for x in (lo, hi, *points)):
-        raise ContractViolationError(
-            f"integration bounds and kinks must not be NaN, got ({lo}, {hi}) "
-            f"and kinks {points}")
+    lo, hi, points = _number("lo", lo), _number("hi", hi), _each("points", points, _number)
     if hi <= lo:
         return 0.0
     quadpack = globals().get("integrate") or __getattr__("integrate")

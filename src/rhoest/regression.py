@@ -18,8 +18,8 @@ import numpy as np
 
 from .criterion import DensityFamily, RhoFit
 from .densities import Density1D, Sample, _density, hellinger_sq, shifted
-from .errors import (Checked, ContractViolationError, _count, _instance, _items,
-                     _nonnegative, _scale, _vector)
+from .errors import (Checked, ContractViolationError, _count, _each, _instance,
+                     _nonnegative, _of, _scale, _vector)
 from .models import ModelDescriptor, dimension_bound_vc
 from .psi import PsiKernel
 from .quadrature import DEFAULT_QUAD, QuadratureSpec
@@ -74,14 +74,6 @@ def _values_at(name, g, w):
     return values
 
 
-def _functions(name, v):
-    """A list of :class:`RegressionFunction`, as a tuple."""
-    v = _items(name, v)
-    if not all(isinstance(g, RegressionFunction) for g in v):
-        raise ContractViolationError(f"{name} must hold RegressionFunction objects")
-    return v
-
-
 @dataclass(frozen=True)
 class RegressionModel(Checked):
     """One error density r with a finite menu of regression functions."""
@@ -91,13 +83,12 @@ class RegressionModel(Checked):
     vc_index_f: int
     delta_weight: float = 0.0
     mode_multiplier: float = 1.0   # c(r) > 1 for declared multi-modal r
-    rules = {"error_density": _density, "functions": _functions,
+    rules = {"error_density": _density,
+             "functions": lambda name, v: _each(name, v, _of(RegressionFunction), least=1),
              "vc_index_f": _count, "delta_weight": _nonnegative,
              "mode_multiplier": _scale}
 
     def _check(self):
-        if not self.functions:
-            raise ContractViolationError("function menu must be nonempty")
         if self.mode_multiplier != 1.0:
             warnings.warn("multi-modal error density: VC metadata scaled by the "
                           "user-supplied mode multiplier", stacklevel=4)
@@ -133,7 +124,7 @@ def build_regression_family(models, n: int, kernel: PsiKernel | None = None,
                             c1: float = 1.0) -> ModelCollection:
     """Assemble the weighted collection of translation models under ``kernel``."""
     descriptors = []
-    for model in models:
+    for model in _each("models", models, _of(RegressionModel), least=1):
         entries = [_TranslationEntry(model.error_density, g, n)
                    for g in model.functions]
         labels = [f"r={model.error_density.kind} g={g.label}"
@@ -205,7 +196,7 @@ def check_identifiability(candidates_r, shift_grid, quad=None) -> dict:
     ceiling = 50.0
     pairs = {}
     flagged = []
-    rs = [_density("candidates_r", r) for r in candidates_r]
+    rs = _each("candidates_r", candidates_r, _density)
     for i, r in enumerate(rs):
         for j, rp in enumerate(rs):
             if j <= i:

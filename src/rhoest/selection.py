@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 
 from .criterion import DensityFamily, Penalty, rho_estimate
-from .errors import ContractViolationError, _count, _instance, _scale
+from .errors import ContractViolationError, _each, _index, _instance, _of, _scale
+from .models import ModelDescriptor
 from .psi import DEFAULT_KERNEL, PsiKernel
 
 __all__ = ["ModelCollection", "penalty_for", "select", "risk_bound_report",
@@ -30,9 +31,7 @@ class ModelCollection:
     """Weighted models sharing one sample shape and one kernel."""
 
     def __init__(self, models, kernel: PsiKernel | None = None):
-        models = list(models)
-        if not models:
-            raise ContractViolationError("collection must contain >= 1 model")
+        models = _each("models", models, _of(ModelDescriptor), least=1)
         budget = sum(math.exp(-m.delta_weight) for m in models)
         if budget > 1.0 + _WEIGHT_TOL:
             raise ContractViolationError(
@@ -72,11 +71,7 @@ class ModelCollection:
 def penalty_for(coll: ModelCollection, entry_index: int) -> float:
     """kappa * min over containing models of [dim_bound/4.7 + weight]."""
     _instance("coll", coll, ModelCollection)
-    size = len(coll.membership)
-    if _count("entry_index", entry_index, least=0) >= size:
-        raise ContractViolationError(
-            f"entry_index must be below the union size {size}, got {entry_index}")
-    containing = coll.membership[entry_index]
+    containing = coll.membership[_index("entry_index", entry_index, len(coll.membership))]
     return coll.kernel.kappa * min(coll.complexity(m) for m in containing)
 
 
@@ -102,6 +97,7 @@ def risk_bound_report(coll: ModelCollection, m_idx: int, xi: float) -> float:
     is available.
     """
     _instance("coll", coll, ModelCollection)
+    m_idx = _index("m_idx", m_idx, len(coll.models))
     _scale("xi", xi)
     k = coll.kernel
     return (4.0 * k.kappa / k.a1) * (coll.complexity(m_idx) + 1.5 + xi)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from rhoest import SolverError, aggregation, cli, criterion
+from rhoest import SolverError, aggregation, cli, criterion, models
 from rhoest.cli import main
 
 
@@ -56,11 +56,13 @@ class TestFit:
 
     def test_family_over_the_criterion_cap_exits_2(self, tmp_path, capsys,
                                                    monkeypatch):
-        # 40,001 grid points pass the grid's enumeration cap, but the N x N
-        # criterion matrix would take 12.8 GB; no density is evaluated.
-        def never(*args):
-            raise AssertionError("sqrt_value_matrix ran on an over-cap family")
+        # 40,001 grid points would be 40,001 entries, whose N x N criterion
+        # matrix would take 12.8 GB: the grid is refused before any entry is
+        # made, and no density is evaluated.
+        def never(*args, **kwargs):
+            raise AssertionError("an over-cap family was built")
 
+        monkeypatch.setattr(criterion.DensityFamily, "iid", never)
         monkeypatch.setattr(criterion.DensityFamily, "sqrt_value_matrix", never)
         cfg = write_config(tmp_path, "c.json", {
             "sample": [-0.4, 0.1, 0.3, 0.9, 1.2],
@@ -69,15 +71,15 @@ class TestFit:
         assert main(["fit", "--config", cfg]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == (
-            "error: family of 40001 entries is too large for the criterion, "
-            "which compares every pair: at most 8192 entries\n")
+            "error: grid step 0.0002 on [-4.0, 4.0] makes more than 8192 points\n")
 
     def test_bench_grid_over_the_criterion_cap_exits_2(self, tmp_path, capsys,
                                                       monkeypatch):
-        # The same 40,001-point grid as bench's estimator is refused when it
-        # is built, before any replicate is drawn or fitted.
+        # The same 40,001-point grid as bench's estimator is refused before
+        # its family is built, and before any replicate is drawn or fitted.
         fits = []
         monkeypatch.setattr(cli, "rho_estimate", lambda *a, **k: fits.append(a))
+        monkeypatch.setattr(criterion.DensityFamily, "iid", lambda *a, **k: fits.append(a))
         cfg = write_config(tmp_path, "c.json", {
             "scenario": {"kind": "iid", "n": 5, "replications": 2,
                          "truth": {"kind": "gaussian", "params": {"mean": 0.0, "sd": 1.0}}},
@@ -86,8 +88,7 @@ class TestFit:
         assert main(["bench", "--config", cfg]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == (
-            "error: family of 40001 entries is too large for the criterion, "
-            "which compares every pair: at most 8192 entries\n")
+            "error: grid step 0.0002 on [-4.0, 4.0] makes more than 8192 points\n")
         assert fits == []
 
     @pytest.mark.parametrize("kind", ["gaussian", "cauchy", "laplace",
@@ -587,16 +588,16 @@ class TestConfigNumbers:
         ("regress", {**REGRESS, "function_family": {"theta_grid": {
             "min": 0.0, "max": 1.0, "step": -0.5}}}, "step must be > 0"),
         ("regress", {**REGRESS, "function_family": {"theta_grid": {
-            "min": 0.0, "max": 1.0, "step": 1e-300}}}, "more than 65536 points"),
+            "min": 0.0, "max": 1.0, "step": 1e-300}}}, "more than 8192 points"),
         ("fit", {"family": {**GRID, "step": 0}}, "step must be > 0"),
-        ("fit", {"family": {**GRID, "step": 1e-300}}, "more than 65536 points"),
+        ("fit", {"family": {**GRID, "step": 1e-300}}, "more than 8192 points"),
         ("bench", {"scenario": SCENARIO, "estimator": {
             "type": "rho_gaussian_grid", "theta_min": -1e308, "theta_max": 1e308,
-            "step": 1.0}}, "more than 65536 points"),
+            "step": 1.0}}, "more than 8192 points"),
         ("demo-mle", {"n": 5, "reps": 2, "grid_step": 0},
          "grid_step must be positive"),
         ("demo-mle", {"n": 5, "reps": 2, "grid_step": 1e-300},
-         "more than 65536 points"),
+         "more than 8192 points"),
     ])
     def test_bad_grid_step_is_config_error(self, tmp_path, capsys,
                                            gaussian_sample, command, config,
@@ -729,17 +730,21 @@ class TestConfigShapes:
         assert err.startswith("error: ") and key in err
 
     def test_oversized_histogram_family_exits_2(self, tmp_path, capsys,
-                                               gaussian_sample):
-        """400 mass steps over 3 pieces make 80,601 lattice points: exit 2
-        with one error line, before the criterion's N x N matrix is sized."""
+                                               gaussian_sample, monkeypatch):
+        """127 mass steps over 3 pieces make 8,256 lattice points, each one a
+        family entry: exit 2 with one error line, before any histogram is made."""
+        def never(*args, **kwargs):
+            raise AssertionError("a histogram of an over-cap family was made")
+
+        monkeypatch.setattr(models, "Histogram", never)
         cfg = write_config(tmp_path, "c.json", {
             "sample": gaussian_sample,
             "family": {"type": "histogram", "k": 3,
-                       "breakpoint_grids": [[-3, -1, 1, 3]], "mass_steps": 400}})
+                       "breakpoint_grids": [[-3, -1, 1, 3]], "mass_steps": 127}})
         assert main(["fit", "--config", cfg]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "error: histogram family at mass_steps = 400 makes more than 65536 lattice points\n"
+        assert err == "error: histogram family at mass_steps = 127 makes more than 8192 lattice points\n"
 
     @pytest.mark.parametrize("outliers", [
         {"outlier_indices": [1.5], "outlier_points": [3.0]},

@@ -236,3 +236,15 @@ def test_screened_runs_print_the_same_bytes_on_any_thread_split(tmp_path):
     assert python("-c", SCREENED, "all-cpus", json.dumps(runs),
                   env={"OPENBLAS_NUM_THREADS": "1"})[0] == all_cpus
     assert all_cpus.count('"chosen_label": "theta=0.5"') == 3  # fits and select
+
+
+def test_export_to_a_bool_path_leaves_stdout_open():
+    # export(report, "csv", True) once wrote the report to descriptor 1, the
+    # child's stdout, and closed it, so that every later write failed.
+    out, _ = python("-c", "from rhoest import ContractViolationError, RiskReport, export\n"
+                          "try:\n"
+                          "    export(RiskReport(0.5, 0.5, 0.0, (0.25,)), 'csv', True)\n"
+                          "except ContractViolationError as exc:\n"
+                          "    print(exc)\n"
+                          "print('stdout is open')\n")
+    assert out == "path must be a str or PathLike, got bool\nstdout is open\n"

@@ -1,5 +1,7 @@
+import contextlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -268,3 +270,23 @@ class TestExport:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ContractViolationError):
             export(RiskReport(0, 0, 0, ()), "xml", str(tmp_path / "x"))
+
+    def test_path_like_is_a_path(self, tmp_path):
+        export(RiskReport(0.5, 0.5, 0.0, (0.25,)), "csv", tmp_path / "out.csv")
+        assert (tmp_path / "out.csv").read_text() == "replicate,h2\n0,0.25\n"
+
+    def test_file_descriptor_is_not_a_path(self):
+        # open() takes an int as a descriptor: it would write the report
+        # there and close it.  The pipe is this test's own (a bool, which is
+        # an int, runs in a child process in tests/test_fresh_process.py).
+        r, w = os.pipe()
+        try:
+            with pytest.raises(ContractViolationError,
+                               match="^path must be a str or PathLike, got int$"):
+                export(RiskReport(0.5, 0.5, 0.0, (0.25,)), "csv", w)
+            os.write(w, b".")  # still open, and nothing was written before
+            assert os.read(r, 2) == b"."
+        finally:
+            for fd in (r, w):
+                with contextlib.suppress(OSError):
+                    os.close(fd)

@@ -9,7 +9,7 @@ from rhoest import (ContractViolationError, DensityFamily, Gaussian,
                     dimension_bound_entropy, dimension_bound_finite,
                     dimension_bound_vc, eta_bar_finite, integrate_1d,
                     kernel_constants)
-from rhoest import models
+from rhoest import criterion, models
 from rhoest.models import _theta_labels
 
 QUAD = QuadratureSpec(abs_tol=1e-9)
@@ -154,35 +154,54 @@ class TestHistogramFamily:
             "breaks=(0.0, 1.0, 2.0) masses=(0.0, 1.0)",
         ]
 
+    def test_repeated_grid_is_enumerated_once(self):
+        # (0, 1, 2) and (0.0, 1.0, 2.0) are one grid; its lattice rows are
+        # distinct histograms, so each point is one entry.
+        desc = build_histogram_family([(0.0, 1.0, 2.0), (0, 1, 2)], k=2, n=5,
+                                      mass_steps=2)
+        assert desc.family.labels == [
+            "breaks=(0.0, 1.0, 2.0) masses=(1.0, 0.0)",
+            "breaks=(0.0, 1.0, 2.0) masses=(0.5, 0.5)",
+            "breaks=(0.0, 1.0, 2.0) masses=(0.0, 1.0)",
+        ]
+
     @pytest.mark.parametrize("grids, steps", [
         ([(-3.0, -1.0, 1.0, 3.0)], 400),  # comb(402, 2) = 80,601 points
-        ([(0.0, 1.0, 2.0)] * 2, 40_000),  # 40,001 points per grid
+        ([(0.0, 1.0, 2.0)] * 2, 40_000),  # 40,001 points, the grid counted once
         ([(0.0, 1.0, 2.0), (0.0, 1.0)], 2**16),  # 65,537 points and 1
+        ([(0.0, 1.0, 2.0)], 8192),  # 8,193 points: one more than a family holds
+        ([(0.0, 1.0, 2.0), (0.0, 1.0)], 8191),  # 8,192 points and 1
     ])
     def test_oversized_family_rejected_before_enumerating(self, grids, steps,
                                                           monkeypatch):
-        """More than MAX_GRID_POINTS lattice points over all grids together
-        is rejected before any lattice is enumerated."""
+        """More lattice points over all distinct grids together than a
+        family may hold entries (8192) is rejected before any lattice is
+        enumerated."""
         calls = []
         monkeypatch.setattr(models, "simplex_grid_array",
                             lambda *args: calls.append(args))
-        with pytest.raises(ContractViolationError, match="more than 65536 lattice points"):
+        with pytest.raises(ContractViolationError, match="more than 8192 lattice points"):
             build_histogram_family(grids, k=3, n=5, mass_steps=steps)
         assert calls == []
 
-    def test_family_of_max_grid_points_is_enumerated(self, monkeypatch):
-        """Exactly MAX_GRID_POINTS lattice points pass the check."""
-        calls = []
+    def test_family_of_max_grid_points_is_enumerated(self):
+        """Exactly as many lattice points as a family may hold pass the
+        check, a repeated grid counting once, and each one is an entry."""
+        desc = build_histogram_family([(0.0, 1.0, 2.0)] * 2, k=2, n=5,
+                                      mass_steps=criterion._MAX_FAMILY - 1)
+        assert len(desc.family) == criterion._MAX_FAMILY == 8192
+        assert desc.family.labels[-1] == "breaks=(0.0, 1.0, 2.0) masses=(0.0, 1.0)"
 
-        def lattice(pieces, steps):
-            calls.append((pieces, steps))
-            return np.empty((0, pieces))
-
-        monkeypatch.setattr(models, "simplex_grid_array", lattice)
-        with pytest.raises(ContractViolationError, match="histogram family is empty"):
-            build_histogram_family([(0.0, 1.0, 2.0)], k=2, n=5,
-                                   mass_steps=models.MAX_GRID_POINTS - 1)
-        assert calls == [(2, models.MAX_GRID_POINTS - 1)]
+    @pytest.mark.parametrize("hi, step, size", [
+        (8191.0, 1.0, 8192), (8192.0, 1.0, None), (4095.5, 0.5, 8192), (4096.0, 0.5, None)])
+    def test_grid_holds_at_most_a_family_of_points(self, hi, step, size):
+        # Each grid point is one family entry, so a grid of more points than
+        # a family may hold is refused before any entry is made.
+        if size is None:
+            with pytest.raises(ContractViolationError, match="makes more than 8192 points"):
+                models._check_grid(0.0, hi, step)
+        else:
+            assert len(models._check_grid(0.0, hi, step)) == size
 
     @pytest.mark.parametrize("grids, steps", [([(0.0,)], 4), ([(0.0, 1.0)], 0)])
     def test_degenerate_lattice_rejected(self, grids, steps):

@@ -13,23 +13,29 @@ penalty, a candidate set, a family, a sample, a collection, a scenario or
 a report) must be of its type; None gives the default of a parameter that
 has one, and anything else, a falsy 0 too, is refused with a
 ContractViolationError that names the parameter.
+
+A collection argument is any iterable but a string, and each of its
+elements passes the element's rule, or the message names it ``name[i]``.
+An index argument is an int in range of what it indexes; a bool, a float
+and a negative int are refused.
 """
 
 import ast
 import inspect
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rhoest
-from rhoest import (CandidateSet, ContractViolationError, DensityFamily,
+from rhoest import (CandidateSet, ContractViolationError, DensityFamily, ExpFamily,
                     Gaussian, InnerSolverConfig, Laplace, ModelCollection,
                     ModelDescriptor, Penalty, ProductDensity, QuadratureSpec,
                     RegressionFunction, RegressionModel, RiskReport, Sample,
-                    Scenario, SimplexPoint, build_exp_family_grid,
+                    Scenario, SimplexPoint, Tabulated, build_exp_family_grid,
                     build_gaussian_location_grid, build_histogram_family,
                     build_regression_family, check_assumption,
                     check_identifiability, contamination_bias, d_s_loss,
@@ -254,9 +260,18 @@ ONE = CandidateSet(ENTRIES[:1], X)  # saddle_point's early return
 # can leave the value unread (a closed form, eps = 0, one candidate, zero
 # shifts, an empty range), the table makes that call, so the argument must
 # be checked at entry.
-OBJECT_NAMES = {"kernel", "quad", "spec", "inner", "pen", "cs", "center_pool"}
+OBJECT_NAMES = {"kernel", "quad", "spec", "inner", "pen", "cs", "center_pool",
+                "family", "q", "qp"}
 OBJECT_ARGUMENTS = {
     "ModelCollection.kernel": lambda v: ModelCollection([ModelDescriptor(FAM, 2.0)], v),
+    "ModelDescriptor.family": lambda v: ModelDescriptor(v, 2.0),
+    "check_assumption.q": lambda v: check_assumption(K, v, G, G),
+    "check_assumption.qp": lambda v: check_assumption(K, G, v, G),
+    "hellinger_affinity.q": lambda v: hellinger_affinity(G, v),
+    "hellinger_sq.q": lambda v: hellinger_sq(G, v),
+    "t_statistic.q": lambda v: t_statistic(X, v, ENTRIES[1], K),
+    "t_statistic.qp": lambda v: t_statistic(X, ENTRIES[0], v, K),
+    "upsilon.q": lambda v: upsilon(X, v, FAM, None, K),
     "build_exp_family_grid.quad": lambda v: build_exp_family_grid(
         ("x",), [(0.0,)], 0.0, 1.0, 3, quad=v),
     "build_regression_family.kernel": lambda v: build_regression_family(
@@ -296,18 +311,25 @@ OBJECT_ARGUMENTS = {
     "upsilon_all.pen": lambda v: upsilon_all(X, FAM, v, K),
     "upsilon_all.kernel": lambda v: upsilon_all(X, FAM, None, v),
 }
-# A good value for each parameter with no default; upsilon's ``pen`` has
-# none, but takes None.
-REQUIRED = {"kernel": K, "cs": CS}
+# A good value for each parameter with no default, by parameter or, where
+# callables differ, by slot; upsilon's ``pen`` has none, but takes None.
+REQUIRED = {"kernel": K, "cs": CS, "family": FAM, "q": G, "qp": G,
+            "t_statistic.q": ENTRIES[0], "t_statistic.qp": ENTRIES[1],
+            "upsilon.q": ENTRIES[0]}
+
+
+def public_slots(names):
+    """``callable.parameter`` of every public callable of the package that
+    takes a parameter of one of these names."""
+    public = [getattr(rhoest, name) for name in dir(rhoest) if not name.startswith("_")]
+    return {f"{f.__name__}.{p}" for f in public
+            if callable(f) and not (isinstance(f, type) and issubclass(f, Exception))
+            for p in inspect.signature(f).parameters if p in names}
 
 
 def test_object_argument_table_is_complete():
     # A new public function with such a parameter cannot skip the table.
-    public = [getattr(rhoest, name) for name in dir(rhoest) if not name.startswith("_")]
-    found = {f"{f.__name__}.{p}" for f in public
-             if callable(f) and not (isinstance(f, type) and issubclass(f, Exception))
-             for p in inspect.signature(f).parameters if p in OBJECT_NAMES}
-    assert found == set(OBJECT_ARGUMENTS)
+    assert public_slots(OBJECT_NAMES) == set(OBJECT_ARGUMENTS)
 
 
 @pytest.mark.parametrize("bad", [0, "x"], ids=["zero", "string"])
@@ -317,7 +339,8 @@ def test_object_argument_rejects_a_non_instance(slot, bad):
     default = inspect.signature(getattr(rhoest, func)).parameters[param].default
     call = OBJECT_ARGUMENTS[slot]
     # The good value first, so that the rejection below is the bad value's doing.
-    call(REQUIRED.get(param) if default is inspect.Parameter.empty else None)
+    call(REQUIRED.get(slot, REQUIRED.get(param))
+         if default is inspect.Parameter.empty else None)
     with pytest.raises(ContractViolationError, match=f"^{param} must be a "):
         call(bad)
 
@@ -391,3 +414,185 @@ def test_the_lint_sees_the_idiom():
                      "    return (kernel or make(), pool or fam, coords or ())\n")
     assert [text for _, text in _falsy_defaults(tree)] == [
         "kernel or make()", "pool or fam"]
+
+
+TWO_MODELS = ModelCollection([ModelDescriptor(FAM, 2.0, delta_weight=math.log(2.0)),
+                              ModelDescriptor(DensityFamily(ENTRIES[:1]), 4.0,
+                                              delta_weight=math.log(2.0))])
+
+# Every collection parameter that a public callable takes under one of these
+# names, as "callable.parameter" -> (the call with the value, a good value,
+# whether each element passes a rule of its own).  ``labels`` and ``basis``
+# have none: "x" is a label and a basis expression.  Penalty's ``values`` is
+# a dict whose keys and values tests/test_criterion.py covers, and
+# Tabulated's ``values`` a vector whose rule names the parameter alone.
+COLLECTION_NAMES = {"entries", "labels", "candidates", "densities", "models", "coords",
+                    "candidates_r", "breakpoint_grids", "basis", "coefficient_grid",
+                    "points", "values", "functions"}
+COLLECTIONS = {
+    "DensityFamily.entries": (DensityFamily, ENTRIES, True),
+    # One entry, so that labels="a" would have the right length.
+    "DensityFamily.labels": (lambda v: DensityFamily(ENTRIES[:1], v), ["a"], False),
+    "select_candidate.candidates": (
+        lambda v: select_candidate(X, v, [1.0, 1.0]), ENTRIES, True),
+    "CandidateSet.densities": (lambda v: CandidateSet(v, X), ENTRIES, True),
+    "ModelCollection.models": (ModelCollection, [ModelDescriptor(FAM, 2.0)], True),
+    "build_regression_family.models": (
+        lambda v: build_regression_family(v, 3), [RegressionModel(G, [LINE], 1)], True),
+    "RegressionModel.functions": (lambda v: RegressionModel(G, v, 1), [LINE], True),
+    "ProductDensity.coords": (ProductDensity, [G, G], True),
+    "check_identifiability.candidates_r": (
+        lambda v: check_identifiability(v, [0.0]), [G], True),
+    "build_histogram_family.breakpoint_grids": (
+        lambda v: build_histogram_family(v, 1, 5), [(0.0, 1.0)], True),
+    "build_exp_family_grid.basis": (
+        lambda v: build_exp_family_grid(v, [(0.0,)], 0.0, 1.0, 3), ("x",), False),
+    "build_exp_family_grid.coefficient_grid": (
+        lambda v: build_exp_family_grid(("x",), v, 0.0, 1.0, 3), [(0.0,)], True),
+    "ExpFamily.basis": (lambda v: ExpFamily(v, (0.0,), 0.0, 0.0, 1.0), ("x",), False),
+    "integrate_1d.points": (lambda v: integrate_1d(np.exp, 0.0, 1.0, points=v), [0.5], True),
+    "Penalty.values": (Penalty, {0: 1.0}, False),
+    "Tabulated.values": (lambda v: Tabulated((0.0, 1.0), v), (1.0, 1.0), False),
+}
+# An array, not a collection of elements: a Sample's points are checked for
+# their shape and finiteness (tests/test_densities.py).
+NOT_COLLECTIONS = {"Sample.points"}
+
+
+def test_collection_argument_table_is_complete():
+    assert public_slots(COLLECTION_NAMES) == set(COLLECTIONS) | NOT_COLLECTIONS
+
+
+COLLECTION_CASES = [(slot, bad) for slot, (_, _, elements) in sorted(COLLECTIONS.items())
+                    for bad in ("non-iterable", "string") + ("element",) * elements]
+
+
+@pytest.mark.parametrize("slot, bad", COLLECTION_CASES,
+                         ids=[f"{slot}-{bad}" for slot, bad in COLLECTION_CASES])
+def test_collection_argument_rejects_a_bad_value(slot, bad):
+    call, good, _ = COLLECTIONS[slot]
+    param = slot.split(".")[1]
+    call(good)  # so that the rejection below is the bad value's doing
+    value, name = {"non-iterable": (5, param), "string": ("x", param),
+                   "element": (["x"], f"{param}[0]")}[bad]
+    with pytest.raises(ContractViolationError, match=f"^{re.escape(name)} must "):
+        call(value)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: CandidateSet([], X), "densities"),
+    (lambda: DensityFamily([]), "entries"),
+    (lambda: select_candidate(X, [], []), "candidates"),
+    (lambda: ModelCollection(()), "models"),
+    (lambda: build_regression_family([], 3), "models"),
+    (lambda: RegressionModel(G, [], 1), "functions"),
+    (lambda: build_histogram_family([], 1, 5), "breakpoint_grids"),
+], ids=["CandidateSet", "DensityFamily", "select_candidate", "ModelCollection",
+        "build_regression_family", "RegressionModel", "build_histogram_family"])
+def test_empty_collection_is_named(call, name):
+    with pytest.raises(ContractViolationError, match=f"^{name} must hold >= 1 items, got 0$"):
+        call()
+
+
+def test_element_failure_names_the_first_bad_index():
+    with pytest.raises(ContractViolationError, match=r"^coords\[2\] must be a Density1D"):
+        ProductDensity([G, G, "x", 5])
+    with pytest.raises(ContractViolationError,
+                       match=r"^breakpoint_grids\[1\] must be a number, got 'a'"):
+        build_histogram_family([(0.0, 1.0), ["a", 1]], 2, 10)
+
+
+def test_iid_family_labels_are_a_collection():
+    for bad in (5, "a"):
+        with pytest.raises(ContractViolationError, match="^labels must be a list"):
+            DensityFamily.iid(Gaussian, 3, labels=bad, mean=np.zeros(1), sd=np.ones(1))
+
+
+def test_exp_family_basis_is_not_split_into_characters():
+    # "x2" once built the two-function basis "x" and "2".
+    with pytest.raises(ContractViolationError, match="^basis must be a list, got 'x2'"):
+        build_exp_family_grid("x2", [(0.0, 0.0)], 0.0, 1.0, 3)
+
+
+# Every index parameter, as "callable.parameter" -> (the call with the
+# value, the size of what it indexes).
+INDEX_NAMES = {"entry_index", "m_idx"}
+INDICES = {
+    "penalty_for.entry_index": (lambda v: penalty_for(TWO_MODELS, v),
+                                len(TWO_MODELS.union_family)),
+    "risk_bound_report.m_idx": (lambda v: risk_bound_report(TWO_MODELS, v, 1.0),
+                                len(TWO_MODELS.models)),
+}
+
+
+def test_index_argument_table_is_complete():
+    assert public_slots(INDEX_NAMES) == set(INDICES)
+
+
+@pytest.mark.parametrize("bad", ["-1", "True", "1.0", "size"])
+@pytest.mark.parametrize("slot", sorted(INDICES))
+def test_index_argument_rejects_a_bad_value(slot, bad):
+    call, size = INDICES[slot]
+    param = slot.split(".")[1]
+    assert [call(i) for i in range(size)]  # every index in range is good
+    value = {"-1": -1, "True": True, "1.0": 1.0, "size": size}[bad]
+    with pytest.raises(ContractViolationError,
+                       match=rf"^{param} must be an integer in \[0, {size}\), got "):
+        call(value)
+
+
+def test_numpy_index_gives_the_python_index_answer():
+    assert risk_bound_report(TWO_MODELS, np.int64(1), 1.0) == risk_bound_report(
+        TWO_MODELS, 1, 1.0) != risk_bound_report(TWO_MODELS, 0, 1.0)
+    assert penalty_for(TWO_MODELS, np.int32(1)) == penalty_for(TWO_MODELS, 1)
+
+
+def _collected_parameters(tree):
+    """``list(p)``, ``tuple(p)``, ``set(p)`` or ``sorted(p)`` of a parameter
+    ``p`` inside a public function or method (``__init__`` too): the
+    unchecked idiom that ``_each`` and ``_items`` replace."""
+    def public(name):
+        return not name.startswith("_") or name == "__init__"
+
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    functions += [node for cls in tree.body
+                  if isinstance(cls, ast.ClassDef) and public(cls.name)
+                  for node in cls.body if isinstance(node, ast.FunctionDef)]
+    for fn in functions:
+        if not public(fn.name):
+            continue
+        a = fn.args  # *args and **kwargs are a tuple and a dict already
+        params = {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs)}
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in {"list", "tuple", "set", "sorted"}
+                    and node.args and isinstance(node.args[0], ast.Name)
+                    and node.args[0].id in params):
+                yield node.lineno, ast.unparse(node)
+
+
+def test_no_unchecked_collection_idiom_in_the_package():
+    # errors.py defines the rules, _items's own tuple(v) among them.
+    src = Path(rhoest.__file__).parent
+    found = [f"{path.name}:{line}: {text}" for path in sorted(src.glob("*.py"))
+             if path.name != "errors.py"
+             for line, text in _collected_parameters(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_the_collection_lint_sees_the_idiom():
+    tree = ast.parse("def f(xs, ys):\n"
+                     "    a = list(xs)\n"
+                     "    return tuple(a), sorted(ys, key=len), list(range(3))\n"
+                     "def _g(xs):\n"
+                     "    return list(xs)\n"
+                     "class C:\n"
+                     "    def __init__(self, xs):\n"
+                     "        self.xs = set(xs)\n"
+                     "    def _h(self, xs):\n"
+                     "        return list(xs)\n"
+                     "class _D:\n"
+                     "    def m(self, xs):\n"
+                     "        return list(xs)\n")
+    assert [text for _, text in _collected_parameters(tree)] == [
+        "list(xs)", "sorted(ys, key=len)", "set(xs)"]

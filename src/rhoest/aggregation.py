@@ -23,7 +23,8 @@ import numpy as np
 from .criterion import DensityFamily, Penalty, RhoFit, _criterion_rows, _entry, rho_estimate
 from .densities import Sample
 from .errors import (Checked, ContractViolationError, DegenerateCandidatesError,
-                     SolverError, _count, _each, _instance, _number, _scale, _weights)
+                     SolverError, _count, _each, _index, _instance, _number, _scale,
+                     _weights)
 from .psi import DEFAULT_KERNEL, PsiKernel
 
 __all__ = ["SimplexPoint", "CandidateSet", "InnerSolverConfig",
@@ -55,8 +56,8 @@ class SimplexPoint(Checked):
 
     @staticmethod
     def vertex(j: int, size: int) -> "SimplexPoint":
-        w = [0.0] * size
-        w[j] = 1.0
+        w = [0.0] * _count("size", size)
+        w[_index("j", j, size)] = 1.0
         return SimplexPoint(tuple(w))
 
 
@@ -352,5 +353,5 @@ def mixture_upsilon(cs: CandidateSet, alpha: SimplexPoint, grid_steps: int,
     _instance("cs", cs, CandidateSet)
     kernel = _instance("kernel", kernel, PsiKernel, DEFAULT_KERNEL)
     den_sqrt = np.sqrt(_weights_of(cs, alpha, "alpha") @ cs.values)[np.newaxis, :]
-    G = simplex_grid_array(cs.size, grid_steps)
+    G = simplex_grid_array(cs.size, _count("grid_steps", grid_steps))
     return float(_criterion_rows(den_sqrt, np.sqrt(G @ cs.values), 0.0, kernel)[0])

@@ -82,11 +82,13 @@ def _get(cfg: dict, key: str, default=None):
     return default
 
 
-def _list(cfg: dict, key: str) -> list:
-    """cfg[key], which must be a JSON list."""
+def _list(cfg: dict, key: str, least: int = 0) -> list:
+    """cfg[key], which must be a JSON list of at least ``least`` items."""
     value = _get(cfg, key)
     if not isinstance(value, list):
         raise ConfigError(f"config key {key!r} must be a list, got {value!r}")
+    if len(value) < least:
+        raise ConfigError(f"config key {key!r} must hold >= {least} items, got {len(value)}")
     return value
 
 
@@ -104,12 +106,10 @@ def _number(cfg: dict, key: str, default=None, integer=False):
 
 def _sample_from_config(cfg) -> Sample:
     points = _get(cfg, "sample")
+    pair = isinstance(points, list) and bool(points) and isinstance(points[0], list)
     try:
-        # ValueError covers ContractViolationError and a ragged or
-        # non-numeric list; TypeError an object inside it.
-        pts = np.asarray(points, dtype=float)
-        return Sample(pts, kind="pair" if pts.ndim == 2 else "scalar")
-    except (TypeError, ValueError) as exc:
+        return Sample(points, kind="pair" if pair else "scalar")
+    except ContractViolationError as exc:
         raise ConfigError(f"bad sample: {exc}") from exc
 
 
@@ -161,7 +161,7 @@ def _cmd_fit(cfg: dict, args) -> dict:
 def _cmd_select(cfg: dict, args) -> dict:
     X = _sample_from_config(cfg)
     kernel = kernel_constants(args.psi)
-    model_specs = _list(cfg, "models")
+    model_specs = _list(cfg, "models", least=1)
     default_delta = uniform_weights(len(model_specs))
     models = []
     for spec in model_specs:
@@ -192,7 +192,7 @@ def _cmd_regress(cfg: dict, args) -> dict:
     X = _sample_from_config(cfg)
     if X.kind != "pair":
         raise ConfigError("regress expects a sample of [w, y] pairs")
-    error_specs = _list(cfg, "error_models")
+    error_specs = _list(cfg, "error_models", least=1)
     grid = _get(_get(cfg, "function_family"), "theta_grid")
     thetas = _check_grid(_number(grid, "min"), _number(grid, "max"),
                          _number(grid, "step"))

@@ -6,14 +6,14 @@ criterion value comes from one reduction, :func:`_criterion_rows`: for each
 candidate row it sums psi over the sample in index order and takes the
 largest penalized sum over the challengers.  The pairwise sums are computed a
 cache-sized block at a time, so memory stays bounded whatever the family size
-and no value depends on the block shape, and the blocks of one call are
+and no value depends on the block shape, and the blocks of a large call are
 shared out over the CPUs the process may run on, with the bits of one
 thread.  Across the whole family (:func:`upsilon_all`) the statistic is
 antisymmetric, T(q, q') = -T(q', q), so only its upper triangle is computed
 and the lower one is mirrored.  Every call fills its entries in one block
-pass; on a large family that pass sums most sample columns in float32, a
-screen under a proven rounding bound, and one certificate then sums again in
-float64 only the entries that can be a row's maximum, in place, so every
+pass; across the whole family that pass sums most sample columns in float32,
+a screen under a proven rounding bound, and one certificate then sums again
+in float64 only the entries that can be a row's maximum, in place, so every
 criterion value keeps the bits of the full float64 computation.
 """
 
@@ -243,7 +243,8 @@ class RhoFit:
 _BLOCK_ELEMENTS = 2**16
 
 # The worker threads' ThreadPoolExecutor and its size, made on the first call
-# with more than one block and CPU (concurrent.futures is imported then), and
+# of 2**21 pair values or more with more than one block and CPU
+# (concurrent.futures is imported then), and
 # dropped in a forked child, which has none of the parent's threads.
 _pool, _pool_size = None, 0
 
@@ -366,12 +367,17 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
     m = 0 sums straight from ``np.add.reduce`` into its slice of T, so a
     zero sum keeps its sign.
 
-    The blocks are shared out by :func:`_run` over the CPUs the process may
-    run on (``os.sched_getaffinity``, so ``taskset`` restricts them), each
-    share writing disjoint entries of T.  numpy's arithmetic and sums
-    release the GIL, so the shares run in parallel.  A block is computed the
-    same way whichever thread takes it, so T is bitwise the one-thread
-    result.  A call with one block, or on one CPU, starts no thread.
+    A call of J * K * n >= 32 * ``_BLOCK_ELEMENTS`` (2**21) pair values
+    shares its blocks out by :func:`_run` over the CPUs the process may run
+    on (``os.sched_getaffinity``, so ``taskset`` restricts them), each share
+    writing disjoint entries of T.  numpy's arithmetic and sums release the
+    GIL, so the shares run in parallel.  A block is computed the same way
+    whichever thread takes it, so T is bitwise the one-thread result.  A
+    smaller call, a call with one block, or one on one CPU, starts no
+    thread.  On a 2-vCPU Xeon, bench's screened 41 x 500 calls (0.84M pair
+    values) read 0.87-0.97 times the throughput of their unscreened pass
+    when shared over both CPUs, and 0.94-1.22 times (median 1.02) on the
+    calling thread alone.
 
     When both arguments are the same matrix (the all-candidates criterion),
     T is antisymmetric: only the blocks on and above the diagonal are
@@ -384,23 +390,16 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
     penalties are then subtracted from T in place, and a call with m = 0
     returns the row maxima.
 
-    A square call of J * J * n >= 32 * ``_BLOCK_ELEMENTS`` (2**21) pair
-    values needs only each row's maximum, and computes few entries exactly.
-    The gate counts pair values: the screen saves a share of each one, while
-    its fixed cost, a second settle, the float32 copy, the keep mask and the
-    certificate's gathers, grows with J * n + J * J.  On captured inputs,
-    with both CPUs of a 2-vCPU Xeon and BLAS on one thread, a screened call
-    took 1.07-1.13 times the plain pass's time on bench's 41 entries at
-    n = 500 under psi2 (0.84M pair values) and 0.73-0.90 times on
-    demo-mle's 161 at n = 100 (2.6M).  The same
-    :func:`psi._settle`, against the kernel's float32 row ([2**-30, 2**30]
-    for psi1, whose squares stay normal, and [2**-60, 2**60] for psi2),
-    splits the sample columns: its scaled columns are the double ones, and
-    the others, whose roots are all 0, inf or inside that range, are
-    single.  :meth:`PsiKernel.screen_operands` makes, once per call, a
-    float32 copy of the single columns, padded with columns of 1.0 to
-    m' = 16 ceil(m / 16) (and, for psi1, their float32 squares, N * m' * 4
-    bytes more), whose zeros and infinities are the row's stand-ins
+    A square call, whatever its size, needs only each row's maximum, and
+    computes few entries exactly.  The same :func:`psi._settle`, against the
+    kernel's float32 row ([2**-30, 2**30] for psi1, whose squares stay
+    normal, and [2**-60, 2**60] for psi2), splits the sample columns: its
+    scaled columns are the double ones, and the others, whose roots are all
+    0, inf or inside that range, are single.  A square call with no single
+    column is the plain pass.  :meth:`PsiKernel.screen_operands` makes, once
+    per call, a float32 copy of the single columns, padded with columns of
+    1.0 to m' = 16 ceil(m / 16) (and, for psi1, their float32 squares,
+    N * m' * 4 bytes more), whose zeros and infinities are the row's stand-ins
     (2**-62 and 2**62 for psi1, 2**-120 and 2**120 for psi2).  On a
     stand-in, psi1's screened value is exactly the sign rule's
     -1, +1 or +0.0, as on float64's stand-ins, and psi2's is too or lies
@@ -497,7 +496,7 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
     # The block pass sums the m float32 columns of ops32 and the d float64
     # columns of num64 and den64; only a screened call has m > 0.
     num64, den64, scaled64, ops32, m = num_sqrt, den_sqrt, scaled, None, 0
-    if square and J * J * n >= 32 * _BLOCK_ELEMENTS:
+    if square:
         single, _, double = _settle(kernel, roots, roots, np.float32)
         m = n - double.size
         if m:
@@ -518,7 +517,8 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
     # Zeros, since the mirror below reads the whole transpose: a bit
     # pattern left in fresh memory could be a signaling NaN, which warns.
     T = np.zeros((J, K))
-    work = np.empty((min(_cpus(), len(blocks)), slots))
+    shares = min(_cpus(), len(blocks)) if J * K * n >= 32 * _BLOCK_ELEMENTS else 1
+    work = np.empty((shares, slots))
 
     def block_step(block, work):
         r, h, c, w = block

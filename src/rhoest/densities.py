@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (Checked, ContractViolationError, _count, _each, _finite, _grid,
-                     _instance, _items, _number, _of, _scale, _vector, _weights)
+from .errors import (Checked, ContractViolationError, _array, _count, _each, _finite,
+                     _grid, _index, _instance, _items, _number, _of, _scale, _vector,
+                     _weights)
 from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate_1d
 
 __all__ = [
@@ -56,19 +57,12 @@ class Sample:
     kind: str = "scalar"
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if self.kind == "scalar":
-            if pts.ndim != 1:
-                raise ContractViolationError("scalar sample must be 1-D")
-        elif self.kind == "pair":
-            if pts.ndim != 2 or pts.shape[1] != 2:
-                raise ContractViolationError("pair sample must have shape (n, 2)")
-        else:
+        if self.kind not in ("scalar", "pair"):
             raise ContractViolationError(f"unknown sample kind {self.kind!r}")
-        if pts.shape[0] < 1:
-            raise ContractViolationError("sample must contain at least one point")
-        if not np.all(np.isfinite(pts)):
-            raise ContractViolationError("sample points must be finite")
+        pts = _array("points", self.points, 1 if self.kind == "scalar" else 2)
+        if self.kind == "pair" and pts.shape[1] != 2:
+            raise ContractViolationError(
+                f"points of a pair sample must have shape (n, 2), got {pts.shape}")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -538,6 +532,7 @@ def density_from_json(obj: dict) -> Density1D:
 def shifted(d: Density1D, a: float) -> Density1D:
     """The density of X + a when X has density d: its location parameters
     move by ``a``.  A kind without one cannot be shifted."""
+    d, a = _density("d", d), _finite("a", a)
     if a == 0.0:
         return d
     if not d.location:
@@ -659,6 +654,7 @@ class ProductDensity(Checked):
         return self.marginal is not None
 
     def coordinate(self, i) -> Density1D:
+        i = _index("i", i, self.n)
         return self.marginal if self.is_iid else self.coords[i]
 
     def coord_values(self, sample: Sample) -> np.ndarray:

@@ -132,6 +132,13 @@ def _instance(name, v, cls, default=None):
     raise ContractViolationError(f"{name} must be a {cls.__name__}, got {type(v).__name__}")
 
 
+def _callable(name, v):
+    """The rule of a function argument: anything callable."""
+    if not callable(v):
+        raise ContractViolationError(f"{name} must be callable, got {type(v).__name__}")
+    return v
+
+
 def _of(cls):
     """The rule of an argument that must be a ``cls``, as :func:`_instance`."""
     return lambda name, v: _instance(name, v, cls)
@@ -164,6 +171,44 @@ def _index(name, v, size):
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < size:
         raise ContractViolationError(f"{name} must be an integer in [0, {size}), got {_shown(v)}")
     return int(v)
+
+
+def _numbers(name, v):
+    """A number or an array of numbers, as a float64 array; whatever numpy
+    cannot convert fails."""
+    try:
+        return np.asarray(v, dtype=float)
+    except (TypeError, ValueError):
+        raise ContractViolationError(
+            f"{name} must be a number or an array of numbers, got {type(v).__name__}") from None
+
+
+def _array(name, v, ndim):
+    """A non-empty array of ``ndim`` (1 or 2) axes of finite real numbers, as
+    float64: any iterable but a string of which numpy makes such an array.
+    Where numpy makes an array of something else, the items run through a
+    rule of their own (a number on one axis, a vector of finite numbers on
+    two), as in :func:`_each`, so that the message names the first bad item
+    ``name[i]``: a bool, a complex number or a string, say.  The first item
+    that holds a NaN or an infinity is named the same way."""
+    try:
+        a = np.asarray(v)
+    except ValueError:  # rows of different lengths
+        a = None
+    if isinstance(v, str) or a is not None and a.ndim == 0:
+        raise ContractViolationError(f"{name} must be a list, got {_shown(v)}")
+    if a is None or a.dtype.kind not in "iuf":
+        _each(name, v, _number if ndim == 1 else _vector)
+    if a is None or a.ndim != ndim or not a.size:
+        raise ContractViolationError(
+            f"{name} must be a non-empty {ndim}-D array, got "
+            + ("rows of different lengths" if a is None else f"shape {a.shape}"))
+    a = a.astype(float, copy=False)
+    finite = np.isfinite(a)
+    if not finite.all():
+        i = np.flatnonzero(~finite.reshape(len(a), -1).all(axis=1))[0]
+        raise ContractViolationError(f"{name}[{i}] must be finite, got {a[i].tolist()}")
+    return a
 
 
 def _vector(name, v):

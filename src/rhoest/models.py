@@ -77,7 +77,7 @@ def dimension_bound_vc(vc_index: float, n: int, c1: float = DEFAULT_C1) -> float
 
 def dimension_bound_entropy(v: float) -> float:
     """18 * max(1, V log2 / 2) for entropy dimension V >= 0."""
-    _nonnegative("entropy dimension", v)
+    _nonnegative("v", v)
     return 18.0 * max(1.0, v * math.log(2.0) / 2.0)
 
 

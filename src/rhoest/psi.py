@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import Density1D, _density, hellinger_sq, integrate_on_supports
-from .errors import ContractViolationError, _instance, _shown
+from .errors import ContractViolationError, _instance, _numbers, _shown
 from .quadrature import FINE_QUAD, QuadratureSpec
 
 __all__ = ["PsiKernel", "kernel_constants", "eval_psi", "psi_pair",
@@ -201,7 +201,7 @@ def kernel_constants(kernel_id: str = DEFAULT_KERNEL_ID) -> PsiKernel:
 
 def eval_psi(kernel: PsiKernel, x):
     """psi(x) for x in [0, +inf]; psi(+inf) = 1."""
-    return psi_pair(kernel, x, 1.0)
+    return psi_pair(kernel, x if isinstance(x, float) else _numbers("x", x), 1.0)
 
 
 def psi_pair(kernel: PsiKernel, num_sqrt, den_sqrt, out=None, scaled=None):
@@ -250,7 +250,10 @@ def psi_pair(kernel: PsiKernel, num_sqrt, den_sqrt, out=None, scaled=None):
         _instance("kernel", kernel, PsiKernel)
     scalar = isinstance(num_sqrt, float) and isinstance(den_sqrt, float)
     if not scalar:
-        u, v = np.asarray(num_sqrt, dtype=float), np.asarray(den_sqrt, dtype=float)
+        try:
+            u, v = np.asarray(num_sqrt, dtype=float), np.asarray(den_sqrt, dtype=float)
+        except (TypeError, ValueError):  # named by the rule, whichever it was
+            u, v = _numbers("num_sqrt", num_sqrt), _numbers("den_sqrt", den_sqrt)
         scalar = u.ndim == 0 == v.ndim
     if scalar:
         # Python floats: np.float64 arithmetic would warn on overflow.
@@ -267,7 +270,12 @@ def psi_pair(kernel: PsiKernel, num_sqrt, den_sqrt, out=None, scaled=None):
         return kernel.ratio(u, v)
     su, sv = u, v
     if scaled is None:
-        u, v = np.broadcast_arrays(u, v)
+        try:
+            u, v = np.broadcast_arrays(u, v)
+        except ValueError:
+            raise ContractViolationError(
+                f"num_sqrt of shape {u.shape} and den_sqrt of shape {v.shape} "
+                "do not broadcast together") from None
         su, sv, scaled = _settle(kernel, u, v)
     if not scaled.size:  # nothing to rescale, no floating-point exception to silence
         return kernel.ratio(su, sv, out)

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Checked, QuadratureError, _count, _each, _instance, _number, _scale
+from .errors import (Checked, QuadratureError, _callable, _count, _each, _instance, _number,
+                     _scale)
 
 __all__ = ["QuadratureSpec", "integrate_1d"]
 
@@ -147,6 +148,7 @@ def integrate_1d(fn, lo, hi, spec=None, points=()):
     0.0 raises :class:`QuadratureError` before any QUADPACK call.  A bound
     or a kink that is no number, NaN too, raises :class:`ContractViolationError`.
     """
+    _callable("fn", fn)
     spec = _instance("spec", spec, QuadratureSpec, DEFAULT_QUAD)
     lo, hi, points = _number("lo", lo), _number("hi", hi), _each("points", points, _number)
     if hi <= lo:

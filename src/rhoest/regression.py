@@ -18,8 +18,8 @@ import numpy as np
 
 from .criterion import DensityFamily, RhoFit
 from .densities import Density1D, Sample, _density, hellinger_sq, shifted
-from .errors import (Checked, ContractViolationError, _count, _each, _instance,
-                     _nonnegative, _of, _scale, _vector)
+from .errors import (Checked, ContractViolationError, _callable, _count, _each,
+                     _instance, _nonnegative, _of, _scale, _vector)
 from .models import ModelDescriptor, dimension_bound_vc
 from .psi import PsiKernel
 from .quadrature import DEFAULT_QUAD, QuadratureSpec
@@ -35,7 +35,7 @@ PAIR_VC_FACTOR = 9.41
 
 
 @dataclass(frozen=True)
-class RegressionFunction:
+class RegressionFunction(Checked):
     """A labelled, vectorized map w -> g(w).
 
     g(w) must be numbers that broadcast to the shape of w, so a scalar is
@@ -46,6 +46,7 @@ class RegressionFunction:
 
     fn: callable
     label: str
+    rules = {"fn": _callable, "label": _of(str)}
 
     def __call__(self, w):
         w = np.asarray(w, dtype=float)

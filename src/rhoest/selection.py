@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 
 from .criterion import DensityFamily, Penalty, rho_estimate
-from .errors import ContractViolationError, _each, _index, _instance, _of, _scale
+from .errors import (ContractViolationError, _count, _each, _finite, _index, _instance,
+                     _nonnegative, _of, _scale)
 from .models import ModelDescriptor
 from .psi import DEFAULT_KERNEL, PsiKernel
 
@@ -24,7 +25,7 @@ PENALTY_DIM_DIVISOR = 4.7
 
 def uniform_weights(n_models: int) -> float:
     """log(#models): the uniform prior saturating the weight budget."""
-    return math.log(n_models) if n_models > 1 else 0.0
+    return math.log(_count("n_models", n_models))
 
 
 class ModelCollection:
@@ -82,6 +83,8 @@ def select(X, coll: ModelCollection, slack_multiplier: float = 1.0) -> dict:
     increasing complexity order (smallest-complexity selection rule).
     """
     _instance("coll", coll, ModelCollection)
+    slack_multiplier = _nonnegative("slack_multiplier",
+                                    _finite("slack_multiplier", slack_multiplier))
     fit = rho_estimate(X, coll.union_family, coll.penalty(), coll.kernel,
                        slack=slack_multiplier * coll.kernel.kappa / 25.0)
     containing = list(coll.membership[fit.chosen_index])

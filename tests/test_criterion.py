@@ -430,7 +430,7 @@ class TestSharedBlocks:
         monkeypatch.setattr(criterion, "psi_pair", psi_pair)
         monkeypatch.setattr(psi.PsiKernel, "screen_sums", float32_block)
         same = np.repeat(self.S[:1], len(self.S), axis=0)
-        calls = [(self.S, self.S), (self.S[:5], self.S[2:]), (same, same)]
+        calls = [(self.S, self.S), (self.S[:8], self.S[2:]), (same, same)]
         monkeypatch.setattr(criterion, "_cpus", lambda: 1)
         want = [criterion._criterion_rows(den, num, 0.0, K2).tobytes()
                 for den, num in calls]
@@ -507,9 +507,12 @@ def test_every_plan_covers_each_entry_once(J, K, pairs, square):
 
 
 class TestScreen:
-    """The square criterion's float32 screen and float64 certificate, forced
-    on small families by small blocks.  A 24-entry family at n = 16 reaches
-    the gate J * J * n >= 32 * _BLOCK_ELEMENTS for blocks of up to 288 values."""
+    """The square criterion's float32 screen and float64 certificate, which
+    every square call with a float32 column takes, against the unscreened
+    engine: the rectangular call on a copy of the roots.  Small blocks make
+    a 24-entry family at n = 16 a call of many blocks, shared out over
+    threads (J * J * n >= 32 * _BLOCK_ELEMENTS) for blocks of up to 288
+    values."""
 
     S = TestSharedBlocks.S  # 24 distinct rows of roots in [0.1, 1.42]
 
@@ -528,9 +531,10 @@ class TestScreen:
         monkeypatch.setattr(criterion, "_run", run)
         return runs
 
-    def plain(self, S, pen, kernel, monkeypatch):
-        monkeypatch.setattr(criterion, "_BLOCK_ELEMENTS", 2**20)
-        return criterion._criterion_rows(S, S, pen, kernel)
+    @staticmethod
+    def plain(S, pen, kernel):
+        """The rows of the unscreened engine: the rectangular call on a copy."""
+        return criterion._criterion_rows(S, S.copy(), pen, kernel)
 
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.id)
     @pytest.mark.parametrize("block", [1, 16, 64, 192])
@@ -539,7 +543,7 @@ class TestScreen:
         are distinct pairs j < k, summed u = S[k] against v = S[j] as the
         plain blocks sum them, and the certificate's blocks split them."""
         S, pen = self.S, np.linspace(0.0, 0.2, len(self.S))
-        want = self.plain(S, pen, kernel, monkeypatch)
+        want = self.plain(S, pen, kernel)
         monkeypatch.setattr(criterion, "_BLOCK_ELEMENTS", block)
         runs, pairs, original = self.phases(monkeypatch), [], criterion.psi_pair
 
@@ -575,8 +579,8 @@ class TestScreen:
         fam = DensityFamily([ProductDensity(iid=Gaussian(0.0, 1.0), n=n)] * J)
         X = Sample(np.linspace(-9.0, 9.0, n))  # roots from 0.63 down to 1e-9
         pen = Penalty({3: 0.25})
-        monkeypatch.setattr(criterion, "_BLOCK_ELEMENTS", 2**20)
-        want = upsilon_all(X, fam, pen, kernel)
+        pvec = pen.vector(J)
+        want = self.plain(fam.sqrt_value_matrix(X), pvec, kernel) + pvec
         monkeypatch.setattr(criterion, "_BLOCK_ELEMENTS", 32)
         runs = self.phases(monkeypatch)
         with warnings.catch_warnings():
@@ -592,36 +596,84 @@ class TestScreen:
         assert ranges[-1][1] == len(pairs)
 
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.id)
-    def test_gate_keeps_small_calls_on_the_plain_path(self, kernel, monkeypatch):
-        """Below J * J * n = 32 * _BLOCK_ELEMENTS, and on calls that are not
-        square, nothing is screened."""
-        runs = self.phases(monkeypatch)
-        S = self.S
-        monkeypatch.setattr(criterion, "_BLOCK_ELEMENTS", len(S) * S.size // 32 + 1)
-        criterion._criterion_rows(S, S, 0.0, kernel)
-        monkeypatch.setattr(criterion, "_BLOCK_ELEMENTS", 1)
-        criterion._criterion_rows(S, S.copy(), 0.0, kernel)
-        criterion._criterion_rows(S[:1], S, 0.0, kernel)
-        assert [(name, closure["m"]) for name, _, closure in runs] == [("block_step", 0)] * 3
-
-    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.id)
-    def test_gate_counts_pair_values(self, kernel, monkeypatch):
-        """At the real block size the gate is J * J * n >= 2**21 pair
-        values: demo-mle's 161 entries at n = 100 are screened; bench's 41
-        at n = 500, tiny calls and calls that are not square are not."""
-        assert 32 * criterion._BLOCK_ELEMENTS == 2**21
+    def test_every_square_call_is_screened_at_any_size(self, kernel, monkeypatch):
+        """At the real block size a square call with float32 columns is
+        screened and certified, from 2 entries at n = 5 to demo-mle's 161 at
+        n = 100, with the unscreened engine's bits; a rectangular call is
+        never screened."""
         rng = np.random.default_rng(7)
         runs = self.phases(monkeypatch)
-        screened = []
-        for J, n, square in ((161, 100, True), (41, 500, True), (2, 5, True),
-                             (10, 50, True), (161, 100, False)):
+        for J, n in ((2, 5), (10, 50), (41, 500), (161, 100)):
             S = rng.uniform(0.1, 1.4, (J, n))
-            criterion._criterion_rows(S, S if square else S.copy(), 0.0, kernel)
-            screened.append(runs[-1][0] == "certify_step")
-        criterion._criterion_rows(S[:1], S, 0.0, kernel)
-        assert screened == [True, False, False, False, False]
-        assert [closure["m"] for name, _, closure in runs if name == "block_step"] == [
-            100, 0, 0, 0, 0, 0]
+            pen = rng.uniform(0.0, 0.5, J)
+            got = criterion._criterion_rows(S, S, pen, kernel)
+            assert [(name, closure.get("m")) for name, _, closure in runs] == [
+                ("block_step", n), ("certify_step", None)]
+            del runs[:]
+            assert got.tobytes() == self.plain(S, pen, kernel).tobytes()
+            criterion._criterion_rows(S[:1], S, pen, kernel)
+            assert [(name, closure["m"]) for name, _, closure in runs] == [
+                ("block_step", 0)] * 2
+            del runs[:]
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.id)
+    def test_square_call_with_no_float32_column_is_the_plain_pass(self, kernel,
+                                                                  monkeypatch):
+        """Every column holds a root of 2**-100, outside both kernels'
+        float32 ranges: the square call is the float64 pass and its mirror,
+        bitwise the rectangular call's T."""
+        S = self.S.copy()
+        S[np.arange(16) % len(S), np.arange(16)] = 2.0 ** -100
+        monkeypatch.setattr(criterion, "_BLOCK_ELEMENTS", 64)  # bands of few rows
+        runs = self.phases(monkeypatch)
+        got = criterion._criterion_rows(S, S, 0.0, kernel)
+        want = self.plain(S, 0.0, kernel)
+        assert [(name, closure["m"]) for name, _, closure in runs] == [
+            ("block_step", 0)] * 2
+        square, rectangular = (closure["T"] for _, _, closure in runs)
+        assert square.tobytes() == rectangular.tobytes()
+        assert got.tobytes() == want.tobytes()
+
+    def test_small_calls_start_no_thread(self, monkeypatch):
+        """With four CPUs, a call below 32 * _BLOCK_ELEMENTS = 2**21 pair
+        values asks for no worker thread, however many blocks it has:
+        bench's 41 entries at n = 500 square and not, a square call just
+        below the limit, and 40 rows against demo-mle's 161 entries."""
+        assert 32 * criterion._BLOCK_ELEMENTS == 2**21
+        monkeypatch.setattr(criterion, "_cpus", lambda: 4)
+
+        def no_pool(size):
+            raise AssertionError("a call below 2**21 pair values asked for worker threads")
+
+        monkeypatch.setattr(criterion, "_workers", no_pool)
+        runs = self.phases(monkeypatch)
+        rng = np.random.default_rng(8)
+        for J, n in ((41, 500), (144, 101), (161, 100)):
+            S = rng.uniform(0.1, 1.4, (J, n))
+            calls = [(S[:40], S)] if J == 161 else [(S, S), (S, S.copy())]
+            for den, num in calls:
+                assert len(den) * len(num) * n < 2**21
+                criterion._criterion_rows(den, num, 0.0, K2)
+        assert all(len(blocks) > 1 for name, blocks, _ in runs if name == "block_step")
+
+    @pytest.mark.parametrize("square", [True, False], ids=["square", "rectangular"])
+    def test_large_calls_share_out(self, square, monkeypatch):
+        """From 2**21 pair values on, a call shares its blocks out: demo-mle's
+        161 entries at n = 100, and 128 at n = 128, exactly 2**21."""
+        monkeypatch.setattr(criterion, "_cpus", lambda: 4)
+        asked, workers = [], criterion._workers
+
+        def spy(size):
+            asked.append(size)
+            return workers(size)
+
+        monkeypatch.setattr(criterion, "_workers", spy)
+        rng = np.random.default_rng(9)
+        for J, n in ((161, 100), (128, 128)):
+            S = rng.uniform(0.1, 1.4, (J, n))
+            criterion._criterion_rows(S, S if square else S.copy(), 0.0, K2)
+            assert asked and set(asked) == {3}
+            del asked[:]
 
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.id)
     def test_columns_outside_the_screen_range_are_summed_in_float64(self, kernel,
@@ -635,7 +687,7 @@ class TestScreen:
         S[:, 6], S[:, 9] = 0.0, np.inf
         S[2, 11] = 2.0 ** 40
         pen = np.linspace(0.0, 0.5, len(S))
-        want = self.plain(S, pen, kernel, monkeypatch)
+        want = self.plain(S, pen, kernel)
         monkeypatch.setattr(criterion, "_BLOCK_ELEMENTS", 64)
         seen, original = [], criterion.psi_pair
 
@@ -662,7 +714,7 @@ class TestScreen:
         S = self.S.copy()
         S[:, 0] = np.resize([0.0, np.inf, 2.0 ** 59, 2.0 ** -59], len(S))
         pen = np.linspace(0.0, 0.5, len(S))
-        want = self.plain(S, pen, kernel, monkeypatch)
+        want = self.plain(S, pen, kernel)
         monkeypatch.setattr(criterion, "_BLOCK_ELEMENTS", 64)
         monkeypatch.setattr(criterion, "_cpus", lambda: 2)
         runs = self.phases(monkeypatch)

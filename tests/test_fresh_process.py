@@ -4,9 +4,9 @@ rhoest loads QUADPACK, scipy's compiled module alone, on the first
 quadrature call, and no scipy module anywhere else; the scipy.integrate
 package, which would bring scipy.optimize, linalg, sparse and special with
 it, is never imported.  Its worker threads, and concurrent.futures with them, start
-on the first criterion call with more than one block and CPU.  pytest's
-``filterwarnings`` setting imports scipy.integrate before any test runs, so
-an in-process test can neither see an eager scipy import come back nor
+on the first criterion call of 2**21 pair values or more with more than one
+block and CPU.  pytest's ``filterwarnings`` setting imports scipy.integrate
+before any test runs, so an in-process test can neither see an eager scipy import come back nor
 exercise a first load.  A run pinned to one CPU, or with BLAS on one
 thread, needs a process of its own too.  These tests run each check in a
 subprocess.
@@ -105,16 +105,54 @@ def test_cli_run_loads_no_scipy(tmp_path, command):
     assert scipy_imports(log) == []
 
 
-def test_aggregate_starts_no_thread(tmp_path):
-    # Every criterion call of an aggregate solve is a single block.
+def threads_after(tmp_path, argv, config):
+    """[thread count, concurrent.futures loaded] after ``main(argv)`` on
+    ``config`` in a fresh interpreter, which must print a JSON result."""
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps(TINY["aggregate"]))
+    cfg.write_text(json.dumps(config))
     run = ("import json, sys, threading; from rhoest.cli import main; "
-           f"main(['aggregate', '--config', sys.argv[1]]); {THREADS}")
-    out, _ = python("-c", run, str(cfg))
+           f"main(json.loads(sys.argv[1]) + ['--config', sys.argv[2]]); {THREADS}")
+    out, _ = python("-c", run, json.dumps(argv), str(cfg))
     result, threads = out.rstrip().rsplit("\n", 1)
     assert json.loads(result)
-    assert json.loads(threads) == [1, False]
+    return json.loads(threads)
+
+
+def test_aggregate_starts_no_thread(tmp_path):
+    # Every criterion call of an aggregate solve is a single block.
+    assert threads_after(tmp_path, ["aggregate"], TINY["aggregate"]) == [1, False]
+
+
+# The benchmark's montecarlo bench op at full size: 20 replicates at
+# n = 500 on a 41-point grid, 5% Cauchy(0, 10) contamination.
+BENCH = {"scenario": {"kind": "contaminated", "n": 500, "replications": 20, "eps": 0.05,
+                      "truth": {"kind": "gaussian", "params": {"mean": 0.0, "sd": 1.0}},
+                      "contaminant": {"kind": "cauchy",
+                                      "params": {"loc": 0.0, "scale": 10.0}}},
+         "estimator": {"type": "rho_gaussian_grid", "theta_min": -1.0,
+                       "theta_max": 1.0, "step": 0.05},
+         "truth_for_loss": {"kind": "gaussian", "params": {"mean": 0.0, "sd": 1.0}}}
+
+TWO_CPUS = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs a CPU mask of two CPUs or more")
+
+
+@TWO_CPUS
+def test_full_size_bench_starts_no_thread(tmp_path):
+    # Each square criterion call, 41 x 41 x 500 = 0.84M pair values, is
+    # below 2**21, so it runs on the calling thread whatever the CPU count.
+    assert threads_after(tmp_path, ["bench", "--seed", "3"], BENCH) == [1, False]
+
+
+@TWO_CPUS
+def test_full_size_fit_starts_the_pool(tmp_path):
+    # 161 x 161 x 2000 = 52M pair values: the blocks are shared out.
+    x = np.random.default_rng(4).normal(0.5, 1.0, 2000)
+    config = {"sample": x.tolist(), "family": {
+        "type": "gaussian_location_grid", "theta_min": -4, "theta_max": 4, "step": 0.05}}
+    count, pooled = threads_after(tmp_path, ["fit"], config)
+    assert count > 1 and pooled
 
 
 TRIPLES = [
@@ -193,9 +231,10 @@ def test_quadrature_loads_no_scipy_subpackage(tmp_path):
     assert ours == theirs
 
 
-# Five runs that reach the float32 screen of the square criterion
-# (N * N * n >= 2**21): fit on a 161-point grid under each kernel, select on
-# a union of 243 entries, and demo-mle at n = 100 under each kernel.  The
+# Five runs whose square criterion calls are screened and, at
+# N * N * n >= 2**21 pair values, shared out over threads: fit on a
+# 161-point grid under each kernel, select on a union of 243 entries, and
+# demo-mle at n = 100 under each kernel.  The
 # sample's points at +-1000 (every density 0), near +-12 and +-15 (roots
 # outside the float32 ranges, summed in float64) and at +-40 (psi1's
 # rescale) reach every path of the screen and its certificate, and so do

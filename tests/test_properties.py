@@ -458,13 +458,9 @@ def screen_case(draw):
 
 def screened_call(S, pen, kernel, block):
     """The rows of the square call on S with blocks of ``block`` values, and
-    T as its screen left it (None when nothing was screened).
-
-    ``_BLOCK_ELEMENTS`` is ``block`` or, where the screen's gate
-    J * J * n >= 32 * _BLOCK_ELEMENTS needs it, the largest smaller value
-    that passes the gate: 0, one pair per block, when J * J * n < 32."""
+    T as its screen left it (None when nothing was screened: S has no
+    float32 column)."""
     screens, run = [], criterion._run
-    block = min(block, len(S) * S.size // 32)
 
     def spy(blocks, step, work):
         run(blocks, step, work)
@@ -518,8 +514,7 @@ class TestScreen:
         block = 1 if data is None else data.draw(st.integers(1, S.size // 2))
         got, screen = screened_call(S, pen, kernel, block)
         assert (screen is None) == (single_columns(S, kernel) == 0)
-        with mock.patch.object(criterion, "_BLOCK_ELEMENTS", S.size):  # below the gate
-            want = criterion._criterion_rows(S, S, pen, kernel)
+        want = criterion._criterion_rows(S, S.copy(), pen, kernel)  # unscreened
         assert same_bits(got, want)
         assert same_bits(got, np.max(dense_t(S, kernel) - pen, axis=1))
 
@@ -623,8 +618,7 @@ class TestScreen:
         assert np.abs(screen - exact).max() > 0.85 * bound
         assert same_bits(np.diag(screen), np.zeros(J))
         assert np.any(np.argmax(screen, axis=1) != best)
-        with mock.patch.object(criterion, "_BLOCK_ELEMENTS", S.size):  # below the gate
-            want = criterion._criterion_rows(S, S, 0.0, kernel)
+        want = criterion._criterion_rows(S, S.copy(), 0.0, kernel)  # unscreened
         assert same_bits(got, want)
         assert same_bits(got, np.max(exact, axis=1))
 
@@ -891,8 +885,8 @@ class TestDominatingMeasure:
     @given(case=screen_case(), data=st.data())
     def test_criterion_rows_keep_their_bits(self, kernel, case, data):
         """Every density at x_i times 4**e_i, its root times 2**e_i: the rows
-        of a screened and a plain square call, and of a call on fewer rows,
-        keep their bits.  The exponents reach every binade of normal roots,
+        of a square call, of the unscreened call on a copy and of a call on
+        fewer rows keep their bits.  The exponents reach every binade of normal roots,
         so columns move in and out of the exact and float32 ranges."""
         S, pen = case
         e = data.draw(hnp.arrays(np.int64, S.shape[1], elements=st.integers(-1100, 1100)))
@@ -903,10 +897,9 @@ class TestDominatingMeasure:
         rows = data.draw(st.integers(1, len(S)))
 
         def calls(M):
-            with mock.patch.object(criterion, "_BLOCK_ELEMENTS", S.size):
-                plain = criterion._criterion_rows(M, M, pen, kernel)
-                fewer = criterion._criterion_rows(M[:rows], M, pen, kernel)
-            return screened_call(M, pen, kernel, block)[0], plain, fewer
+            return (screened_call(M, pen, kernel, block)[0],
+                    criterion._criterion_rows(M, M.copy(), pen, kernel),
+                    criterion._criterion_rows(M[:rows], M, pen, kernel))
 
         for got, want in zip(calls(moved), calls(S)):
             assert got.tobytes() == want.tobytes()
@@ -930,14 +923,15 @@ def drawn_penalty(data, size):
     return Penalty(dict(enumerate(values)))
 
 
-# A block of one value screens every call of two or more entries; 2**16
-# leaves these small calls plain.
-SCREENED_OR_PLAIN = pytest.mark.parametrize("block", [1, 2**16],
-                                            ids=["screened", "plain"])
+# Every square call with a float32 column is screened.  A block of one
+# value makes these small calls many blocks, shared out over threads; 2**16
+# makes them one block on the calling thread.
+SHARED_OR_ONE_BLOCK = pytest.mark.parametrize("block", [1, 2**16],
+                                              ids=["shared", "one-block"])
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.id)
-@SCREENED_OR_PLAIN
+@SHARED_OR_ONE_BLOCK
 class TestVersionOfADensity:
     @PROPERTY
     @given(data=st.data())
@@ -1000,7 +994,7 @@ class TestVersionOfADensity:
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.id)
-@SCREENED_OR_PLAIN
+@SHARED_OR_ONE_BLOCK
 class TestSpikeOnASamplePoint:
     @PROPERTY
     @given(data=st.data())

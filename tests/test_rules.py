@@ -4,7 +4,8 @@ Each public value object and each public function that takes a count, a
 seed, a scale, a weight, a tolerance, a density or a kernel rejects a bool,
 NaN and a string there, a count or a seed also rejects a non-integral
 number, a count also rejects 0, and a real, finite or not, also rejects an
-int too large for a float, with ContractViolationError.
+int too large for a float, with a ContractViolationError whose message
+starts with the parameter's name.
 Penalty, InnerSolverConfig, ``saddle_point(max_outer=...)`` and the density
 kinds have their own parametrized tests in the modules that test them.
 
@@ -46,8 +47,8 @@ from rhoest import (CandidateSet, ContractViolationError, DensityFamily, ExpFami
                     mixture_upsilon, mle_counterexample, penalty_for,
                     product_hellinger_sq, psi_pair, rho_estimate,
                     risk_bound_report, saddle_point, select, select_candidate,
-                    simplex_grid, simulate, t_mix, t_statistic, upsilon,
-                    upsilon_all)
+                    shifted, simplex_grid, simulate, t_mix, t_statistic,
+                    uniform_weights, upsilon, upsilon_all)
 
 G = Gaussian(0.0, 1.0)
 X = Sample(np.array([0.0, 0.5, 1.0]))
@@ -55,6 +56,8 @@ ENTRIES = [ProductDensity(iid=Gaussian(m, 1.0), n=3) for m in (0.0, 1.0)]
 FAM = DensityFamily(ENTRIES)
 CS = CandidateSet(ENTRIES, X)
 LINE = RegressionFunction(lambda w: w, label="w")
+XY = Sample(np.array([[0.0, 0.1], [0.5, 0.4], [1.0, 1.2]]), kind="pair")
+REG = build_regression_family([RegressionModel(G, [LINE], vc_index_f=1)], 3)
 
 
 def scenario(**kwargs):
@@ -74,7 +77,7 @@ INTEGERS = {
     "simplex_grid.steps": (lambda v: simplex_grid(3, v), 2),
     "mixture_upsilon.grid_steps": (
         lambda v: mixture_upsilon(CS, SimplexPoint((0.5, 0.5)), v), 2),
-    "dimension_bound_finite": (dimension_bound_finite, 2),
+    "dimension_bound_finite.cardinality": (dimension_bound_finite, 2),
     "dimension_bound_vc.n": (lambda v: dimension_bound_vc(1, v), 2),
     "build_histogram_family.k": (
         lambda v: build_histogram_family([(0.0, 1.0)], v, 5), 2),
@@ -82,6 +85,8 @@ INTEGERS = {
         lambda v: build_histogram_family([(0.0, 1.0)], 1, 5, mass_steps=v), 2),
     "mle_counterexample.n": (lambda v: mle_counterexample(0.0, v, 1, 0), 3),
     "mle_counterexample.reps": (lambda v: mle_counterexample(0.0, 5, v, 0), 2),
+    "uniform_weights.n_models": (uniform_weights, 2),
+    "SimplexPoint.vertex.size": (lambda v: SimplexPoint.vertex(0, v), 2),
 }
 
 # The same for parameters that take any integer; a negative seed is good.
@@ -107,11 +112,14 @@ REALS = {
     "saddle_point.eps": (lambda v: saddle_point(CS, eps=v), 0.5),
     "dimension_bound_vc.vc_index": (lambda v: dimension_bound_vc(v, 10), 1.5),
     "dimension_bound_vc.c1": (lambda v: dimension_bound_vc(3, 10, v), 0.5),
-    "dimension_bound_entropy": (dimension_bound_entropy, 0.5),
+    "dimension_bound_entropy.v": (dimension_bound_entropy, 0.5),
     "mle_counterexample.theta": (lambda v: mle_counterexample(v, 5, 1, 0), 0.5),
     "mle_counterexample.grid_step": (
         lambda v: mle_counterexample(0.0, 5, 1, 0, grid_step=v), 0.5),
     "contamination_bias.eps": (lambda v: contamination_bias(G, G, v), 0.5),
+    "select.slack_multiplier": (lambda v: select(X, TWO_MODELS, v), 1.0),
+    "fit_regression.slack_multiplier": (lambda v: fit_regression(XY, REG, v), 1.0),
+    "shifted.a": (lambda v: shifted(G, v), 0.5),
 }
 
 # The same for parameters that take a density, a function or a kernel.
@@ -137,6 +145,9 @@ OBJECTS = {
     "ModelCollection.kernel": (
         lambda v: ModelCollection([ModelDescriptor(FAM, 2.0)], v).penalty(),
         kernel_constants()),
+    "shifted.d": (lambda v: shifted(v, 0.5), G),
+    "RegressionFunction.fn": (lambda v: RegressionFunction(v, "g"), abs),
+    "integrate_1d.fn": (lambda v: integrate_1d(v, 0.0, 1.0), np.exp),
 }
 
 TABLE = {**INTEGERS, **SEEDS, **REALS, **OBJECTS}
@@ -158,7 +169,8 @@ CASES = [(name, bad) for name in TABLE for bad in bad_values(name)]
 def test_rule_rejects_bad_value(name, bad):
     call, good = TABLE[name]
     call(good)  # so that the rejection below is the bad value's doing
-    with pytest.raises(ContractViolationError):
+    param = re.escape(name.rsplit(".", 1)[1])
+    with pytest.raises(ContractViolationError, match=rf"^{param}\b"):
         call(BAD[bad])
 
 
@@ -209,6 +221,35 @@ def test_bad_slack_is_named(slack):
     # Not an internal invariant of RhoFit: the message names the argument.
     with pytest.raises(ContractViolationError, match="slack"):
         rho_estimate(X, FAM, slack=slack)
+
+
+@pytest.mark.parametrize("call", [lambda v: select(X, TWO_MODELS, v),
+                                  lambda v: fit_regression(XY, REG, v)],
+                         ids=["select", "fit_regression"])
+def test_negative_slack_multiplier_is_named_with_its_value(call):
+    # Not rho_estimate's slack, the multiplier times kappa / 25.
+    with pytest.raises(ContractViolationError,
+                       match=r"^slack_multiplier must be a nonnegative number, got -1\.0$"):
+        call(-1.0)
+
+
+@pytest.mark.parametrize("label", [5, None, True])
+def test_regression_function_label_is_a_string(label):
+    RegressionFunction(abs, "abs")
+    with pytest.raises(ContractViolationError, match="^label must be a str, got "):
+        RegressionFunction(abs, label)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: eval_psi(K, "x"), "x must be"),
+    (lambda: psi_pair(K, np.ones(2), "x"), "den_sqrt must be"),
+    (lambda: psi_pair(K, ["x"], np.ones(2)), "num_sqrt must be"),
+    (lambda: psi_pair(K, np.ones(2), np.ones(3)),
+     r"num_sqrt of shape \(2,\) and den_sqrt of shape \(3,\) do not broadcast"),
+], ids=["eval_psi", "den_sqrt", "num_sqrt", "broadcast"])
+def test_psi_operand_is_named(call, name):
+    with pytest.raises(ContractViolationError, match=f"^{name}"):
+        call()
 
 
 def test_negative_delta_is_rejected_by_the_weights_rule():
@@ -453,14 +494,12 @@ COLLECTIONS = {
     "integrate_1d.points": (lambda v: integrate_1d(np.exp, 0.0, 1.0, points=v), [0.5], True),
     "Penalty.values": (Penalty, {0: 1.0}, False),
     "Tabulated.values": (lambda v: Tabulated((0.0, 1.0), v), (1.0, 1.0), False),
+    "Sample.points": (Sample, [0.0, 1.0], True),
 }
-# An array, not a collection of elements: a Sample's points are checked for
-# their shape and finiteness (tests/test_densities.py).
-NOT_COLLECTIONS = {"Sample.points"}
 
 
 def test_collection_argument_table_is_complete():
-    assert public_slots(COLLECTION_NAMES) == set(COLLECTIONS) | NOT_COLLECTIONS
+    assert public_slots(COLLECTION_NAMES) == set(COLLECTIONS)
 
 
 COLLECTION_CASES = [(slot, bad) for slot, (_, _, elements) in sorted(COLLECTIONS.items())
@@ -514,26 +553,32 @@ def test_exp_family_basis_is_not_split_into_characters():
         build_exp_family_grid("x2", [(0.0, 0.0)], 0.0, 1.0, 3)
 
 
-# Every index parameter, as "callable.parameter" -> (the call with the
-# value, the size of what it indexes).
+# Every index parameter, as "callable.parameter" (or, for a method,
+# "class.method.parameter") -> (the call with the value, the size of what
+# it indexes).  An i.i.d. product's coordinates all share one marginal.
 INDEX_NAMES = {"entry_index", "m_idx"}
 INDICES = {
     "penalty_for.entry_index": (lambda v: penalty_for(TWO_MODELS, v),
                                 len(TWO_MODELS.union_family)),
     "risk_bound_report.m_idx": (lambda v: risk_bound_report(TWO_MODELS, v, 1.0),
                                 len(TWO_MODELS.models)),
+    "SimplexPoint.vertex.j": (lambda v: SimplexPoint.vertex(v, 3), 3),
+    "ProductDensity.coordinate.i": (lambda v: ProductDensity([G, G]).coordinate(v), 2),
+    "ProductDensity(iid).coordinate.i": (
+        lambda v: ProductDensity(iid=G, n=3).coordinate(v), 3),
 }
 
 
 def test_index_argument_table_is_complete():
-    assert public_slots(INDEX_NAMES) == set(INDICES)
+    # The methods are listed by hand; public_slots sees functions alone.
+    assert public_slots(INDEX_NAMES) == {slot for slot in INDICES if slot.count(".") == 1}
 
 
 @pytest.mark.parametrize("bad", ["-1", "True", "1.0", "size"])
 @pytest.mark.parametrize("slot", sorted(INDICES))
 def test_index_argument_rejects_a_bad_value(slot, bad):
     call, size = INDICES[slot]
-    param = slot.split(".")[1]
+    param = slot.rsplit(".", 1)[1]
     assert [call(i) for i in range(size)]  # every index in range is good
     value = {"-1": -1, "True": True, "1.0": 1.0, "size": size}[bad]
     with pytest.raises(ContractViolationError,

@@ -11,10 +11,11 @@ shared out over the CPUs the process may run on, with the bits of one
 thread.  Across the whole family (:func:`upsilon_all`) the statistic is
 antisymmetric, T(q, q') = -T(q', q), so only its upper triangle is computed
 and the lower one is mirrored.  Every call fills its entries in one block
-pass; across the whole family that pass sums most sample columns in float32,
-a screen under a proven rounding bound, and one certificate then sums again
-in float64 only the entries that can be a row's maximum, in place, so every
-criterion value keeps the bits of the full float64 computation.
+pass; against two challengers or more that pass sums most sample columns in
+float32, a screen under a proven rounding bound, and one certificate then
+sums again in float64 only the entries that can be a row's maximum, in
+place, so every criterion value keeps the bits of the full float64
+computation.
 """
 
 from __future__ import annotations
@@ -382,24 +383,29 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
     When both arguments are the same matrix (the all-candidates criterion),
     T is antisymmetric: only the blocks on and above the diagonal are
     computed, and one masked ``np.copyto`` of 0.0 - T.T mirrors the strict
-    lower triangle.  psi is exactly antisymmetric and negating a sum is
-    exact, so a mirrored entry is bitwise the direct sum.  Mirroring computes
-    0.0 - t, not -t, because psi of equal roots is +0.0 both ways, so a zero
-    sum is too.  Only a zero sum of -0.0 terms, which needs roots near the
+    lower triangle.  That is all a *square* call changes: its plan, its
+    mirror, its certificate's symmetric keep mask (below) and one float32
+    copy of the roots in place of two.  psi is exactly antisymmetric and
+    negating a sum is exact, so a mirrored entry is bitwise the direct sum.
+    Mirroring computes 0.0 - t, not -t, because psi of equal roots is +0.0
+    both ways, so a zero sum is too.  Only a zero sum of -0.0 terms, which needs roots near the
     float64 overflow limit, mirrors to a zero of the other sign.  The
     penalties are then subtracted from T in place, and a call with m = 0
     returns the row maxima.
 
-    A square call, whatever its size, needs only each row's maximum, and
-    computes few entries exactly.  The same :func:`psi._settle`, against the
-    kernel's float32 row ([2**-30, 2**30] for psi1, whose squares stay
-    normal, and [2**-60, 2**60] for psi2), splits the sample columns: its
-    scaled columns are the double ones, and the others, whose roots are all
-    0, inf or inside that range, are single.  A square call with no single
-    column is the plain pass.  :meth:`PsiKernel.screen_operands` makes, once
-    per call, a float32 copy of the single columns, padded with columns of
-    1.0 to m' = 16 ceil(m / 16) (and, for psi1, their float32 squares,
-    N * m' * 4 bytes more), whose zeros and infinities are the row's stand-ins
+    A call of K >= 2 challengers, whatever its size and shape, needs only
+    each row's maximum, and computes few entries exactly.  A call of one
+    challenger (``t_statistic``, ``t_mix``) is the plain pass: its one
+    entry is every row's maximum, so a screen could drop nothing.  The same
+    :func:`psi._settle`, against the kernel's float32 row ([2**-30, 2**30]
+    for psi1, whose squares stay normal, and [2**-60, 2**60] for psi2),
+    splits the sample columns of both operands: its scaled columns are the
+    double ones, and the others, whose roots are all 0, inf or inside that
+    range, are single.  A call with no single column is the plain pass.
+    :meth:`PsiKernel.screen_operands` makes, once per call, a float32 copy
+    of each operand's single columns, padded with columns of 1.0 to
+    m' = 16 ceil(m / 16) (and, for psi1, their float32 squares, rows * m' *
+    4 bytes more), whose zeros and infinities are the row's stand-ins
     (2**-62 and 2**62 for psi1, 2**-120 and 2**120 for psi2).  On a
     stand-in, psi1's screened value is exactly the sign rule's
     -1, +1 or +0.0, as on float64's stand-ins, and psi2's is too or lies
@@ -417,31 +423,34 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
        large root, so the pass runs under ``np.errstate(under="ignore")``,
        whatever the caller's errstate, and raises no floating-point
        exception.  The block pass adds the float64 psi_pair sums of the
-       double columns, among them the ones that psi_pair rescales.  The
-       screen is mirrored and penalized as above.  On and above the
-       diagonal it is within E (below) of T.
+       double columns, among them the ones that psi_pair rescales.  A
+       square call's screen is mirrored as above, and every screen is
+       penalized.  Every entry that a block computed is within E (below)
+       of T.
     2. *Certify.*  Row j keeps challenger k when its screened value is
        within the margin 2E + 2**-50 (n + 1 + P) of the row's screened
-       maximum, with P the largest finite penalty.  Every pair {j, k},
-       j < k, that either row keeps is summed again by the float64
-       psi_pair over all n columns, its two rows gathered into the same
-       workspaces: the same contiguous sum in the same orientation as above.
-       Its exact value t is written in place over the penalized screen, as
-       t - pen[k] at (j, k) and (0.0 - t) - pen[j] at (k, j).  However many
-       pairs are kept (every one, in a family of identical entries), only
-       they are summed.
+       maximum, with P the largest finite penalty.  Each kept (j, k) is
+       summed again by the float64 psi_pair over all n columns, its two
+       rows gathered into the same workspaces: the same contiguous sum in
+       the same orientation as above.  Its exact value t is written in
+       place over the penalized screen, as t - pen[k] at (j, k).  A square
+       call instead sums once every pair {j, k}, j < k, that either row
+       keeps, and writes (0.0 - t) - pen[j] at (k, j) too.  However many
+       entries are kept (every pair, in a family of identical entries),
+       only they are summed.
 
     The in-place argument.  A dropped entry's screened value is below its
     row's screened maximum by more than the margin.  That maximum's entry
     is kept, and its exact value, now in T, is within E plus a penalty's
     rounding of the maximum.  So every dropped entry stays strictly below
     the row's exact maximum, and the row maximum of T is the one the full
-    computation gives.  The diagonal needs no exact sum: psi1 of equal
-    roots is +0.0 in float32 as in float64, and so is any sum of such
-    values; each psi2 term of equal roots is exactly 0.5, so each run sums
-    to exactly 8 in any order, the run sums to exactly m' / 2, and
-    2 sum(t) - m' is +0.0 too.  So the diagonal's screened value is already
-    the exact +0.0 - pen[j].
+    computation gives.  The argument holds row by row, so neither E nor the
+    margin depends on the shape of the call.  A square call's diagonal
+    needs no exact sum: psi1 of equal roots is +0.0 in float32 as in
+    float64, and so is any sum of such values; each psi2 term of equal
+    roots is exactly 0.5, so each run sums to exactly 8 in any order, the
+    run sums to exactly m' / 2, and 2 sum(t) - m' is +0.0 too.  So the
+    diagonal's screened value is already the exact +0.0 - pen[j].
 
     The error bound E.  Let u = 2**-53 and psi_i the exact psi at the
     float64 roots of column i.  Rounding a root to float32 is a relative
@@ -491,23 +500,24 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
     """
     square = den_sqrt is num_sqrt
     (J, n), K = den_sqrt.shape, len(num_sqrt)
-    roots = num_sqrt
+    roots = num_sqrt, den_sqrt
     num_sqrt, den_sqrt, scaled = _settle(kernel, num_sqrt, den_sqrt)
-    # The block pass sums the m float32 columns of ops32 and the d float64
-    # columns of num64 and den64; only a screened call has m > 0.
-    num64, den64, scaled64, ops32, m = num_sqrt, den_sqrt, scaled, None, 0
-    if square:
-        single, _, double = _settle(kernel, roots, roots, np.float32)
+    # The block pass sums the m float32 columns of num32 and den32 and the d
+    # float64 columns of num64 and den64; only a screened call has m > 0.
+    num64, den64, scaled64, num32, den32, m = num_sqrt, den_sqrt, scaled, None, None, 0
+    if K > 1:
+        num32, den32, double = _settle(kernel, *roots, np.float32)
         m = n - double.size
-        if m:
-            if double.size:
-                single = np.delete(single, double, axis=1)
-                num64 = den64 = np.take(den_sqrt, double, axis=1)
-                scaled64 = np.searchsorted(double, scaled)  # the scaled columns among them
-            ops32 = kernel.screen_operands(single)
-        del single
+    if m:
+        if double.size:
+            num32, num64 = np.delete(num32, double, axis=1), np.take(num_sqrt, double, axis=1)
+            den32, den64 = (num32, num64) if square else (
+                np.delete(den32, double, axis=1), np.take(den_sqrt, double, axis=1))
+            scaled64 = np.searchsorted(double, scaled)  # the scaled columns among them
+        num32 = kernel.screen_operands(num32)
+        den32 = num32 if square else kernel.screen_operands(den32)
     d = n - m
-    mp = ops32.shape[-1] if m else 0  # m' >= m: the single columns padded
+    mp = num32.shape[-1] if m else 0  # m' >= m: the single columns padded
     weight = mp + 2 * d  # float64 workspace slots per pair
     pairs = max(1, 2 * _BLOCK_ELEMENTS // weight)
     blocks = _plan(J, K, pairs, square)
@@ -524,7 +534,7 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
         r, h, c, w = block
         sums = T[r:r + h, c:c + w]
         if m:
-            kernel.screen_sums(ops32[:, np.newaxis, c:c + w], ops32[:, r:r + h, np.newaxis],
+            kernel.screen_sums(num32[:, np.newaxis, c:c + w], den32[:, r:r + h, np.newaxis],
                                work[:h * w * mp].view(np.float32).reshape(2, h, w, mp), sums)
         if d:
             vals = psi_pair(kernel, num64[np.newaxis, c:c + w], den64[r:r + h, np.newaxis],
@@ -538,7 +548,7 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
     # psi2's float32 terms underflow to 0 on stand-ins (PsiKernel.screen_sums).
     with np.errstate(under="ignore"):
         _run(blocks, block_step, work)
-    del ops32, num64, den64
+    del num32, den32, num64, den64
     if square:
         np.copyto(T, 0.0 - T.T, where=np.tri(J, k=-1, dtype=bool))
     np.subtract(T, num_pen, out=T)
@@ -549,7 +559,7 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
     bound = mp * 5 * 2.0 ** -21 + (mp + d) * (mp + d + 8) * 2.0 ** -51
     margin = 2.0 * bound + 2.0 ** -50 * (n + 1 + pen[np.isfinite(pen)].max(initial=0.0))
     keep = T >= (T.max(axis=1) - margin)[:, np.newaxis]
-    a, b = np.nonzero(np.triu(keep | keep.T, 1))
+    a, b = np.nonzero(np.triu(keep | keep.T, 1) if square else keep)
     del keep
     exact, per = np.empty(len(a)), slots // (4 * n)
 
@@ -566,7 +576,8 @@ def _criterion_rows(den_sqrt: np.ndarray, num_sqrt: np.ndarray, num_pen,
     _run([(lo, min(lo + per, len(a))) for lo in range(0, len(a), per)],
          certify_step, work)
     T[a, b] = exact - pen[b]
-    T[b, a] = (0.0 - exact) - pen[a]
+    if square:
+        T[b, a] = (0.0 - exact) - pen[a]
     return T.max(axis=1)
 
 

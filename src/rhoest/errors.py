@@ -8,6 +8,7 @@ as ``0`` and a numpy scalar stores, hashes and computes as the Python number
 of its value.
 """
 
+import itertools
 import sys
 
 import numpy as np
@@ -54,6 +55,7 @@ class Checked:
 
 
 _REAL = (int, float, np.integer, np.floating)
+_BOOLS = frozenset((bool, np.bool_))
 
 
 def _plain(v):
@@ -189,15 +191,18 @@ def _array(name, v, ndim):
     Where numpy makes an array of something else, the items run through a
     rule of their own (a number on one axis, a vector of finite numbers on
     two), as in :func:`_each`, so that the message names the first bad item
-    ``name[i]``: a bool, a complex number or a string, say.  The first item
-    that holds a NaN or an infinity is named the same way."""
+    ``name[i]``: a bool, a complex number or a string, say.  numpy makes a
+    float array of a list that mixes bools with numbers, so such a list is
+    scanned for bools, on either axis; an ndarray of a real dtype is not
+    scanned.  The first item that holds a NaN or an infinity is named the
+    same way."""
     try:
         a = np.asarray(v)
     except ValueError:  # rows of different lengths
         a = None
     if isinstance(v, str) or a is not None and a.ndim == 0:
         raise ContractViolationError(f"{name} must be a list, got {_shown(v)}")
-    if a is None or a.dtype.kind not in "iuf":
+    if a is None or a.dtype.kind not in "iuf" or _holds_bools(v, a, ndim):
         _each(name, v, _number if ndim == 1 else _vector)
     if a is None or a.ndim != ndim or not a.size:
         raise ContractViolationError(
@@ -209,6 +214,15 @@ def _array(name, v, ndim):
         i = np.flatnonzero(~finite.reshape(len(a), -1).all(axis=1))[0]
         raise ContractViolationError(f"{name}[{i}] must be finite, got {a[i].tolist()}")
     return a
+
+
+def _holds_bools(v, a, ndim):
+    """Does ``v``, of which numpy made the real array ``a``, hold a bool?
+    An ndarray holds none; a list of ``ndim`` axes is scanned."""
+    if isinstance(v, np.ndarray) or a.ndim != ndim:
+        return False
+    items = v if ndim == 1 else itertools.chain.from_iterable(v)
+    return bool(_BOOLS & set(map(type, items)))
 
 
 def _vector(name, v):

@@ -17,26 +17,36 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import Density1D, _density, hellinger_sq, integrate_on_supports
-from .errors import ContractViolationError, _instance, _numbers, _shown
+from .errors import Checked, ContractViolationError, _finite, _instance, _numbers, _scale, _shown
 from .quadrature import FINE_QUAD, QuadratureSpec
 
 __all__ = ["PsiKernel", "kernel_constants", "eval_psi", "psi_pair",
            "check_assumption"]
 
 
+def _kernel_id(name, v):
+    """psi1 or psi2, the transforms with a ratio and a row of ``_ROOTS``."""
+    if not (isinstance(v, str) and v in ("psi1", "psi2")):
+        raise ContractViolationError(f"{name} must be psi1 or psi2, got {_shown(v)}")
+    return v
+
+
 @dataclass(frozen=True)
-class PsiKernel:
-    """A psi transform plus its certified constants and derived quantities."""
+class PsiKernel(Checked):
+    """A psi transform plus its certified constants and derived quantities.
+
+    ``id`` is psi1 or psi2, ``a0`` is finite, and ``a1`` and ``a2_sq`` are
+    finite and positive, with a0 >= 1 >= a1 and a2^2 >= max(1, 6 a1).
+    """
 
     id: str
     a0: float
     a1: float
     a2_sq: float
+    rules = {"id": _kernel_id, "a0": _finite, "a1": _scale, "a2_sq": _scale}
 
-    def __post_init__(self):
-        if not (isinstance(self.id, str) and self.id in ("psi1", "psi2")):
-            raise ContractViolationError(f"kernel id must be psi1 or psi2, got {_shown(self.id)}")
-        if not (self.a0 >= 1.0 >= self.a1 > 0.0):
+    def _check(self):
+        if not self.a0 >= 1.0 >= self.a1:
             raise ContractViolationError("need a0 >= 1 >= a1 > 0")
         if not self.a2_sq >= max(1.0, 6.0 * self.a1):
             raise ContractViolationError("need a2^2 >= max(1, 6 a1)")
@@ -201,7 +211,24 @@ def kernel_constants(kernel_id: str = DEFAULT_KERNEL_ID) -> PsiKernel:
 
 def eval_psi(kernel: PsiKernel, x):
     """psi(x) for x in [0, +inf]; psi(+inf) = 1."""
-    return psi_pair(kernel, x if isinstance(x, float) else _numbers("x", x), 1.0)
+    x = x if isinstance(x, float) else _numbers("x", x)
+    try:
+        return psi_pair(kernel, x, 1.0)
+    except ContractViolationError:
+        if isinstance(kernel, PsiKernel):  # so x, beside the root 1.0, failed
+            raise _root_error(x=x) from None
+        raise
+
+
+def _root_error(**operands):
+    """The error naming the first of ``operands`` that holds NaN or a
+    negative number, for a caller whose one comparison has found one."""
+    for name, a in operands.items():
+        a = np.asarray(a, dtype=float)
+        bad = a[~(a >= 0.0)]
+        if bad.size:
+            return ContractViolationError(
+                f"{name} must be nonnegative square roots, got {_shown(bad[0].item())}")
 
 
 def psi_pair(kernel: PsiKernel, num_sqrt, den_sqrt, out=None, scaled=None):
@@ -235,8 +262,9 @@ def psi_pair(kernel: PsiKernel, num_sqrt, den_sqrt, out=None, scaled=None):
     columns for operands that a caller has already settled, as slices of
     arrays that span the last axis and were settled whole; without it, the
     operands are broadcast together and settled here, and NaN or negative
-    roots raise :class:`ContractViolationError`, as does a ``kernel`` that
-    is not a :class:`PsiKernel` (a caller passing ``scaled`` checked both).
+    roots raise :class:`ContractViolationError` naming their operand, as
+    does a ``kernel`` that is not a :class:`PsiKernel` (a caller passing
+    ``scaled`` checked both).
 
     Two scalar operands (floats, such as QUADPACK's nodes in
     :func:`check_assumption`, other numbers and 0-d arrays) skip numpy's
@@ -259,8 +287,7 @@ def psi_pair(kernel: PsiKernel, num_sqrt, den_sqrt, out=None, scaled=None):
         # Python floats: np.float64 arithmetic would warn on overflow.
         u, v = float(num_sqrt), float(den_sqrt)
         if not (u >= 0.0 and v >= 0.0):  # NaN fails the comparison too
-            raise ContractViolationError(
-                "density square roots must be nonnegative numbers")
+            raise _root_error(num_sqrt=u, den_sqrt=v)
         if u == v or u == 0.0 or v == 0.0 or u == math.inf or v == math.inf:
             return _sign(u, v)
         lo, hi = kernel._exact
@@ -276,10 +303,13 @@ def psi_pair(kernel: PsiKernel, num_sqrt, den_sqrt, out=None, scaled=None):
             raise ContractViolationError(
                 f"num_sqrt of shape {u.shape} and den_sqrt of shape {v.shape} "
                 "do not broadcast together") from None
-        su, sv, scaled = _settle(kernel, u, v)
+        try:
+            su, sv, scaled = _settle(kernel, u, v)
+        except ContractViolationError:  # a NaN or negative root
+            raise _root_error(num_sqrt=u, den_sqrt=v) from None
     if not scaled.size:  # nothing to rescale, no floating-point exception to silence
         return kernel.ratio(su, sv, out)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+    with np.errstate(all="ignore"):
         vals = kernel.ratio(su, sv, out)
         u, v = u[..., scaled], v[..., scaled]
         # ldexp, since 2.0**e overflows for subnormal roots.

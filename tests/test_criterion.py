@@ -14,8 +14,9 @@ from rhoest import (CandidateSet, Cauchy, ContractViolationError, DensityFamily,
                     Exponential, Gaussian, Histogram, Laplace, PathologicalGaussian,
                     Penalty, ProductDensity, RhoFit, Sample, SimplexPoint, Uniform,
                     build_gaussian_location_grid, build_histogram_family,
-                    criterion, densities, errors, kernel_constants, psi,
-                    rho_estimate, t_mix, t_statistic, upsilon, upsilon_all)
+                    criterion, densities, errors, kernel_constants,
+                    mixture_upsilon, psi, rho_estimate, t_mix, t_statistic, upsilon,
+                    upsilon_all)
 
 K2 = kernel_constants("psi2")
 KERNELS = [kernel_constants("psi1"), K2]
@@ -414,9 +415,9 @@ class TestSharedBlocks:
     def test_more_shares_than_cpus_switching_every_microsecond(self, monkeypatch):
         """Six shares, with the interpreter switching threads as often as it
         can, still compute every block exactly once and give the same bits:
-        in a call on part of T, in a screened square call (its float32 blocks
-        and its exact pairs), and in a square call of identical entries,
-        whose screen keeps every pair j < k for the certificate."""
+        in screened calls on part of T and on all of it (their float32
+        blocks and their exact entries), and in a square call of identical
+        entries, whose screen keeps every pair j < k for the certificate."""
         original, screen_sums, blocks = criterion.psi_pair, psi.PsiKernel.screen_sums, []
 
         def psi_pair(*args, **kwargs):
@@ -507,12 +508,12 @@ def test_every_plan_covers_each_entry_once(J, K, pairs, square):
 
 
 class TestScreen:
-    """The square criterion's float32 screen and float64 certificate, which
-    every square call with a float32 column takes, against the unscreened
-    engine: the rectangular call on a copy of the roots.  Small blocks make
-    a 24-entry family at n = 16 a call of many blocks, shared out over
-    threads (J * J * n >= 32 * _BLOCK_ELEMENTS) for blocks of up to 288
-    values."""
+    """The criterion's float32 screen and float64 certificate, which every
+    call of two or more challengers with a float32 column takes, against
+    the plain float64 pass, which a call of one challenger always takes.
+    Small blocks make a 24-entry family at n = 16 a call of many blocks,
+    shared out over threads (J * K * n >= 32 * _BLOCK_ELEMENTS) for blocks
+    of up to 288 values."""
 
     S = TestSharedBlocks.S  # 24 distinct rows of roots in [0.1, 1.42]
 
@@ -532,9 +533,16 @@ class TestScreen:
         return runs
 
     @staticmethod
-    def plain(S, pen, kernel):
-        """The rows of the unscreened engine: the rectangular call on a copy."""
-        return criterion._criterion_rows(S, S.copy(), pen, kernel)
+    def plain_t(den, num, kernel):
+        """T of the plain float64 pass: column k from the call of challenger
+        k alone, which has nothing to screen."""
+        return np.column_stack([criterion._criterion_rows(den, num[k:k + 1], 0.0, kernel)
+                                for k in range(len(num))])
+
+    @classmethod
+    def plain(cls, den, num, pen, kernel):
+        """The rows of the plain float64 pass: max_k [T[j, k] - pen[k]]."""
+        return np.max(cls.plain_t(den, num, kernel) - pen, axis=1)
 
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.id)
     @pytest.mark.parametrize("block", [1, 16, 64, 192])
@@ -543,7 +551,7 @@ class TestScreen:
         are distinct pairs j < k, summed u = S[k] against v = S[j] as the
         plain blocks sum them, and the certificate's blocks split them."""
         S, pen = self.S, np.linspace(0.0, 0.2, len(self.S))
-        want = self.plain(S, pen, kernel)
+        want = self.plain(S, S, pen, kernel)
         monkeypatch.setattr(criterion, "_BLOCK_ELEMENTS", block)
         runs, pairs, original = self.phases(monkeypatch), [], criterion.psi_pair
 
@@ -580,7 +588,8 @@ class TestScreen:
         X = Sample(np.linspace(-9.0, 9.0, n))  # roots from 0.63 down to 1e-9
         pen = Penalty({3: 0.25})
         pvec = pen.vector(J)
-        want = self.plain(fam.sqrt_value_matrix(X), pvec, kernel) + pvec
+        S = fam.sqrt_value_matrix(X)
+        want = self.plain(S, S, pvec, kernel) + pvec
         monkeypatch.setattr(criterion, "_BLOCK_ELEMENTS", 32)
         runs = self.phases(monkeypatch)
         with warnings.catch_warnings():
@@ -596,43 +605,71 @@ class TestScreen:
         assert ranges[-1][1] == len(pairs)
 
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.id)
-    def test_every_square_call_is_screened_at_any_size(self, kernel, monkeypatch):
-        """At the real block size a square call with float32 columns is
-        screened and certified, from 2 entries at n = 5 to demo-mle's 161 at
-        n = 100, with the unscreened engine's bits; a rectangular call is
-        never screened."""
+    def test_every_call_of_two_challengers_or_more_is_screened(self, kernel, monkeypatch):
+        """At the real block size every call of K >= 2 challengers with
+        float32 columns is screened and certified, square or not: one row
+        against 2 entries and against demo-mle's 161 (upsilon's call), 40
+        rows against 161 (a round of rows), and square calls from 2 entries
+        at n = 5 to 161 at n = 100, each with the plain pass's bits.  The
+        same rows against one challenger are the plain pass."""
         rng = np.random.default_rng(7)
         runs = self.phases(monkeypatch)
+        S = rng.uniform(0.1, 1.4, (161, 100))
+        calls = [(S[:1], S[1:3]), (S[:1], S), (S[:40], S)]
         for J, n in ((2, 5), (10, 50), (41, 500), (161, 100)):
-            S = rng.uniform(0.1, 1.4, (J, n))
-            pen = rng.uniform(0.0, 0.5, J)
-            got = criterion._criterion_rows(S, S, pen, kernel)
+            R = rng.uniform(0.1, 1.4, (J, n))
+            calls.append((R, R))
+        for den, num in calls:
+            pen = rng.uniform(0.0, 0.5, len(num))
+            got = criterion._criterion_rows(den, num, pen, kernel)
             assert [(name, closure.get("m")) for name, _, closure in runs] == [
-                ("block_step", n), ("certify_step", None)]
+                ("block_step", den.shape[1]), ("certify_step", None)]
             del runs[:]
-            assert got.tobytes() == self.plain(S, pen, kernel).tobytes()
-            criterion._criterion_rows(S[:1], S, pen, kernel)
-            assert [(name, closure["m"]) for name, _, closure in runs] == [
-                ("block_step", 0)] * 2
+            criterion._criterion_rows(den, num[:1], pen[:1], kernel)
+            assert [(name, closure["m"]) for name, _, closure in runs] == [("block_step", 0)]
+            assert got.tobytes() == self.plain(den, num, pen, kernel).tobytes()
             del runs[:]
 
+    def test_public_calls_follow_the_challenger_count(self, monkeypatch):
+        """t_statistic and t_mix compare one pair, on the plain pass; upsilon,
+        mixture_upsilon and upsilon_all compare rows with 6 to 21
+        challengers, and are screened and certified."""
+        n = 500
+        X = Sample(np.random.default_rng(8).normal(0.0, 1.0, n))
+        fam = DensityFamily([ProductDensity(iid=Gaussian(m, 1.0), n=n)
+                             for m in np.linspace(-1.0, 1.0, 6)])
+        cs = CandidateSet(fam.entries, X)
+        half = SimplexPoint((0.5, 0.5, 0, 0, 0, 0))
+        runs = self.phases(monkeypatch)
+        t_statistic(X, fam[0], fam[1], K2)
+        t_mix(cs, half, SimplexPoint((0, 0, 0, 0, 0.5, 0.5)), K2)
+        assert [(name, closure["m"]) for name, _, closure in runs] == [("block_step", 0)] * 2
+        del runs[:]
+        upsilon(X, fam[0], fam, None, K2)
+        mixture_upsilon(cs, half, 2, K2)
+        upsilon_all(X, fam, None, K2)
+        assert [(name, closure.get("m")) for name, _, closure in runs] == [
+            ("block_step", n), ("certify_step", None)] * 3
+
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.id)
-    def test_square_call_with_no_float32_column_is_the_plain_pass(self, kernel,
-                                                                  monkeypatch):
+    def test_call_with_no_float32_column_is_the_plain_pass(self, kernel, monkeypatch):
         """Every column holds a root of 2**-100, outside both kernels'
         float32 ranges: the square call is the float64 pass and its mirror,
-        bitwise the rectangular call's T."""
+        bitwise the plain pass's T, and a call on 5 of its rows is the
+        float64 pass too."""
         S = self.S.copy()
         S[np.arange(16) % len(S), np.arange(16)] = 2.0 ** -100
         monkeypatch.setattr(criterion, "_BLOCK_ELEMENTS", 64)  # bands of few rows
         runs = self.phases(monkeypatch)
         got = criterion._criterion_rows(S, S, 0.0, kernel)
-        want = self.plain(S, 0.0, kernel)
+        rows = criterion._criterion_rows(S[:5], S, 0.0, kernel)
         assert [(name, closure["m"]) for name, _, closure in runs] == [
             ("block_step", 0)] * 2
-        square, rectangular = (closure["T"] for _, _, closure in runs)
-        assert square.tobytes() == rectangular.tobytes()
-        assert got.tobytes() == want.tobytes()
+        square = runs[0][2]["T"]
+        want = self.plain_t(S, S, kernel)
+        assert square.tobytes() == want.tobytes()
+        assert got.tobytes() == want.max(axis=1).tobytes()
+        assert rows.tobytes() == want[:5].max(axis=1).tobytes()
 
     def test_small_calls_start_no_thread(self, monkeypatch):
         """With four CPUs, a call below 32 * _BLOCK_ELEMENTS = 2**21 pair
@@ -687,7 +724,7 @@ class TestScreen:
         S[:, 6], S[:, 9] = 0.0, np.inf
         S[2, 11] = 2.0 ** 40
         pen = np.linspace(0.0, 0.5, len(S))
-        want = self.plain(S, pen, kernel)
+        want = self.plain(S, S, pen, kernel)
         monkeypatch.setattr(criterion, "_BLOCK_ELEMENTS", 64)
         seen, original = [], criterion.psi_pair
 
@@ -714,7 +751,7 @@ class TestScreen:
         S = self.S.copy()
         S[:, 0] = np.resize([0.0, np.inf, 2.0 ** 59, 2.0 ** -59], len(S))
         pen = np.linspace(0.0, 0.5, len(S))
-        want = self.plain(S, pen, kernel)
+        want = self.plain(S, S, pen, kernel)
         monkeypatch.setattr(criterion, "_BLOCK_ELEMENTS", 64)
         monkeypatch.setattr(criterion, "_cpus", lambda: 2)
         runs = self.phases(monkeypatch)
@@ -723,6 +760,27 @@ class TestScreen:
         assert got.tobytes() == want.tobytes()
         # psi1's float32 range ends at 2**30, psi2's at 2**60.
         assert runs[0][2]["m"] == (15 if kernel.id == "psi1" else 16)
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.id)
+    def test_scaled_columns_raise_no_floating_point_exception(self, kernel):
+        """Roots of 1e-200 and 1e-300, whose columns psi_pair rescales and
+        where psi1's squares underflow: under a caller's
+        np.errstate(all="raise"), psi_pair, the square call and a call on 5
+        of its rows, whose certificates sum those columns, raise nothing and
+        keep the plain pass's bits."""
+        u, v = np.array([1e-200, 1.0, 1e-300]), np.array([1.0, 1e-300, 0.5])
+        want = psi.psi_pair(kernel, u, v)
+        with np.errstate(all="raise"):
+            assert psi.psi_pair(kernel, u, v).tobytes() == want.tobytes()
+        S = self.S.copy()
+        S[3, 1], S[4, 2] = 1e-200, 1e-300
+        pen = np.linspace(0.0, 0.5, len(S))
+        calls = [(S, S), (S[:5], S)]
+        want = [self.plain(den, num, pen, kernel).tobytes() for den, num in calls]
+        with np.errstate(all="raise"):
+            got = [criterion._criterion_rows(den, num, pen, kernel).tobytes()
+                   for den, num in calls]
+        assert got == want
 
 
 def bench_like_roots():

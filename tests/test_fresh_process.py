@@ -234,7 +234,9 @@ def test_quadrature_loads_no_scipy_subpackage(tmp_path):
 # Five runs whose square criterion calls are screened and, at
 # N * N * n >= 2**21 pair values, shared out over threads: fit on a
 # 161-point grid under each kernel, select on a union of 243 entries, and
-# demo-mle at n = 100 under each kernel.  The
+# demo-mle at n = 100 under each kernel; then, under each kernel, the hex of
+# upsilon of one entry of a 1067-point grid against the grid at n = 2000, a
+# rectangular call that is screened and shared out too.  The
 # sample's points at +-1000 (every density 0), near +-12 and +-15 (roots
 # outside the float32 ranges, summed in float64) and at +-40 (psi1's
 # rescale) reach every path of the screen and its certificate, and so do
@@ -243,10 +245,15 @@ SCREENED = """
 import json, os, sys
 if sys.argv[1] == "one-cpu":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from rhoest import Sample, build_gaussian_location_grid, kernel_constants, upsilon
 from rhoest.cli import main
 for argv in json.loads(sys.argv[2]):
     if main(argv):
         sys.exit(f"{argv} failed")
+X = Sample(json.loads(sys.argv[3]))
+fam = build_gaussian_location_grid(-4.0, 4.0, 0.0075, 1.0, X.n).family
+for psi in ("psi1", "psi2"):
+    print(upsilon(X, fam[400], fam, None, kernel_constants(psi)).hex())
 """
 
 
@@ -258,6 +265,9 @@ def test_screened_runs_print_the_same_bytes_on_any_thread_split(tmp_path):
     # split must print the one-thread bytes.
     x = np.random.default_rng(26).normal(0.5, 1.0, 1000)
     x[:8] = -1000.0, 1000.0, -12.0, 12.5, -15.0, 15.5, -40.0, 40.0
+    y = np.random.default_rng(27).normal(0.5, 1.0, 2000)
+    y[:8] = x[:8]
+    assert 1067 * len(y) >= 2**21  # upsilon's pair values: it shares out
     grid = {"type": "gaussian_location_grid", "step": 0.05}
     fit, select, mle = (tmp_path / f"{name}.json" for name in ("fit", "select", "mle"))
     fit.write_text(json.dumps(
@@ -270,11 +280,13 @@ def test_screened_runs_print_the_same_bytes_on_any_thread_split(tmp_path):
     for psi in ("psi1", "psi2"):
         runs += [["fit", "--config", str(fit), "--psi", psi],
                  ["demo-mle", "--config", str(mle), "--seed", "4", "--psi", psi]]
-    all_cpus, _ = python("-c", SCREENED, "all-cpus", json.dumps(runs))
-    assert python("-c", SCREENED, "one-cpu", json.dumps(runs))[0] == all_cpus
-    assert python("-c", SCREENED, "all-cpus", json.dumps(runs),
+    args = json.dumps(runs), json.dumps(y.tolist())
+    all_cpus, _ = python("-c", SCREENED, "all-cpus", *args)
+    assert python("-c", SCREENED, "one-cpu", *args)[0] == all_cpus
+    assert python("-c", SCREENED, "all-cpus", *args,
                   env={"OPENBLAS_NUM_THREADS": "1"})[0] == all_cpus
     assert all_cpus.count('"chosen_label": "theta=0.5"') == 3  # fits and select
+    assert all_cpus.splitlines()[-2].startswith("0x")  # upsilon under psi1
 
 
 def test_export_to_a_bool_path_leaves_stdout_open():

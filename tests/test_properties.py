@@ -456,10 +456,11 @@ def screen_case(draw):
     return S, pen
 
 
-def screened_call(S, pen, kernel, block):
-    """The rows of the square call on S with blocks of ``block`` values, and
-    T as its screen left it (None when nothing was screened: S has no
-    float32 column)."""
+def screened_call(S, pen, kernel, block, num=None):
+    """The rows of the square call on S, or of S's rows against the
+    challengers ``num``, with blocks of ``block`` values, and T as its screen
+    left it (None when nothing was screened: the roots have no float32
+    column)."""
     screens, run = [], criterion._run
 
     def spy(blocks, step, work):
@@ -469,8 +470,28 @@ def screened_call(S, pen, kernel, block):
 
     with mock.patch.object(criterion, "_run", spy), \
             mock.patch.object(criterion, "_BLOCK_ELEMENTS", block):
-        rows = criterion._criterion_rows(S, S, pen, kernel)
+        rows = criterion._criterion_rows(S, S if num is None else num, pen, kernel)
     return rows, (screens[0] if screens else None)
+
+
+def plain_rows(den, num, pen, kernel):
+    """The rows of the plain float64 pass: T column by column, from calls of
+    one challenger, which are never screened, then max_k [T[j, k] - pen[k]]."""
+    T = np.column_stack([criterion._criterion_rows(den, num[k:k + 1], 0.0, kernel)
+                         for k in range(len(num))])
+    return np.max(T - pen, axis=1)
+
+
+@st.composite
+def rectangular_case(draw):
+    """(den, num, pen): the roots of 1 to 12 rows drawn from a
+    ``screen_case``, with repeats, against its first K >= 2 rows, and the
+    penalties of those challengers.  A row drawn from the first K is a
+    candidate that is its own challenger, as in ``upsilon``."""
+    S, pen = draw(screen_case())
+    K = draw(st.integers(2, len(S)))
+    rows = draw(st.lists(st.integers(0, len(S) - 1), min_size=1, max_size=12))
+    return S[rows], S[:K], (pen if np.ndim(pen) == 0 else pen[:K])
 
 
 def single_columns(S, kernel):
@@ -514,9 +535,25 @@ class TestScreen:
         block = 1 if data is None else data.draw(st.integers(1, S.size // 2))
         got, screen = screened_call(S, pen, kernel, block)
         assert (screen is None) == (single_columns(S, kernel) == 0)
-        want = criterion._criterion_rows(S, S.copy(), pen, kernel)  # unscreened
-        assert same_bits(got, want)
+        assert same_bits(got, plain_rows(S, S, pen, kernel))
         assert same_bits(got, np.max(dense_t(S, kernel) - pen, axis=1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=rectangular_case(), data=st.data())
+    @example(case=(GRID_EXAMPLE[0][[4, 12, 4, 0]], GRID_EXAMPLE[0], 0.0), data=None)
+    @example(case=(TIE_EXAMPLE[0][[0, 11]], TIE_EXAMPLE[0], TIE_EXAMPLE[1]), data=None)
+    def test_screened_rectangular_rows_match_the_plain_pass_bitwise(self, kernel, case,
+                                                                      data):
+        """Forced by small blocks, J >= 1 rows against K >= 2 challengers are
+        screened whenever a column is in the float32 range, and give the
+        plain pass's rows, the sign of zero included, and the dense T's."""
+        den, num, pen = case
+        block = 1 if data is None else data.draw(st.integers(1, num.size))
+        got, screen = screened_call(den, pen, kernel, block, num)
+        assert (screen is None) == (single_columns(np.vstack([den, num]), kernel) == 0)
+        assert same_bits(got, plain_rows(den, num, pen, kernel))
+        T = psi_pair_oracle(kernel, num[np.newaxis, :, :], den[:, np.newaxis, :]).sum(axis=2)
+        assert same_bits(got, np.max(T - pen, axis=1))
 
     @settings(max_examples=150, deadline=None)
     @given(case=screen_case(), data=st.data())
@@ -618,8 +655,7 @@ class TestScreen:
         assert np.abs(screen - exact).max() > 0.85 * bound
         assert same_bits(np.diag(screen), np.zeros(J))
         assert np.any(np.argmax(screen, axis=1) != best)
-        want = criterion._criterion_rows(S, S.copy(), 0.0, kernel)  # unscreened
-        assert same_bits(got, want)
+        assert same_bits(got, plain_rows(S, S, 0.0, kernel))
         assert same_bits(got, np.max(exact, axis=1))
 
     def test_near_tie_that_the_screen_orders_wrongly(self, kernel):
@@ -885,9 +921,9 @@ class TestDominatingMeasure:
     @given(case=screen_case(), data=st.data())
     def test_criterion_rows_keep_their_bits(self, kernel, case, data):
         """Every density at x_i times 4**e_i, its root times 2**e_i: the rows
-        of a square call, of the unscreened call on a copy and of a call on
-        fewer rows keep their bits.  The exponents reach every binade of normal roots,
-        so columns move in and out of the exact and float32 ranges."""
+        of a square call, of the plain pass and of a screened call on fewer
+        rows keep their bits.  The exponents reach every binade of normal
+        roots, so columns move in and out of the exact and float32 ranges."""
         S, pen = case
         e = data.draw(hnp.arrays(np.int64, S.shape[1], elements=st.integers(-1100, 1100)))
         e = normal_exponents(S, e)
@@ -898,7 +934,7 @@ class TestDominatingMeasure:
 
         def calls(M):
             return (screened_call(M, pen, kernel, block)[0],
-                    criterion._criterion_rows(M, M.copy(), pen, kernel),
+                    plain_rows(M, M, pen, kernel),
                     criterion._criterion_rows(M[:rows], M, pen, kernel))
 
         for got, want in zip(calls(moved), calls(S)):
@@ -923,9 +959,10 @@ def drawn_penalty(data, size):
     return Penalty(dict(enumerate(values)))
 
 
-# Every square call with a float32 column is screened.  A block of one
-# value makes these small calls many blocks, shared out over threads; 2**16
-# makes them one block on the calling thread.
+# Every call of two challengers or more with a float32 column is screened,
+# upsilon_all's square call among them.  A block of one value makes these
+# small calls many blocks, shared out over threads; 2**16 makes them one
+# block on the calling thread.
 SHARED_OR_ONE_BLOCK = pytest.mark.parametrize("block", [1, 2**16],
                                               ids=["shared", "one-block"])
 

@@ -83,7 +83,7 @@ class TestConstants:
     @pytest.mark.parametrize("kernel_id", ["psi3", "", None, 1, np.array(["psi1"])])
     def test_kernel_of_unknown_id_rejected(self, kernel_id):
         # Only psi1 and psi2 have a ratio and a row of root ranges.
-        with pytest.raises(ContractViolationError, match="kernel id"):
+        with pytest.raises(ContractViolationError, match="^id must be psi1 or psi2, got "):
             psi.PsiKernel(kernel_id, a0=4.0, a1=0.375, a2_sq=4.25)
         assert psi.PsiKernel("psi2", a0=4.0, a1=0.375, a2_sq=4.25)._exact == PSI2._exact
 

@@ -34,7 +34,7 @@ import pytest
 import rhoest
 from rhoest import (CandidateSet, ContractViolationError, DensityFamily, ExpFamily,
                     Gaussian, InnerSolverConfig, Laplace, ModelCollection,
-                    ModelDescriptor, Penalty, ProductDensity, QuadratureSpec,
+                    ModelDescriptor, Penalty, ProductDensity, PsiKernel, QuadratureSpec,
                     RegressionFunction, RegressionModel, RiskReport, Sample,
                     Scenario, SimplexPoint, Tabulated, build_exp_family_grid,
                     build_gaussian_location_grid, build_histogram_family,
@@ -120,9 +120,13 @@ REALS = {
     "select.slack_multiplier": (lambda v: select(X, TWO_MODELS, v), 1.0),
     "fit_regression.slack_multiplier": (lambda v: fit_regression(XY, REG, v), 1.0),
     "shifted.a": (lambda v: shifted(G, v), 0.5),
+    "PsiKernel.a0": (lambda v: PsiKernel("psi2", v, 0.375, 4.25), 4.0),
+    "PsiKernel.a1": (lambda v: PsiKernel("psi2", 4.0, v, 4.25), 0.375),
+    "PsiKernel.a2_sq": (lambda v: PsiKernel("psi2", 4.0, 0.375, v), 4.25),
 }
 
-# The same for parameters that take a density, a function or a kernel.
+# The same for parameters that take a density, a function, a kernel or a
+# kernel's id.
 OBJECTS = {
     "Scenario.truth": (lambda v: scenario(truth=v), G),
     "Scenario.contaminant": (
@@ -148,6 +152,7 @@ OBJECTS = {
     "shifted.d": (lambda v: shifted(v, 0.5), G),
     "RegressionFunction.fn": (lambda v: RegressionFunction(v, "g"), abs),
     "integrate_1d.fn": (lambda v: integrate_1d(v, 0.0, 1.0), np.exp),
+    "PsiKernel.id": (lambda v: PsiKernel(v, 4.0, 0.375, 4.25), "psi2"),
 }
 
 TABLE = {**INTEGERS, **SEEDS, **REALS, **OBJECTS}
@@ -246,10 +251,43 @@ def test_regression_function_label_is_a_string(label):
     (lambda: psi_pair(K, ["x"], np.ones(2)), "num_sqrt must be"),
     (lambda: psi_pair(K, np.ones(2), np.ones(3)),
      r"num_sqrt of shape \(2,\) and den_sqrt of shape \(3,\) do not broadcast"),
-], ids=["eval_psi", "den_sqrt", "num_sqrt", "broadcast"])
+    (lambda: eval_psi(K, math.nan), "x must be nonnegative square roots, got nan$"),
+    (lambda: eval_psi(K, [1.0, -2.0]), "x must be nonnegative square roots, got -2.0$"),
+    (lambda: psi_pair(K, -1.0, 1.0), "num_sqrt must be nonnegative square roots, got -1.0$"),
+    (lambda: psi_pair(K, 1.0, math.nan), "den_sqrt must be nonnegative square roots"),
+    (lambda: psi_pair(K, np.ones(2), [1.0, -3.0]), "den_sqrt must be nonnegative"),
+    (lambda: psi_pair(K, [[math.nan]], -1.0), "num_sqrt must be nonnegative"),
+], ids=["eval_psi", "den_sqrt", "num_sqrt", "broadcast", "eval_psi-nan",
+        "eval_psi-negative", "float-num_sqrt", "float-den_sqrt", "array-den_sqrt",
+        "both-bad"])
 def test_psi_operand_is_named(call, name):
     with pytest.raises(ContractViolationError, match=f"^{name}"):
         call()
+
+
+@pytest.mark.parametrize("name, value", [("a0", math.inf), ("a1", math.inf),
+                                         ("a2_sq", math.inf), ("a1", 0.0),
+                                         ("a2_sq", -1.0)])
+def test_kernel_constants_are_finite_and_positive(name, value):
+    # An infinite a2_sq once made kappa infinite, and so every entry of a
+    # family admissible.
+    with pytest.raises(ContractViolationError, match=f"^{name} must be "):
+        PsiKernel(**{"id": "psi2", "a0": 4.0, "a1": 0.375, "a2_sq": 4.25, name: value})
+
+
+@pytest.mark.parametrize("points, kind, name", [
+    ([True, 1.0], "scalar", "points[0]"),
+    ([0.5, 1.0, np.True_], "scalar", "points[2]"),
+    ([[0.0, 0.5], [1.0, False]], "pair", "points[1]"),
+    ([np.array([0.0, 0.5]), np.array([True, False])], "pair", "points[1]"),
+], ids=["float-list", "numpy-bool", "pair-list", "pair-rows"])
+def test_sample_refuses_a_bool_among_numbers(points, kind, name):
+    # numpy makes [True, 1.0] the float array [1.0, 1.0].
+    with pytest.raises(ContractViolationError,
+                       match=f"^{re.escape(name)} must be a number, got "):
+        Sample(points, kind)
+    # A real ndarray is taken as it is, whatever it was made from.
+    assert Sample(np.asarray(points, dtype=float), kind).n == len(points)
 
 
 def test_negative_delta_is_rejected_by_the_weights_rule():
